@@ -11,6 +11,17 @@ tensor factor.  From it we extract:
 
 where E_a are the measured observable's spectral projectors and Q_a the
 probe's.  For a faithful model the two instrument routes coincide.
+
+All three maps are read off U as Kraus operators.  With the apparatus
+state sigma = sum_j w_j |v_j><v_j| and an orthonormal apparatus basis |m>,
+
+    K_{m,j} = sqrt(w_j) (1 x <m|) U (1 x |v_j>)
+
+gives T(rho) = sum K rho K+, and T_a uses K E_a; the probe route puts Q_a
+between <m| and U.  Each K is one contraction of ``U.reshape(d_s, d_a,
+d_s, d_a)``.  Eigenvectors of sigma with weight w_j <= 0 are dropped: a
+zero weight contributes nothing, and a roundoff-negative one has no real
+square root, so dropping them needs no tolerance.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from .errors import (
     NotAMeasurementOfAError,
 )
 from .instrument import Instrument
-from .matcore import dagger, partial_trace_apparatus, tensor
+from .matcore import dagger
 from .quantum import DensityOperator, DiscreteObservable, ket
 from .superop import Superoperator
 
@@ -84,17 +95,25 @@ class ConsistencyReport:
         return max(self.residuals, key=self.residuals.get)
 
 
+def _kraus(model: MeasurementModel, q: np.ndarray | None = None) -> np.ndarray:
+    """Stacked Kraus operators K_{m,j} = sqrt(w_j) (1 x <m|q) U (1 x |v_j>)
+    of rho -> Tr_A[(1 x q) U (rho x sigma) U+ (1 x q)], with q = 1 when None.
+
+    sigma = sum_j w_j |v_j><v_j|; only weights w_j > 0 are kept.
+    """
+    w, v = np.linalg.eigh(model.apparatus_state.matrix)
+    keep = w > 0
+    v = v[:, keep] * np.sqrt(w[keep])
+    ds, da = model.dim_s, model.dim_a
+    u4 = model.unitary.reshape(ds, da, ds, da)
+    if q is not None:
+        u4 = np.einsum("nm,imkl->inkl", q, u4)
+    return np.einsum("imkl,lj->mjik", u4, v).reshape(-1, ds, ds)
+
+
 def operation_of(model: MeasurementModel) -> Superoperator:
     """The nonselective state change of the model as a map on the object."""
-    u = model.unitary
-    sigma = model.apparatus_state.matrix
-
-    def act(x):
-        return partial_trace_apparatus(
-            u @ tensor(x, sigma) @ dagger(u), model.dim_s, model.dim_a
-        )
-
-    return Superoperator.from_function(model.dim_s, act)
+    return Superoperator.from_kraus(_kraus(model))
 
 
 def probe_consistency(
@@ -103,23 +122,28 @@ def probe_consistency(
     """Check that probe statistics reproduce the Born rule for every input.
 
     By linearity this is the operator identity
-    ``Tr_A[(U+ (1 x Q_a) U)(1 x sigma)] = E_a`` per outcome; residuals are
+    ``F_a = Tr_A[(U+ (1 x Q_a) U)(1 x sigma)] = E_a`` per outcome, where
+    ``F_a = sum K'+ K'`` over the probe-route Kraus operators; residuals are
     spectral norms.
     """
     if model.probe is None:
         raise MissingProbeError("model has no probe observable")
-    u = model.unitary
-    sigma = model.apparatus_state.matrix
-    one_s = np.eye(model.dim_s, dtype=complex)
     residuals = {}
     for a in model.observable.eigenvalues:
-        q = model.probe.projector(a)
-        heis = dagger(u) @ tensor(one_s, q) @ u
-        f = partial_trace_apparatus(
-            heis @ tensor(one_s, sigma), model.dim_s, model.dim_a
-        )
+        k = _kraus(model, model.probe.projector(a))
+        f = np.tensordot(k.conj(), k, axes=([0, 1], [0, 1]))
         residuals[a] = matcore.spectral_norm(f - model.observable.projector(a))
     return ConsistencyReport(residuals, tol)
+
+
+def _require_consistent_probe(model: MeasurementModel, tol: float) -> None:
+    report = probe_consistency(model, tol)
+    if not report.passed:
+        raise NotAMeasurementOfAError(
+            report.worst_outcome,
+            report.max_residual,
+            "probe statistics do not reproduce the Born rule",
+        )
 
 
 def instrument_of(model: MeasurementModel, tol: float = CONSISTENCY_TOL) -> Instrument:
@@ -130,24 +154,14 @@ def instrument_of(model: MeasurementModel, tol: float = CONSISTENCY_TOL) -> Inst
     sum to the operation (otherwise U does not measure the observable).
     """
     if model.probe is not None:
-        report = probe_consistency(model, tol)
-        if not report.passed:
-            raise NotAMeasurementOfAError(
-                report.worst_outcome,
-                report.max_residual,
-                "probe statistics do not reproduce the Born rule",
-            )
-    u = model.unitary
-    sigma = model.apparatus_state.matrix
-    components = {}
-    for a, p in model.observable.outcomes:
-        def act(x, p=p):
-            return partial_trace_apparatus(
-                u @ tensor(p @ x @ p, sigma) @ dagger(u), model.dim_s, model.dim_a
-            )
-
-        components[a] = Superoperator.from_function(model.dim_s, act)
-    return Instrument(model.observable, components, total=operation_of(model))
+        _require_consistent_probe(model, tol)
+    k = _kraus(model)
+    components = {
+        a: Superoperator.from_kraus(k @ p) for a, p in model.observable.outcomes
+    }
+    return Instrument(
+        model.observable, components, total=Superoperator.from_kraus(k)
+    )
 
 
 def probe_instrument_of(
@@ -157,28 +171,11 @@ def probe_instrument_of(
     to the probe detection)."""
     if model.probe is None:
         raise MissingProbeError("model has no probe observable")
-    report = probe_consistency(model, tol)
-    if not report.passed:
-        raise NotAMeasurementOfAError(
-            report.worst_outcome,
-            report.max_residual,
-            "probe statistics do not reproduce the Born rule",
-        )
-    u = model.unitary
-    sigma = model.apparatus_state.matrix
-    one_s = np.eye(model.dim_s, dtype=complex)
-    components = {}
-    for a in model.observable.eigenvalues:
-        pin = tensor(one_s, model.probe.projector(a))
-
-        def act(x, pin=pin):
-            return partial_trace_apparatus(
-                pin @ u @ tensor(x, sigma) @ dagger(u) @ pin,
-                model.dim_s,
-                model.dim_a,
-            )
-
-        components[a] = Superoperator.from_function(model.dim_s, act)
+    _require_consistent_probe(model, tol)
+    components = {
+        a: Superoperator.from_kraus(_kraus(model, model.probe.projector(a)))
+        for a in model.observable.eigenvalues
+    }
     return Instrument(model.observable, components)
 
 

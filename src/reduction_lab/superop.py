@@ -3,6 +3,13 @@
 Column-stacking convention: ``vec(X)[i + j*d] = X[i, j]``, so that
 ``vec(A X B) = (B^T kron A) vec(X)``.  All maps here act on the d*d
 matrices over a single d-dimensional space.
+
+Maps are built from Kraus operators (``Superoperator.from_kraus``) or
+closed forms, not by probing with matrix units.  The rep and the Choi
+matrix [s(E_ij)]_ij hold the same entries in a different order, so
+``choi`` and ``superoperator_from_choi`` are one reshuffle of indices.
+``Superoperator.from_function`` probes a user callable with the d^2
+matrix units and is kept for callables and tests.
 """
 
 from __future__ import annotations
@@ -73,13 +80,17 @@ class Superoperator:
         return cls(dim, rep)
 
     @classmethod
-    def from_kraus(cls, kraus: list) -> "Superoperator":
-        ks = [matcore.as_complex_matrix(k) for k in kraus]
-        dim = ks[0].shape[0]
-        rep = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for k in ks:
-            rep += np.kron(k.conj(), k)
-        return cls(dim, rep)
+    def from_kraus(cls, kraus) -> "Superoperator":
+        """The map X -> sum_k K_k X K_k^dagger from a list or an (n, d, d)
+        stack of Kraus operators: rep = sum_k conj(K_k) kron K_k."""
+        ks = np.asarray(kraus, dtype=complex)
+        if ks.ndim != 3 or ks.shape[1] != ks.shape[2] or 0 in ks.shape:
+            raise ValueError(f"expected square Kraus operators, got shape {ks.shape}")
+        if not np.all(np.isfinite(ks)):
+            raise ValueError("Kraus operators have non-finite entries")
+        dim = ks.shape[1]
+        rep = np.tensordot(ks.conj(), ks, axes=(0, 0)).transpose(0, 2, 1, 3)
+        return cls(dim, rep.reshape(dim * dim, dim * dim))
 
     def __add__(self, other: "Superoperator") -> "Superoperator":
         if self.dim != other.dim:
@@ -149,23 +160,18 @@ class ChoiMatrix:
         return matcore.min_eigenvalue(self.matrix)
 
 
+def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
+    # rep[k + l*d, i + j*d] = s(E_ij)[k, l] = choi[i*d + k, j*d + l]; the
+    # index swap is its own inverse, so it maps either form to the other
+    return m.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+
+
 def choi(s: Superoperator) -> ChoiMatrix:
-    d = s.dim
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            c[i * d:(i + 1) * d, j * d:(j + 1) * d] = apply(s, matrix_unit(d, i, j))
-    return ChoiMatrix(d, c)
+    return ChoiMatrix(s.dim, _reshuffle(s.rep, s.dim))
 
 
 def superoperator_from_choi(c: ChoiMatrix) -> Superoperator:
-    d = c.dim
-    rep = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            block = c.matrix[i * d:(i + 1) * d, j * d:(j + 1) * d]
-            rep[:, i + j * d] = vec(block)
-    return Superoperator(d, rep)
+    return Superoperator(c.dim, _reshuffle(c.matrix, c.dim))
 
 
 def kraus_from_choi(c: ChoiMatrix, rank_tol: float = 1e-10) -> list:

@@ -56,9 +56,9 @@ def test_check_model_deterministic_output(tmp_path, z_obs):
     assert open(out1).read() == open(out2).read()
 
 
-def test_check_model_csv_and_jobs(tmp_path, z_obs, capsys):
+def test_check_model_csv(tmp_path, z_obs, capsys):
     path = write_model(tmp_path, von_neumann_model(z_obs, 2))
-    assert main(["check-model", path, "--format", "csv", "--jobs", "2"]) == 0
+    assert main(["check-model", path, "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "check,outcome,residual,tolerance,pass"
 
@@ -92,6 +92,21 @@ def test_reduce_command(tmp_path, z_obs, capsys):
     # conditioning on an impossible outcome is a verification failure
     ground = write(tmp_path, "ground.json", {"vector": [[0.0, 0.0], [1.0, 0.0]]})
     assert main(["reduce", mpath, "--state", ground, "--outcome", "1.0"]) == 1
+
+
+def test_reduce_negative_outcome_in_exponent_form(tmp_path, z_obs, capsys):
+    # "-1e0" and "-6.1e-05" are values, not options
+    mpath = write_model(tmp_path, von_neumann_model(z_obs, 2))
+    s = 1 / np.sqrt(2)
+    spath = write(tmp_path, "state.json", {"vector": [[s, 0.0], [s, 0.0]]})
+    assert main(["reduce", mpath, "--state", spath, "--outcome", "-1e0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["outcome"] == -1.0
+    reduced = ser.matrix_from_json(out["reduced_state"])
+    assert np.allclose(reduced, [[0, 0], [0, 1]], atol=1e-12)
+    # outside the spectrum the outcome has probability 0: refused, not a
+    # usage error
+    assert main(["reduce", mpath, "--state", spath, "--outcome", "-6.1e-05"]) == 1
 
 
 def test_instrument_command(tmp_path, z_obs, capsys):

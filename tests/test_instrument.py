@@ -117,6 +117,11 @@ def test_instrument_from_operation_refuses_non_measurement(z_obs):
     # measuring a sharp qubit observable
     with pytest.raises(NotAMeasurementOfAError):
         instrument_from_operation(Superoperator.identity(2), z_obs)
+    # a trace-halving map fails the outcome-trace condition at an outcome
+    with pytest.raises(NotAMeasurementOfAError) as err:
+        instrument_from_operation(0.5 * luders_instrument(z_obs).total, z_obs)
+    assert err.value.outcome in z_obs.eigenvalues
+    assert err.value.residual == pytest.approx(0.5, abs=1e-12)
 
 
 def test_uniqueness_of_decomposition(z_obs, z_luders):

@@ -8,7 +8,7 @@ from reduction_lab.errors import (
     NotAMeasurementOfAError,
 )
 from reduction_lab.instrument import luders_instrument, reduce
-from reduction_lab.matcore import dagger, tensor
+from reduction_lab.matcore import dagger, partial_trace_apparatus, tensor
 from reduction_lab.models import (
     MeasurementModel,
     haar_unitary,
@@ -208,3 +208,97 @@ def test_dim_a_too_small(z_obs):
         random_faithful_model(z_obs, 1, seed=0)
     with pytest.raises(ValueError):
         von_neumann_model(z_obs, 1)
+
+
+def _dilation_reference(model):
+    """The README's dilation formulas applied to the matrix units: the
+    operation, the instrument, the probe-route instrument and the
+    probe-consistency residuals."""
+    u, sigma = model.unitary, model.apparatus_state.matrix
+    ds, da = model.dim_s, model.dim_a
+    one_s = np.eye(ds, dtype=complex)
+
+    def tr_a(m):
+        return partial_trace_apparatus(m, ds, da)
+
+    def dilated(x):
+        return u @ tensor(x, sigma) @ dagger(u)
+
+    total = Superoperator.from_function(ds, lambda x: tr_a(dilated(x)))
+    components = {
+        a: Superoperator.from_function(ds, lambda x, p=p: tr_a(dilated(p @ x @ p)))
+        for a, p in model.observable.outcomes
+    }
+    probe_components, residuals = {}, {}
+    for a, p in model.observable.outcomes:
+        q = tensor(one_s, model.probe.projector(a))
+        probe_components[a] = Superoperator.from_function(
+            ds, lambda x, q=q: tr_a(q @ dilated(x) @ q)
+        )
+        f = tr_a(dagger(u) @ q @ u @ tensor(one_s, sigma))
+        residuals[a] = matcore.spectral_norm(f - p)
+    return total, components, probe_components, residuals
+
+
+def _reference_models():
+    three = observable_from_hermitian(np.diag([1.0, 0.0, -1.0]).astype(complex))
+    degenerate = observable_from_hermitian(
+        np.diag([2.0, 1.0, 1.0, -1.0]).astype(complex)
+    )
+    rotated = random_faithful_model(three, 6, seed=4, sigma_rank=2)
+    # rotating the apparatus moves sigma off the diagonal
+    v = haar_unitary(6, np.random.default_rng(17))
+    rotated = MeasurementModel(
+        3, 6, three,
+        DensityOperator(v @ rotated.apparatus_state.matrix @ dagger(v)),
+        tensor(np.eye(3), v) @ rotated.unitary @ tensor(np.eye(3), dagger(v)),
+        probe=DiscreteObservable(
+            tuple((a, v @ q @ dagger(v)) for a, q in rotated.probe.outcomes)
+        ),
+    )
+    return [
+        random_faithful_model(three, 7, seed=1, sigma_rank=2),
+        random_faithful_model(degenerate, 6, seed=2, sigma_rank=2),
+        rotated,
+    ]
+
+
+@pytest.mark.parametrize("model", _reference_models(), ids=["three", "degenerate", "rotated"])
+def test_kraus_maps_match_dilation_reference(model):
+    total, components, probe_components, residuals = _dilation_reference(model)
+    assert np.linalg.matrix_rank(model.apparatus_state.matrix) == 2
+    assert len(model.observable.outcomes) >= 3
+    assert matcore.max_abs(operation_of(model).rep - total.rep) <= 1e-12
+    ins = instrument_of(model)
+    probe_ins = probe_instrument_of(model)
+    assert matcore.max_abs(ins.total.rep - total.rep) <= 1e-12
+    for a in model.observable.eigenvalues:
+        assert matcore.max_abs(ins.component(a).rep - components[a].rep) <= 1e-12
+        assert matcore.max_abs(
+            probe_ins.component(a).rep - probe_components[a].rep
+        ) <= 1e-12
+    report = probe_consistency(model)
+    assert report.residuals.keys() == residuals.keys()
+    for a, r in residuals.items():
+        assert abs(report.residuals[a] - r) <= 1e-12
+
+
+def test_kraus_maps_match_dilation_reference_biased():
+    three = observable_from_hermitian(np.diag([1.0, 0.0, -1.0]).astype(complex))
+    model = random_biased_model(three, 7, seed=5)
+    total, components, _, residuals = _dilation_reference(model)
+    assert matcore.max_abs(operation_of(model).rep - total.rep) <= 1e-12
+    report = probe_consistency(model)
+    assert not report.passed
+    for a, r in residuals.items():
+        assert abs(report.residuals[a] - r) <= 1e-12
+    with pytest.raises(NotAMeasurementOfAError):
+        instrument_of(model)
+    # without its probe the same unitary still measures the observable
+    stripped = MeasurementModel(
+        model.dim_s, model.dim_a, model.observable,
+        model.apparatus_state, model.unitary,
+    )
+    ins = instrument_of(stripped)
+    for a in model.observable.eigenvalues:
+        assert matcore.max_abs(ins.component(a).rep - components[a].rep) <= 1e-12

@@ -13,6 +13,7 @@ from reduction_lab.superop import (
     is_positive_sampled,
     is_trace_preserving,
     kraus_from_choi,
+    matrix_unit,
     superoperator_from_choi,
     trace_of_map,
     vec,
@@ -128,6 +129,13 @@ def test_choi_depolarizing():
 def test_choi_rank_counts_kraus(rng):
     kraus = [random_matrix(rng, 3) * 0.3 for _ in range(2)]
     s = Superoperator.from_kraus(kraus)
+    reference = sum(np.kron(k.conj(), k) for k in kraus)
+    assert matcore.max_abs(s.rep - reference) <= 1e-12
+    assert np.array_equal(Superoperator.from_kraus(np.stack(kraus)).rep, s.rep)
+    with pytest.raises(ValueError):
+        Superoperator.from_kraus([np.ones((2, 3))])
+    with pytest.raises(ValueError):
+        Superoperator.from_kraus([np.full((2, 2), np.nan)])
     w = np.linalg.eigvalsh(choi(s).matrix)
     assert np.sum(w > 1e-10) == 2
     assert w[0] >= -1e-10
@@ -135,6 +143,8 @@ def test_choi_rank_counts_kraus(rng):
 
 def test_choi_superoperator_bijection(rng):
     s = Superoperator(3, random_matrix(rng, 9))
+    blocks = [[apply(s, matrix_unit(3, i, j)) for j in range(3)] for i in range(3)]
+    assert np.array_equal(choi(s).matrix, np.block(blocks))
     back = superoperator_from_choi(choi(s))
     assert matcore.max_abs(back.rep - s.rep) <= 1e-12
 
