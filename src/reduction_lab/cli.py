@@ -16,7 +16,13 @@ import sys
 from . import serialization as ser
 from .errors import ReductionLabError
 from .instrument import CheckRecord, reduce as reduce_state, verify_dual_lemma, verify_theorem1
-from .models import instrument_of, probe_consistency, random_biased_model, random_faithful_model
+from .models import (
+    dilation_instrument,
+    instrument_of,
+    probe_consistency,
+    random_biased_model,
+    random_faithful_model,
+)
 from .scenarios import joint_distribution, nonuniqueness_exhibit
 from .superop import choi, kraus_from_choi
 
@@ -55,15 +61,16 @@ def _cmd_check_model(args) -> int:
             records.append(CheckRecord("probe_consistency", a, resid, tol))
         consistent = report.passed
     if consistent:
+        # the probe is already checked above: build from the dilation alone
         try:
-            ins = instrument_of(model, tol)
-        except ReductionLabError as exc:
+            ins = dilation_instrument(model)
+        except ReductionLabError:
             records.append(CheckRecord("instrument.invariants", None, float("inf"), tol))
             consistent = False
         else:
             records.append(CheckRecord("instrument.invariants", None, 0.0, tol))
-            records.extend(verify_theorem1(ins, seed=args.seed).records)
-            records.extend(verify_dual_lemma(ins, seed=args.seed).records)
+            records.extend(verify_theorem1(ins, seed=args.seed, tol=tol).records)
+            records.extend(verify_dual_lemma(ins, seed=args.seed, tol=tol).records)
     _emit_records(records, args)
     return 0 if consistent and all(r.passed for r in records) else 1
 

@@ -95,25 +95,46 @@ class ConsistencyReport:
         return max(self.residuals, key=self.residuals.get)
 
 
-def _kraus(model: MeasurementModel, q: np.ndarray | None = None) -> np.ndarray:
-    """Stacked Kraus operators K_{m,j} = sqrt(w_j) (1 x <m|q) U (1 x |v_j>)
-    of rho -> Tr_A[(1 x q) U (rho x sigma) U+ (1 x q)], with q = 1 when None.
-
-    sigma = sum_j w_j |v_j><v_j|; only weights w_j > 0 are kept.
-    """
+def _sigma_root(model: MeasurementModel) -> np.ndarray:
+    """Columns sqrt(w_j) |v_j> of sigma = sum_j w_j |v_j><v_j|, weights
+    w_j > 0 only."""
     w, v = np.linalg.eigh(model.apparatus_state.matrix)
     keep = w > 0
-    v = v[:, keep] * np.sqrt(w[keep])
+    return v[:, keep] * np.sqrt(w[keep])
+
+
+def _kraus(
+    model: MeasurementModel, root: np.ndarray, q: np.ndarray | None = None
+) -> np.ndarray:
+    """Stacked Kraus operators K_{m,j} = sqrt(w_j) (1 x <m|q) U (1 x |v_j>)
+    of rho -> Tr_A[(1 x q) U (rho x sigma) U+ (1 x q)], with q = 1 when None
+    and ``root`` from ``_sigma_root``."""
     ds, da = model.dim_s, model.dim_a
     u4 = model.unitary.reshape(ds, da, ds, da)
     if q is not None:
         u4 = np.einsum("nm,imkl->inkl", q, u4)
-    return np.einsum("imkl,lj->mjik", u4, v).reshape(-1, ds, ds)
+    return np.einsum("imkl,lj->mjik", u4, root).reshape(-1, ds, ds)
 
 
 def operation_of(model: MeasurementModel) -> Superoperator:
     """The nonselective state change of the model as a map on the object."""
-    return Superoperator.from_kraus(_kraus(model))
+    return Superoperator.from_kraus(_kraus(model, _sigma_root(model)))
+
+
+def _probe_route(model: MeasurementModel) -> tuple:
+    """Probe-route Kraus stacks per outcome, with sigma factored once, and
+    the spectral-norm residuals of F_a = sum K'+ K' against E_a taken from
+    the same stacks."""
+    if model.probe is None:
+        raise MissingProbeError("model has no probe observable")
+    root = _sigma_root(model)
+    stacks, residuals = {}, {}
+    for a, p in model.observable.outcomes:
+        k = _kraus(model, root, model.probe.projector(a))
+        f = np.tensordot(k.conj(), k, axes=([0, 1], [0, 1]))
+        stacks[a] = k
+        residuals[a] = matcore.spectral_norm(f - p)
+    return stacks, residuals
 
 
 def probe_consistency(
@@ -126,24 +147,29 @@ def probe_consistency(
     ``F_a = sum K'+ K'`` over the probe-route Kraus operators; residuals are
     spectral norms.
     """
-    if model.probe is None:
-        raise MissingProbeError("model has no probe observable")
-    residuals = {}
-    for a in model.observable.eigenvalues:
-        k = _kraus(model, model.probe.projector(a))
-        f = np.tensordot(k.conj(), k, axes=([0, 1], [0, 1]))
-        residuals[a] = matcore.spectral_norm(f - model.observable.projector(a))
-    return ConsistencyReport(residuals, tol)
+    return ConsistencyReport(_probe_route(model)[1], tol)
 
 
-def _require_consistent_probe(model: MeasurementModel, tol: float) -> None:
-    report = probe_consistency(model, tol)
+def _require_consistent(report: ConsistencyReport) -> None:
     if not report.passed:
         raise NotAMeasurementOfAError(
             report.worst_outcome,
             report.max_residual,
             "probe statistics do not reproduce the Born rule",
         )
+
+
+def dilation_instrument(model: MeasurementModel) -> Instrument:
+    """The instrument of the model via the dilation formula, without the
+    probe check; accepted only when the extracted components sum to the
+    operation (otherwise U does not measure the observable)."""
+    k = _kraus(model, _sigma_root(model))
+    components = {
+        a: Superoperator.from_kraus(k @ p) for a, p in model.observable.outcomes
+    }
+    return Instrument(
+        model.observable, components, total=Superoperator.from_kraus(k)
+    )
 
 
 def instrument_of(model: MeasurementModel, tol: float = CONSISTENCY_TOL) -> Instrument:
@@ -154,28 +180,19 @@ def instrument_of(model: MeasurementModel, tol: float = CONSISTENCY_TOL) -> Inst
     sum to the operation (otherwise U does not measure the observable).
     """
     if model.probe is not None:
-        _require_consistent_probe(model, tol)
-    k = _kraus(model)
-    components = {
-        a: Superoperator.from_kraus(k @ p) for a, p in model.observable.outcomes
-    }
-    return Instrument(
-        model.observable, components, total=Superoperator.from_kraus(k)
-    )
+        _require_consistent(probe_consistency(model, tol))
+    return dilation_instrument(model)
 
 
 def probe_instrument_of(
     model: MeasurementModel, tol: float = CONSISTENCY_TOL
 ) -> Instrument:
     """The conventional probe-route instrument (projection postulate applied
-    to the probe detection)."""
-    if model.probe is None:
-        raise MissingProbeError("model has no probe observable")
-    _require_consistent_probe(model, tol)
-    components = {
-        a: Superoperator.from_kraus(_kraus(model, model.probe.projector(a)))
-        for a in model.observable.eigenvalues
-    }
+    to the probe detection), built from the Kraus stacks its consistency
+    check already computed."""
+    stacks, residuals = _probe_route(model)
+    _require_consistent(ConsistencyReport(residuals, tol))
+    components = {a: Superoperator.from_kraus(k) for a, k in stacks.items()}
     return Instrument(model.observable, components)
 
 

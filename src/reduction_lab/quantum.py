@@ -54,6 +54,24 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
+def check_density_stack(ms: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every matrix of an (n, d, d) stack meets
+    the ``DensityOperator`` bounds: Hermitian within ``HERMITICITY_TOL``
+    relative to its Frobenius norm, no eigenvalue below ``-PSD_TOL`` and
+    trace within ``TRACE_TOL`` of 1."""
+    adj = ms.conj().swapaxes(-1, -2)
+    scale = np.maximum(np.linalg.norm(ms, axis=(-2, -1)), 1.0)
+    if np.any(np.linalg.norm(ms - adj, axis=(-2, -1)) > HERMITICITY_TOL * scale):
+        raise ValueError("density operator must be Hermitian")
+    lo = np.linalg.eigvalsh((ms + adj) / 2)[:, 0]
+    if np.any(lo < -PSD_TOL):
+        raise ValueError(f"density operator not PSD (min eigenvalue {lo.min():.3e})")
+    tr = np.trace(ms, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0) > TRACE_TOL
+    if np.any(off):
+        raise ValueError(f"density operator trace {complex(tr[off][0])} != 1")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Unit vector; ``to_density`` gives the corresponding rank-1 state."""
@@ -164,7 +182,12 @@ def born_probability(obs: DiscreteObservable, a: float, rho: DensityOperator) ->
     """
     if obs.dim != rho.dim:
         raise ValueError(f"dimension mismatch: {obs.dim} vs {rho.dim}")
-    p = float(np.real(np.trace(obs.projector(a) @ rho.matrix)))
+    return clamp_probability(float(np.real(np.trace(obs.projector(a) @ rho.matrix))))
+
+
+def clamp_probability(p: float) -> float:
+    """Clamp a computed probability to [0, 1]; a value outside the roundoff
+    band ``PROBABILITY_BAND`` around it raises ``NumericalConsistencyError``."""
     if p < -PROBABILITY_BAND or p > 1.0 + PROBABILITY_BAND:
         raise NumericalConsistencyError(f"probability {p} outside [0, 1] band")
     return min(max(p, 0.0), 1.0)

@@ -10,6 +10,11 @@ matrix [s(E_ij)]_ij hold the same entries in a different order, so
 ``choi`` and ``superoperator_from_choi`` are one reshuffle of indices.
 ``Superoperator.from_function`` probes a user callable with the d^2
 matrix units and is kept for callables and tests.
+
+``apply_stack`` and ``decompose_stack`` work on an (n, d, d) stack of
+matrices at once, so that a check over many samples costs one matmul or
+one batched ``eigh`` instead of a Python loop; ``apply`` and
+``decompose_trace_class`` are their one-matrix forms.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from . import matcore
 from .errors import NotCompletelyPositiveError
-from .quantum import DensityOperator, maximally_mixed
+from .quantum import DensityOperator, check_density_stack
 
 MAP_EQUALITY_TOL = 1e-9
 
@@ -124,6 +129,18 @@ def apply(s: Superoperator, m) -> np.ndarray:
     return unvec(s.rep @ vec(m), s.dim)
 
 
+def apply_stack(s: Superoperator, ms) -> np.ndarray:
+    """s applied to every matrix of an (n, d, d) stack with one matmul: the
+    rows of the stack's vecs times rep^T are the vecs of the images."""
+    ms = np.asarray(ms, dtype=complex)
+    d = s.dim
+    if ms.ndim != 3 or ms.shape[1:] != (d, d):
+        raise ValueError(f"expected an (n, {d}, {d}) stack, got shape {ms.shape}")
+    n = ms.shape[0]
+    rows = ms.transpose(0, 2, 1).reshape(n, d * d)
+    return (rows @ s.rep.T).reshape(n, d, d).transpose(0, 2, 1)
+
+
 def trace_of_map(s: Superoperator, rho) -> complex:
     """Tr[s(rho)]."""
     return complex(np.trace(apply(s, rho)))
@@ -223,27 +240,47 @@ class TraceClassDecomposition:
         return l1 * s1 - l2 * s2 + 1j * l3 * s3 - 1j * l4 * s4
 
 
-def _positive_negative_split(h: np.ndarray):
-    w, v = matcore.hermitian_eig(h)
-    pos = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    neg = (v * np.clip(-w, 0.0, None)) @ v.conj().T
-    return pos, neg
+def _split(ms: np.ndarray):
+    """Weights (n, 4) and unchecked parts (n, 4, d, d) of an (n, d, d) stack,
+    slots ordered as in ``TraceClassDecomposition``."""
+    n, d = ms.shape[0], ms.shape[1]
+    adj = ms.conj().transpose(0, 2, 1)
+    # both halves are Hermitian to the last bit, so eigh needs no check
+    w, v = np.linalg.eigh(np.stack([(ms + adj) / 2, (ms - adj) / (2j)], axis=1))
+    vh = v.conj().swapaxes(-1, -2)
+    pos = (v * np.clip(w, 0.0, None)[..., None, :]) @ vh
+    neg = (v * np.clip(-w, 0.0, None)[..., None, :]) @ vh
+    pieces = np.stack([pos, neg], axis=2).reshape(n, 4, d, d)
+    lambdas = np.real(np.trace(pieces, axis1=-2, axis2=-1))
+    nonzero = lambdas > 1e-14
+    lambdas = np.where(nonzero, lambdas, 0.0)
+    scaled = pieces / np.where(nonzero, lambdas, 1.0)[..., None, None]
+    parts = np.where(nonzero[..., None, None], scaled, np.eye(d) / d)
+    return lambdas, parts
+
+
+def decompose_stack(ms) -> tuple:
+    """Split every matrix of an (n, d, d) stack into four weighted density
+    operators at once: weights (n, 4) and parts (n, 4, d, d) with
+    ``m = l1 s1 - l2 s2 + i l3 s3 - i l4 s4``.  Zero-weight slots carry the
+    maximally mixed state; every part is checked once against the
+    ``DensityOperator`` bounds."""
+    ms = np.asarray(ms, dtype=complex)
+    if ms.ndim != 3 or ms.shape[1] != ms.shape[2] or ms.shape[1] < 1:
+        raise ValueError(f"expected an (n, d, d) stack, got shape {ms.shape}")
+    if not np.all(np.isfinite(ms)):
+        raise ValueError("matrix has non-finite entries")
+    lambdas, parts = _split(ms)
+    check_density_stack(parts.reshape(-1, ms.shape[1], ms.shape[1]))
+    return lambdas, parts
 
 
 def decompose_trace_class(m) -> TraceClassDecomposition:
-    """Split an arbitrary matrix into four weighted density operators."""
+    """Split an arbitrary matrix into four weighted density operators; the
+    one-matrix case of ``decompose_stack``."""
     m = matcore.as_complex_matrix(m)
-    d = m.shape[0]
-    herm = (m + matcore.dagger(m)) / 2
-    anti = (m - matcore.dagger(m)) / (2j)
-    lambdas = []
-    parts = []
-    for piece in _positive_negative_split(herm) + _positive_negative_split(anti):
-        lam = float(np.real(np.trace(piece)))
-        if lam > 1e-14:
-            lambdas.append(lam)
-            parts.append(DensityOperator(piece / lam))
-        else:
-            lambdas.append(0.0)
-            parts.append(maximally_mixed(d))
-    return TraceClassDecomposition(tuple(lambdas), tuple(parts))
+    lambdas, parts = _split(m[None])
+    return TraceClassDecomposition(
+        tuple(float(lam) for lam in lambdas[0]),
+        tuple(DensityOperator(p) for p in parts[0]),
+    )

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from reduction_lab import cli, models
 from reduction_lab import serialization as ser
 from reduction_lab.cli import main
 from reduction_lab.models import random_biased_model, random_faithful_model, von_neumann_model
@@ -46,6 +47,32 @@ def test_check_model_biased_exits_one(tmp_path, z_obs, capsys):
     records = json.loads(capsys.readouterr().out)
     failing = [r for r in records if not r["pass"]]
     assert failing and all(r["check"] == "probe_consistency" for r in failing)
+
+
+def test_check_model_tol_reaches_every_record(tmp_path, z_obs, capsys):
+    path = write_model(tmp_path, random_faithful_model(z_obs, 4, seed=2))
+    assert main(["check-model", path, "--tol", "1e-3"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert {r["check"].split(".")[0] for r in records} == {
+        "probe_consistency", "instrument", "uniqueness", "dual",
+    }
+    assert all(r["tolerance"] == 1e-3 for r in records)
+
+
+def test_check_model_runs_probe_consistency_once(tmp_path, z_obs, monkeypatch):
+    calls = []
+    original = models.probe_consistency
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # the CLI holds its own binding of the name; count calls through both
+    monkeypatch.setattr(models, "probe_consistency", counted)
+    monkeypatch.setattr(cli, "probe_consistency", counted)
+    path = write_model(tmp_path, random_faithful_model(z_obs, 4, seed=2))
+    assert main(["check-model", path, "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_check_model_deterministic_output(tmp_path, z_obs):

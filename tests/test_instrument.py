@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from reduction_lab import matcore
-from reduction_lab.errors import NotAMeasurementOfAError, ZeroProbabilityOutcomeError
+from reduction_lab.errors import (
+    NotAMeasurementOfAError,
+    NumericalConsistencyError,
+    ZeroProbabilityOutcomeError,
+)
 from reduction_lab.instrument import (
+    VERIFY_TOL,
+    CheckRecord,
     Instrument,
     instrument_from_operation,
     luders_instrument,
@@ -14,6 +20,7 @@ from reduction_lab.instrument import (
     verify_dual_lemma,
     verify_theorem1,
 )
+from reduction_lab.models import instrument_of, random_faithful_model
 from reduction_lab.quantum import (
     PAULI_X,
     PAULI_Z,
@@ -25,7 +32,7 @@ from reduction_lab.quantum import (
     observable_from_hermitian,
     projector_onto,
 )
-from reduction_lab.superop import Superoperator, apply
+from reduction_lab.superop import Superoperator, apply, decompose_trace_class, dual
 
 from conftest import plus_state, random_density
 
@@ -51,6 +58,23 @@ def test_outcome_probability_matches_born(z_luders, z_obs, rng):
                 born_probability(z_obs, a, rho),
                 atol=1e-10,
             )
+
+
+def test_outcome_probability_band(z_obs, z_luders):
+    up = DensityOperator(projector_onto(ket(2, 0)))
+    # a deliberately trace-increasing component: far out of band raises
+    doubled = Instrument(
+        z_obs, {a: 2.0 * t for a, t in z_luders.components.items()},
+        validate_invariants=False,
+    )
+    with pytest.raises(NumericalConsistencyError):
+        outcome_probability(doubled, 1.0, up)
+    # roundoff above 1 inside the band is clamped
+    nudged = Instrument(
+        z_obs, {a: (1.0 + 1e-12) * t for a, t in z_luders.components.items()},
+        validate_invariants=False,
+    )
+    assert outcome_probability(nudged, 1.0, up) == 1.0
 
 
 def test_reduce_luders(z_luders):
@@ -179,3 +203,132 @@ def test_instrument_invariants_enforced(z_obs, z_luders):
     # trace-decreasing components are refused
     with pytest.raises(ValueError):
         Instrument(z_obs, {a: 0.5 * t for a, t in z_luders.components.items()})
+
+
+def _loop_theorem1(ins, trials, seed, tol):
+    """Per-sample reference for verify_theorem1: every (outcome, sample)
+    pair through the public decompose_trace_class and apply."""
+    rng = np.random.default_rng(seed)
+    d = ins.dim
+    samples = [
+        rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for _ in range(trials)
+    ]
+    records = []
+    for a, p in ins.observable.outcomes:
+        t_a = ins.component(a)
+        res = {"left": 0.0, "right": 0.0, "both": 0.0}
+        for x in samples:
+            dec = decompose_trace_class(x)
+            l1, l2, l3, l4 = dec.lambdas
+            s1, s2, s3, s4 = (q.matrix for q in dec.parts)
+            lhs = (
+                l1 * apply(t_a, s1) - l2 * apply(t_a, s2)
+                + 1j * l3 * apply(t_a, s3) - 1j * l4 * apply(t_a, s4)
+            )
+            for form, y in (("left", p @ x), ("right", x @ p), ("both", p @ x @ p)):
+                res[form] = max(res[form], matcore.max_abs(lhs - apply(ins.total, y)))
+        for form in ("left", "right", "both"):
+            records.append(CheckRecord(f"uniqueness.{form}_projected", a, res[form], tol))
+    return records
+
+
+def _loop_dual_lemma(ins, trials, seed, tol):
+    """Per-sample reference for verify_dual_lemma."""
+    rng = np.random.default_rng(seed)
+    d = ins.dim
+    one = np.eye(d, dtype=complex)
+    total_dual = dual(ins.total)
+    records = [CheckRecord(
+        "dual.total_unital", None, matcore.max_abs(apply(total_dual, one) - one), tol
+    )]
+    samples = [
+        rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for _ in range(trials)
+    ]
+    for a, p in ins.observable.outcomes:
+        comp_dual = dual(ins.component(a))
+        records.append(CheckRecord(
+            "dual.component_unit_to_projector", a,
+            matcore.max_abs(apply(comp_dual, one) - p), tol,
+        ))
+        res = {"left": 0.0, "right": 0.0, "both": 0.0}
+        for x in samples:
+            lhs = apply(comp_dual, x)
+            tx = apply(total_dual, x)
+            for form, y in (("left", p @ tx), ("right", tx @ p), ("both", p @ tx @ p)):
+                res[form] = max(res[form], matcore.max_abs(lhs - y))
+        for form in ("left", "right", "both"):
+            records.append(CheckRecord(f"dual.sandwich_{form}", a, res[form], tol))
+    return records
+
+
+def _reference_instruments():
+    z = observable_from_hermitian(PAULI_Z)
+    three = observable_from_hermitian(np.diag([1.0, 0.0, -1.0]).astype(complex))
+    degenerate = observable_from_hermitian(
+        np.diag([2.0, 1.0, 1.0, -1.0]).astype(complex)
+    )
+    dilation = random_faithful_model(three, 6, seed=4, sigma_rank=2)
+    assert np.linalg.matrix_rank(dilation.apparatus_state.matrix) == 2
+    luders_z = luders_instrument(z)
+    corrupted = dict(luders_z.components)
+    corrupted[1.0] = corrupted[1.0] + 1e-3 * Superoperator.identity(2)
+    return {
+        "luders": luders_z,
+        "luders_three": luders_instrument(three),
+        "dilation_3x6": instrument_of(dilation),
+        "degenerate_luders": luders_instrument(degenerate),
+        "degenerate_dilation": instrument_of(
+            random_faithful_model(degenerate, 6, seed=2, sigma_rank=2)
+        ),
+        "corrupted": Instrument(
+            z, corrupted, total=luders_z.total, validate_invariants=False
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_reference_instruments()))
+def test_verifiers_match_per_sample_reference(name):
+    ins = _reference_instruments()[name]
+    cases = [
+        (verify_theorem1, _loop_theorem1, 20, 0, VERIFY_TOL),
+        (verify_theorem1, _loop_theorem1, 7, 11, 1e-6),
+        (verify_dual_lemma, _loop_dual_lemma, 50, 0, VERIFY_TOL),
+        (verify_dual_lemma, _loop_dual_lemma, 9, 5, 1e-6),
+    ]
+    for verifier, reference, trials, seed, tol in cases:
+        got = verifier(ins, trials=trials, seed=seed, tol=tol).records
+        want = reference(ins, trials, seed, tol)
+        assert [(r.check, r.outcome, r.tolerance, r.passed) for r in got] == [
+            (r.check, r.outcome, r.tolerance, r.passed) for r in want
+        ]
+        for r, w in zip(got, want):
+            assert abs(r.residual - w.residual) <= 1e-13, (r, w)
+    if name == "corrupted":
+        assert not verify_theorem1(ins).passed and not verify_dual_lemma(ins).passed
+    else:
+        assert verify_theorem1(ins).passed and verify_dual_lemma(ins).passed
+
+
+@pytest.mark.parametrize("check", [
+    "uniqueness.left_projected",
+    "uniqueness.right_projected",
+    "uniqueness.both_projected",
+    "dual.sandwich_left",
+    "dual.sandwich_right",
+    "dual.sandwich_both",
+])
+def test_each_form_detects_corruption(z_obs, z_luders, check):
+    eps = 1e-3
+    corrupted = dict(z_luders.components)
+    corrupted[1.0] = corrupted[1.0] + eps * Superoperator.identity(2)
+    broken = Instrument(
+        z_obs, corrupted, total=z_luders.total, validate_invariants=False
+    )
+    verify = verify_theorem1 if check.startswith("uniqueness") else verify_dual_lemma
+    by_outcome = {r.outcome: r for r in verify(broken).records if r.check == check}
+    # T_a gains eps * X: the corrupted outcome fails, the other still holds
+    assert not by_outcome[1.0].passed
+    assert eps / 2 < by_outcome[1.0].residual < 20 * eps
+    assert by_outcome[-1.0].passed

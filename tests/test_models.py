@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reduction_lab import matcore
+from reduction_lab import matcore, models
 from reduction_lab.errors import (
     DegenerateObservableError,
     MissingProbeError,
@@ -116,10 +116,29 @@ def test_probe_consistency_biased_and_trivial(z_obs, rng):
 
 def test_instrument_refuses_biased(z_obs):
     biased = random_biased_model(z_obs, 2, seed=3)
-    with pytest.raises(NotAMeasurementOfAError):
-        instrument_of(biased)
-    with pytest.raises(NotAMeasurementOfAError):
-        probe_instrument_of(biased)
+    report = probe_consistency(biased)
+    for build in (instrument_of, probe_instrument_of):
+        with pytest.raises(NotAMeasurementOfAError) as err:
+            build(biased)
+        assert err.value.outcome == report.worst_outcome
+        assert err.value.residual == report.max_residual
+
+
+def test_probe_instrument_builds_each_stack_once(monkeypatch):
+    three = observable_from_hermitian(np.diag([1.0, 0.0, -1.0]).astype(complex))
+    model = random_faithful_model(three, 6, seed=4, sigma_rank=2)
+    calls = {"_kraus": 0, "_sigma_root": 0}
+    for name in calls:
+        original = getattr(models, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(models, name, counted)
+    probe_instrument_of(model)
+    # one Kraus stack per outcome, sigma factored once
+    assert calls == {"_kraus": 3, "_sigma_root": 1}
 
 
 def test_probe_instrument_requires_probe(z_obs):

@@ -9,6 +9,7 @@ from reduction_lab.quantum import (
     DiscreteObservable,
     PureState,
     born_probability,
+    check_density_stack,
     ket,
     mix,
     observable_from_hermitian,
@@ -18,13 +19,26 @@ from reduction_lab.quantum import (
 from conftest import plus_state, random_density
 
 
-def test_density_operator_validation():
+def test_density_operator_validation(rng):
     with pytest.raises(ValueError):
         DensityOperator(np.array([[0.5, 0.6], [0.6, 0.5]]) * 2)  # trace 2
     with pytest.raises(ValueError):
         DensityOperator(PAULI_Z)  # negative eigenvalue
     with pytest.raises(ValueError):
         DensityOperator(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
+    # the stacked check applies the same bounds to every matrix
+    good = np.stack([random_density(rng, 2).matrix for _ in range(3)])
+    check_density_stack(good)
+    bad = {
+        "trace": np.eye(2),
+        "PSD": PAULI_Z,
+        "Hermitian": np.array([[0.5, 0.5], [0.0, 0.5]]),
+    }
+    for word, m in bad.items():
+        with pytest.raises(ValueError, match=word):
+            DensityOperator(m)
+        with pytest.raises(ValueError, match=word):
+            check_density_stack(np.concatenate([good, [m.astype(complex)]]))
 
 
 def test_pure_state_norm():

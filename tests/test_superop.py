@@ -7,7 +7,9 @@ from reduction_lab.quantum import PAULI_Z, ket, projector_onto
 from reduction_lab.superop import (
     Superoperator,
     apply,
+    apply_stack,
     choi,
+    decompose_stack,
     decompose_trace_class,
     dual,
     is_positive_sampled,
@@ -20,7 +22,7 @@ from reduction_lab.superop import (
     unvec,
 )
 
-from conftest import random_density, random_matrix
+from conftest import random_density, random_hermitian, random_matrix
 
 
 def haar(rng, n):
@@ -56,6 +58,47 @@ def test_apply_linear_on_decomposition(rng):
         + 1j * l3 * apply(s, p3) - 1j * l4 * apply(s, p4)
     )
     assert np.allclose(apply(s, m), combo, atol=1e-10)
+
+
+def test_apply_stack_matches_apply(rng):
+    s = Superoperator(3, random_matrix(rng, 9))
+    ms = np.stack([random_matrix(rng, 3) for _ in range(5)])
+    out = apply_stack(s, ms)
+    assert out.shape == ms.shape
+    for m, image in zip(ms, out):
+        assert matcore.max_abs(image - apply(s, m)) <= 1e-13
+    with pytest.raises(ValueError):
+        apply_stack(s, ms[0])
+    with pytest.raises(ValueError):
+        apply_stack(s, np.zeros((2, 2, 2)))
+
+
+def test_decompose_stack_matches_single(rng):
+    h = random_hermitian(rng, 3)
+    inputs = {
+        "hermitian": (h, {2, 3}),
+        "anti_hermitian": (1j * h, {0, 1}),
+        "psd": (random_density(rng, 3).matrix * 2.5, {1, 2, 3}),
+        "zero": (np.zeros((3, 3), dtype=complex), {0, 1, 2, 3}),
+        "general": (random_matrix(rng, 3), set()),
+    }
+    lambdas, parts = decompose_stack(np.stack([m for m, _ in inputs.values()]))
+    assert lambdas.shape == (5, 4) and parts.shape == (5, 4, 3, 3)
+    for k, (name, (m, empty)) in enumerate(inputs.items()):
+        single = decompose_trace_class(m)
+        assert np.allclose(lambdas[k], single.lambdas, rtol=0, atol=1e-14), name
+        for slot, part in enumerate(single.parts):
+            assert matcore.max_abs(parts[k, slot] - part.matrix) <= 1e-14, name
+        # empty slots carry weight 0 and the maximally mixed placeholder
+        assert {i for i in range(4) if lambdas[k, i] == 0.0} == empty, name
+        for i in empty:
+            assert np.array_equal(parts[k, i], np.eye(3) / 3), name
+        weights = np.array([1, -1, 1j, -1j]) * lambdas[k]
+        assert matcore.max_abs(np.einsum("k,kij->ij", weights, parts[k]) - m) <= 1e-12
+    with pytest.raises(ValueError):
+        decompose_stack(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        decompose_stack(np.full((1, 2, 2), np.inf))
 
 
 def test_decompose_density_is_first_slot(rng):
