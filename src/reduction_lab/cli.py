@@ -9,12 +9,13 @@ variable, then to 1e-9.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
 
 from . import serialization as ser
-from .errors import ReductionLabError
+from .errors import NotAMeasurementOfAError, ReductionLabError
 from .instrument import CheckRecord, reduce as reduce_state, verify_dual_lemma, verify_theorem1
 from .models import (
     dilation_instrument,
@@ -23,6 +24,7 @@ from .models import (
     random_biased_model,
     random_faithful_model,
 )
+from .quantum import DEGENERACY_TOL
 from .scenarios import joint_distribution, nonuniqueness_exhibit
 from .superop import choi, kraus_from_choi
 
@@ -64,8 +66,11 @@ def _cmd_check_model(args) -> int:
         # the probe is already checked above: build from the dilation alone
         try:
             ins = dilation_instrument(model)
-        except ReductionLabError:
-            records.append(CheckRecord("instrument.invariants", None, float("inf"), tol))
+        except NotAMeasurementOfAError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            records.append(
+                CheckRecord("instrument.invariants", exc.outcome, exc.residual, tol)
+            )
             consistent = False
         else:
             records.append(CheckRecord("instrument.invariants", None, 0.0, tol))
@@ -75,15 +80,31 @@ def _cmd_check_model(args) -> int:
     return 0 if consistent and all(r.passed for r in records) else 1
 
 
+def _resolve_outcome(eigenvalues, requested: float) -> float:
+    """The eigenvalue nearest to ``requested``, accepted within
+    ``DEGENERACY_TOL`` relative to ``max(1, |requested|)``: a value copied
+    from a report or typed in decimal need not equal the eigenvalue's
+    float.  Farther away the outcome is outside the spectrum, where its
+    map is zero, and it is refused."""
+    nearest = min(eigenvalues, key=lambda a: abs(a - requested))
+    if abs(nearest - requested) > DEGENERACY_TOL * max(1.0, abs(requested)):
+        raise ReductionLabError(
+            f"outcome {requested!r} is not an eigenvalue of the observable "
+            f"(nearest eigenvalue {nearest!r}); it has probability 0"
+        )
+    return nearest
+
+
 def _cmd_reduce(args) -> int:
     model = ser.model_from_json(ser.load_file(args.model))
     rho = ser.density_from_json(ser.load_file(args.state))
     ins = instrument_of(model, args.tol)
-    reduced = reduce_state(ins, args.outcome, rho)
+    outcome = _resolve_outcome(ins.observable.eigenvalues, args.outcome)
+    reduced = reduce_state(ins, outcome, rho)
     _emit(
         ser.dumps(
             {
-                "outcome": args.outcome,
+                "outcome": outcome,
                 "reduced_state": ser.matrix_to_json(reduced.matrix),
             }
         ),
@@ -195,7 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="conditional post-measurement state")
     p.add_argument("model")
     p.add_argument("--state", required=True)
-    p.add_argument("--outcome", type=float, required=True)
+    p.add_argument("--outcome", type=float, required=True,
+                   help="eigenvalue to condition on; the nearest eigenvalue "
+                   "within a relative 1e-9 is used")
     common(p)
     p.set_defaults(func=_cmd_reduce)
 
@@ -227,9 +250,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=4)
+def _cached_parser(env_tol: str | None) -> argparse.ArgumentParser:
+    """One parser per value of ``REDUCTION_LAB_TOL``, which ``build_parser``
+    reads for the ``--tol`` default; parsing leaves the parser unchanged, so
+    every call with the same environment can share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _cached_parser(os.environ.get("REDUCTION_LAB_TOL")).parse_args(argv)
     try:
         return args.func(args)
     except ser.ParseError as exc:

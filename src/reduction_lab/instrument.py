@@ -56,13 +56,11 @@ class VerificationReport:
 
 
 def _random_stack(rng: np.random.Generator, trials: int, dim: int) -> np.ndarray:
-    """A (trials, dim, dim) stack of complex Ginibre samples, drawn one
-    matrix at a time (real part, then imaginary part)."""
-    draws = [
-        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        for _ in range(trials)
-    ]
-    return np.array(draws, dtype=complex).reshape(trials, dim, dim)
+    """A (trials, dim, dim) stack of complex Ginibre samples in one draw.
+    The stream order is one matrix at a time, real part then imaginary
+    part, so the samples are those of a per-matrix loop."""
+    g = rng.standard_normal((trials, 2, dim, dim))
+    return g[:, 0] + 1j * g[:, 1]
 
 
 @dataclass(frozen=True)

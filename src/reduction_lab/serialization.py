@@ -2,7 +2,18 @@
 
 Complex numbers are two-element ``[re, im]`` arrays; matrices are row-major
 nested arrays of those.  Python's shortest round-trip float formatting makes
-serialization bit-exact for doubles, so parse -> serialize is a fixed point.
+serialization bit-exact for doubles (``-0.0`` included), so parse ->
+serialize is a fixed point.
+
+Matrices and vectors cross the JSON boundary as whole arrays: a complex
+array is written as its float64 view, and a well-formed nested list is read
+with one ``np.array`` call and viewed back as complex128.  Input that is not
+a nested list of ``[re, im]`` number pairs of the right shape falls back to
+an entry-by-entry scan, whose ``ParseError`` names the offending field.
+
+``dumps`` writes a top-level object or array one item per line, each item
+in the compact form of the C JSON encoder; a model file is a few lines of
+long text, not one line per number.
 """
 
 from __future__ import annotations
@@ -30,7 +41,8 @@ def complex_to_json(z: complex) -> list:
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[complex_to_json(z) for z in row] for row in np.asarray(m, dtype=complex)]
+    a = np.ascontiguousarray(m, dtype=complex)
+    return a.view(np.float64).reshape(a.shape + (2,)).tolist()
 
 
 def _entry_from_json(e, where: str) -> complex:
@@ -42,9 +54,26 @@ def _entry_from_json(e, where: str) -> complex:
         raise ParseError(f"{where}: non-numeric entry {e!r}") from exc
 
 
+def _complex_array(j, ndim: int) -> np.ndarray | None:
+    """``j`` as a complex128 array when it is a nested list of ``[re, im]``
+    number pairs with ``ndim`` complex axes; None for anything else."""
+    try:
+        a = np.array(j)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if a.ndim != ndim + 1 or a.shape[-1] != 2 or a.dtype.kind not in "fiu":
+        return None
+    # the view keeps the exact bits of every float, -0.0 included
+    return np.ascontiguousarray(a, dtype=np.float64).view(complex)[..., 0]
+
+
 def matrix_from_json(j, where: str = "matrix") -> np.ndarray:
     if not isinstance(j, list) or not j:
         raise ParseError(f"{where}: expected a non-empty nested array")
+    if all(type(row) is list for row in j):
+        m = _complex_array(j, 2)
+        if m is not None and m.shape[0] == m.shape[1]:
+            return m
     rows = []
     for i, row in enumerate(j):
         if not isinstance(row, list) or len(row) != len(j):
@@ -56,6 +85,9 @@ def matrix_from_json(j, where: str = "matrix") -> np.ndarray:
 def vector_from_json(j, where: str = "vector") -> np.ndarray:
     if not isinstance(j, list) or not j:
         raise ParseError(f"{where}: expected a non-empty array")
+    v = _complex_array(j, 1)
+    if v is not None:
+        return v
     return np.array([_entry_from_json(e, f"{where}[{k}]") for k, e in enumerate(j)])
 
 
@@ -170,7 +202,18 @@ def records_to_csv(records) -> str:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``obj`` as JSON text.  A non-empty top-level object or array gets one
+    item per line; every item is encoded compactly by the C encoder."""
+    if isinstance(obj, dict) and obj:
+        # a one-key object converts the key exactly as json.dumps(obj) does
+        items = [json.dumps({k: v})[1:-1] for k, v in obj.items()]
+        brackets = "{}"
+    elif isinstance(obj, list) and obj:
+        items = [json.dumps(v) for v in obj]
+        brackets = "[]"
+    else:
+        return json.dumps(obj) + "\n"
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + brackets[1] + "\n"
 
 
 def load_file(path: str):

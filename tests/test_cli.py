@@ -6,8 +6,14 @@ import pytest
 from reduction_lab import cli, models
 from reduction_lab import serialization as ser
 from reduction_lab.cli import main
-from reduction_lab.models import random_biased_model, random_faithful_model, von_neumann_model
-from reduction_lab.quantum import PAULI_X, PAULI_Z, observable_from_hermitian
+from reduction_lab.models import (
+    MeasurementModel,
+    haar_unitary,
+    random_biased_model,
+    random_faithful_model,
+    von_neumann_model,
+)
+from reduction_lab.quantum import PAULI_X, PAULI_Z, maximally_mixed, observable_from_hermitian
 
 
 @pytest.fixture
@@ -202,3 +208,147 @@ def test_tol_env_override(tmp_path, z_obs, monkeypatch):
     # the flag beats the environment
     args = build_parser().parse_args(["check-model", "x.json", "--tol", "1e-3"])
     assert args.tol == 1e-3
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[None, [0, 0]], [[0, 0], [0, 0]]], "m[0][0]: complex entries must be [re, im] pairs"),
+    ([[[1, 0], [0, 0, 0]], [[0, 0], [1, 0]]], "m[0][1]: complex entries must be [re, im] pairs"),
+    ([[[1, 0], [0, 0]], [[0, 0]]], "m: row 1 does not make a square matrix"),
+    ([[[1, 0], [0, 0]]], "m: row 0 does not make a square matrix"),
+    ([[1, 0], [0, 1]], "m[0][0]: complex entries must be [re, im] pairs"),
+    ([[{"re": 1, "im": 0}]], "m[0][0]: complex entries must be [re, im] pairs"),
+    ([[["a", 0]]], "m[0][0]: non-numeric entry ['a', 0]"),
+    ([], "m: expected a non-empty nested array"),
+])
+def test_matrix_from_json_malformed_messages(matrix, message):
+    with pytest.raises(ser.ParseError) as err:
+        ser.matrix_from_json(matrix, "m")
+    assert str(err.value) == message
+
+
+def test_model_parse_error_names_the_field(z_obs):
+    j = ser.model_to_json(von_neumann_model(z_obs, 2))
+    j["unitary"][0][1] = [0.0, None]
+    with pytest.raises(ser.ParseError) as err:
+        ser.model_from_json(j)
+    assert str(err.value) == "model.unitary[0][1]: non-numeric entry [0.0, None]"
+
+
+def test_string_and_bool_entries_parse():
+    m = ser.matrix_from_json([[["1.5", "-2"], [True, False]], [[0, 0], [1, 0]]])
+    assert m.tolist() == [[1.5 - 2j, 1 + 0j], [0j, 1 + 0j]]
+    assert ser.vector_from_json([["0.5", 0], [False, True]]).tolist() == [0.5, 1j]
+
+
+def test_round_trip_bit_exact_extremes():
+    m = np.array([[-0.0 + 5e-324j, 1e308 - 0.0j], [-5e-324 - 1e308j, 0.1 + 0.2j]])
+    text = ser.dumps({"m": ser.matrix_to_json(m), "v": ser.matrix_to_json(m)[1]})
+    back = json.loads(text)
+    assert ser.matrix_from_json(back["m"]).tobytes() == m.tobytes()
+    assert ser.vector_from_json(back["v"]).tobytes() == m[1].tobytes()
+    # a non-contiguous or real input writes the same numbers
+    assert ser.matrix_to_json(m.T) == [[[-0.0, 5e-324], [-5e-324, -1e308]],
+                                       [[1e308, -0.0], [0.1, 0.2]]]
+    assert ser.matrix_to_json(np.eye(2)) == [[[1.0, 0.0], [0.0, 0.0]],
+                                             [[0.0, 0.0], [1.0, 0.0]]]
+
+
+def test_dumps_one_top_level_item_per_line(z_obs):
+    j = ser.model_to_json(random_faithful_model(z_obs, 4, seed=9))
+    text = ser.dumps(j)
+    lines = text.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}" and len(lines) == len(j) + 2
+    assert json.loads(text) == j
+    assert ser.dumps([1, {"a": None}]) == '[\n1,\n{"a": null}\n]\n'
+    assert ser.dumps({1: [], 2.5: {}}) == '{\n"1": [],\n"2.5": {}\n}\n'
+    assert ser.dumps([]) == "[]\n" and ser.dumps({}) == "{}\n"
+    assert ser.dumps(0.5) == "0.5\n"
+
+
+def test_main_builds_parser_once(tmp_path, z_obs, monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.delenv("REDUCTION_LAB_TOL", raising=False)
+    cli._cached_parser.cache_clear()
+    path = write_model(tmp_path, random_faithful_model(z_obs, 4, seed=2))
+    out = str(tmp_path / "r.json")
+    for _ in range(3):
+        assert main(["check-model", path, "--out", out]) == 0
+    assert len(built) == 1
+    # a changed environment gets its own parser, with its own --tol default
+    monkeypatch.setenv("REDUCTION_LAB_TOL", "1e-3")
+    assert main(["check-model", path, "--out", out]) == 0
+    assert main(["check-model", path, "--out", out]) == 0
+    assert len(built) == 2
+    assert {r["tolerance"] for r in json.load(open(out))} == {1e-3}
+    assert main(["check-model", path, "--out", out, "--tol", "1e-4"]) == 0
+    assert {r["tolerance"] for r in json.load(open(out))} == {1e-4}
+    cli._cached_parser.cache_clear()
+
+
+def _strict_loads(text):
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_failed_extraction_is_recorded_as_strict_json(tmp_path, z_obs, capsys):
+    # no probe, and a Haar-random U that does not measure the observable
+    model = MeasurementModel(
+        2, 2, z_obs, maximally_mixed(2), haar_unitary(4, np.random.default_rng(4))
+    )
+    path = write_model(tmp_path, model)
+    assert main(["check-model", path]) == 1
+    captured = capsys.readouterr()
+    (record,) = _strict_loads(captured.out)
+    assert record["check"] == "instrument.invariants" and not record["pass"]
+    # the dilation components do not sum to U's operation: no single outcome
+    assert record["outcome"] is None
+    assert 1e-9 < record["residual"] < 10
+    assert captured.err.startswith("error: outcome-trace condition violated")
+    assert "components do not sum to the total operation" in captured.err
+
+
+def test_every_report_is_strict_json(tmp_path, z_obs, capsys):
+    opath = write(tmp_path, "obs.json", ser.observable_to_json(z_obs))
+    spath = write(tmp_path, "state.json", {"vector": [[0.6, 0.0], [0.0, 0.8]]})
+    xpath = write(tmp_path, "x.json",
+                  ser.observable_to_json(observable_from_hermitian(PAULI_X)))
+    faithful = write_model(tmp_path, random_faithful_model(z_obs, 4, seed=2), "f.json")
+    biased = write_model(tmp_path, random_biased_model(z_obs, 2, seed=3), "b.json")
+    calls = [
+        (["check-model", faithful], 0),
+        (["check-model", biased], 1),
+        (["instrument", faithful], 0),
+        (["reduce", faithful, "--state", spath, "--outcome", "1"], 0),
+        (["joint", faithful, "--second", xpath, "--state", spath], 0),
+        (["demo-nonunique"], 0),
+        (["random-model", "--obs", opath, "--dim-a", "2", "--seed", "1"], 0),
+    ]
+    for argv, code in calls:
+        assert main(argv) == code, argv
+        _strict_loads(capsys.readouterr().out)
+
+
+def test_reduce_resolves_outcome_to_nearest_eigenvalue(tmp_path, capsys):
+    obs = observable_from_hermitian(np.diag([0.1 + 0.2, -1.0]))
+    assert 0.30000000000000004 in obs.eigenvalues
+    mpath = write_model(tmp_path, von_neumann_model(obs, 2))
+    s = 1 / np.sqrt(2)
+    spath = write(tmp_path, "state.json", {"vector": [[s, 0.0], [s, 0.0]]})
+    assert main(["reduce", mpath, "--state", spath, "--outcome", "0.3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["outcome"] == 0.30000000000000004
+    assert np.allclose(ser.matrix_from_json(out["reduced_state"]), [[1, 0], [0, 0]],
+                       atol=1e-12)
+    # outside the tolerance the outcome is refused, naming the nearest eigenvalue
+    assert main(["reduce", mpath, "--state", spath, "--outcome", "0.31"]) == 1
+    err = capsys.readouterr().err
+    assert "0.31" in err and "nearest eigenvalue 0.30000000000000004" in err

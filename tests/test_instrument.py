@@ -11,6 +11,7 @@ from reduction_lab.instrument import (
     VERIFY_TOL,
     CheckRecord,
     Instrument,
+    _random_stack,
     instrument_from_operation,
     luders_instrument,
     nonselective,
@@ -332,3 +333,21 @@ def test_each_form_detects_corruption(z_obs, z_luders, check):
     assert not by_outcome[1.0].passed
     assert eps / 2 < by_outcome[1.0].residual < 20 * eps
     assert by_outcome[-1.0].passed
+
+
+@pytest.mark.parametrize("dim, trials", [(2, 20), (8, 50), (20, 3)])
+def test_random_stack_matches_per_matrix_loop(dim, trials):
+    rng = np.random.default_rng(11)
+    loop = np.array([
+        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for _ in range(trials)
+    ])
+    rng = np.random.default_rng(11)
+    stack = _random_stack(rng, trials, dim)
+    assert stack.shape == (trials, dim, dim) and stack.dtype == complex
+    assert stack.tobytes() == loop.tobytes()
+    # the stream continues where the loop left it
+    after = rng.standard_normal(3)
+    rng = np.random.default_rng(11)
+    rng.standard_normal(2 * trials * dim * dim)
+    assert np.array_equal(after, rng.standard_normal(3))
