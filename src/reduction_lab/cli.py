@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 verification failure (a check failed or an outcome
 was refused), 2 usage or parse errors.  The verification tolerance comes
 from ``--tol``, falling back to the ``REDUCTION_LAB_TOL`` environment
-variable, then to 1e-9.
+variable, then to ``matcore.VERIFY_TOL``.  ``check-model``, ``instrument``,
+``reduce`` and ``joint`` apply it to probe consistency and completeness, and
+``check-model`` also to the two verifiers, so every record carries it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import sys
 from . import serialization as ser
 from .errors import NotAMeasurementOfAError, ReductionLabError
 from .instrument import CheckRecord, reduce as reduce_state, verify_dual_lemma, verify_theorem1
+from .matcore import DEGENERACY_TOL, VERIFY_TOL
 from .models import (
     dilation_instrument,
     instrument_of,
@@ -24,16 +27,13 @@ from .models import (
     random_biased_model,
     random_faithful_model,
 )
-from .quantum import DEGENERACY_TOL
 from .scenarios import joint_distribution, nonuniqueness_exhibit
 from .superop import choi, kraus_from_choi
-
-DEFAULT_TOL = 1e-9
 
 
 def _default_tol() -> float:
     env = os.environ.get("REDUCTION_LAB_TOL")
-    return float(env) if env else DEFAULT_TOL
+    return float(env) if env else VERIFY_TOL
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -65,7 +65,7 @@ def _cmd_check_model(args) -> int:
     if consistent:
         # the probe is already checked above: build from the dilation alone
         try:
-            ins = dilation_instrument(model)
+            ins = dilation_instrument(model, tol)
         except NotAMeasurementOfAError as exc:
             print(f"error: {exc}", file=sys.stderr)
             records.append(
@@ -137,7 +137,7 @@ def _cmd_joint(args) -> int:
     model = ser.model_from_json(ser.load_file(args.model))
     second = ser.observable_from_json(ser.load_file(args.second))
     rho = ser.density_from_json(ser.load_file(args.state))
-    jd = joint_distribution(model, second, rho)
+    jd = joint_distribution(model, second, rho, args.tol)
     payload = {
         "first_eigenvalues": list(jd.first_observable.eigenvalues),
         "second_eigenvalues": list(jd.second_observable.eigenvalues),
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--outcome", type=float, required=True,
                    help="eigenvalue to condition on; the nearest eigenvalue "
-                   "within a relative 1e-9 is used")
+                   f"within a relative {DEGENERACY_TOL:g} is used")
     common(p)
     p.set_defaults(func=_cmd_reduce)
 

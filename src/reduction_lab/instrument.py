@@ -15,14 +15,9 @@ import numpy as np
 
 from . import matcore, superop
 from .errors import NotAMeasurementOfAError, ZeroProbabilityOutcomeError
+from .matcore import PROBABILITY_FLOOR, ROUNDOFF_TOL, VERIFY_TOL
 from .quantum import DensityOperator, DiscreteObservable, clamp_probability, maximally_mixed
 from .superop import Superoperator, apply, apply_stack, choi, decompose_stack, dual
-
-COMPLETENESS_TOL = 1e-9
-TRACE_TOL = 1e-10
-CP_TOL = 1e-10
-PROBABILITY_FLOOR = 1e-12
-VERIFY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -71,7 +66,8 @@ class Instrument:
     components: dict
     total: Superoperator = field(default=None)
     # validation can be skipped to build deliberately broken instruments
-    # for the negative paths of the verifiers
+    # for the negative paths of the verifiers, or to validate at a caller's
+    # tolerance
     validate_invariants: InitVar[bool] = True
 
     def __post_init__(self, validate_invariants: bool):
@@ -93,12 +89,11 @@ class Instrument:
             return self.components[a]
         return Superoperator.zero(self.dim)
 
-    def validate(
-        self,
-        completeness_tol: float = COMPLETENESS_TOL,
-        trace_tol: float = TRACE_TOL,
-        cp_tol: float = CP_TOL,
-    ) -> None:
+    def validate(self, tol: float = VERIFY_TOL) -> None:
+        """Raise unless the components sum to the total within ``tol`` and,
+        within ``ROUNDOFF_TOL``, the total is trace preserving and each
+        component meets the outcome-trace condition and is completely
+        positive."""
         d = self.dim
         if set(self.components) != set(self.observable.eigenvalues):
             raise ValueError("component outcomes must match observable eigenvalues")
@@ -108,7 +103,7 @@ class Instrument:
                 raise ValueError("component dimension mismatch")
             total = total + t
         completeness_resid = matcore.max_abs(total.rep - self.total.rep)
-        if completeness_resid > completeness_tol:
+        if completeness_resid > tol:
             # the claimed total cannot be the operation of an apparatus
             # measuring this observable
             raise NotAMeasurementOfAError(
@@ -118,7 +113,7 @@ class Instrument:
             )
         one = np.eye(d, dtype=complex)
         total_dual = dual(self.total)
-        if matcore.max_abs(apply(total_dual, one) - one) > trace_tol:
+        if matcore.max_abs(apply(total_dual, one) - one) > ROUNDOFF_TOL:
             raise ValueError("total operation is not trace preserving")
         for a, t in self.components.items():
             # dual(T_a)(1) = E^A(a) is the operator form of the outcome-trace
@@ -126,10 +121,10 @@ class Instrument:
             resid = matcore.max_abs(
                 apply(dual(t), one) - self.observable.projector(a)
             )
-            if resid > trace_tol:
+            if resid > ROUNDOFF_TOL:
                 raise NotAMeasurementOfAError(a, resid)
             c = choi(t)
-            if not c.is_psd(cp_tol):
+            if not c.is_psd():
                 raise ValueError(
                     f"component at outcome {a} is not completely positive "
                     f"(Choi min eigenvalue {c.min_eigenvalue():.3e})"
@@ -154,35 +149,29 @@ def outcome_probability(ins: Instrument, a: float, rho: DensityOperator) -> floa
     )
 
 
-def reduce(
-    ins: Instrument,
-    a: float,
-    rho: DensityOperator,
-    probability_floor: float = PROBABILITY_FLOOR,
-) -> DensityOperator:
+def reduce(ins: Instrument, a: float, rho: DensityOperator) -> DensityOperator:
     """Post-measurement state conditional on outcome ``a``:
-    T_a(rho) / Tr[T_a(rho)]."""
-    p = outcome_probability(ins, a, rho)
-    if p <= probability_floor:
-        raise ZeroProbabilityOutcomeError(a, p, probability_floor)
-    out = apply(ins.component(a), rho.matrix) / p
+    T_a(rho) / Tr[T_a(rho)], with the probability band-checked as in
+    ``outcome_probability``."""
+    if ins.dim != rho.dim:
+        raise ValueError("dimension mismatch")
+    image = apply(ins.component(a), rho.matrix)
+    p = clamp_probability(float(np.real(np.trace(image))))
+    if p <= PROBABILITY_FLOOR:
+        raise ZeroProbabilityOutcomeError(a, p, PROBABILITY_FLOOR)
+    out = image / p
     # clip eigenvalue roundoff before the strict DensityOperator checks
     out = (out + matcore.dagger(out)) / 2
     out = out / np.trace(out).real
     return DensityOperator(out)
 
 
-def reduce_or_maximally_mixed(
-    ins: Instrument,
-    a: float,
-    rho: DensityOperator,
-    probability_floor: float = PROBABILITY_FLOOR,
-):
+def reduce_or_maximally_mixed(ins: Instrument, a: float, rho: DensityOperator):
     """Like ``reduce`` but maps sub-floor outcomes to the maximally mixed
     state; returns ``(state, definite)`` where ``definite`` is False on the
     arbitrary-state branch."""
     try:
-        return reduce(ins, a, rho, probability_floor), True
+        return reduce(ins, a, rho), True
     except ZeroProbabilityOutcomeError:
         return maximally_mixed(ins.dim), False
 
@@ -196,11 +185,7 @@ def nonselective(ins: Instrument, rho: DensityOperator) -> DensityOperator:
     return DensityOperator(out / np.trace(out).real)
 
 
-def instrument_from_operation(
-    t: Superoperator,
-    obs: DiscreteObservable,
-    tol: float = VERIFY_TOL,
-) -> Instrument:
+def instrument_from_operation(t: Superoperator, obs: DiscreteObservable) -> Instrument:
     """Recover the instrument from a total operation via
     T_a(X) = T(E^A(a) X E^A(a)).
 
@@ -209,14 +194,14 @@ def instrument_from_operation(
     that holds exactly when E T*(1) E = E for every outcome projector E.
     The residual is the spectral norm of E T*(1) E - E, which bounds the
     violation |Tr[T(E X E)] - Tr[E X]| for every X of unit trace norm; the
-    worst outcome above ``tol`` raises ``NotAMeasurementOfAError``.
+    worst outcome above ``VERIFY_TOL`` raises ``NotAMeasurementOfAError``.
     """
     if t.dim != obs.dim:
         raise ValueError("dimension mismatch")
     heis_one = apply(dual(t), np.eye(obs.dim, dtype=complex))
     resid = {a: matcore.spectral_norm(p @ heis_one @ p - p) for a, p in obs.outcomes}
     worst = max(resid, key=resid.get)
-    if resid[worst] > tol:
+    if resid[worst] > VERIFY_TOL:
         raise NotAMeasurementOfAError(worst, resid[worst])
     components = {
         a: t.compose(Superoperator.sandwich(p)) for a, p in obs.outcomes

@@ -1,16 +1,37 @@
-"""Dense complex linear algebra kernel.
+"""Dense complex linear algebra kernel and the workbench's tolerance table.
 
 Everything downstream works on plain ``numpy.ndarray`` matrices with
 ``complex128`` entries.  Composite systems use the object-first tensor
 convention: the object space is the first Kronecker factor, and the
 composite index flattens as ``(i_obj, i_app) -> i_obj * dim_app + i_app``.
+
+Every verdict is a residual compared against a bound, and every bound is
+named once, in the table below, by its role: ``ROUNDOFF_TOL`` holds one
+matrix or map against its defining identity (Hermitian, positive, projector,
+unitary, trace preserving, completely positive, probability in [0, 1]);
+``VERIFY_TOL`` holds two computed maps or routes against each other
+(completeness, probe consistency, the Theorem-1 forms, the dual lemma);
+``DEGENERACY_TOL`` merges eigenvalues into one outcome; ``UNIT_TOL`` bounds
+the unit trace of a state and the unit norm of a vector;
+``PROBABILITY_FLOOR`` is the probability at or below which an outcome has
+no conditional state; ``ZERO_WEIGHT`` is the weight at or below which a
+decomposition slot is empty.  The bounds are absolute, except that the
+Hermiticity test scales with the Frobenius norm.  A function takes a
+tolerance parameter only where a caller sets its own value: the CLI's
+``--tol`` replaces ``VERIFY_TOL`` and a file's ``degeneracy_tol`` replaces
+``DEGENERACY_TOL``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_TOL = 1e-10
+ROUNDOFF_TOL = 1e-10  # far above the roundoff of one product or eigh at unit scale
+VERIFY_TOL = 1e-9  # each of two routes carries its own roundoff: 10 x ROUNDOFF_TOL
+DEGENERACY_TOL = 1e-9  # eigh splits one degenerate level by roundoff, far below this
+UNIT_TOL = 1e-12  # a normalised state or vector is off 1 by a few ulps
+PROBABILITY_FLOOR = 1e-12  # dividing T_a(rho) by less lifts its roundoff past 1e-4
+ZERO_WEIGHT = 1e-14  # the trace of an empty eigenspace part is roundoff, below this
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -41,7 +62,7 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def is_hermitian(m: np.ndarray, tol: float = ROUNDOFF_TOL) -> bool:
     scale = max(frobenius(m), 1.0)
     return frobenius(m - dagger(m)) <= tol * scale
 
@@ -64,7 +85,7 @@ def partial_trace_apparatus(m, dim_s: int, dim_a: int) -> np.ndarray:
     return np.einsum("ikjk->ij", m4)
 
 
-def hermitian_eig(m, tol: float = DEFAULT_TOL):
+def hermitian_eig(m, tol: float = ROUNDOFF_TOL):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
@@ -99,7 +120,7 @@ def min_eigenvalue(m) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
-def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
+def is_psd(m, tol: float = ROUNDOFF_TOL) -> bool:
     """True iff ``m`` is Hermitian (within tol) with min eigenvalue >= -tol."""
     m = as_complex_matrix(m)
     if not is_hermitian(m, tol):

@@ -37,12 +37,9 @@ from .errors import (
     NotAMeasurementOfAError,
 )
 from .instrument import Instrument
-from .matcore import dagger
+from .matcore import ROUNDOFF_TOL, VERIFY_TOL, dagger
 from .quantum import DensityOperator, DiscreteObservable, ket
 from .superop import Superoperator
-
-UNITARITY_TOL = 1e-10
-CONSISTENCY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,7 +57,7 @@ class MeasurementModel:
         d = self.dim_s * self.dim_a
         if u.shape[0] != d:
             raise ValueError(f"unitary dim {u.shape[0]} != dim_s * dim_a = {d}")
-        if matcore.max_abs(dagger(u) @ u - np.eye(d)) > UNITARITY_TOL:
+        if matcore.max_abs(dagger(u) @ u - np.eye(d)) > ROUNDOFF_TOL:
             raise ValueError("interaction matrix is not unitary")
         if self.observable.dim != self.dim_s:
             raise ValueError("observable dimension != dim_s")
@@ -138,7 +135,7 @@ def _probe_route(model: MeasurementModel) -> tuple:
 
 
 def probe_consistency(
-    model: MeasurementModel, tol: float = CONSISTENCY_TOL
+    model: MeasurementModel, tol: float = VERIFY_TOL
 ) -> ConsistencyReport:
     """Check that probe statistics reproduce the Born rule for every input.
 
@@ -159,39 +156,42 @@ def _require_consistent(report: ConsistencyReport) -> None:
         )
 
 
-def dilation_instrument(model: MeasurementModel) -> Instrument:
+def dilation_instrument(model: MeasurementModel, tol: float = VERIFY_TOL) -> Instrument:
     """The instrument of the model via the dilation formula, without the
     probe check; accepted only when the extracted components sum to the
-    operation (otherwise U does not measure the observable)."""
+    operation within ``tol`` (otherwise U does not measure the
+    observable)."""
     k = _kraus(model, _sigma_root(model))
     components = {
         a: Superoperator.from_kraus(k @ p) for a, p in model.observable.outcomes
     }
-    return Instrument(
-        model.observable, components, total=Superoperator.from_kraus(k)
+    ins = Instrument(
+        model.observable, components, total=Superoperator.from_kraus(k),
+        validate_invariants=False,
     )
+    ins.validate(tol)
+    return ins
 
 
-def instrument_of(model: MeasurementModel, tol: float = CONSISTENCY_TOL) -> Instrument:
+def instrument_of(model: MeasurementModel, tol: float = VERIFY_TOL) -> Instrument:
     """The instrument of the model via the dilation formula.
 
     If the model carries a probe, probe consistency is enforced first; a
     probeless model is accepted only when the extracted components actually
     sum to the operation (otherwise U does not measure the observable).
+    Both checks pass at ``tol``.
     """
     if model.probe is not None:
         _require_consistent(probe_consistency(model, tol))
-    return dilation_instrument(model)
+    return dilation_instrument(model, tol)
 
 
-def probe_instrument_of(
-    model: MeasurementModel, tol: float = CONSISTENCY_TOL
-) -> Instrument:
+def probe_instrument_of(model: MeasurementModel) -> Instrument:
     """The conventional probe-route instrument (projection postulate applied
     to the probe detection), built from the Kraus stacks its consistency
     check already computed."""
     stacks, residuals = _probe_route(model)
-    _require_consistent(ConsistencyReport(residuals, tol))
+    _require_consistent(ConsistencyReport(residuals, VERIFY_TOL))
     components = {a: Superoperator.from_kraus(k) for a, k in stacks.items()}
     return Instrument(model.observable, components)
 
@@ -253,7 +253,7 @@ def von_neumann_model(
         xi_n = np.asarray(pointer_basis, dtype=complex)
         if xi_n.shape != (dim_a, n):
             raise ValueError(f"pointer basis must be {dim_a} x {n}")
-        if matcore.max_abs(dagger(xi_n) @ xi_n - np.eye(n)) > 1e-10:
+        if matcore.max_abs(dagger(xi_n) @ xi_n - np.eye(n)) > ROUNDOFF_TOL:
             raise ValueError("pointer basis columns are not orthonormal")
     elif seed is not None:
         xi_n = haar_unitary(dim_a, np.random.default_rng(seed))[:, :n]

@@ -8,12 +8,7 @@ import numpy as np
 
 from . import matcore
 from .errors import NumericalConsistencyError
-
-HERMITICITY_TOL = 1e-10
-PSD_TOL = 1e-10
-TRACE_TOL = 1e-12
-DEGENERACY_TOL = 1e-9
-PROBABILITY_BAND = 1e-10
+from .matcore import DEGENERACY_TOL, ROUNDOFF_TOL, UNIT_TOL
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -40,13 +35,13 @@ class DensityOperator:
     def __post_init__(self):
         m = matcore.as_complex_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        if not matcore.is_hermitian(m, HERMITICITY_TOL):
+        if not matcore.is_hermitian(m):
             raise ValueError("density operator must be Hermitian")
         lo = matcore.min_eigenvalue(m)
-        if lo < -PSD_TOL:
+        if lo < -ROUNDOFF_TOL:
             raise ValueError(f"density operator not PSD (min eigenvalue {lo:.3e})")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if abs(tr - 1.0) > UNIT_TOL:
             raise ValueError(f"density operator trace {tr} != 1")
 
     @property
@@ -56,18 +51,18 @@ class DensityOperator:
 
 def check_density_stack(ms: np.ndarray) -> None:
     """Raise ``ValueError`` unless every matrix of an (n, d, d) stack meets
-    the ``DensityOperator`` bounds: Hermitian within ``HERMITICITY_TOL``
-    relative to its Frobenius norm, no eigenvalue below ``-PSD_TOL`` and
-    trace within ``TRACE_TOL`` of 1."""
+    the ``DensityOperator`` bounds: Hermitian within ``ROUNDOFF_TOL``
+    relative to its Frobenius norm, no eigenvalue below ``-ROUNDOFF_TOL``
+    and trace within ``UNIT_TOL`` of 1."""
     adj = ms.conj().swapaxes(-1, -2)
     scale = np.maximum(np.linalg.norm(ms, axis=(-2, -1)), 1.0)
-    if np.any(np.linalg.norm(ms - adj, axis=(-2, -1)) > HERMITICITY_TOL * scale):
+    if np.any(np.linalg.norm(ms - adj, axis=(-2, -1)) > ROUNDOFF_TOL * scale):
         raise ValueError("density operator must be Hermitian")
     lo = np.linalg.eigvalsh((ms + adj) / 2)[:, 0]
-    if np.any(lo < -PSD_TOL):
+    if np.any(lo < -ROUNDOFF_TOL):
         raise ValueError(f"density operator not PSD (min eigenvalue {lo.min():.3e})")
     tr = np.trace(ms, axis1=-2, axis2=-1)
-    off = np.abs(tr - 1.0) > TRACE_TOL
+    off = np.abs(tr - 1.0) > UNIT_TOL
     if np.any(off):
         raise ValueError(f"density operator trace {complex(tr[off][0])} != 1")
 
@@ -82,7 +77,7 @@ class PureState:
         v = np.asarray(self.vector, dtype=complex).reshape(-1)
         object.__setattr__(self, "vector", v)
         n = np.linalg.norm(v)
-        if abs(n - 1.0) > 1e-12:
+        if abs(n - 1.0) > UNIT_TOL:
             raise ValueError(f"state vector norm {n} != 1")
 
     @property
@@ -121,14 +116,14 @@ class DiscreteObservable:
         for a, p in outs:
             if p.shape[0] != d:
                 raise ValueError("projector dimensions disagree")
-            if matcore.max_abs(p @ p - p) > 1e-10 or not matcore.is_hermitian(p):
+            if matcore.max_abs(p @ p - p) > ROUNDOFF_TOL or not matcore.is_hermitian(p):
                 raise ValueError(f"outcome {a}: not an orthogonal projector")
             total += p
         for i, (_, pi) in enumerate(outs):
             for _, pj in outs[i + 1:]:
-                if matcore.max_abs(pi @ pj) > 1e-10:
+                if matcore.max_abs(pi @ pj) > ROUNDOFF_TOL:
                     raise ValueError("projectors are not mutually orthogonal")
-        if matcore.max_abs(total - np.eye(d)) > 1e-10:
+        if matcore.max_abs(total - np.eye(d)) > ROUNDOFF_TOL:
             raise ValueError("projectors do not sum to the identity")
 
     @property
@@ -187,8 +182,8 @@ def born_probability(obs: DiscreteObservable, a: float, rho: DensityOperator) ->
 
 def clamp_probability(p: float) -> float:
     """Clamp a computed probability to [0, 1]; a value outside the roundoff
-    band ``PROBABILITY_BAND`` around it raises ``NumericalConsistencyError``."""
-    if p < -PROBABILITY_BAND or p > 1.0 + PROBABILITY_BAND:
+    band ``ROUNDOFF_TOL`` around it raises ``NumericalConsistencyError``."""
+    if p < -ROUNDOFF_TOL or p > 1.0 + ROUNDOFF_TOL:
         raise NumericalConsistencyError(f"probability {p} outside [0, 1] band")
     return min(max(p, 0.0), 1.0)
 

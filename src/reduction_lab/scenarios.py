@@ -6,27 +6,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
 from .errors import NumericalConsistencyError, ZeroProbabilityOutcomeError
-from .instrument import (
-    PROBABILITY_FLOOR,
-    Instrument,
-    instrument_from_operation,
-    luders_instrument,
-    reduce,
-)
+from .instrument import Instrument, instrument_from_operation, luders_instrument, reduce
+from .matcore import PROBABILITY_FLOOR, ROUNDOFF_TOL, VERIFY_TOL
 from .models import MeasurementModel, instrument_of
 from .quantum import (
     DensityOperator,
     DiscreteObservable,
     PureState,
     born_probability,
+    clamp_probability,
     ket,
     projector_onto,
 )
 from .superop import apply
-
-JOINT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -49,32 +42,32 @@ def joint_distribution(
     model: MeasurementModel,
     second: DiscreteObservable,
     rho: DensityOperator,
-    floor: float = PROBABILITY_FLOOR,
+    tol: float = VERIFY_TOL,
 ) -> JointDistribution:
-    """Joint probabilities P(a, x) = Tr[E_X(x) T_a(rho)].
+    """Joint probabilities P(a, x) = Tr[E_X(x) T_a(rho)], band-checked and
+    clamped like every probability.
 
-    Wherever the first-outcome probability clears the floor, the product
+    The instrument comes from ``instrument_of(model, tol)``.  Wherever the
+    first-outcome probability clears ``PROBABILITY_FLOOR``, the product
     form P(a) * Tr[E_X(x) rho_a] is cross-checked; disagreement beyond
-    tolerance raises ``NumericalConsistencyError``.
+    ``ROUNDOFF_TOL`` raises ``NumericalConsistencyError``.
     """
     if second.dim != model.dim_s or rho.dim != model.dim_s:
         raise ValueError("dimension mismatch")
-    ins = instrument_of(model)
+    ins = instrument_of(model, tol)
     table = {}
     for a in model.observable.eigenvalues:
         image = apply(ins.component(a), rho.matrix)
         born = born_probability(model.observable, a, rho)
-        reduced = (
-            reduce(ins, a, rho, probability_floor=floor) if born > floor else None
-        )
+        reduced = reduce(ins, a, rho) if born > PROBABILITY_FLOOR else None
         for x in second.eigenvalues:
             p = float(np.real(np.trace(second.projector(x) @ image)))
-            table[(a, x)] = min(max(p, 0.0), 1.0)
+            table[(a, x)] = clamp_probability(p)
             if reduced is not None:
                 product = born * float(
                     np.real(np.trace(second.projector(x) @ reduced.matrix))
                 )
-                if abs(p - product) > JOINT_TOL:
+                if abs(p - product) > ROUNDOFF_TOL:
                     raise NumericalConsistencyError(
                         f"joint table entry ({a}, {x}) disagrees with the "
                         f"product form by {abs(p - product):.3e}"
@@ -82,11 +75,11 @@ def joint_distribution(
     return JointDistribution(model.observable, second, table)
 
 
-def conditional_distribution(jd: JointDistribution, a: float, floor: float = PROBABILITY_FLOOR) -> dict:
+def conditional_distribution(jd: JointDistribution, a: float) -> dict:
     """P(x | a) = P(a, x) / P(a)."""
     p_a = jd.marginal_first(a)
-    if p_a <= floor:
-        raise ZeroProbabilityOutcomeError(a, p_a, floor)
+    if p_a <= PROBABILITY_FLOOR:
+        raise ZeroProbabilityOutcomeError(a, p_a, PROBABILITY_FLOOR)
     return {
         x: jd.probability(a, x) / p_a for x in jd.second_observable.eigenvalues
     }

@@ -23,6 +23,7 @@ import json
 import numpy as np
 
 from .instrument import CheckRecord
+from .matcore import DEGENERACY_TOL
 from .models import MeasurementModel
 from .quantum import (
     DensityOperator,
@@ -103,7 +104,7 @@ def observable_from_json(j, where: str = "observable") -> DiscreteObservable:
         raise ParseError(f"{where}: expected an object")
     if "hermitian" in j:
         h = matrix_from_json(j["hermitian"], f"{where}.hermitian")
-        tol = float(j.get("degeneracy_tol", 1e-9))
+        tol = float(j.get("degeneracy_tol", DEGENERACY_TOL))
         return observable_from_hermitian(h, tol)
     if "eigenvalues" not in j or "projectors" not in j:
         raise ParseError(

@@ -25,9 +25,8 @@ import numpy as np
 
 from . import matcore
 from .errors import NotCompletelyPositiveError
+from .matcore import ROUNDOFF_TOL, VERIFY_TOL, ZERO_WEIGHT
 from .quantum import DensityOperator, check_density_stack
-
-MAP_EQUALITY_TOL = 1e-9
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -118,7 +117,7 @@ class Superoperator:
             raise ValueError("dimension mismatch")
         return Superoperator(self.dim, self.rep @ other.rep)
 
-    def equal(self, other: "Superoperator", tol: float = MAP_EQUALITY_TOL) -> bool:
+    def equal(self, other: "Superoperator", tol: float = VERIFY_TOL) -> bool:
         return self.dim == other.dim and matcore.max_abs(self.rep - other.rep) <= tol
 
 
@@ -156,10 +155,10 @@ def dual(s: Superoperator) -> Superoperator:
     return Superoperator(d, np.ascontiguousarray(dr.reshape(d * d, d * d)))
 
 
-def is_trace_preserving(s: Superoperator, tol: float = 1e-10) -> bool:
+def is_trace_preserving(s: Superoperator) -> bool:
     """Tr[s(X)] = Tr[X] on all matrix units, i.e. the dual fixes the identity."""
     one = np.eye(s.dim, dtype=complex)
-    return matcore.max_abs(apply(dual(s), one) - one) <= tol
+    return matcore.max_abs(apply(dual(s), one) - one) <= ROUNDOFF_TOL
 
 
 @dataclass(frozen=True)
@@ -170,7 +169,7 @@ class ChoiMatrix:
     dim: int
     matrix: np.ndarray
 
-    def is_psd(self, tol: float = 1e-10) -> bool:
+    def is_psd(self, tol: float = ROUNDOFF_TOL) -> bool:
         return matcore.is_psd(self.matrix, tol)
 
     def min_eigenvalue(self) -> float:
@@ -191,28 +190,26 @@ def superoperator_from_choi(c: ChoiMatrix) -> Superoperator:
     return Superoperator(c.dim, _reshuffle(c.matrix, c.dim))
 
 
-def kraus_from_choi(c: ChoiMatrix, rank_tol: float = 1e-10) -> list:
+def kraus_from_choi(c: ChoiMatrix) -> list:
     """Kraus operators of a completely positive map from its Choi matrix.
 
-    Eigenvalues below ``rank_tol`` are dropped; a negative eigenvalue below
-    ``-rank_tol`` raises ``NotCompletelyPositiveError``.
+    Eigenvalues at or below ``ROUNDOFF_TOL`` are dropped; a negative
+    eigenvalue below ``-ROUNDOFF_TOL`` raises ``NotCompletelyPositiveError``.
     """
     w, v = matcore.hermitian_eig(c.matrix)
-    if w[0] < -rank_tol:
+    if w[0] < -ROUNDOFF_TOL:
         raise NotCompletelyPositiveError(float(w[0]))
     d = c.dim
     kraus = []
     for lam, col in zip(w, v.T):
-        if lam <= rank_tol:
+        if lam <= ROUNDOFF_TOL:
             continue
         # col[(i, m)] with composite index i*d + m corresponds to K[m, i]
         kraus.append(np.sqrt(lam) * col.reshape(d, d).T)
     return kraus
 
 
-def is_positive_sampled(
-    s: Superoperator, trials: int = 100, seed: int = 0, tol: float = 1e-10
-) -> bool:
+def is_positive_sampled(s: Superoperator, trials: int = 100, seed: int = 0) -> bool:
     """Sampled necessary check of positivity: s(|psi><psi|) PSD for random psi."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -220,7 +217,7 @@ def is_positive_sampled(
     for _ in range(trials):
         psi = rng.standard_normal(s.dim) + 1j * rng.standard_normal(s.dim)
         psi /= np.linalg.norm(psi)
-        if not matcore.is_psd(apply(s, np.outer(psi, psi.conj())), tol):
+        if not matcore.is_psd(apply(s, np.outer(psi, psi.conj()))):
             return False
     return True
 
@@ -252,7 +249,7 @@ def _split(ms: np.ndarray):
     neg = (v * np.clip(-w, 0.0, None)[..., None, :]) @ vh
     pieces = np.stack([pos, neg], axis=2).reshape(n, 4, d, d)
     lambdas = np.real(np.trace(pieces, axis1=-2, axis2=-1))
-    nonzero = lambdas > 1e-14
+    nonzero = lambdas > ZERO_WEIGHT
     lambdas = np.where(nonzero, lambdas, 0.0)
     scaled = pieces / np.where(nonzero, lambdas, 1.0)[..., None, None]
     parts = np.where(nonzero[..., None, None], scaled, np.eye(d) / d)

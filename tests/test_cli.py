@@ -316,6 +316,38 @@ def test_failed_extraction_is_recorded_as_strict_json(tmp_path, z_obs, capsys):
     assert "components do not sum to the total operation" in captured.err
 
 
+@pytest.mark.parametrize("tol, builds", [("1e-9", False), ("0.3", False), ("1", True)])
+def test_check_model_exit_code_matches_records(tmp_path, z_obs, capsys, tol, builds):
+    # no probe, and a Haar-random U whose dilation components miss its
+    # operation by about 0.5: only a looser --tol lets the instrument build,
+    # and then the verifiers fail
+    model = MeasurementModel(
+        2, 2, z_obs, maximally_mixed(2), haar_unitary(4, np.random.default_rng(4))
+    )
+    path = write_model(tmp_path, model)
+    code = main(["check-model", path, "--tol", tol])
+    records = _strict_loads(capsys.readouterr().out)
+    assert (code == 0) == all(r["pass"] for r in records)
+    assert all(r["tolerance"] == float(tol) for r in records)
+    assert any(r["check"].startswith("uniqueness.") for r in records) == builds
+
+
+def test_every_command_honours_tol(tmp_path, z_obs, capsys):
+    # a biased probe misses the Born rule by 1: --tol 10 accepts it
+    mpath = write_model(tmp_path, random_biased_model(z_obs, 4, seed=3))
+    spath = write(tmp_path, "state.json", {"vector": [[0.6, 0.0], [0.0, 0.8]]})
+    xpath = write(tmp_path, "x.json",
+                  ser.observable_to_json(observable_from_hermitian(PAULI_X)))
+    for argv in (
+        ["instrument", mpath],
+        ["reduce", mpath, "--state", spath, "--outcome", "1"],
+        ["joint", mpath, "--second", xpath, "--state", spath],
+    ):
+        assert main(argv) == 1, argv
+        assert main(argv + ["--tol", "10"]) == 0, argv
+    capsys.readouterr()
+
+
 def test_every_report_is_strict_json(tmp_path, z_obs, capsys):
     opath = write(tmp_path, "obs.json", ser.observable_to_json(z_obs))
     spath = write(tmp_path, "state.json", {"vector": [[0.6, 0.0], [0.0, 0.8]]})

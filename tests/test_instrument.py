@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reduction_lab import matcore
+from reduction_lab import instrument, matcore, superop
 from reduction_lab.errors import (
     NotAMeasurementOfAError,
     NumericalConsistencyError,
@@ -84,6 +84,29 @@ def test_reduce_luders(z_luders):
     # repeatability on eigenstates
     eigen = DensityOperator(projector_onto(ket(2, 1)))
     assert np.allclose(reduce(z_luders, -1.0, eigen).matrix, eigen.matrix, atol=1e-12)
+
+
+def test_reduce_applies_the_component_once(z_luders, rng, monkeypatch):
+    rho = random_density(rng, 2)
+    # the old route: the probability through outcome_probability, then the
+    # component applied a second time for the state
+    ref = apply(z_luders.component(1.0), rho.matrix) / outcome_probability(
+        z_luders, 1.0, rho
+    )
+    ref = (ref + ref.conj().T) / 2
+    ref = ref / np.trace(ref).real
+    calls = []
+
+    def counted(s, m):
+        calls.append(s)
+        return apply(s, m)
+
+    # outcome_probability reaches apply through superop; count both names
+    monkeypatch.setattr(superop, "apply", counted)
+    monkeypatch.setattr(instrument, "apply", counted)
+    out = reduce(z_luders, 1.0, rho)
+    assert len(calls) == 1
+    assert np.array_equal(out.matrix, ref)
 
 
 def test_reduce_zero_probability(z_luders):

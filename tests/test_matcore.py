@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -133,3 +136,23 @@ def test_is_psd():
     assert matcore.is_psd(np.diag([0.5, 0.5 - 1e-13]), tol=1e-10)
     # non-Hermitian input is simply not PSD
     assert not matcore.is_psd(np.array([[1, 1], [0, 1]], dtype=complex))
+
+
+def test_tolerances_live_in_the_matcore_table():
+    # a float in (0, 1e-6] is a numerical bound; only the values of the
+    # table's top-level assignments in matcore may spell one out
+    paths = sorted(Path(matcore.__file__).parent.glob("*.py"))
+    assert "matcore.py" in {p.name for p in paths}
+    stray = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        table = set()
+        if path.name == "matcore.py":
+            table = {id(n.value) for n in tree.body if isinstance(n, ast.Assign)}
+        stray += [
+            f"{path.name}:{node.lineno}: {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            and 0 < node.value <= 1e-6 and id(node) not in table
+        ]
+    assert not stray, "bounds outside the matcore table:\n" + "\n".join(stray)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from reduction_lab import matcore
-from reduction_lab.errors import ZeroProbabilityOutcomeError
+from reduction_lab import matcore, scenarios
+from reduction_lab.errors import NumericalConsistencyError, ZeroProbabilityOutcomeError
+from reduction_lab.instrument import Instrument
 from reduction_lab.models import random_faithful_model, von_neumann_model
 from reduction_lab.quantum import (
     PAULI_X,
@@ -19,6 +20,7 @@ from reduction_lab.scenarios import (
     joint_distribution,
     nonuniqueness_exhibit,
 )
+from reduction_lab.superop import Superoperator
 
 from conftest import plus_state, random_density, random_hermitian
 
@@ -98,6 +100,22 @@ def test_conditional_distribution(z_model):
     assert np.isclose(cond[1.0], 1.0, atol=1e-10)
     with pytest.raises(ZeroProbabilityOutcomeError):
         conditional_distribution(jd, -1.0)
+
+
+def test_joint_entry_outside_band_raises(z_model, monkeypatch):
+    z_obs = z_model.observable
+    # T_{-1} doubles its input: on |0> it gives the entry 2 at an outcome of
+    # Born probability 0, where no product form is checked
+    broken = Instrument(
+        z_obs,
+        {1.0: Superoperator.sandwich(z_obs.projector(1.0)),
+         -1.0: 2.0 * Superoperator.identity(2)},
+        validate_invariants=False,
+    )
+    monkeypatch.setattr(scenarios, "instrument_of", lambda *args: broken)
+    up = DensityOperator(projector_onto(ket(2, 0)))
+    with pytest.raises(NumericalConsistencyError):
+        joint_distribution(z_model, z_obs, up)
 
 
 def test_nonuniqueness_exhibit_qubit():
