@@ -64,8 +64,9 @@ def _cmd_check_model(args) -> int:
         consistent = report.passed
     if consistent:
         # the probe is already checked above: build from the dilation alone
+        ins = dilation_instrument(model)
         try:
-            ins = dilation_instrument(model, tol)
+            residual = ins.validate(tol)
         except NotAMeasurementOfAError as exc:
             print(f"error: {exc}", file=sys.stderr)
             records.append(
@@ -73,7 +74,7 @@ def _cmd_check_model(args) -> int:
             )
             consistent = False
         else:
-            records.append(CheckRecord("instrument.invariants", None, 0.0, tol))
+            records.append(CheckRecord("instrument.invariants", None, residual, tol))
             records.extend(verify_theorem1(ins, seed=args.seed, tol=tol).records)
             records.extend(verify_dual_lemma(ins, seed=args.seed, tol=tol).records)
     _emit_records(records, args)

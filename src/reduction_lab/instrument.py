@@ -4,7 +4,7 @@ An ``Instrument`` pairs a discrete observable with one linear map per
 outcome plus their sum (the total operation).  Construction validates the
 Davies-Lewis style invariants: completeness, trace preservation of the
 total, the outcome-trace condition, and complete positivity of each
-component.
+component (read off its Kraus stack when it has one).
 """
 
 from __future__ import annotations
@@ -89,20 +89,26 @@ class Instrument:
             return self.components[a]
         return Superoperator.zero(self.dim)
 
-    def validate(self, tol: float = VERIFY_TOL) -> None:
+    def validate(self, tol: float = VERIFY_TOL) -> float:
         """Raise unless the components sum to the total within ``tol`` and,
         within ``ROUNDOFF_TOL``, the total is trace preserving and each
         component meets the outcome-trace condition and is completely
-        positive."""
+        positive; return the completeness residual, the largest entry of
+        the sum of the component reps minus the total's rep.
+
+        A component that carries a Kraus stack is completely positive by
+        construction, so only a component without one (a user rep, Choi
+        input, a ``from_function`` map or a corrupted component) takes the
+        Choi PSD test, an ``eigh`` of its d^2 x d^2 Choi matrix."""
         d = self.dim
         if set(self.components) != set(self.observable.eigenvalues):
             raise ValueError("component outcomes must match observable eigenvalues")
-        total = Superoperator.zero(d)
+        total = np.zeros((d * d, d * d), dtype=complex)
         for t in self.components.values():
             if t.dim != d:
                 raise ValueError("component dimension mismatch")
-            total = total + t
-        completeness_resid = matcore.max_abs(total.rep - self.total.rep)
+            total = total + t.rep
+        completeness_resid = matcore.max_abs(total - self.total.rep)
         if completeness_resid > tol:
             # the claimed total cannot be the operation of an apparatus
             # measuring this observable
@@ -123,12 +129,15 @@ class Instrument:
             )
             if resid > ROUNDOFF_TOL:
                 raise NotAMeasurementOfAError(a, resid)
+            if t.kraus is not None:
+                continue
             c = choi(t)
             if not c.is_psd():
                 raise ValueError(
                     f"component at outcome {a} is not completely positive "
                     f"(Choi min eigenvalue {c.min_eigenvalue():.3e})"
                 )
+        return completeness_resid
 
 
 def luders_instrument(obs: DiscreteObservable) -> Instrument:

@@ -156,21 +156,20 @@ def _require_consistent(report: ConsistencyReport) -> None:
         )
 
 
-def dilation_instrument(model: MeasurementModel, tol: float = VERIFY_TOL) -> Instrument:
-    """The instrument of the model via the dilation formula, without the
-    probe check; accepted only when the extracted components sum to the
-    operation within ``tol`` (otherwise U does not measure the
-    observable)."""
+def dilation_instrument(model: MeasurementModel) -> Instrument:
+    """The instrument of the model via the dilation formula, built without
+    the probe check and not yet validated: ``Instrument.validate`` at the
+    caller's tolerance accepts it only when the extracted components sum to
+    the operation (otherwise U does not measure the observable), and
+    returns the completeness residual."""
     k = _kraus(model, _sigma_root(model))
     components = {
         a: Superoperator.from_kraus(k @ p) for a, p in model.observable.outcomes
     }
-    ins = Instrument(
+    return Instrument(
         model.observable, components, total=Superoperator.from_kraus(k),
         validate_invariants=False,
     )
-    ins.validate(tol)
-    return ins
 
 
 def instrument_of(model: MeasurementModel, tol: float = VERIFY_TOL) -> Instrument:
@@ -183,7 +182,9 @@ def instrument_of(model: MeasurementModel, tol: float = VERIFY_TOL) -> Instrumen
     """
     if model.probe is not None:
         _require_consistent(probe_consistency(model, tol))
-    return dilation_instrument(model, tol)
+    ins = dilation_instrument(model)
+    ins.validate(tol)
+    return ins
 
 
 def probe_instrument_of(model: MeasurementModel) -> Instrument:

@@ -11,6 +11,22 @@ matrix [s(E_ij)]_ij hold the same entries in a different order, so
 ``Superoperator.from_function`` probes a user callable with the d^2
 matrix units and is kept for callables and tests.
 
+A map built from Kraus operators keeps them as its ``kraus`` stack, an
+(n, d, d) array that certifies complete positivity without an
+eigendecomposition of the Choi matrix.  The stack is never a constructor
+argument, so it always matches the rep.  It is set by ``from_kraus``, by
+``sandwich(a)`` with ``b`` omitted (the stack [a]), by ``zero`` (an empty
+stack), by ``+`` (both stacks concatenated) and by ``compose`` (every
+product K_i L_j, kept only while n * m <= d^2).  Every other way of making
+a map leaves it ``None``: the constructor, ``identity``, ``sandwich(a,
+b)``, ``-``, ``*``, ``dual``, ``from_function`` and
+``superoperator_from_choi``.  ``choi`` passes the
+stack on to the ``ChoiMatrix``, and ``kraus_from_choi`` then reads the
+Kraus operators off one thin SVD of the stack instead of an ``eigh`` of
+the Choi matrix.  Either route returns the operators in ascending weight
+order, each scaled so that its largest-modulus entry (the first one in C
+order) is real and positive.
+
 ``apply_stack`` and ``decompose_stack`` work on an (n, d, d) stack of
 matrices at once, so that a check over many samples costs one matmul or
 one batched ``eigh`` instead of a Python loop; ``apply`` and
@@ -19,7 +35,7 @@ one batched ``eigh`` instead of a Python loop; ``apply`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,10 +62,13 @@ def matrix_unit(dim: int, i: int, j: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Superoperator:
     """A linear transformation of d x d matrices, stored as its d^2 x d^2
-    matrix over column-vectorized operators."""
+    matrix over column-vectorized operators, with the (n, d, d) stack of
+    Kraus operators it was built from when there is one (see the module
+    docstring)."""
 
     dim: int
     rep: np.ndarray
+    kraus: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rep = matcore.as_complex_matrix(self.rep)
@@ -59,20 +78,29 @@ class Superoperator:
             )
         object.__setattr__(self, "rep", rep)
 
+    def _with_kraus(self, ks: np.ndarray) -> "Superoperator":
+        # only the builders that derive rep from ks call this; read-only, so
+        # that the stack keeps matching the rep
+        ks.flags.writeable = False
+        object.__setattr__(self, "kraus", ks)
+        return self
+
     @classmethod
     def identity(cls, dim: int) -> "Superoperator":
         return cls(dim, np.eye(dim * dim, dtype=complex))
 
     @classmethod
     def zero(cls, dim: int) -> "Superoperator":
-        return cls(dim, np.zeros((dim * dim, dim * dim), dtype=complex))
+        zero = cls(dim, np.zeros((dim * dim, dim * dim), dtype=complex))
+        return zero._with_kraus(np.zeros((0, dim, dim), dtype=complex))
 
     @classmethod
     def sandwich(cls, a: np.ndarray, b: np.ndarray | None = None) -> "Superoperator":
         """The map X -> A X B; B defaults to A^dagger."""
         a = matcore.as_complex_matrix(a)
-        b = a.conj().T if b is None else matcore.as_complex_matrix(b)
-        return cls(a.shape[0], np.kron(b.T, a))
+        if b is None:
+            return cls(a.shape[0], np.kron(a.conj(), a))._with_kraus(a[None].copy())
+        return cls(a.shape[0], np.kron(matcore.as_complex_matrix(b).T, a))
 
     @classmethod
     def from_function(cls, dim: int, f) -> "Superoperator":
@@ -87,19 +115,22 @@ class Superoperator:
     def from_kraus(cls, kraus) -> "Superoperator":
         """The map X -> sum_k K_k X K_k^dagger from a list or an (n, d, d)
         stack of Kraus operators: rep = sum_k conj(K_k) kron K_k."""
-        ks = np.asarray(kraus, dtype=complex)
+        ks = np.array(kraus, dtype=complex)
         if ks.ndim != 3 or ks.shape[1] != ks.shape[2] or 0 in ks.shape:
             raise ValueError(f"expected square Kraus operators, got shape {ks.shape}")
         if not np.all(np.isfinite(ks)):
             raise ValueError("Kraus operators have non-finite entries")
         dim = ks.shape[1]
         rep = np.tensordot(ks.conj(), ks, axes=(0, 0)).transpose(0, 2, 1, 3)
-        return cls(dim, rep.reshape(dim * dim, dim * dim))
+        return cls(dim, rep.reshape(dim * dim, dim * dim))._with_kraus(ks)
 
     def __add__(self, other: "Superoperator") -> "Superoperator":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return Superoperator(self.dim, self.rep + other.rep)
+        total = Superoperator(self.dim, self.rep + other.rep)
+        if self.kraus is None or other.kraus is None:
+            return total
+        return total._with_kraus(np.concatenate([self.kraus, other.kraus]))
 
     def __sub__(self, other: "Superoperator") -> "Superoperator":
         if self.dim != other.dim:
@@ -112,10 +143,21 @@ class Superoperator:
     __rmul__ = __mul__
 
     def compose(self, other: "Superoperator") -> "Superoperator":
-        """self after other: X -> self(other(X))."""
+        """self after other: X -> self(other(X)).  The Kraus stack of the
+        product is every K_i L_j, kept only while it has at most d^2
+        operators."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return Superoperator(self.dim, self.rep @ other.rep)
+        product = Superoperator(self.dim, self.rep @ other.rep)
+        d = self.dim
+        if (
+            self.kraus is None
+            or other.kraus is None
+            or len(self.kraus) * len(other.kraus) > d * d
+        ):
+            return product
+        ks = (self.kraus[:, None] @ other.kraus[None]).reshape(-1, d, d)
+        return product._with_kraus(ks)
 
     def equal(self, other: "Superoperator", tol: float = VERIFY_TOL) -> bool:
         return self.dim == other.dim and matcore.max_abs(self.rep - other.rep) <= tol
@@ -164,10 +206,12 @@ def is_trace_preserving(s: Superoperator) -> bool:
 @dataclass(frozen=True)
 class ChoiMatrix:
     """Block matrix [s(E_ij)]_ij; PSD exactly when the map is completely
-    positive."""
+    positive.  ``kraus`` is the Kraus stack of the map it came from, set
+    only by ``choi``."""
 
     dim: int
     matrix: np.ndarray
+    kraus: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def is_psd(self, tol: float = ROUNDOFF_TOL) -> bool:
         return matcore.is_psd(self.matrix, tol)
@@ -183,7 +227,9 @@ def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
 
 
 def choi(s: Superoperator) -> ChoiMatrix:
-    return ChoiMatrix(s.dim, _reshuffle(s.rep, s.dim))
+    c = ChoiMatrix(s.dim, _reshuffle(s.rep, s.dim))
+    object.__setattr__(c, "kraus", s.kraus)
+    return c
 
 
 def superoperator_from_choi(c: ChoiMatrix) -> Superoperator:
@@ -193,20 +239,37 @@ def superoperator_from_choi(c: ChoiMatrix) -> Superoperator:
 def kraus_from_choi(c: ChoiMatrix) -> list:
     """Kraus operators of a completely positive map from its Choi matrix.
 
-    Eigenvalues at or below ``ROUNDOFF_TOL`` are dropped; a negative
-    eigenvalue below ``-ROUNDOFF_TOL`` raises ``NotCompletelyPositiveError``.
+    The eigenpairs (lambda, u) of the Choi matrix give the operators
+    sqrt(lambda) unvec(u)^T.  When ``c`` carries a Kraus stack, they come
+    from one thin SVD of V, whose columns are the vec(K^T) in the Choi
+    index order: C = V V^dagger, so the pairs are (s^2, u).  Otherwise they
+    come from an ``eigh`` of C, and a negative eigenvalue below
+    ``-ROUNDOFF_TOL`` raises ``NotCompletelyPositiveError``.  On both
+    routes weights at or below ``ROUNDOFF_TOL`` are dropped, the operators
+    come in ascending weight order, and each is scaled so that its
+    largest-modulus entry (the first one in C order) is real and positive.
     """
-    w, v = matcore.hermitian_eig(c.matrix)
-    if w[0] < -ROUNDOFF_TOL:
-        raise NotCompletelyPositiveError(float(w[0]))
     d = c.dim
-    kraus = []
-    for lam, col in zip(w, v.T):
-        if lam <= ROUNDOFF_TOL:
-            continue
-        # col[(i, m)] with composite index i*d + m corresponds to K[m, i]
-        kraus.append(np.sqrt(lam) * col.reshape(d, d).T)
-    return kraus
+    if c.kraus is not None:
+        v = c.kraus.transpose(0, 2, 1).reshape(-1, d * d).T
+        u, sv, _ = np.linalg.svd(v, full_matrices=False)
+        w, vecs = (sv * sv)[::-1], u[:, ::-1]
+    else:
+        w, vecs = matcore.hermitian_eig(c.matrix)
+        if w[0] < -ROUNDOFF_TOL:
+            raise NotCompletelyPositiveError(float(w[0]))
+    keep = w > ROUNDOFF_TOL
+    # entry i*d + m of an eigenvector is K[m, i]: transpose each unvec'd
+    # column, then hold one row per K in C order
+    cols = (vecs[:, keep] * np.sqrt(w[keep])).T
+    flat = cols.reshape(-1, d, d).transpose(0, 2, 1).reshape(-1, d * d)
+    rows = np.arange(len(flat))
+    at = np.argmax(np.abs(flat), axis=1)
+    pivots = flat[rows, at]
+    flat = flat * (pivots.conj() / np.abs(pivots))[:, None]
+    # the product leaves the pivot's imaginary part at roundoff; make it 0
+    flat[rows, at] = np.abs(pivots)
+    return list(flat.reshape(-1, d, d))
 
 
 def is_positive_sampled(s: Superoperator, trials: int = 100, seed: int = 0) -> bool:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from reduction_lab import cli, models
+from reduction_lab import cli, matcore, models
 from reduction_lab import serialization as ser
 from reduction_lab.cli import main
 from reduction_lab.models import (
@@ -330,6 +330,33 @@ def test_check_model_exit_code_matches_records(tmp_path, z_obs, capsys, tol, bui
     assert (code == 0) == all(r["pass"] for r in records)
     assert all(r["tolerance"] == float(tol) for r in records)
     assert any(r["check"].startswith("uniqueness.") for r in records) == builds
+
+
+def test_instrument_invariants_records_the_completeness_residual(tmp_path, z_obs, capsys):
+    # the probeless Haar-random model of the test above: at --tol 1 the
+    # instrument builds, and its record carries the residual validate
+    # measured, not a hard 0
+    model = MeasurementModel(
+        2, 2, z_obs, maximally_mixed(2), haar_unitary(4, np.random.default_rng(4))
+    )
+    ins = models.instrument_of(model, 1.0)
+    expected = matcore.max_abs(
+        sum(t.rep for t in ins.components.values()) - ins.total.rep
+    )
+    faithful = random_faithful_model(z_obs, 4, seed=2)
+    for path, tol, residual in (
+        (write_model(tmp_path, model), "1", expected),
+        (write_model(tmp_path, faithful, "f.json"), "1e-9", None),
+    ):
+        main(["check-model", path, "--tol", tol])
+        records = _strict_loads(capsys.readouterr().out)
+        (record,) = [r for r in records if r["check"] == "instrument.invariants"]
+        assert record["pass"]
+        if residual is None:
+            assert record["residual"] <= 1e-12
+        else:
+            assert record["residual"] == residual
+            assert 0.4 < record["residual"] < 0.6
 
 
 def test_every_command_honours_tol(tmp_path, z_obs, capsys):

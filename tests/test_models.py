@@ -7,7 +7,12 @@ from reduction_lab.errors import (
     MissingProbeError,
     NotAMeasurementOfAError,
 )
-from reduction_lab.instrument import luders_instrument, reduce
+from reduction_lab.instrument import (
+    Instrument,
+    instrument_from_operation,
+    luders_instrument,
+    reduce,
+)
 from reduction_lab.matcore import dagger, partial_trace_apparatus, tensor
 from reduction_lab.models import (
     MeasurementModel,
@@ -30,7 +35,7 @@ from reduction_lab.quantum import (
     observable_from_hermitian,
     projector_onto,
 )
-from reduction_lab.superop import Superoperator, apply
+from reduction_lab.superop import Superoperator, apply, choi, kraus_from_choi
 
 from conftest import plus_state, random_density
 
@@ -139,6 +144,62 @@ def test_probe_instrument_builds_each_stack_once(monkeypatch):
     probe_instrument_of(model)
     # one Kraus stack per outcome, sigma factored once
     assert calls == {"_kraus": 3, "_sigma_root": 1}
+
+
+def _wide_model(dim_s, dim_a, degenerate, sigma_rank):
+    rng = np.random.default_rng(dim_s)
+    vals = np.arange(dim_s, dtype=float)
+    if degenerate:
+        vals = np.where(vals < dim_s // 2, 1.0, -1.0)
+    u = haar_unitary(dim_s, rng)
+    obs = observable_from_hermitian(u @ np.diag(vals) @ dagger(u))
+    return random_faithful_model(obs, dim_a, seed=dim_s, sigma_rank=sigma_rank)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [_wide_model(8, 16, False, 2), _wide_model(12, 2, True, 1)],
+    ids=["8x16", "12x2-degenerate"],
+)
+def test_stacked_maps_skip_the_choi_eigendecomposition(model, monkeypatch):
+    calls = {"min_eigenvalue": 0, "hermitian_eig": 0}
+    for name in calls:
+        original = getattr(matcore, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(matcore, name, counted)
+    built = [
+        instrument_of(model),
+        probe_instrument_of(model),
+        instrument_from_operation(operation_of(model), model.observable),
+    ]
+    for ins in built:
+        for t in ins.components.values():
+            kraus_from_choi(choi(t))
+    # every map carries its Kraus stack: no Choi eigh to validate or extract
+    assert calls == {"min_eigenvalue": 0, "hermitian_eig": 0}
+    # the same maps as bare reps take one eigh per component on each path
+    n, d = len(model.observable.outcomes), model.dim_s
+    for ins in built:
+        bare = {a: Superoperator(d, t.rep) for a, t in ins.components.items()}
+        calls.update(min_eigenvalue=0, hermitian_eig=0)
+        Instrument(model.observable, bare, total=Superoperator(d, ins.total.rep))
+        for t in bare.values():
+            kraus_from_choi(choi(t))
+        assert calls == {"min_eigenvalue": n, "hermitian_eig": n}
+
+
+def test_compose_drops_a_stack_of_more_than_d_squared():
+    total = probe_instrument_of(_wide_model(8, 16, False, 2)).total
+    # 8 outcomes x 16 apparatus vectors x sigma rank 2
+    assert len(total.kraus) == 256
+    # 65,536 products against d^2 = 64: the product keeps its rep only
+    product = total.compose(total)
+    assert product.kraus is None
+    assert matcore.max_abs(product.rep - total.rep @ total.rep) == 0.0
 
 
 def test_probe_instrument_requires_probe(z_obs):

@@ -3,8 +3,17 @@ import pytest
 
 from reduction_lab import matcore
 from reduction_lab.errors import NotCompletelyPositiveError
-from reduction_lab.quantum import PAULI_Z, ket, projector_onto
+from reduction_lab.instrument import instrument_from_operation
+from reduction_lab.models import (
+    haar_unitary,
+    instrument_of,
+    operation_of,
+    probe_instrument_of,
+    random_faithful_model,
+)
+from reduction_lab.quantum import PAULI_Z, ket, observable_from_hermitian, projector_onto
 from reduction_lab.superop import (
+    ChoiMatrix,
     Superoperator,
     apply,
     apply_stack,
@@ -207,6 +216,97 @@ def test_kraus_from_choi_reconstruction(rng):
     s = Superoperator.from_kraus(raw)
     rebuilt = Superoperator.from_kraus(kraus_from_choi(choi(s)))
     assert matcore.max_abs(rebuilt.rep - s.rep) <= 1e-9
+
+    # the stacked route (one SVD of the Kraus stack) and the unstacked one
+    # (eigh of the Choi matrix) give the same operators over a corpus of
+    # faithful models: degenerate observables, sigma of rank 1 and 2,
+    # components of the dilation, probe and operation routes
+    compared = 0
+    for ds, degenerate, rank in (
+        (2, False, 1), (3, False, 2), (4, True, 2), (6, False, 1),
+        (6, True, 2), (8, True, 1), (12, True, 2),
+    ):
+        vals = np.arange(ds, dtype=float)
+        if degenerate:
+            vals = np.where(vals < ds // 2, 1.0, -1.0)
+        u = haar_unitary(ds, rng)
+        obs = observable_from_hermitian(u @ np.diag(vals) @ u.conj().T)
+        n = len(obs.outcomes)
+        model = random_faithful_model(obs, 2 * n, seed=int(rng.integers(1 << 30)),
+                                      sigma_rank=rank)
+        built = (
+            instrument_of(model),
+            probe_instrument_of(model),
+            instrument_from_operation(operation_of(model), obs),
+        )
+        for t in (t for ins in built for t in ins.components.values()):
+            c = choi(t)
+            if c.kraus is None:
+                # compose keeps no stack of more than d^2 products
+                assert len(operation_of(model).kraus) > ds
+                continue
+            compared += 1
+            stacked = kraus_from_choi(c)
+            unstacked = kraus_from_choi(ChoiMatrix(ds, c.matrix))
+            assert len(stacked) == len(unstacked) >= 1, (ds, degenerate, rank)
+            for k1, k2 in zip(stacked, unstacked):
+                assert matcore.max_abs(k1 - k2) <= 1e-12, (ds, degenerate, rank)
+            rebuilt = Superoperator.from_kraus(stacked)
+            assert matcore.max_abs(rebuilt.rep - t.rep) <= 1e-12
+            # the convention: ascending weight, largest-modulus entry (the
+            # first in C order) real and positive
+            weights = [np.linalg.norm(k) ** 2 for k in stacked]
+            assert weights == sorted(weights)
+            for k in stacked:
+                pivot = k.flat[np.argmax(np.abs(k))]
+                assert pivot.imag == 0.0 and pivot.real > 0
+    assert compared >= 50
+
+
+def test_kraus_stack_provenance(rng):
+    raw = np.stack([random_matrix(rng, 3) * 0.4 for _ in range(2)])
+    s = Superoperator.from_kraus(raw)
+    p = projector_onto(ket(3, 0))
+    assert s.kraus.shape == (2, 3, 3)
+    assert Superoperator.sandwich(p).kraus.shape == (1, 3, 3)
+    assert Superoperator.zero(3).kraus.shape == (0, 3, 3)
+    # the stack is a read-only copy: neither the caller's array nor the
+    # stack itself can drift away from the rep
+    raw[0] = 0.0
+    assert matcore.max_abs(Superoperator.from_kraus(s.kraus).rep - s.rep) == 0.0
+    with pytest.raises(ValueError):
+        s.kraus[0, 0, 0] = 1.0
+    # maps that are not built as a Kraus sum carry no stack
+    for m in (
+        Superoperator(3, s.rep),
+        Superoperator.identity(3),
+        s - s,
+        -1.0 * s,
+        1j * s,
+        s * 2.0,
+        dual(s),
+        Superoperator.from_function(3, lambda x: x),
+        superoperator_from_choi(choi(s)),
+        Superoperator.sandwich(p, p),
+        s + Superoperator(3, s.rep),
+        s.compose(Superoperator(3, s.rep)),
+    ):
+        assert m.kraus is None and choi(m).kraus is None
+    # + concatenates, compose multiplies: both reassemble to their rep
+    big = Superoperator.from_kraus([random_matrix(rng, 3) for _ in range(4)])
+    for m, n in (
+        (s + Superoperator.sandwich(p), 3),
+        (Superoperator.zero(3) + s, 2),
+        (s.compose(Superoperator.sandwich(p)), 2),
+        (s.compose(s), 4),
+        (big.compose(s), 8),
+    ):
+        assert len(m.kraus) == n
+        assert choi(m).kraus is m.kraus
+        assert matcore.max_abs(Superoperator.from_kraus(m.kraus).rep - m.rep) <= 1e-12
+    # compose keeps at most d^2 products
+    assert len(big.kraus) * len(big.kraus) > 9
+    assert big.compose(big).kraus is None
 
 
 def test_kraus_from_choi_rejects_non_cp():
