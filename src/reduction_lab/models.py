@@ -12,13 +12,15 @@ tensor factor.  From it we extract:
 where E_a are the measured observable's spectral projectors and Q_a the
 probe's.  For a faithful model the two instrument routes coincide.
 
-All three maps are read off U as Kraus operators.  With the apparatus
-state sigma = sum_j w_j |v_j><v_j| and an orthonormal apparatus basis |m>,
+All three maps are read off one Kraus stack.  With the apparatus state
+sigma = sum_j w_j |v_j><v_j| and an orthonormal apparatus basis |m>,
 
     K_{m,j} = sqrt(w_j) (1 x <m|) U (1 x |v_j>)
 
-gives T(rho) = sum K rho K+, and T_a uses K E_a; the probe route puts Q_a
-between <m| and U.  Each K is one contraction of ``U.reshape(d_s, d_a,
+gives T(rho) = sum K rho K+, and T_a uses K E_a.  The probe route acts
+with Q_a on the apparatus index alone (Ozawa, J. Math. Phys. 25, 79
+(1984)): sum_n (Q_a)_{mn} K_{n,j}, one matrix product per outcome.  Each
+call builds the stack once, by one contraction of ``U.reshape(d_s, d_a,
 d_s, d_a)``.  Eigenvectors of sigma with weight w_j <= 0 are dropped: a
 zero weight contributes nothing, and a roundoff-negative one has no real
 square root, so dropping them needs no tolerance.
@@ -92,44 +94,35 @@ class ConsistencyReport:
         return max(self.residuals, key=self.residuals.get)
 
 
-def _sigma_root(model: MeasurementModel) -> np.ndarray:
-    """Columns sqrt(w_j) |v_j> of sigma = sum_j w_j |v_j><v_j|, weights
-    w_j > 0 only."""
+def _kraus(model: MeasurementModel) -> np.ndarray:
+    """The (d_a * r, d_s, d_s) stack of the K_{m,j}, m outermost, over the
+    r eigenvectors of sigma with weight w_j > 0."""
+    ds, da = model.dim_s, model.dim_a
     w, v = np.linalg.eigh(model.apparatus_state.matrix)
     keep = w > 0
-    return v[:, keep] * np.sqrt(w[keep])
-
-
-def _kraus(
-    model: MeasurementModel, root: np.ndarray, q: np.ndarray | None = None
-) -> np.ndarray:
-    """Stacked Kraus operators K_{m,j} = sqrt(w_j) (1 x <m|q) U (1 x |v_j>)
-    of rho -> Tr_A[(1 x q) U (rho x sigma) U+ (1 x q)], with q = 1 when None
-    and ``root`` from ``_sigma_root``."""
-    ds, da = model.dim_s, model.dim_a
+    root = v[:, keep] * np.sqrt(w[keep])
     u4 = model.unitary.reshape(ds, da, ds, da)
-    if q is not None:
-        u4 = np.einsum("nm,imkl->inkl", q, u4)
     return np.einsum("imkl,lj->mjik", u4, root).reshape(-1, ds, ds)
 
 
 def operation_of(model: MeasurementModel) -> Superoperator:
     """The nonselective state change of the model as a map on the object."""
-    return Superoperator.from_kraus(_kraus(model, _sigma_root(model)))
+    return Superoperator.from_kraus(_kraus(model))
 
 
 def _probe_route(model: MeasurementModel) -> tuple:
-    """Probe-route Kraus stacks per outcome, with sigma factored once, and
-    the spectral-norm residuals of F_a = sum K'+ K' against E_a taken from
-    the same stacks."""
+    """Probe-route Kraus stacks per outcome, Q_a applied to the apparatus
+    index of the model's stack, and the spectral-norm residuals of
+    F_a = sum K'+ K' against E_a taken from the same stacks."""
     if model.probe is None:
         raise MissingProbeError("model has no probe observable")
-    root = _sigma_root(model)
+    ds = model.dim_s
+    k = _kraus(model).reshape(model.dim_a, -1)
     stacks, residuals = {}, {}
     for a, p in model.observable.outcomes:
-        k = _kraus(model, root, model.probe.projector(a))
-        f = np.tensordot(k.conj(), k, axes=([0, 1], [0, 1]))
-        stacks[a] = k
+        kq = (model.probe.projector(a) @ k).reshape(-1, ds, ds)
+        f = np.tensordot(kq.conj(), kq, axes=([0, 1], [0, 1]))
+        stacks[a] = kq
         residuals[a] = matcore.spectral_norm(f - p)
     return stacks, residuals
 
@@ -162,7 +155,7 @@ def dilation_instrument(model: MeasurementModel) -> Instrument:
     caller's tolerance accepts it only when the extracted components sum to
     the operation (otherwise U does not measure the observable), and
     returns the completeness residual."""
-    k = _kraus(model, _sigma_root(model))
+    k = _kraus(model)
     components = {
         a: Superoperator.from_kraus(k @ p) for a, p in model.observable.outcomes
     }

@@ -17,15 +17,15 @@ eigendecomposition of the Choi matrix.  The stack is never a constructor
 argument, so it always matches the rep.  It is set by ``from_kraus``, by
 ``sandwich(a)`` with ``b`` omitted (the stack [a]), by ``zero`` (an empty
 stack), by ``+`` (both stacks concatenated) and by ``compose`` (every
-product K_i L_j, kept only while n * m <= d^2).  Every other way of making
-a map leaves it ``None``: the constructor, ``identity``, ``sandwich(a,
-b)``, ``-``, ``*``, ``dual``, ``from_function`` and
-``superoperator_from_choi``.  ``choi`` passes the
-stack on to the ``ChoiMatrix``, and ``kraus_from_choi`` then reads the
-Kraus operators off one thin SVD of the stack instead of an ``eigh`` of
-the Choi matrix.  Either route returns the operators in ascending weight
-order, each scaled so that its largest-modulus entry (the first one in C
-order) is real and positive.
+product K_i L_j of n and m operators, kept while 0 < n * m <= max(d^2, n,
+m), with the rep read off it).  Every other way of making a map leaves it
+``None``: the constructor, ``identity``, ``sandwich(a, b)``, ``-``, ``*``,
+``dual``, ``from_function`` and ``superoperator_from_choi``.  ``choi``
+passes the stack on to the ``ChoiMatrix``, and ``kraus_from_choi`` reads
+the Kraus operators off one thin SVD of a stack of at most d^2 operators,
+or else off an ``eigh`` of the Choi matrix.  Either route returns the
+operators in ascending weight order, each scaled so that its
+largest-modulus entry (the first one in C order) is real and positive.
 
 ``apply_stack`` and ``decompose_stack`` work on an (n, d, d) stack of
 matrices at once, so that a check over many samples costs one matmul or
@@ -143,21 +143,19 @@ class Superoperator:
     __rmul__ = __mul__
 
     def compose(self, other: "Superoperator") -> "Superoperator":
-        """self after other: X -> self(other(X)).  The Kraus stack of the
-        product is every K_i L_j, kept only while it has at most d^2
-        operators."""
+        """self after other: X -> self(other(X)).  With Kraus stacks of n
+        and m operators and 0 < n * m <= max(d^2, n, m), the product is
+        ``from_kraus`` of every K_i L_j (n * m * d^4 work); otherwise its
+        rep is ``rep @ rep`` (d^6) and it carries no stack."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        product = Superoperator(self.dim, self.rep @ other.rep)
         d = self.dim
-        if (
-            self.kraus is None
-            or other.kraus is None
-            or len(self.kraus) * len(other.kraus) > d * d
-        ):
-            return product
-        ks = (self.kraus[:, None] @ other.kraus[None]).reshape(-1, d, d)
-        return product._with_kraus(ks)
+        if self.kraus is not None and other.kraus is not None:
+            n, m = len(self.kraus), len(other.kraus)
+            if 0 < n * m <= max(d * d, n, m):
+                ks = self.kraus[:, None] @ other.kraus[None]
+                return Superoperator.from_kraus(ks.reshape(-1, d, d))
+        return Superoperator(d, self.rep @ other.rep)
 
     def equal(self, other: "Superoperator", tol: float = VERIFY_TOL) -> bool:
         return self.dim == other.dim and matcore.max_abs(self.rep - other.rep) <= tol
@@ -240,17 +238,18 @@ def kraus_from_choi(c: ChoiMatrix) -> list:
     """Kraus operators of a completely positive map from its Choi matrix.
 
     The eigenpairs (lambda, u) of the Choi matrix give the operators
-    sqrt(lambda) unvec(u)^T.  When ``c`` carries a Kraus stack, they come
-    from one thin SVD of V, whose columns are the vec(K^T) in the Choi
-    index order: C = V V^dagger, so the pairs are (s^2, u).  Otherwise they
-    come from an ``eigh`` of C, and a negative eigenvalue below
+    sqrt(lambda) unvec(u)^T.  When ``c`` carries a Kraus stack of at most
+    d^2 operators, they come from one thin SVD of V, whose columns are the
+    vec(K^T) in the Choi index order: C = V V^dagger, so the pairs are
+    (s^2, u).  Otherwise (no stack, or a larger one, where the ``eigh`` is
+    cheaper) they come from an ``eigh`` of C, and a negative eigenvalue below
     ``-ROUNDOFF_TOL`` raises ``NotCompletelyPositiveError``.  On both
     routes weights at or below ``ROUNDOFF_TOL`` are dropped, the operators
     come in ascending weight order, and each is scaled so that its
     largest-modulus entry (the first one in C order) is real and positive.
     """
     d = c.dim
-    if c.kraus is not None:
+    if c.kraus is not None and len(c.kraus) <= d * d:
         v = c.kraus.transpose(0, 2, 1).reshape(-1, d * d).T
         u, sv, _ = np.linalg.svd(v, full_matrices=False)
         w, vecs = (sv * sv)[::-1], u[:, ::-1]

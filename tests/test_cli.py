@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ def test_check_model_deterministic_output(tmp_path, z_obs):
     out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     assert main(["check-model", path, "--seed", "7", "--out", out1]) == 0
     assert main(["check-model", path, "--seed", "7", "--out", out2]) == 0
-    assert open(out1).read() == open(out2).read()
+    assert Path(out1).read_text() == Path(out2).read_text()
 
 
 def test_check_model_csv(tmp_path, z_obs, capsys):
@@ -196,7 +197,7 @@ def test_random_model_command(tmp_path, z_obs, capsys):
     mpath2 = str(tmp_path / "model2.json")
     assert main(["random-model", "--obs", opath, "--dim-a", "4",
                  "--seed", "2", "--out", mpath2]) == 0
-    assert open(mpath).read() == open(mpath2).read()
+    assert Path(mpath).read_text() == Path(mpath2).read_text()
 
 
 def test_tol_env_override(tmp_path, z_obs, monkeypatch):
@@ -286,9 +287,9 @@ def test_main_builds_parser_once(tmp_path, z_obs, monkeypatch):
     assert main(["check-model", path, "--out", out]) == 0
     assert main(["check-model", path, "--out", out]) == 0
     assert len(built) == 2
-    assert {r["tolerance"] for r in json.load(open(out))} == {1e-3}
+    assert {r["tolerance"] for r in json.loads(Path(out).read_text())} == {1e-3}
     assert main(["check-model", path, "--out", out, "--tol", "1e-4"]) == 0
-    assert {r["tolerance"] for r in json.load(open(out))} == {1e-4}
+    assert {r["tolerance"] for r in json.loads(Path(out).read_text())} == {1e-4}
     cli._cached_parser.cache_clear()
 
 

@@ -132,18 +132,19 @@ def test_instrument_refuses_biased(z_obs):
 def test_probe_instrument_builds_each_stack_once(monkeypatch):
     three = observable_from_hermitian(np.diag([1.0, 0.0, -1.0]).astype(complex))
     model = random_faithful_model(three, 6, seed=4, sigma_rank=2)
-    calls = {"_kraus": 0, "_sigma_root": 0}
-    for name in calls:
-        original = getattr(models, name)
+    calls = 0
+    original = models._kraus
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
 
-        monkeypatch.setattr(models, name, counted)
+    monkeypatch.setattr(models, "_kraus", counted)
     probe_instrument_of(model)
-    # one Kraus stack per outcome, sigma factored once
-    assert calls == {"_kraus": 3, "_sigma_root": 1}
+    # one Kraus stack for all outcomes: each probe stack is Q_a applied to
+    # its apparatus index
+    assert calls == 1
 
 
 def _wide_model(dim_s, dim_a, degenerate, sigma_rank):
@@ -361,6 +362,74 @@ def test_kraus_maps_match_dilation_reference(model):
     assert report.residuals.keys() == residuals.keys()
     for a, r in residuals.items():
         assert abs(report.residuals[a] - r) <= 1e-12
+
+
+def _detected_instrument(model, detections):
+    """T''_a(rho) = sum_k Tr_A[(1 x L_{a,k}) U (rho x sigma) U+ (1 x L_{a,k})+]
+    for a detection of the probe given as Kraus operators L_{a,k} on the
+    apparatus, applied to the matrix units."""
+    u, sigma = model.unitary, model.apparatus_state.matrix
+    ds, da = model.dim_s, model.dim_a
+    one_s = np.eye(ds, dtype=complex)
+
+    def detected(x, ls):
+        out = u @ tensor(x, sigma) @ dagger(u)
+        return sum(
+            partial_trace_apparatus(
+                tensor(one_s, l) @ out @ dagger(tensor(one_s, l)), ds, da
+            )
+            for l in ls
+        )
+
+    return {
+        a: Superoperator.from_function(ds, lambda x, ls=ls: detected(x, ls))
+        for a, ls in detections.items()
+    }
+
+
+@pytest.mark.parametrize("model", _reference_models(), ids=["three", "degenerate", "rotated"])
+def test_reduction_does_not_depend_on_the_detection_of_the_probe(model):
+    # the paper's claim: any detection of the probe whose effects are the
+    # Q_a, projective or not, gives the instrument of the dilation route
+    rng = np.random.default_rng(23)
+    da = model.dim_a
+    q = dict(model.probe.outcomes)
+    outcomes = list(q)
+
+    def unitary_mixture(qa):
+        p = rng.random(3)
+        p /= p.sum()
+        return [np.sqrt(pk) * haar_unitary(da, rng) @ qa for pk in p]
+
+    def reset_to_zero(qa):
+        w, v = np.linalg.eigh(qa)
+        return [np.outer(ket(da, 0), e.conj()) for e in v[:, w > 0.5].T]
+
+    detections = {
+        "projective": {a: [qa] for a, qa in q.items()},
+        "non-Lueders": {a: unitary_mixture(qa) for a, qa in q.items()},
+        "destructive": {a: reset_to_zero(qa) for a, qa in q.items()},
+    }
+    ins = instrument_of(model)
+    for name, detection in detections.items():
+        for a, ls in detection.items():
+            effect = sum(dagger(l) @ l for l in ls)
+            assert matcore.max_abs(effect - q[a]) <= 1e-12, name
+        detected = _detected_instrument(model, detection)
+        for a in outcomes:
+            assert matcore.max_abs(
+                detected[a].rep - ins.component(a).rep
+            ) <= 1e-12, (name, a)
+    # negative control: blurred effects 0.9 Q_a + 0.1 Q_b read the wrong
+    # outcome a tenth of the time
+    blurred = {
+        a: [np.sqrt(0.9) * q[a], np.sqrt(0.1) * q[outcomes[i - 1]]]
+        for i, a in enumerate(outcomes)
+    }
+    detected = _detected_instrument(model, blurred)
+    assert max(
+        matcore.max_abs(detected[a].rep - ins.component(a).rep) for a in outcomes
+    ) > 1e-3
 
 
 def test_kraus_maps_match_dilation_reference_biased():

@@ -241,10 +241,9 @@ def test_kraus_from_choi_reconstruction(rng):
         )
         for t in (t for ins in built for t in ins.components.values()):
             c = choi(t)
-            if c.kraus is None:
-                # compose keeps no stack of more than d^2 products
-                assert len(operation_of(model).kraus) > ds
-                continue
+            # every route keeps its stack, the operation route's too: a
+            # product with the one-operator sandwich(E_a) is always kept
+            assert c.kraus is not None, (ds, degenerate, rank)
             compared += 1
             stacked = kraus_from_choi(c)
             unstacked = kraus_from_choi(ChoiMatrix(ds, c.matrix))
@@ -260,7 +259,31 @@ def test_kraus_from_choi_reconstruction(rng):
             for k in stacked:
                 pivot = k.flat[np.argmax(np.abs(k))]
                 assert pivot.imag == 0.0 and pivot.real > 0
-    assert compared >= 50
+    assert compared == 57
+
+
+def test_kraus_from_choi_takes_the_eigh_route_above_d_squared(rng, monkeypatch):
+    calls = 0
+    original = matcore.hermitian_eig
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(matcore, "hermitian_eig", counted)
+    # 12 operators against d^2 = 9: the Choi eigh is the cheaper route
+    for n, eighs in ((9, 0), (12, 1)):
+        s = Superoperator.from_kraus([random_matrix(rng, 3) * 0.3 for _ in range(n)])
+        c = choi(s)
+        assert len(c.kraus) == n
+        calls = 0
+        stacked = kraus_from_choi(c)
+        assert calls == eighs
+        unstacked = kraus_from_choi(ChoiMatrix(3, c.matrix))
+        assert len(stacked) == len(unstacked) == 9
+        for k1, k2 in zip(stacked, unstacked):
+            assert matcore.max_abs(k1 - k2) <= 1e-12
 
 
 def test_kraus_stack_provenance(rng):
@@ -304,9 +327,17 @@ def test_kraus_stack_provenance(rng):
         assert len(m.kraus) == n
         assert choi(m).kraus is m.kraus
         assert matcore.max_abs(Superoperator.from_kraus(m.kraus).rep - m.rep) <= 1e-12
-    # compose keeps at most d^2 products
+    # compose keeps n * m products while n * m <= max(d^2, n, m): a factor
+    # with one operator never drops the other's stack
+    wide = Superoperator.from_kraus([random_matrix(rng, 3) for _ in range(12)])
+    for m in (wide.compose(Superoperator.sandwich(p)), Superoperator.sandwich(p).compose(wide)):
+        assert len(m.kraus) == 12
+        assert matcore.max_abs(Superoperator.from_kraus(m.kraus).rep - m.rep) <= 1e-12
     assert len(big.kraus) * len(big.kraus) > 9
-    assert big.compose(big).kraus is None
+    for m, n in ((big, big), (wide, s), (Superoperator.zero(3), s)):
+        product = m.compose(n)
+        assert product.kraus is None
+        assert matcore.max_abs(product.rep - m.rep @ n.rep) == 0.0
 
 
 def test_kraus_from_choi_rejects_non_cp():
