@@ -96,10 +96,11 @@ class Instrument:
         positive; return the completeness residual, the largest entry of
         the sum of the component reps minus the total's rep.
 
-        A component that carries a Kraus stack is completely positive by
-        construction, so only a component without one (a user rep, Choi
-        input, a ``from_function`` map or a corrupted component) takes the
-        Choi PSD test, an ``eigh`` of its d^2 x d^2 Choi matrix."""
+        T*(1) is read off each rep (``superop.unit_image``), not off a dual
+        map.  A component with a Kraus stack is completely positive by
+        construction, so only one without (a user rep, Choi input, a
+        ``from_function`` map or a corrupted component) takes the Choi PSD
+        test, an ``eigh`` of its d^2 x d^2 Choi matrix."""
         d = self.dim
         if set(self.components) != set(self.observable.eigenvalues):
             raise ValueError("component outcomes must match observable eigenvalues")
@@ -117,16 +118,12 @@ class Instrument:
                 completeness_resid,
                 "components do not sum to the total operation",
             )
-        one = np.eye(d, dtype=complex)
-        total_dual = dual(self.total)
-        if matcore.max_abs(apply(total_dual, one) - one) > ROUNDOFF_TOL:
+        if not superop.is_trace_preserving(self.total):
             raise ValueError("total operation is not trace preserving")
         for a, t in self.components.items():
-            # dual(T_a)(1) = E^A(a) is the operator form of the outcome-trace
+            # T_a*(1) = E^A(a) is the operator form of the outcome-trace
             # condition on every trace-class input
-            resid = matcore.max_abs(
-                apply(dual(t), one) - self.observable.projector(a)
-            )
+            resid = matcore.max_abs(superop.unit_image(t) - self.observable.projector(a))
             if resid > ROUNDOFF_TOL:
                 raise NotAMeasurementOfAError(a, resid)
             if t.kraus is not None:
@@ -207,7 +204,7 @@ def instrument_from_operation(t: Superoperator, obs: DiscreteObservable) -> Inst
     """
     if t.dim != obs.dim:
         raise ValueError("dimension mismatch")
-    heis_one = apply(dual(t), np.eye(obs.dim, dtype=complex))
+    heis_one = superop.unit_image(t)
     resid = {a: matcore.spectral_norm(p @ heis_one @ p - p) for a, p in obs.outcomes}
     worst = max(resid, key=resid.get)
     if resid[worst] > VERIFY_TOL:

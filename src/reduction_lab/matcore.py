@@ -41,7 +41,7 @@ def as_complex_matrix(m) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValueError("matrix dimension must be >= 1")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     return a
 
@@ -85,15 +85,15 @@ def partial_trace_apparatus(m, dim_s: int, dim_a: int) -> np.ndarray:
     return np.einsum("ikjk->ij", m4)
 
 
-def hermitian_eig(m, tol: float = ROUNDOFF_TOL):
+def hermitian_eig(m):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors as orthonormal columns.  Raises ``ValueError`` on input
-    that is not Hermitian within ``tol * ||m||``.
+    that is not Hermitian within ``ROUNDOFF_TOL * max(1, ||m||)``.
     """
     m = as_complex_matrix(m)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ValueError(
             f"matrix is not Hermitian within tolerance "
             f"(||m - m^dag|| = {frobenius(m - dagger(m)):.3e})"

@@ -28,21 +28,14 @@ def projector_onto(vector: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Positive unit-trace matrix."""
+    """Positive unit-trace matrix, checked by ``check_density_stack``."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = matcore.as_complex_matrix(self.matrix)
+        check_density_stack(m[None])
         object.__setattr__(self, "matrix", m)
-        if not matcore.is_hermitian(m):
-            raise ValueError("density operator must be Hermitian")
-        lo = matcore.min_eigenvalue(m)
-        if lo < -ROUNDOFF_TOL:
-            raise ValueError(f"density operator not PSD (min eigenvalue {lo:.3e})")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > UNIT_TOL:
-            raise ValueError(f"density operator trace {tr} != 1")
 
     @property
     def dim(self) -> int:
@@ -50,10 +43,10 @@ class DensityOperator:
 
 
 def check_density_stack(ms: np.ndarray) -> None:
-    """Raise ``ValueError`` unless every matrix of an (n, d, d) stack meets
-    the ``DensityOperator`` bounds: Hermitian within ``ROUNDOFF_TOL``
-    relative to its Frobenius norm, no eigenvalue below ``-ROUNDOFF_TOL``
-    and trace within ``UNIT_TOL`` of 1."""
+    """Raise ``ValueError`` unless every matrix of an (n, d, d) stack is a
+    density operator: Hermitian within ``ROUNDOFF_TOL`` relative to its
+    Frobenius norm, no eigenvalue below ``-ROUNDOFF_TOL`` and trace within
+    ``UNIT_TOL`` of 1."""
     adj = ms.conj().swapaxes(-1, -2)
     scale = np.maximum(np.linalg.norm(ms, axis=(-2, -1)), 1.0)
     if np.any(np.linalg.norm(ms - adj, axis=(-2, -1)) > ROUNDOFF_TOL * scale):

@@ -104,7 +104,10 @@ def observable_from_json(j, where: str = "observable") -> DiscreteObservable:
         raise ParseError(f"{where}: expected an object")
     if "hermitian" in j:
         h = matrix_from_json(j["hermitian"], f"{where}.hermitian")
-        tol = float(j.get("degeneracy_tol", DEGENERACY_TOL))
+        try:
+            tol = float(j.get("degeneracy_tol", DEGENERACY_TOL))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{where}.degeneracy_tol: expected a number") from exc
         return observable_from_hermitian(h, tol)
     if "eigenvalues" not in j or "projectors" not in j:
         raise ParseError(
@@ -112,6 +115,9 @@ def observable_from_json(j, where: str = "observable") -> DiscreteObservable:
         )
     eigvals = j["eigenvalues"]
     projs = j["projectors"]
+    for key, value in (("eigenvalues", eigvals), ("projectors", projs)):
+        if not isinstance(value, list):
+            raise ParseError(f"{where}.{key}: expected an array")
     if len(eigvals) != len(projs):
         raise ParseError(f"{where}: eigenvalue and projector counts differ")
     try:
@@ -121,7 +127,7 @@ def observable_from_json(j, where: str = "observable") -> DiscreteObservable:
                 for k, (a, p) in enumerate(zip(eigvals, projs))
             )
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 

@@ -11,21 +11,21 @@ matrix [s(E_ij)]_ij hold the same entries in a different order, so
 ``Superoperator.from_function`` probes a user callable with the d^2
 matrix units and is kept for callables and tests.
 
-A map built from Kraus operators keeps them as its ``kraus`` stack, an
-(n, d, d) array that certifies complete positivity without an
-eigendecomposition of the Choi matrix.  The stack is never a constructor
-argument, so it always matches the rep.  It is set by ``from_kraus``, by
-``sandwich(a)`` with ``b`` omitted (the stack [a]), by ``zero`` (an empty
-stack), by ``+`` (both stacks concatenated) and by ``compose`` (every
-product K_i L_j of n and m operators, kept while 0 < n * m <= max(d^2, n,
-m), with the rep read off it).  Every other way of making a map leaves it
-``None``: the constructor, ``identity``, ``sandwich(a, b)``, ``-``, ``*``,
-``dual``, ``from_function`` and ``superoperator_from_choi``.  ``choi``
-passes the stack on to the ``ChoiMatrix``, and ``kraus_from_choi`` reads
-the Kraus operators off one thin SVD of a stack of at most d^2 operators,
-or else off an ``eigh`` of the Choi matrix.  Either route returns the
-operators in ascending weight order, each scaled so that its
-largest-modulus entry (the first one in C order) is real and positive.
+A map built from Kraus operators keeps them as its read-only ``kraus``
+stack, an (n, d, d) array that certifies complete positivity without an
+eigendecomposition of the Choi matrix.  Only the builders that compute the
+rep from the stack set it: ``from_kraus``, ``sandwich(a)`` with ``b``
+omitted (the stack [a]), ``zero`` (an empty stack), ``+`` (both stacks
+concatenated) and ``compose`` (every product K_i L_j of n and m operators,
+kept while 0 < n * m <= max(d^2, n, m)).  The constructor, ``identity``,
+``sandwich(a, b)``, ``-``, ``*``, ``dual``, ``from_function`` and
+``superoperator_from_choi`` leave it ``None``.  ``choi`` passes the stack
+on to the ``ChoiMatrix``, and ``kraus_from_choi`` reads the operators off it.
+
+A rep is scanned for finite entries once, where it enters the library: in
+the constructor, ``*``, ``from_function`` and ``superoperator_from_choi``.
+The other builders compute it from checked arrays and skip the scan.
+``unit_image`` reads T*(1) off the rep, so validation builds no dual map.
 
 ``apply_stack`` and ``decompose_stack`` work on an (n, d, d) stack of
 matrices at once, so that a check over many samples costs one matmul or
@@ -78,29 +78,35 @@ class Superoperator:
             )
         object.__setattr__(self, "rep", rep)
 
-    def _with_kraus(self, ks: np.ndarray) -> "Superoperator":
-        # only the builders that derive rep from ks call this; read-only, so
-        # that the stack keeps matching the rep
-        ks.flags.writeable = False
-        object.__setattr__(self, "kraus", ks)
-        return self
+    @classmethod
+    def _built(cls, dim: int, rep: np.ndarray, kraus: np.ndarray | None = None):
+        """A map whose rep and stack were computed from checked arrays: no
+        rescan, and the stack is made read-only to keep matching the rep."""
+        if kraus is not None:
+            kraus.flags.writeable = False
+        s = object.__new__(cls)
+        vars(s).update(dim=dim, rep=rep, kraus=kraus)
+        return s
 
     @classmethod
     def identity(cls, dim: int) -> "Superoperator":
-        return cls(dim, np.eye(dim * dim, dtype=complex))
+        return cls._built(dim, np.eye(dim * dim, dtype=complex))
 
     @classmethod
     def zero(cls, dim: int) -> "Superoperator":
-        zero = cls(dim, np.zeros((dim * dim, dim * dim), dtype=complex))
-        return zero._with_kraus(np.zeros((0, dim, dim), dtype=complex))
+        empty = np.zeros((0, dim, dim), dtype=complex)
+        return cls._built(dim, np.zeros((dim * dim, dim * dim), dtype=complex), empty)
 
     @classmethod
     def sandwich(cls, a: np.ndarray, b: np.ndarray | None = None) -> "Superoperator":
         """The map X -> A X B; B defaults to A^dagger."""
         a = matcore.as_complex_matrix(a)
         if b is None:
-            return cls(a.shape[0], np.kron(a.conj(), a))._with_kraus(a[None].copy())
-        return cls(a.shape[0], np.kron(matcore.as_complex_matrix(b).T, a))
+            return cls._built(a.shape[0], np.kron(a.conj(), a), a[None].copy())
+        b = matcore.as_complex_matrix(b)
+        if b.shape != a.shape:
+            raise ValueError(f"shapes {a.shape} and {b.shape} differ")
+        return cls._built(a.shape[0], np.kron(b.T, a))
 
     @classmethod
     def from_function(cls, dim: int, f) -> "Superoperator":
@@ -122,20 +128,19 @@ class Superoperator:
             raise ValueError("Kraus operators have non-finite entries")
         dim = ks.shape[1]
         rep = np.tensordot(ks.conj(), ks, axes=(0, 0)).transpose(0, 2, 1, 3)
-        return cls(dim, rep.reshape(dim * dim, dim * dim))._with_kraus(ks)
+        return cls._built(dim, rep.reshape(dim * dim, dim * dim), ks)
 
     def __add__(self, other: "Superoperator") -> "Superoperator":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        total = Superoperator(self.dim, self.rep + other.rep)
-        if self.kraus is None or other.kraus is None:
-            return total
-        return total._with_kraus(np.concatenate([self.kraus, other.kraus]))
+        both = self.kraus is not None and other.kraus is not None
+        ks = np.concatenate([self.kraus, other.kraus]) if both else None
+        return Superoperator._built(self.dim, self.rep + other.rep, ks)
 
     def __sub__(self, other: "Superoperator") -> "Superoperator":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return Superoperator(self.dim, self.rep - other.rep)
+        return Superoperator._built(self.dim, self.rep - other.rep)
 
     def __mul__(self, scalar) -> "Superoperator":
         return Superoperator(self.dim, scalar * self.rep)
@@ -155,7 +160,7 @@ class Superoperator:
             if 0 < n * m <= max(d * d, n, m):
                 ks = self.kraus[:, None] @ other.kraus[None]
                 return Superoperator.from_kraus(ks.reshape(-1, d, d))
-        return Superoperator(d, self.rep @ other.rep)
+        return Superoperator._built(d, self.rep @ other.rep)
 
     def equal(self, other: "Superoperator", tol: float = VERIFY_TOL) -> bool:
         return self.dim == other.dim and matcore.max_abs(self.rep - other.rep) <= tol
@@ -192,13 +197,18 @@ def dual(s: Superoperator) -> Superoperator:
     # s*(E_ij)[l, k] = s(E_kl)[j, i].
     sr = s.rep.reshape(d, d, d, d)
     dr = sr.transpose(3, 2, 1, 0)
-    return Superoperator(d, np.ascontiguousarray(dr.reshape(d * d, d * d)))
+    return Superoperator._built(d, np.ascontiguousarray(dr.reshape(d * d, d * d)))
+
+
+def unit_image(s: Superoperator) -> np.ndarray:
+    """s*(1), the dual map applied to the identity, read off the rep with
+    d^3 adds: s*(1)[l, k] = Tr s(E_kl) = sum_i rep[i + i*d, k + l*d]."""
+    return s.rep[:: s.dim + 1].sum(axis=0).reshape(s.dim, s.dim)
 
 
 def is_trace_preserving(s: Superoperator) -> bool:
     """Tr[s(X)] = Tr[X] on all matrix units, i.e. the dual fixes the identity."""
-    one = np.eye(s.dim, dtype=complex)
-    return matcore.max_abs(apply(dual(s), one) - one) <= ROUNDOFF_TOL
+    return matcore.max_abs(unit_image(s) - np.eye(s.dim)) <= ROUNDOFF_TOL
 
 
 @dataclass(frozen=True)

@@ -412,3 +412,27 @@ def test_reduce_resolves_outcome_to_nearest_eigenvalue(tmp_path, capsys):
     assert main(["reduce", mpath, "--state", spath, "--outcome", "0.31"]) == 1
     err = capsys.readouterr().err
     assert "0.31" in err and "nearest eigenvalue 0.30000000000000004" in err
+
+
+@pytest.mark.parametrize(
+    "obs, field",
+    [
+        ({"eigenvalues": 1.0, "projectors": [[[[1, 0]]]]}, "eigenvalues"),
+        ({"eigenvalues": [1.0], "projectors": {"p": 0}}, "projectors"),
+        ({"hermitian": ser.matrix_to_json(PAULI_Z), "degeneracy_tol": [1e-9]},
+         "degeneracy_tol"),
+    ],
+    ids=["eigenvalues", "projectors", "degeneracy_tol"],
+)
+def test_malformed_observable_file_exits_two(tmp_path, z_obs, capsys, obs, field):
+    opath = write(tmp_path, "obs.json", obs)
+    mpath = write_model(tmp_path, von_neumann_model(z_obs, 2))
+    spath = write(tmp_path, "state.json", {"vector": [[1.0, 0.0], [0.0, 0.0]]})
+    for argv in (
+        ["joint", mpath, "--second", opath, "--state", spath],
+        ["random-model", "--obs", opath, "--dim-a", "2", "--seed", "1"],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: observable.{field}: ")
+        assert "Traceback" not in err

@@ -21,7 +21,7 @@ from reduction_lab.instrument import (
     verify_dual_lemma,
     verify_theorem1,
 )
-from reduction_lab.models import instrument_of, random_faithful_model
+from reduction_lab.models import instrument_of, operation_of, random_faithful_model
 from reduction_lab.quantum import (
     PAULI_X,
     PAULI_Z,
@@ -374,3 +374,27 @@ def test_random_stack_matches_per_matrix_loop(dim, trials):
     rng = np.random.default_rng(11)
     rng.standard_normal(2 * trials * dim * dim)
     assert np.array_equal(after, rng.standard_normal(3))
+
+
+def test_building_an_instrument_builds_no_dual_and_rescans_no_rep(monkeypatch):
+    obs = observable_from_hermitian(np.diag([1.0, 0.0, -1.0]).astype(complex))
+    model = random_faithful_model(obs, 6, seed=4)
+    calls = {"dual": 0, "as_complex_matrix": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(superop, "dual", counted("dual", superop.dual))
+    monkeypatch.setattr(instrument, "dual", counted("dual", instrument.dual))
+    monkeypatch.setattr(
+        matcore, "as_complex_matrix", counted("as_complex_matrix", matcore.as_complex_matrix)
+    )
+    instrument_of(model)
+    assert calls == {"dual": 0, "as_complex_matrix": 0}
+    ins = instrument_from_operation(operation_of(model), obs)
+    # one check per sandwich(E_a), where a caller's projector enters
+    assert calls["dual"] == 0 and calls["as_complex_matrix"] <= 3
+    assert len(ins.components) == 3

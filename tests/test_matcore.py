@@ -156,3 +156,14 @@ def test_tolerances_live_in_the_matcore_table():
             and 0 < node.value <= 1e-6 and id(node) not in table
         ]
     assert not stray, "bounds outside the matcore table:\n" + "\n".join(stray)
+
+
+@pytest.mark.parametrize("re, im", [(np.nan, 0), (np.inf, 0), (-np.inf, 1), (0, np.nan),
+                                    (1, np.inf), (0, -np.inf)])
+def test_as_complex_matrix_rejects_non_finite_in_either_part(re, im):
+    bad = complex(re, im)
+    assert np.isfinite(bad.real) != np.isfinite(bad.imag)
+    m = np.eye(2, dtype=complex)
+    m[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        matcore.as_complex_matrix(m)

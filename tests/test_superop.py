@@ -27,6 +27,7 @@ from reduction_lab.superop import (
     matrix_unit,
     superoperator_from_choi,
     trace_of_map,
+    unit_image,
     vec,
     unvec,
 )
@@ -366,3 +367,35 @@ def test_trace_of_map(rng):
     assert np.isclose(trace_of_map(Superoperator.sandwich(u), rho.matrix), 1.0)
     assert trace_of_map(Superoperator.zero(3), rho.matrix) == 0
     assert is_trace_preserving(Superoperator.sandwich(u))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_unit_image_is_the_dual_applied_to_the_identity(rng, d):
+    a = random_matrix(rng, d)
+    maps = [
+        Superoperator.from_kraus([random_matrix(rng, d) for _ in range(3)]),
+        Superoperator.zero(d),
+        Superoperator(d, random_matrix(rng, d * d)),
+        Superoperator.from_function(d, lambda x: a @ x.T),
+    ]
+    one = np.eye(d, dtype=complex)
+    for s in maps:
+        expected = apply(dual(s), one)
+        bound = 1e-15 * max(1.0, matcore.max_abs(expected))
+        assert matcore.max_abs(unit_image(s) - expected) <= bound
+
+
+def test_the_boundary_still_rejects_bad_maps(rng):
+    s = Superoperator.from_kraus([random_matrix(rng, 2)])
+    rep = random_matrix(rng, 4)
+    rep[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        Superoperator(2, rep)
+    with pytest.raises(ValueError, match="non-finite"):
+        s * np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        Superoperator.from_function(2, lambda x: x + np.inf)
+    with pytest.raises(ValueError, match="non-finite"):
+        superoperator_from_choi(ChoiMatrix(2, np.full((4, 4), np.nan)))
+    with pytest.raises(ValueError, match="differ"):
+        Superoperator.sandwich(np.eye(2), np.eye(3))
