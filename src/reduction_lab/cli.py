@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 verification failure (a check failed or an outcome
 was refused), 2 usage or parse errors.  The verification tolerance comes
 from ``--tol``, falling back to the ``REDUCTION_LAB_TOL`` environment
-variable, then to ``matcore.VERIFY_TOL``.  ``check-model``, ``instrument``,
-``reduce`` and ``joint`` apply it to probe consistency and completeness, and
-``check-model`` also to the two verifiers, so every record carries it.
+variable, then to ``matcore.VERIFY_TOL``; it must be a number >= 0.
+``check-model``, ``instrument``, ``reduce`` and ``joint`` apply it to probe
+consistency and completeness, and ``check-model`` also to the two
+verifiers, so every record carries it.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ import sys
 
 from . import serialization as ser
 from .errors import NotAMeasurementOfAError, ReductionLabError
-from .instrument import CheckRecord, reduce as reduce_state, verify_dual_lemma, verify_theorem1
+from .instrument import (
+    CheckRecord, operation_instrument, reduce as reduce_state, verify_dual_lemma, verify_theorem1,
+)
 from .matcore import DEGENERACY_TOL, VERIFY_TOL
 from .models import (
-    dilation_instrument,
     instrument_of,
+    operation_of,
     probe_consistency,
     random_biased_model,
     random_faithful_model,
@@ -31,9 +34,15 @@ from .scenarios import joint_distribution, nonuniqueness_exhibit
 from .superop import choi, kraus_from_choi
 
 
-def _default_tol() -> float:
-    env = os.environ.get("REDUCTION_LAB_TOL")
-    return float(env) if env else VERIFY_TOL
+def _tolerance(text: str) -> float:
+    """``--tol`` and ``REDUCTION_LAB_TOL``: a number >= 0, which NaN is not."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not tol >= 0:
+        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
+    return tol
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -63,8 +72,8 @@ def _cmd_check_model(args) -> int:
             records.append(CheckRecord("probe_consistency", a, resid, tol))
         consistent = report.passed
     if consistent:
-        # the probe is already checked above: build from the dilation alone
-        ins = dilation_instrument(model)
+        # the probe is already checked above: build from the operation alone
+        ins = operation_instrument(operation_of(model), model.observable)
         try:
             residual = ins.validate(tol)
         except NotAMeasurementOfAError as exc:
@@ -204,7 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--tol", type=float, default=_default_tol(),
+        # argparse passes a string default through ``type`` too, so a bad
+        # environment value exits 2 like a bad flag
+        p.add_argument("--tol", type=_tolerance,
+                       default=os.environ.get("REDUCTION_LAB_TOL") or VERIFY_TOL,
                        help="verification tolerance (env REDUCTION_LAB_TOL)")
 
     p = sub.add_parser("check-model", help="run all verification checks on a model file")

@@ -110,7 +110,8 @@ class Instrument:
                 raise ValueError("component dimension mismatch")
             total = total + t.rep
         completeness_resid = matcore.max_abs(total - self.total.rep)
-        if completeness_resid > tol:
+        # written so that a NaN ``tol`` fails the check
+        if not completeness_resid <= tol:
             # the claimed total cannot be the operation of an apparatus
             # measuring this observable
             raise NotAMeasurementOfAError(
@@ -209,10 +210,24 @@ def instrument_from_operation(t: Superoperator, obs: DiscreteObservable) -> Inst
     worst = max(resid, key=resid.get)
     if resid[worst] > VERIFY_TOL:
         raise NotAMeasurementOfAError(worst, resid[worst])
-    components = {
-        a: t.compose(Superoperator.sandwich(p)) for a, p in obs.outcomes
-    }
-    return Instrument(obs, components, total=t)
+    ins = operation_instrument(t, obs)
+    ins.validate()
+    return ins
+
+
+def operation_instrument(t: Superoperator, obs: DiscreteObservable) -> Instrument:
+    """The components T_a(X) = T(E^A(a) X E^A(a)) of the operation ``t``,
+    as an instrument with total ``t`` that is not yet validated.
+
+    When ``t`` carries a Kraus stack K, T_a is ``from_kraus`` of the stack
+    K E^A(a) (Ozawa, J. Math. Phys. 25, 79 (1984)); otherwise it is ``t``
+    composed with the sandwich by E^A(a).  ``Instrument.validate`` accepts
+    the result only when the components sum to ``t``."""
+    if t.kraus is not None:
+        components = {a: Superoperator.from_kraus(t.kraus @ p) for a, p in obs.outcomes}
+    else:
+        components = {a: t.compose(Superoperator.sandwich(p)) for a, p in obs.outcomes}
+    return Instrument(obs, components, total=t, validate_invariants=False)
 
 
 def verify_theorem1(

@@ -5,7 +5,7 @@ probe observable M) over the composite space with the object as the first
 tensor factor.  From it we extract:
 
 - the operation  T(rho)   = Tr_A[U (rho x sigma) U+]
-- the instrument T_a(rho) = Tr_A[U (E_a rho E_a x sigma) U+]
+- the instrument T_a(rho) = Tr_A[U (E_a rho E_a x sigma) U+] = T(E_a rho E_a)
 - the probe-route instrument
   T'_a(rho) = Tr_A[(1 x Q_a) U (rho x sigma) U+ (1 x Q_a)]
 
@@ -17,13 +17,15 @@ sigma = sum_j w_j |v_j><v_j| and an orthonormal apparatus basis |m>,
 
     K_{m,j} = sqrt(w_j) (1 x <m|) U (1 x |v_j>)
 
-gives T(rho) = sum K rho K+, and T_a uses K E_a.  The probe route acts
-with Q_a on the apparatus index alone (Ozawa, J. Math. Phys. 25, 79
-(1984)): sum_n (Q_a)_{mn} K_{n,j}, one matrix product per outcome.  Each
-call builds the stack once, by one contraction of ``U.reshape(d_s, d_a,
-d_s, d_a)``.  Eigenvectors of sigma with weight w_j <= 0 are dropped: a
-zero weight contributes nothing, and a roundoff-negative one has no real
-square root, so dropping them needs no tolerance.
+gives T(rho) = sum K rho K+.  The instrument is read off the operation
+alone by ``instrument.operation_instrument``: T_a is the stack K E_a.  The
+probe route acts with Q_a on the apparatus index alone (Ozawa, J. Math.
+Phys. 25, 79 (1984)): sum_n (Q_a)_{mn} K_{n,j}, one matrix product per
+outcome.  Each call builds the stack once, by one contraction of
+``U.reshape(d_s, d_a, d_s, d_a)``.  Eigenvectors of sigma with weight
+w_j <= 0 are dropped: a zero weight contributes nothing, and a
+roundoff-negative one has no real square root, so dropping them needs no
+tolerance.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
     MissingProbeError,
     NotAMeasurementOfAError,
 )
-from .instrument import Instrument
+from .instrument import Instrument, operation_instrument
 from .matcore import ROUNDOFF_TOL, VERIFY_TOL, dagger
 from .quantum import DensityOperator, DiscreteObservable, ket
 from .superop import Superoperator
@@ -149,24 +151,9 @@ def _require_consistent(report: ConsistencyReport) -> None:
         )
 
 
-def dilation_instrument(model: MeasurementModel) -> Instrument:
-    """The instrument of the model via the dilation formula, built without
-    the probe check and not yet validated: ``Instrument.validate`` at the
-    caller's tolerance accepts it only when the extracted components sum to
-    the operation (otherwise U does not measure the observable), and
-    returns the completeness residual."""
-    k = _kraus(model)
-    components = {
-        a: Superoperator.from_kraus(k @ p) for a, p in model.observable.outcomes
-    }
-    return Instrument(
-        model.observable, components, total=Superoperator.from_kraus(k),
-        validate_invariants=False,
-    )
-
-
 def instrument_of(model: MeasurementModel, tol: float = VERIFY_TOL) -> Instrument:
-    """The instrument of the model via the dilation formula.
+    """The instrument of the model, T_a(rho) = T(E_a rho E_a) on its
+    operation T.
 
     If the model carries a probe, probe consistency is enforced first; a
     probeless model is accepted only when the extracted components actually
@@ -175,7 +162,7 @@ def instrument_of(model: MeasurementModel, tol: float = VERIFY_TOL) -> Instrumen
     """
     if model.probe is not None:
         _require_consistent(probe_consistency(model, tol))
-    ins = dilation_instrument(model)
+    ins = operation_instrument(operation_of(model), model.observable)
     ins.validate(tol)
     return ins
 
@@ -256,7 +243,7 @@ def von_neumann_model(
 
     phis = [_projector_range(p)[:, 0] for _, p in observable.outcomes]
     xi = ket(dim_a, 0)
-    in_cols = np.column_stack([np.kron(phi, xi) for phi in phis])
+    in_cols = np.kron(np.column_stack(phis), xi[:, None])
     out_cols = np.column_stack(
         [np.kron(phi, xi_n[:, k]) for k, phi in enumerate(phis)]
     )
@@ -321,39 +308,24 @@ def random_faithful_model(
         weights = rng.random(sigma_rank) + 0.1
         weights /= weights.sum()
     sigma = np.zeros((dim_a, dim_a), dtype=complex)
-    for j, w in enumerate(weights):
-        sigma[j, j] = w
+    sigma[:sigma_rank, :sigma_rank] = np.diag(weights)
 
+    eye_a = np.eye(dim_a, dtype=complex)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     in_blocks = []
     out_blocks = []
     probe_outcomes = []
     for k, (a, p) in enumerate(observable.outcomes):
-        rank = int(round(np.real(np.trace(p))))
-        basis_s = _projector_range(p)
         # input branch: eigenspace x sigma support
-        ins = np.column_stack(
-            [
-                np.kron(basis_s[:, i], ket(dim_a, j))
-                for i in range(rank)
-                for j in range(sigma_rank)
-            ]
-        )
+        ins = np.kron(_projector_range(p), eye_a[:, :sigma_rank])
         # output space: full object space x this outcome's sector
-        sector = range(offsets[k], offsets[k + 1])
-        out_basis = np.column_stack(
-            [
-                np.kron(ket(dim_s, i), ket(dim_a, m))
-                for i in range(dim_s)
-                for m in sector
-            ]
-        )
+        sector = slice(offsets[k], offsets[k + 1])
+        out_basis = np.kron(np.eye(dim_s, dtype=complex), eye_a[:, sector])
         iso = haar_unitary(out_basis.shape[1], rng)[:, : ins.shape[1]]
         in_blocks.append(ins)
         out_blocks.append(out_basis @ iso)
         q = np.zeros((dim_a, dim_a), dtype=complex)
-        for m in sector:
-            q[m, m] = 1.0
+        q[sector, sector] = eye_a[sector, sector]
         probe_outcomes.append((a, q))
 
     u = _complete_unitary(np.hstack(in_blocks), np.hstack(out_blocks))

@@ -15,10 +15,9 @@ A map built from Kraus operators keeps them as its read-only ``kraus``
 stack, an (n, d, d) array that certifies complete positivity without an
 eigendecomposition of the Choi matrix.  Only the builders that compute the
 rep from the stack set it: ``from_kraus``, ``sandwich(a)`` with ``b``
-omitted (the stack [a]), ``zero`` (an empty stack), ``+`` (both stacks
-concatenated) and ``compose`` (every product K_i L_j of n and m operators,
-kept while 0 < n * m <= max(d^2, n, m)).  The constructor, ``identity``,
-``sandwich(a, b)``, ``-``, ``*``, ``dual``, ``from_function`` and
+omitted (the stack [a]), ``zero`` (an empty stack) and ``+`` (both stacks
+concatenated).  The constructor, ``identity``, ``sandwich(a, b)``, ``-``,
+``*``, ``compose``, ``dual``, ``from_function`` and
 ``superoperator_from_choi`` leave it ``None``.  ``choi`` passes the stack
 on to the ``ChoiMatrix``, and ``kraus_from_choi`` reads the operators off it.
 
@@ -148,19 +147,10 @@ class Superoperator:
     __rmul__ = __mul__
 
     def compose(self, other: "Superoperator") -> "Superoperator":
-        """self after other: X -> self(other(X)).  With Kraus stacks of n
-        and m operators and 0 < n * m <= max(d^2, n, m), the product is
-        ``from_kraus`` of every K_i L_j (n * m * d^4 work); otherwise its
-        rep is ``rep @ rep`` (d^6) and it carries no stack."""
+        """self after other: X -> self(other(X)), with rep ``rep @ rep``."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        d = self.dim
-        if self.kraus is not None and other.kraus is not None:
-            n, m = len(self.kraus), len(other.kraus)
-            if 0 < n * m <= max(d * d, n, m):
-                ks = self.kraus[:, None] @ other.kraus[None]
-                return Superoperator.from_kraus(ks.reshape(-1, d, d))
-        return Superoperator._built(d, self.rep @ other.rep)
+        return Superoperator._built(self.dim, self.rep @ other.rep)
 
     def equal(self, other: "Superoperator", tol: float = VERIFY_TOL) -> bool:
         return self.dim == other.dim and matcore.max_abs(self.rep - other.rep) <= tol

@@ -436,3 +436,28 @@ def test_malformed_observable_file_exits_two(tmp_path, z_obs, capsys, obs, field
         err = capsys.readouterr().err
         assert err.startswith(f"error: observable.{field}: ")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "abc"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_bad_tol_exits_two(capsys, monkeypatch, value, source):
+    # NaN passes no comparison, so a NaN bound would switch a check off
+    # wherever the check is written as ``resid > tol``
+    if source == "env":
+        monkeypatch.setenv("REDUCTION_LAB_TOL", value)
+        flag = []
+    else:
+        monkeypatch.delenv("REDUCTION_LAB_TOL", raising=False)
+        flag = ["--tol", value]
+    for argv in (
+        ["check-model", "m.json"],
+        ["instrument", "m.json"],
+        ["reduce", "m.json", "--state", "s.json", "--outcome", "1"],
+        ["joint", "m.json", "--second", "x.json", "--state", "s.json"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv + flag)
+        assert err.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert "error: argument --tol:" in captured.err
+        assert "Traceback" not in captured.err

@@ -129,6 +129,19 @@ def test_instrument_refuses_biased(z_obs):
         assert err.value.residual == report.max_residual
 
 
+def test_nan_tol_does_not_switch_off_completeness(z_obs):
+    # no probe, and a Haar-random U that does not measure Z: its components
+    # miss its operation by 0.43, and a NaN bound must not accept that
+    model = MeasurementModel(
+        2, 2, z_obs, DensityOperator(projector_onto(ket(2, 0))),
+        haar_unitary(4, np.random.default_rng(4)),
+    )
+    with pytest.raises(NotAMeasurementOfAError):
+        instrument_of(model)
+    with pytest.raises(NotAMeasurementOfAError):
+        instrument_of(model, float("nan"))
+
+
 def test_probe_instrument_builds_each_stack_once(monkeypatch):
     three = observable_from_hermitian(np.diag([1.0, 0.0, -1.0]).astype(complex))
     model = random_faithful_model(three, 6, seed=4, sigma_rank=2)

@@ -1,0 +1,84 @@
+"""Property tests: the paper's identities over generated models.
+
+Each example draws an observable on d_s = 2-4 with degenerate outcome
+multiplicities, the rank of the apparatus state and d_a, and builds a
+faithful model from them.  The profile is derandomised and keeps no
+database, so every run checks the same examples.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reduction_lab import matcore
+from reduction_lab.errors import NotAMeasurementOfAError
+from reduction_lab.instrument import (
+    instrument_from_operation,
+    verify_dual_lemma,
+    verify_theorem1,
+)
+from reduction_lab.matcore import VERIFY_TOL
+from reduction_lab.models import (
+    haar_unitary,
+    instrument_of,
+    operation_of,
+    probe_consistency,
+    probe_instrument_of,
+    random_biased_model,
+    random_faithful_model,
+)
+from reduction_lab.quantum import observable_from_hermitian
+
+profile = settings(max_examples=25, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def faithful_inputs(draw):
+    """(observable, d_a, seed, sigma rank) for ``random_faithful_model``."""
+    ds = draw(st.integers(2, 4))
+    # a cut after level i ends an outcome's eigenspace there
+    split = draw(st.lists(st.booleans(), min_size=ds - 1, max_size=ds - 1))
+    cuts = [i + 1 for i, cut in enumerate(split) if cut]
+    multiplicities = np.diff([0, *cuts, ds])
+    n = len(multiplicities)
+    rank = draw(st.integers(1, 2))
+    # every apparatus sector must hold the support of sigma
+    da = draw(st.integers(n * rank, n * rank + 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    v = haar_unitary(ds, np.random.default_rng(seed))
+    levels = np.repeat(np.arange(n, dtype=float), multiplicities)
+    obs = observable_from_hermitian((v * levels) @ v.conj().T)
+    assert [int(round(np.trace(p).real)) for _, p in obs.outcomes] == list(multiplicities)
+    return obs, da, seed, rank
+
+
+def _assert_same_arrays(ins, other):
+    assert np.array_equal(ins.total.rep, other.total.rep)
+    for a, t in ins.components.items():
+        # each component keeps the Kraus stack it was built from
+        assert t.kraus is not None
+        assert np.array_equal(t.rep, other.components[a].rep)
+        assert np.array_equal(t.kraus, other.components[a].kraus)
+
+
+@profile
+@given(faithful_inputs())
+def test_faithful_models_satisfy_the_paper_identities(inputs):
+    obs, da, seed, rank = inputs
+    model = random_faithful_model(obs, da, seed, sigma_rank=rank)
+    assert probe_consistency(model).passed
+    ins = instrument_of(model)
+    # the operation formula on the model's operation is the dilation route
+    _assert_same_arrays(ins, instrument_from_operation(operation_of(model), obs))
+    # the probe route gives the same instrument
+    probe = probe_instrument_of(model)
+    for a, t in ins.components.items():
+        assert matcore.max_abs(t.rep - probe.components[a].rep) <= VERIFY_TOL
+    assert verify_theorem1(ins, trials=5, seed=seed).passed
+    assert verify_dual_lemma(ins, trials=5, seed=seed).passed
+    if len(obs.outcomes) > 1:
+        # swapping the first two probe projectors breaks the Born rule there
+        with pytest.raises(NotAMeasurementOfAError) as err:
+            instrument_of(random_biased_model(obs, da, seed))
+        assert err.value.outcome in [a for a, _ in obs.outcomes[:2]]
