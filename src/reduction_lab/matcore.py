@@ -41,7 +41,7 @@ def as_complex_matrix(m) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValueError("matrix dimension must be >= 1")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
 
@@ -121,8 +121,7 @@ def min_eigenvalue(m) -> float:
 
 
 def is_psd(m, tol: float = ROUNDOFF_TOL) -> bool:
-    """True iff ``m`` is Hermitian (within tol) with min eigenvalue >= -tol."""
-    m = as_complex_matrix(m)
-    if not is_hermitian(m, tol):
-        return False
-    return min_eigenvalue(m) >= -tol
+    """True iff ``m`` is Hermitian (within tol) with min eigenvalue >= -tol.
+    ``min_eigenvalue`` checks the input, so it is scanned once."""
+    lowest = min_eigenvalue(m)
+    return is_hermitian(np.asarray(m, dtype=complex), tol) and lowest >= -tol

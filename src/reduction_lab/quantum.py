@@ -46,18 +46,25 @@ def check_density_stack(ms: np.ndarray) -> None:
     """Raise ``ValueError`` unless every matrix of an (n, d, d) stack is a
     density operator: Hermitian within ``ROUNDOFF_TOL`` relative to its
     Frobenius norm, no eigenvalue below ``-ROUNDOFF_TOL`` and trace within
-    ``UNIT_TOL`` of 1."""
+    ``UNIT_TOL`` of 1.
+
+    The check is fail-closed: each test asks that the bound hold, so a NaN
+    anywhere in the stack fails it.  The Hermitian test compares squared
+    Frobenius norms, ||m - m^dag||^2 <= ROUNDOFF_TOL^2 max(||m||^2, 1)."""
+    size = (len(ms), ms.shape[-1] ** 2)
     adj = ms.conj().swapaxes(-1, -2)
-    scale = np.maximum(np.linalg.norm(ms, axis=(-2, -1)), 1.0)
-    if np.any(np.linalg.norm(ms - adj, axis=(-2, -1)) > ROUNDOFF_TOL * scale):
+    flat = ms.reshape(size)
+    skew = (ms - adj).reshape(size)
+    bound = ROUNDOFF_TOL * ROUNDOFF_TOL * np.maximum(np.vecdot(flat, flat).real, 1.0)
+    if not (np.vecdot(skew, skew).real <= bound).all():
         raise ValueError("density operator must be Hermitian")
     lo = np.linalg.eigvalsh((ms + adj) / 2)[:, 0]
-    if np.any(lo < -ROUNDOFF_TOL):
+    if not (lo >= -ROUNDOFF_TOL).all():
         raise ValueError(f"density operator not PSD (min eigenvalue {lo.min():.3e})")
-    tr = np.trace(ms, axis1=-2, axis2=-1)
-    off = np.abs(tr - 1.0) > UNIT_TOL
-    if np.any(off):
-        raise ValueError(f"density operator trace {complex(tr[off][0])} != 1")
+    tr = ms.trace(axis1=-2, axis2=-1)
+    on = np.abs(tr - 1.0) <= UNIT_TOL
+    if not on.all():
+        raise ValueError(f"density operator trace {complex(tr[~on][0])} != 1")
 
 
 @dataclass(frozen=True)
@@ -70,7 +77,8 @@ class PureState:
         v = np.asarray(self.vector, dtype=complex).reshape(-1)
         object.__setattr__(self, "vector", v)
         n = np.linalg.norm(v)
-        if abs(n - 1.0) > UNIT_TOL:
+        # written so that a NaN norm fails the check
+        if not abs(n - 1.0) <= UNIT_TOL:
             raise ValueError(f"state vector norm {n} != 1")
 
     @property
@@ -175,8 +183,9 @@ def born_probability(obs: DiscreteObservable, a: float, rho: DensityOperator) ->
 
 def clamp_probability(p: float) -> float:
     """Clamp a computed probability to [0, 1]; a value outside the roundoff
-    band ``ROUNDOFF_TOL`` around it raises ``NumericalConsistencyError``."""
-    if p < -ROUNDOFF_TOL or p > 1.0 + ROUNDOFF_TOL:
+    band ``ROUNDOFF_TOL`` around it, or NaN, raises
+    ``NumericalConsistencyError``."""
+    if not -ROUNDOFF_TOL <= p <= 1.0 + ROUNDOFF_TOL:
         raise NumericalConsistencyError(f"probability {p} outside [0, 1] band")
     return min(max(p, 0.0), 1.0)
 

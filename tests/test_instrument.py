@@ -78,6 +78,20 @@ def test_outcome_probability_band(z_obs, z_luders):
     assert outcome_probability(nudged, 1.0, up) == 1.0
 
 
+def test_outcome_probability_rejects_a_nan_trace(z_obs, z_luders):
+    # rows 0 and 3 of the rep give the diagonal of the image, so on a state
+    # with all entries 1/2 its trace is +inf plus -inf
+    rep = z_luders.components[1.0].rep.copy()
+    rep[0], rep[3] = 1.7e308, -1.7e308
+    overflowing = Instrument(
+        z_obs, {1.0: Superoperator(2, rep), -1.0: z_luders.components[-1.0]},
+        validate_invariants=False,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalConsistencyError, match="nan"):
+            outcome_probability(overflowing, 1.0, plus_state())
+
+
 def test_reduce_luders(z_luders):
     out = reduce(z_luders, 1.0, plus_state())
     assert np.allclose(out.matrix, projector_onto(ket(2, 0)), atol=1e-12)
@@ -395,6 +409,12 @@ def test_building_an_instrument_builds_no_dual_and_rescans_no_rep(monkeypatch):
     instrument_of(model)
     assert calls == {"dual": 0, "as_complex_matrix": 0}
     ins = instrument_from_operation(operation_of(model), obs)
-    # one check per sandwich(E_a), where a caller's projector enters
-    assert calls["dual"] == 0 and calls["as_complex_matrix"] <= 3
+    # a stacked T gives its components by from_kraus: nothing to rescan
+    assert calls == {"dual": 0, "as_complex_matrix": 0}
     assert len(ins.components) == 3
+    bare = Superoperator(model.dim_s, operation_of(model).rep)
+    calls.update(dual=0, as_complex_matrix=0)
+    instrument_from_operation(bare, obs)
+    # per outcome: one check in sandwich(E_a), where a caller's projector
+    # enters, and one in the Choi PSD test of the stackless component
+    assert calls == {"dual": 0, "as_complex_matrix": 6}

@@ -1,9 +1,12 @@
 """Property tests: the paper's identities over generated models.
 
-Each example draws an observable on d_s = 2-4 with degenerate outcome
-multiplicities, the rank of the apparatus state and d_a, and builds a
-faithful model from them.  The profile is derandomised and keeps no
-database, so every run checks the same examples.
+Each faithful example draws an observable on d_s = 2-4 with degenerate
+outcome multiplicities, the rank of the apparatus state and d_a, and builds
+a faithful model from them.  Each von Neumann example draws a
+nondegenerate observable and d_a, and builds a pointer-basis model with a
+Haar pointer basis, so the probe projectors Q_a are not diagonal.  The
+profile is derandomised and keeps no database, so every run checks the
+same examples.
 """
 
 import numpy as np
@@ -27,6 +30,7 @@ from reduction_lab.models import (
     probe_instrument_of,
     random_biased_model,
     random_faithful_model,
+    von_neumann_model,
 )
 from reduction_lab.quantum import observable_from_hermitian
 
@@ -82,3 +86,32 @@ def test_faithful_models_satisfy_the_paper_identities(inputs):
         with pytest.raises(NotAMeasurementOfAError) as err:
             instrument_of(random_biased_model(obs, da, seed))
         assert err.value.outcome in [a for a, _ in obs.outcomes[:2]]
+
+
+@st.composite
+def von_neumann_inputs(draw):
+    """(nondegenerate observable, d_a, seed) for ``von_neumann_model``."""
+    ds = draw(st.integers(2, 4))
+    da = draw(st.integers(ds, ds + 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    v = haar_unitary(ds, np.random.default_rng(seed))
+    obs = observable_from_hermitian((v * np.arange(ds, dtype=float)) @ v.conj().T)
+    assert len(obs.outcomes) == ds
+    return obs, da, seed
+
+
+@profile
+@given(von_neumann_inputs())
+def test_von_neumann_models_satisfy_the_paper_identities(inputs):
+    obs, da, seed = inputs
+    model = von_neumann_model(obs, da, seed=seed)
+    q = model.probe.outcomes[0][1]
+    # the pointer basis is not the apparatus basis
+    assert matcore.max_abs(q - np.diag(np.diag(q))) > 1e-3
+    assert probe_consistency(model).passed
+    ins = instrument_of(model)
+    probe = probe_instrument_of(model)
+    for a, t in ins.components.items():
+        assert matcore.max_abs(t.rep - probe.components[a].rep) <= VERIFY_TOL
+    assert verify_theorem1(ins, trials=5, seed=seed).passed
+    assert verify_dual_lemma(ins, trials=5, seed=seed).passed

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reduction_lab.errors import NumericalConsistencyError
+from reduction_lab.matcore import ROUNDOFF_TOL, UNIT_TOL
 from reduction_lab.quantum import (
     PAULI_X,
     PAULI_Z,
@@ -41,11 +44,92 @@ def test_density_operator_validation(rng):
             check_density_stack(np.concatenate([good, [m.astype(complex)]]))
 
 
+def _norm_form_check(ms):
+    """The check before it compared squared norms: the same three bounds,
+    written with axis norms and ``np.any``; the reference for its
+    verdicts and messages."""
+    adj = ms.conj().swapaxes(-1, -2)
+    scale = np.maximum(np.linalg.norm(ms, axis=(-2, -1)), 1.0)
+    if np.any(np.linalg.norm(ms - adj, axis=(-2, -1)) > ROUNDOFF_TOL * scale):
+        raise ValueError("density operator must be Hermitian")
+    lo = np.linalg.eigvalsh((ms + adj) / 2)[:, 0]
+    if np.any(lo < -ROUNDOFF_TOL):
+        raise ValueError(f"density operator not PSD (min eigenvalue {lo.min():.3e})")
+    tr = np.trace(ms, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0) > UNIT_TOL
+    if np.any(off):
+        raise ValueError(f"density operator trace {complex(tr[off][0])} != 1")
+
+
+@st.composite
+def near_bound_stacks(draw):
+    """An (n, d, d) stack of random states, d 1-6 and n 1-3, with one
+    matrix moved to within 1e-6 relative of the Hermitian, PSD or trace
+    bound, on either side of it."""
+    d, n = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    ms = g @ g.conj().swapaxes(-1, -2)
+    ms /= np.trace(ms, axis1=-2, axis2=-1).real[:, None, None]
+    m = ms[draw(st.integers(0, n - 1))]
+    edge = 1.0 + draw(st.floats(-1e-6, 1e-6))
+    bound = draw(st.sampled_from(["hermitian", "psd", "trace"]))
+    if bound == "hermitian":
+        # a norm above 1 takes the relative branch of the bound
+        m *= draw(st.sampled_from([1.0, 1e3]))
+        h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        skew = h - h.conj().T  # m - m^dag once added
+        target = ROUNDOFF_TOL * max(np.linalg.norm(m), 1.0) * edge
+        m += skew * (target / (2 * np.linalg.norm(skew)))
+    elif bound == "psd":
+        w, v = np.linalg.eigh(m)
+        w[0] = -ROUNDOFF_TOL * edge
+        w[-1] += 1.0 - w.sum()
+        m[...] = (v * w) @ v.conj().T
+    else:
+        m += np.eye(d) * (draw(st.sampled_from([-1.0, 1.0])) * UNIT_TOL * edge / d)
+    return ms
+
+
+def test_density_check_accepts_an_empty_stack():
+    # a verifier run with no samples checks no parts
+    check_density_stack(np.zeros((0, 2, 2), dtype=complex))
+
+
+def _verdict(check, ms):
+    try:
+        check(ms)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(near_bound_stacks())
+def test_density_check_keeps_the_norm_form_verdicts(ms):
+    assert _verdict(check_density_stack, ms) == _verdict(_norm_form_check, ms)
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(near_bound_stacks(), st.data())
+def test_density_check_fails_closed_on_nan(ms, data):
+    n, d = ms.shape[:2]
+    at = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, d - 1), st.integers(0, d - 1)))
+    ms[at] = data.draw(st.sampled_from([complex(np.nan, 0), complex(0, np.nan)]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        check_density_stack(ms)
+
+
 def test_pure_state_norm():
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 1.0]))
     s = PureState(np.array([1, 1]) / np.sqrt(2))
     assert np.allclose(s.to_density().matrix, np.full((2, 2), 0.5))
+
+
+def test_pure_state_rejects_a_nan_norm():
+    with pytest.raises(ValueError, match="nan"):
+        PureState(np.array([np.nan, 0]))
 
 
 def test_observable_from_pauli_z():
