@@ -50,13 +50,20 @@ def check_density_stack(ms: np.ndarray) -> None:
 
     The check is fail-closed: each test asks that the bound hold, so a NaN
     anywhere in the stack fails it.  The Hermitian test compares squared
-    Frobenius norms, ||m - m^dag||^2 <= ROUNDOFF_TOL^2 max(||m||^2, 1)."""
+    Frobenius norms, ||m - m^dag||^2 <= ROUNDOFF_TOL^2 max(||m||^2, 1); a
+    matrix whose ||m||^2 overflows is compared after division by its
+    largest entry, so an infinite bound passes nothing."""
     size = (len(ms), ms.shape[-1] ** 2)
     adj = ms.conj().swapaxes(-1, -2)
     flat = ms.reshape(size)
     skew = (ms - adj).reshape(size)
-    bound = ROUNDOFF_TOL * ROUNDOFF_TOL * np.maximum(np.vecdot(flat, flat).real, 1.0)
-    if not (np.vecdot(skew, skew).real <= bound).all():
+    sq, skew_sq = _squared_norms(flat), _squared_norms(skew)
+    huge = np.isinf(sq)
+    if huge.any():
+        top = np.abs(flat[huge]).max(axis=1, keepdims=True)
+        sq[huge] = _squared_norms(flat[huge] / top)
+        skew_sq[huge] = _squared_norms(skew[huge] / top)
+    if not (skew_sq <= ROUNDOFF_TOL * ROUNDOFF_TOL * np.maximum(sq, 1.0)).all():
         raise ValueError("density operator must be Hermitian")
     lo = np.linalg.eigvalsh((ms + adj) / 2)[:, 0]
     if not (lo >= -ROUNDOFF_TOL).all():
@@ -65,6 +72,11 @@ def check_density_stack(ms: np.ndarray) -> None:
     on = np.abs(tr - 1.0) <= UNIT_TOL
     if not on.all():
         raise ValueError(f"density operator trace {complex(tr[~on][0])} != 1")
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of a complex (n, k) array."""
+    return np.vecdot(rows, rows).real
 
 
 @dataclass(frozen=True)

@@ -160,7 +160,7 @@ def apply(s: Superoperator, m) -> np.ndarray:
     m = matcore.as_complex_matrix(m)
     if m.shape[0] != s.dim:
         raise ValueError(f"dimension mismatch: map dim {s.dim}, matrix dim {m.shape[0]}")
-    return (s.rep @ m.reshape(-1, order="F")).reshape(s.dim, s.dim, order="F")
+    return unvec(s.rep @ vec(m), s.dim)
 
 
 def apply_stack(s: Superoperator, ms) -> np.ndarray:

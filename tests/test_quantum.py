@@ -32,15 +32,18 @@ def test_density_operator_validation(rng):
     # the stacked check applies the same bounds to every matrix
     good = np.stack([random_density(rng, 2).matrix for _ in range(3)])
     check_density_stack(good)
-    bad = {
-        "trace": np.eye(2),
-        "PSD": PAULI_Z,
-        "Hermitian": np.array([[0.5, 0.5], [0.0, 0.5]]),
-    }
-    for word, m in bad.items():
-        with pytest.raises(ValueError, match=word):
+    bad = [
+        ("trace", np.eye(2)),
+        ("PSD", PAULI_Z),
+        ("Hermitian", np.array([[0.5, 0.5], [0.0, 0.5]])),
+        # ||m||^2 overflows to inf; an inf bound must not pass the skew part
+        ("Hermitian", np.array([[0.5, 1e200], [-1e200, 0.5]])),  # Hermitian part I/2
+        ("PSD", np.array([[0.5, 1e200], [1e200, 0.5]])),
+    ]
+    for word, m in bad:
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=word):
             DensityOperator(m)
-        with pytest.raises(ValueError, match=word):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=word):
             check_density_stack(np.concatenate([good, [m.astype(complex)]]))
 
 
