@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import re
 import sys
@@ -35,14 +36,23 @@ from .superop import choi, kraus_from_choi
 
 
 def _tolerance(text: str) -> float:
-    """``--tol`` and ``REDUCTION_LAB_TOL``: a number >= 0, which NaN is not."""
+    """``--tol`` and ``REDUCTION_LAB_TOL``, by ``serialization.as_tolerance``."""
     try:
-        tol = float(text)
+        return ser.as_tolerance(text)
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _outcome(text: str) -> float:
+    """``--outcome``: a finite number.  Neither NaN nor an infinite value
+    is an eigenvalue, and the nearest-eigenvalue test must not meet one."""
+    try:
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not tol >= 0:
-        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
-    return tol
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -97,7 +107,7 @@ def _resolve_outcome(eigenvalues, requested: float) -> float:
     float.  Farther away the outcome is outside the spectrum, where its
     map is zero, and it is refused."""
     nearest = min(eigenvalues, key=lambda a: abs(a - requested))
-    if abs(nearest - requested) > DEGENERACY_TOL * max(1.0, abs(requested)):
+    if not abs(nearest - requested) <= DEGENERACY_TOL * max(1.0, abs(requested)):
         raise ReductionLabError(
             f"outcome {requested!r} is not an eigenvalue of the observable "
             f"(nearest eigenvalue {nearest!r}); it has probability 0"
@@ -229,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="conditional post-measurement state")
     p.add_argument("model")
     p.add_argument("--state", required=True)
-    p.add_argument("--outcome", type=float, required=True,
+    p.add_argument("--outcome", type=_outcome, required=True,
                    help="eigenvalue to condition on; the nearest eigenvalue "
                    f"within a relative {DEGENERACY_TOL:g} is used")
     common(p)

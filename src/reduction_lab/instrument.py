@@ -125,7 +125,7 @@ class Instrument:
             # T_a*(1) = E^A(a) is the operator form of the outcome-trace
             # condition on every trace-class input
             resid = matcore.max_abs(superop.unit_image(t) - self.observable.projector(a))
-            if resid > ROUNDOFF_TOL:
+            if not resid <= ROUNDOFF_TOL:
                 raise NotAMeasurementOfAError(a, resid)
             if t.kraus is not None:
                 continue
@@ -208,7 +208,7 @@ def instrument_from_operation(t: Superoperator, obs: DiscreteObservable) -> Inst
     heis_one = superop.unit_image(t)
     resid = {a: matcore.spectral_norm(p @ heis_one @ p - p) for a, p in obs.outcomes}
     worst = max(resid, key=resid.get)
-    if resid[worst] > VERIFY_TOL:
+    if not resid[worst] <= VERIFY_TOL:
         raise NotAMeasurementOfAError(worst, resid[worst])
     ins = operation_instrument(t, obs)
     ins.validate()

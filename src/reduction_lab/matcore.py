@@ -15,8 +15,9 @@ unitary, trace preserving, completely positive, probability in [0, 1]);
 the unit trace of a state and the unit norm of a vector;
 ``PROBABILITY_FLOOR`` is the probability at or below which an outcome has
 no conditional state; ``ZERO_WEIGHT`` is the weight at or below which a
-decomposition slot is empty.  The bounds are absolute, except that the
-Hermiticity test scales with the Frobenius norm.  A function takes a
+decomposition slot is empty.  The bounds are absolute, except that the one
+Hermitian test, ``hermitian_stack``, scales with the Frobenius norm of m, or
+of m over its largest part where ||m||^2 overflows.  A function takes a
 tolerance parameter only where a caller sets its own value: the CLI's
 ``--tol`` replaces ``VERIFY_TOL`` and a file's ``degeneracy_tol`` replaces
 ``DEGENERACY_TOL``.
@@ -62,9 +63,24 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def is_hermitian(m: np.ndarray, tol: float = ROUNDOFF_TOL) -> bool:
-    scale = max(frobenius(m), 1.0)
-    return frobenius(m - dagger(m)) <= tol * scale
+def hermitian_stack(ms: np.ndarray, tol: float = ROUNDOFF_TOL):
+    """``(ok, h, skew_sq)`` for a complex (n, d, d) stack: the verdicts of
+    the one Hermitian test (see above; a NaN fails it, an overflow is no
+    infinite bound), the parts (m + m^dag)/2 and ||m - m^dag||^2."""
+    # real and imaginary parts: an overflowing square sums to inf, not NaN
+    ms = np.ascontiguousarray(ms)
+    size = (len(ms), 2 * ms.shape[-1] ** 2)
+    adj = ms.conj().swapaxes(-1, -2)
+    flat = ms.view(np.float64).reshape(size)
+    skew = (ms - adj).view(np.float64).reshape(size)
+    sq, skew_sq = np.vecdot(flat, flat), np.vecdot(skew, skew)
+    ok = skew_sq <= tol * tol * np.maximum(sq, 1.0)
+    huge = np.isinf(sq)
+    if huge.any():  # over its largest part, m has ||m||^2 >= 1
+        top = np.abs(flat[huge]).max(axis=1, keepdims=True)
+        f, k = flat[huge] / top, skew[huge] / top
+        ok[huge] = np.vecdot(k, k) <= tol * tol * np.vecdot(f, f)
+    return ok, (ms + adj) / 2, skew_sq
 
 
 def tensor(a, b) -> np.ndarray:
@@ -90,16 +106,15 @@ def hermitian_eig(m):
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors as orthonormal columns.  Raises ``ValueError`` on input
-    that is not Hermitian within ``ROUNDOFF_TOL * max(1, ||m||)``.
+    that fails ``hermitian_stack``.
     """
-    m = as_complex_matrix(m)
-    if not is_hermitian(m):
+    ok, h, skew_sq = hermitian_stack(as_complex_matrix(m)[None])
+    if not ok[0]:
         raise ValueError(
             f"matrix is not Hermitian within tolerance "
-            f"(||m - m^dag|| = {frobenius(m - dagger(m)):.3e})"
+            f"(||m - m^dag|| = {np.sqrt(skew_sq[0]):.3e})"
         )
-    w, v = np.linalg.eigh((m + dagger(m)) / 2)
-    return w, v
+    return np.linalg.eigh(h[0])
 
 
 def trace_norm(m) -> float:
@@ -124,4 +139,4 @@ def is_psd(m, tol: float = ROUNDOFF_TOL) -> bool:
     """True iff ``m`` is Hermitian (within tol) with min eigenvalue >= -tol.
     ``min_eigenvalue`` checks the input, so it is scanned once."""
     lowest = min_eigenvalue(m)
-    return is_hermitian(np.asarray(m, dtype=complex), tol) and lowest >= -tol
+    return bool(hermitian_stack(np.asarray(m, dtype=complex)[None], tol)[0][0]) and lowest >= -tol

@@ -61,7 +61,7 @@ class MeasurementModel:
         d = self.dim_s * self.dim_a
         if u.shape[0] != d:
             raise ValueError(f"unitary dim {u.shape[0]} != dim_s * dim_a = {d}")
-        if matcore.max_abs(dagger(u) @ u - np.eye(d)) > ROUNDOFF_TOL:
+        if not matcore.max_abs(dagger(u) @ u - np.eye(d)) <= ROUNDOFF_TOL:
             raise ValueError("interaction matrix is not unitary")
         if self.observable.dim != self.dim_s:
             raise ValueError("observable dimension != dim_s")
@@ -234,7 +234,7 @@ def von_neumann_model(
         xi_n = np.asarray(pointer_basis, dtype=complex)
         if xi_n.shape != (dim_a, n):
             raise ValueError(f"pointer basis must be {dim_a} x {n}")
-        if matcore.max_abs(dagger(xi_n) @ xi_n - np.eye(n)) > ROUNDOFF_TOL:
+        if not matcore.max_abs(dagger(xi_n) @ xi_n - np.eye(n)) <= ROUNDOFF_TOL:
             raise ValueError("pointer basis columns are not orthonormal")
     elif seed is not None:
         xi_n = haar_unitary(dim_a, np.random.default_rng(seed))[:, :n]

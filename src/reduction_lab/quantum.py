@@ -44,39 +44,21 @@ class DensityOperator:
 
 def check_density_stack(ms: np.ndarray) -> None:
     """Raise ``ValueError`` unless every matrix of an (n, d, d) stack is a
-    density operator: Hermitian within ``ROUNDOFF_TOL`` relative to its
-    Frobenius norm, no eigenvalue below ``-ROUNDOFF_TOL`` and trace within
-    ``UNIT_TOL`` of 1.
+    density operator: Hermitian by ``matcore.hermitian_stack``, no
+    eigenvalue below ``-ROUNDOFF_TOL`` and trace within ``UNIT_TOL`` of 1.
 
     The check is fail-closed: each test asks that the bound hold, so a NaN
-    anywhere in the stack fails it.  The Hermitian test compares squared
-    Frobenius norms, ||m - m^dag||^2 <= ROUNDOFF_TOL^2 max(||m||^2, 1); a
-    matrix whose ||m||^2 overflows is compared after division by its
-    largest entry, so an infinite bound passes nothing."""
-    size = (len(ms), ms.shape[-1] ** 2)
-    adj = ms.conj().swapaxes(-1, -2)
-    flat = ms.reshape(size)
-    skew = (ms - adj).reshape(size)
-    sq, skew_sq = _squared_norms(flat), _squared_norms(skew)
-    huge = np.isinf(sq)
-    if huge.any():
-        top = np.abs(flat[huge]).max(axis=1, keepdims=True)
-        sq[huge] = _squared_norms(flat[huge] / top)
-        skew_sq[huge] = _squared_norms(skew[huge] / top)
-    if not (skew_sq <= ROUNDOFF_TOL * ROUNDOFF_TOL * np.maximum(sq, 1.0)).all():
+    anywhere in the stack fails it."""
+    hermitian, h, _ = matcore.hermitian_stack(ms)
+    if not hermitian.all():
         raise ValueError("density operator must be Hermitian")
-    lo = np.linalg.eigvalsh((ms + adj) / 2)[:, 0]
+    lo = np.linalg.eigvalsh(h)[:, 0]
     if not (lo >= -ROUNDOFF_TOL).all():
         raise ValueError(f"density operator not PSD (min eigenvalue {lo.min():.3e})")
     tr = ms.trace(axis1=-2, axis2=-1)
     on = np.abs(tr - 1.0) <= UNIT_TOL
     if not on.all():
         raise ValueError(f"density operator trace {complex(tr[~on][0])} != 1")
-
-
-def _squared_norms(rows: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of each row of a complex (n, k) array."""
-    return np.vecdot(rows, rows).real
 
 
 @dataclass(frozen=True)
@@ -125,18 +107,20 @@ class DiscreteObservable:
         eigvals = [a for a, _ in outs]
         if len(set(eigvals)) != len(eigvals):
             raise ValueError("eigenvalues must be pairwise distinct")
-        total = np.zeros((d, d), dtype=complex)
-        for a, p in outs:
-            if p.shape[0] != d:
-                raise ValueError("projector dimensions disagree")
-            if matcore.max_abs(p @ p - p) > ROUNDOFF_TOL or not matcore.is_hermitian(p):
-                raise ValueError(f"outcome {a}: not an orthogonal projector")
-            total += p
-        for i, (_, pi) in enumerate(outs):
-            for _, pj in outs[i + 1:]:
-                if matcore.max_abs(pi @ pj) > ROUNDOFF_TOL:
-                    raise ValueError("projectors are not mutually orthogonal")
-        if matcore.max_abs(total - np.eye(d)) > ROUNDOFF_TOL:
+        # the projectors before the first of another dimension, as one stack
+        n = next((k for k, (_, p) in enumerate(outs) if p.shape[0] != d), len(outs))
+        ps = np.stack([p for _, p in outs[:n]])
+        prods, at = ps[:, None] @ ps[None], np.arange(n)  # p_k p_l for all k, l
+        idempotent = np.abs(prods[at, at] - ps).max(axis=(1, 2)) <= ROUNDOFF_TOL
+        bad = ~(matcore.hermitian_stack(ps)[0] & idempotent)
+        if bad.any():
+            raise ValueError(f"outcome {outs[bad.argmax()][0]}: not an orthogonal projector")
+        if n < len(outs):
+            raise ValueError("projector dimensions disagree")
+        prods[at, at] = 0
+        if not matcore.max_abs(prods) <= ROUNDOFF_TOL:
+            raise ValueError("projectors are not mutually orthogonal")
+        if not matcore.max_abs(ps.sum(axis=0) - np.eye(d)) <= ROUNDOFF_TOL:
             raise ValueError("projectors do not sum to the identity")
 
     @property

@@ -67,7 +67,7 @@ def joint_distribution(
                 product = born * float(
                     np.real(np.trace(second.projector(x) @ reduced.matrix))
                 )
-                if abs(p - product) > ROUNDOFF_TOL:
+                if not abs(p - product) <= ROUNDOFF_TOL:
                     raise NumericalConsistencyError(
                         f"joint table entry ({a}, {x}) disagrees with the "
                         f"product form by {abs(p - product):.3e}"

@@ -37,6 +37,20 @@ class ParseError(ValueError):
     """Malformed input file; message carries the offending field."""
 
 
+def as_tolerance(value) -> float:
+    """A tolerance from a flag, the environment or a file: a number >= 0,
+    which NaN is not.  Raises ``TypeError`` for a value that is not a
+    float, such as an integer too large for one, and ``ValueError`` for any
+    other number."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise TypeError(f"not a number: {value!r}") from None
+    if not tol >= 0:
+        raise ValueError(f"must be a number >= 0, got {value!r}")
+    return tol
+
+
 def complex_to_json(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
 
@@ -105,9 +119,11 @@ def observable_from_json(j, where: str = "observable") -> DiscreteObservable:
     if "hermitian" in j:
         h = matrix_from_json(j["hermitian"], f"{where}.hermitian")
         try:
-            tol = float(j.get("degeneracy_tol", DEGENERACY_TOL))
-        except (TypeError, ValueError) as exc:
+            tol = as_tolerance(j.get("degeneracy_tol", DEGENERACY_TOL))
+        except TypeError as exc:
             raise ParseError(f"{where}.degeneracy_tol: expected a number") from exc
+        except ValueError as exc:
+            raise ParseError(f"{where}.degeneracy_tol: {exc}") from exc
         return observable_from_hermitian(h, tol)
     if "eigenvalues" not in j or "projectors" not in j:
         raise ParseError(

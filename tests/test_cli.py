@@ -107,11 +107,25 @@ def test_parse_error_exits_two(tmp_path, capsys):
     incomplete.write_text('{"dim_s": 2}')
     assert main(["check-model", str(incomplete)]) == 2
 
+    # ||A||^2 overflows, so a bound that scales with ||A|| is infinite
+    j = ser.model_to_json(von_neumann_model(observable_from_hermitian(PAULI_Z), 2))
+    j["observable"] = {"hermitian": [[[0.5, 0], [1e200, 0]], [[-1e200, 0], [0.5, 0]]]}
+    huge_skew = write(tmp_path, "huge_skew.json", j)
+    capsys.readouterr()
+    with np.errstate(over="ignore"):
+        assert main(["check-model", huge_skew]) == 2
+    assert "not Hermitian" in capsys.readouterr().err
+
 
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
+    # NaN and inf are no eigenvalues; "--outcome=-inf" is a value, not an option
+    for outcome in ("nan", "inf", "-inf"):
+        with pytest.raises(SystemExit) as err:
+            main(["reduce", "m.json", "--state", "s.json", f"--outcome={outcome}"])
+        assert err.value.code == 2, outcome
 
 
 def test_reduce_command(tmp_path, z_obs, capsys):
@@ -421,8 +435,16 @@ def test_reduce_resolves_outcome_to_nearest_eigenvalue(tmp_path, capsys):
         ({"eigenvalues": [1.0], "projectors": {"p": 0}}, "projectors"),
         ({"hermitian": ser.matrix_to_json(PAULI_Z), "degeneracy_tol": [1e-9]},
          "degeneracy_tol"),
+        # either would split the degenerate level into two outcomes
+        ({"hermitian": ser.matrix_to_json(np.diag([1, 1 + 1e-12])), "degeneracy_tol": "nan"},
+         "degeneracy_tol"),
+        ({"hermitian": ser.matrix_to_json(np.diag([1, 1 + 1e-12])), "degeneracy_tol": -1},
+         "degeneracy_tol"),
+        ({"hermitian": ser.matrix_to_json(PAULI_Z), "degeneracy_tol": 10**400},
+         "degeneracy_tol"),
     ],
-    ids=["eigenvalues", "projectors", "degeneracy_tol"],
+    ids=["eigenvalues", "projectors", "degeneracy_tol", "degeneracy_tol_nan",
+         "degeneracy_tol_negative", "degeneracy_tol_past_float"],
 )
 def test_malformed_observable_file_exits_two(tmp_path, z_obs, capsys, obs, field):
     opath = write(tmp_path, "obs.json", obs)

@@ -3,9 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reduction_lab import matcore
-from reduction_lab.quantum import PAULI_X, PAULI_Z
+from reduction_lab.quantum import PAULI_X, PAULI_Z, DensityOperator
 
 from conftest import random_density, random_hermitian
 
@@ -100,9 +102,16 @@ def test_hermitian_eig_pauli_x():
         assert np.allclose(PAULI_X @ v[:, k], w[k] * v[:, k], atol=1e-12)
 
 
+# ||m||^2 overflows, so a bound that scales with ||m|| is infinite
+HUGE_SKEW = np.array([[0.5, 1e200], [-1e200, 0.5]], dtype=complex)
+
+
 def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        matcore.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+    for m in (np.array([[0, 1], [0, 0]], dtype=complex), HUGE_SKEW):
+        with np.errstate(over="ignore"):
+            assert not matcore.hermitian_stack(m[None])[0][0]
+            with pytest.raises(ValueError, match="not Hermitian"):
+                matcore.hermitian_eig(m)
 
 
 def test_hermitian_eig_reconstruction_many(rng):
@@ -136,6 +145,8 @@ def test_is_psd():
     assert matcore.is_psd(np.diag([0.5, 0.5 - 1e-13]), tol=1e-10)
     # non-Hermitian input is simply not PSD
     assert not matcore.is_psd(np.array([[1, 1], [0, 1]], dtype=complex))
+    with np.errstate(over="ignore"):
+        assert not matcore.is_psd(HUGE_SKEW)  # its Hermitian part is I/2
 
 
 def test_tolerances_live_in_the_matcore_table():
@@ -167,3 +178,65 @@ def test_as_complex_matrix_rejects_non_finite_in_either_part(re, im):
     m[1, 0] = bad
     with pytest.raises(ValueError, match="non-finite"):
         matcore.as_complex_matrix(m)
+
+
+def test_raising_comparisons_fail_closed():
+    # NaN passes ``x > bound``; an ``if`` whose body raises asks instead that
+    # the bound hold, ``not (x <= bound)``, so a NaN raises
+    paths = sorted(Path(matcore.__file__).parent.glob("*.py"))
+    open_ = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.If)
+        and any(isinstance(stmt, ast.Raise) for stmt in node.body)
+        and any(isinstance(op, ast.Gt)
+                for cmp in ast.walk(node.test) if isinstance(cmp, ast.Compare)
+                for op in cmp.ops)
+    ]
+    assert not open_, "raising tests written with '>':\n" + "\n".join(open_)
+
+
+@st.composite
+def unit_scale_matrices(draw):
+    """``(m, hermitian, psd)``: a d x d matrix, d 1-6, whose largest entry
+    has modulus 1, so that ||m||_F >= 1, and the verdicts it was built for
+    (None where it was not built for one).  A Hermitian part with
+    eigenvalues of modulus 0.5-1, all positive or the lowest negative, gets
+    a skew part of relative size 1e-13 or 1e-7, far on either side of
+    ``ROUNDOFF_TOL``; or m is a random complex matrix."""
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    form = draw(st.sampled_from(["psd", "indefinite", "random"]))
+    if form == "random":
+        return g / np.abs(g).max(), None, None
+    w = rng.uniform(0.5, 1.0, d)
+    if form == "indefinite":
+        w[0] = -w[0]
+    v = np.linalg.qr(g)[0]
+    h = (v * w) @ v.conj().T
+    k = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    k = k - k.conj().T
+    skew = draw(st.sampled_from([0.0, 1e-13, 1e-7]))
+    m = h + k * (skew * np.linalg.norm(h) / max(np.linalg.norm(k), 1.0))
+    hermitian = skew < 1e-10
+    return m / np.abs(m).max(), hermitian, hermitian and form == "psd"
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(unit_scale_matrices(), st.sampled_from([1e150, 1e300]))
+def test_hermitian_verdict_is_scale_invariant(case, s):
+    m, hermitian, psd = case
+    herm = matcore.hermitian_stack(m[None])[0][0]
+    assert hermitian is None or herm == hermitian
+    assert psd is None or matcore.is_psd(m) == psd
+    # |z|^2 of an entry overflows, and so does the cancelling imaginary part
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert matcore.hermitian_stack((s * m)[None])[0][0] == herm
+        if psd is not None:
+            assert matcore.is_psd(s * m) == psd
+        # s * m has trace far from 1: refused, as not Hermitian only if m is not
+        with pytest.raises(ValueError) as err:
+            DensityOperator(s * m)
+    assert ("Hermitian" in str(err.value)) == (not herm)

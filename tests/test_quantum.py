@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reduction_lab import serialization as ser
 from reduction_lab.errors import NumericalConsistencyError
 from reduction_lab.matcore import ROUNDOFF_TOL, UNIT_TOL
 from reduction_lab.quantum import (
@@ -170,6 +171,24 @@ def test_observable_invariants_rejected():
         DiscreteObservable(((1.0, p0), (2.0, p0)))  # not orthogonal
     with pytest.raises(ValueError):
         DiscreteObservable(((1.0, p0),))  # incomplete
+    # ||m||^2 overflows, so a bound that scales with ||m|| is infinite
+    huge_skew = np.array([[0.5, 1e200], [-1e200, 0.5]], dtype=complex)
+    # idempotent, orthogonal and complete, but not Hermitian
+    oblique = np.array([[1, 1e200], [0, 0]], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for route in (
+            lambda: observable_from_hermitian(huge_skew),
+            lambda: DiscreteObservable(((0.5, huge_skew),)),
+            lambda: DiscreteObservable(((1.0, oblique), (0.0, np.eye(2) - oblique))),
+            lambda: ser.observable_from_json({"hermitian": ser.matrix_to_json(huge_skew)}),
+            lambda: ser.observable_from_json({
+                "eigenvalues": [1.0, 0.0],
+                "projectors": [ser.matrix_to_json(oblique),
+                               ser.matrix_to_json(np.eye(2) - oblique)],
+            }),
+        ):
+            with pytest.raises(ValueError, match="Hermitian|orthogonal projector"):
+                route()
 
 
 def test_born_rule_examples():
