@@ -18,6 +18,8 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from . import serialization as ser
 from .errors import NotAMeasurementOfAError, ReductionLabError
 from .instrument import (
@@ -283,8 +285,12 @@ def _cached_parser(env_tol: str | None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _cached_parser(os.environ.get("REDUCTION_LAB_TOL")).parse_args(argv)
+    # an input near float's range overflows on its way to the checks, which
+    # are fail-closed and refuse it: the numpy warning would only precede,
+    # or under ``-W error`` replace, the error line
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ser.ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

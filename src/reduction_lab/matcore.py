@@ -56,7 +56,8 @@ def frobenius(m: np.ndarray) -> float:
 
 
 def max_abs(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m))) if np.size(m) else 0.0
+    a = np.abs(m)
+    return float(a.max()) if a.size else 0.0
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -66,7 +67,8 @@ def spectral_norm(m: np.ndarray) -> float:
 def hermitian_stack(ms: np.ndarray, tol: float = ROUNDOFF_TOL):
     """``(ok, h, skew_sq)`` for a complex (n, d, d) stack: the verdicts of
     the one Hermitian test (see above; a NaN fails it, an overflow is no
-    infinite bound), the parts (m + m^dag)/2 and ||m - m^dag||^2."""
+    infinite bound), the parts (m + m^dag)/2 and ||m - m^dag||^2.  Where
+    ||m||^2 overflows, the part is m/2 + m^dag/2, whose sum cannot."""
     # real and imaginary parts: an overflowing square sums to inf, not NaN
     ms = np.ascontiguousarray(ms)
     size = (len(ms), 2 * ms.shape[-1] ** 2)
@@ -76,11 +78,15 @@ def hermitian_stack(ms: np.ndarray, tol: float = ROUNDOFF_TOL):
     sq, skew_sq = np.vecdot(flat, flat), np.vecdot(skew, skew)
     ok = skew_sq <= tol * tol * np.maximum(sq, 1.0)
     huge = np.isinf(sq)
-    if huge.any():  # over its largest part, m has ||m||^2 >= 1
-        top = np.abs(flat[huge]).max(axis=1, keepdims=True)
-        f, k = flat[huge] / top, skew[huge] / top
-        ok[huge] = np.vecdot(k, k) <= tol * tol * np.vecdot(f, f)
-    return ok, (ms + adj) / 2, skew_sq
+    if not huge.any():
+        return ok, (ms + adj) / 2, skew_sq
+    # over its largest part, m has ||m||^2 >= 1
+    top = np.abs(flat[huge]).max(axis=1, keepdims=True)
+    f, k = flat[huge] / top, skew[huge] / top
+    ok[huge] = np.vecdot(k, k) <= tol * tol * np.vecdot(f, f)
+    h = ms / 2 + adj / 2
+    h[~huge] = (ms[~huge] + adj[~huge]) / 2
+    return ok, h, skew_sq
 
 
 def tensor(a, b) -> np.ndarray:
@@ -129,9 +135,9 @@ def trace_distance(a, b) -> float:
 
 
 def min_eigenvalue(m) -> float:
-    """Smallest eigenvalue of the Hermitian part of ``m``."""
-    m = as_complex_matrix(m)
-    h = (m + dagger(m)) / 2
+    """Smallest eigenvalue of the Hermitian part of ``m``, taken by
+    ``hermitian_stack`` so that it does not overflow."""
+    h = hermitian_stack(as_complex_matrix(m)[None])[1][0]
     return float(np.linalg.eigvalsh(h)[0])
 
 

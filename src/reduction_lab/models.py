@@ -20,17 +20,26 @@ sigma = sum_j w_j |v_j><v_j| and an orthonormal apparatus basis |m>,
 gives T(rho) = sum K rho K+.  The instrument is read off the operation
 alone by ``instrument.operation_instrument``: T_a is the stack K E_a.  The
 probe route acts with Q_a on the apparatus index alone (Ozawa, J. Math.
-Phys. 25, 79 (1984)): sum_n (Q_a)_{mn} K_{n,j}, one matrix product per
-outcome.  Each call builds the stack once, by one contraction of
-``U.reshape(d_s, d_a, d_s, d_a)``.  Eigenvectors of sigma with weight
-w_j <= 0 are dropped: a zero weight contributes nothing, and a
-roundoff-negative one has no real square root, so dropping them needs no
-tolerance.
+Phys. 25, 79 (1984)): sum_n (Q_a)_{mn} K_{n,j}, one stacked matrix product
+over the outcomes.
+
+A model derives both once and keeps them: ``MeasurementModel.kraus`` is the
+stack, built by one contraction of ``U.reshape(d_s, d_a, d_s, d_a)``, and
+``MeasurementModel.probe_route`` the probe-route stacks with the residuals
+of F_a against E_a.  Both are lazy, so building a model costs nothing
+extra, and read-only.  Every function below reads them, and each check
+still compares the stored residuals against its own caller's tolerance.
+Like every frozen value in the library, a model's arrays must not be
+changed in place: its derived values would no longer match them.
+Eigenvectors of sigma with weight w_j <= 0 are dropped: a zero weight
+contributes nothing, and a roundoff-negative one has no real square root,
+so dropping them needs no tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +84,23 @@ class MeasurementModel:
                     "probe eigenvalue set differs from the measured observable's"
                 )
 
+    @cached_property
+    def kraus(self) -> np.ndarray:
+        """The read-only (d_a * r, d_s, d_s) stack of the K_{m,j}."""
+        k = _kraus(self)
+        k.flags.writeable = False
+        return k
+
+    @cached_property
+    def probe_route(self) -> tuple:
+        """``(stacks, residuals)``: the read-only (n, d_a * r, d_s, d_s)
+        probe-route Kraus stacks and the (n,) spectral-norm residuals of
+        F_a - E_a, both in the order of ``observable.outcomes``."""
+        stacks, residuals = _probe_route(self)
+        stacks.flags.writeable = False
+        residuals.flags.writeable = False
+        return stacks, residuals
+
 
 @dataclass(frozen=True)
 class ConsistencyReport:
@@ -109,24 +135,24 @@ def _kraus(model: MeasurementModel) -> np.ndarray:
 
 def operation_of(model: MeasurementModel) -> Superoperator:
     """The nonselective state change of the model as a map on the object."""
-    return Superoperator.from_kraus(_kraus(model))
+    return Superoperator.from_kraus(model.kraus)
 
 
 def _probe_route(model: MeasurementModel) -> tuple:
-    """Probe-route Kraus stacks per outcome, Q_a applied to the apparatus
-    index of the model's stack, and the spectral-norm residuals of
-    F_a = sum K'+ K' against E_a taken from the same stacks."""
+    """Probe-route Kraus stacks of all n outcomes, Q_a applied to the
+    apparatus index of the model's stack by one stacked product, and the
+    spectral-norm residuals of F_a = sum K'+ K' against E_a taken from the
+    same stacks."""
     if model.probe is None:
         raise MissingProbeError("model has no probe observable")
     ds = model.dim_s
-    k = _kraus(model).reshape(model.dim_a, -1)
-    stacks, residuals = {}, {}
-    for a, p in model.observable.outcomes:
-        kq = (model.probe.projector(a) @ k).reshape(-1, ds, ds)
-        f = np.tensordot(kq.conj(), kq, axes=([0, 1], [0, 1]))
-        stacks[a] = kq
-        residuals[a] = matcore.spectral_norm(f - p)
-    return stacks, residuals
+    obs = model.observable
+    qs = np.stack([model.probe.projector(a) for a in obs.eigenvalues])
+    ps = np.stack([p for _, p in obs.outcomes])
+    kq = (qs @ model.kraus.reshape(model.dim_a, -1)).reshape(len(qs), -1, ds, ds)
+    rows = kq.reshape(len(qs), -1, ds)
+    f = rows.conj().swapaxes(1, 2) @ rows
+    return kq, np.linalg.norm(f - ps, 2, axis=(1, 2))
 
 
 def probe_consistency(
@@ -137,9 +163,10 @@ def probe_consistency(
     By linearity this is the operator identity
     ``F_a = Tr_A[(U+ (1 x Q_a) U)(1 x sigma)] = E_a`` per outcome, where
     ``F_a = sum K'+ K'`` over the probe-route Kraus operators; residuals are
-    spectral norms.
+    spectral norms, read off the model's ``probe_route`` into a new report.
     """
-    return ConsistencyReport(_probe_route(model)[1], tol)
+    residuals = model.probe_route[1].tolist()
+    return ConsistencyReport(dict(zip(model.observable.eigenvalues, residuals)), tol)
 
 
 def _require_consistent(report: ConsistencyReport) -> None:
@@ -170,10 +197,10 @@ def instrument_of(model: MeasurementModel, tol: float = VERIFY_TOL) -> Instrumen
 def probe_instrument_of(model: MeasurementModel) -> Instrument:
     """The conventional probe-route instrument (projection postulate applied
     to the probe detection), built from the Kraus stacks its consistency
-    check already computed."""
-    stacks, residuals = _probe_route(model)
-    _require_consistent(ConsistencyReport(residuals, VERIFY_TOL))
-    components = {a: Superoperator.from_kraus(k) for a, k in stacks.items()}
+    check reads."""
+    _require_consistent(probe_consistency(model))
+    stacks = zip(model.observable.eigenvalues, model.probe_route[0])
+    components = {a: Superoperator.from_kraus(k) for a, k in stacks}
     return Instrument(model.observable, components)
 
 

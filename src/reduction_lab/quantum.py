@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,8 +93,9 @@ class DiscreteObservable:
     """Eigenvalue list with the associated spectral projection family.
 
     ``outcomes`` is a tuple of ``(eigenvalue, projector)`` pairs.  The
-    projectors must be mutually orthogonal and sum to the identity; a value
-    that is not in the eigenvalue list carries the zero projector.
+    eigenvalues must be finite and pairwise distinct, the projectors
+    mutually orthogonal and sum to the identity; a value that is not in the
+    eigenvalue list carries the zero projector.
     """
 
     outcomes: tuple = field()
@@ -105,6 +107,9 @@ class DiscreteObservable:
             raise ValueError("observable needs at least one outcome")
         d = outs[0][1].shape[0]
         eigvals = [a for a, _ in outs]
+        for a in eigvals:
+            if not math.isfinite(a):
+                raise ValueError(f"eigenvalue {a} is not finite")
         if len(set(eigvals)) != len(eigvals):
             raise ValueError("eigenvalues must be pairwise distinct")
         # the projectors before the first of another dimension, as one stack

@@ -125,8 +125,9 @@ class Superoperator:
             raise ValueError(f"expected square Kraus operators, got shape {ks.shape}")
         if not np.all(np.isfinite(ks)):
             raise ValueError("Kraus operators have non-finite entries")
-        dim = ks.shape[1]
-        rep = np.tensordot(ks.conj(), ks, axes=(0, 0)).transpose(0, 2, 1, 3)
+        n, dim = ks.shape[:2]
+        flat = ks.reshape(n, dim * dim)
+        rep = (flat.conj().T @ flat).reshape((dim,) * 4).transpose(0, 2, 1, 3)
         return cls._built(dim, rep.reshape(dim * dim, dim * dim), ks)
 
     def __add__(self, other: "Superoperator") -> "Superoperator":

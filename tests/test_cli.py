@@ -460,6 +460,48 @@ def test_malformed_observable_file_exits_two(tmp_path, z_obs, capsys, obs, field
         assert "Traceback" not in err
 
 
+def test_observable_file_with_a_nan_eigenvalue_exits_two(tmp_path, z_obs, capsys):
+    mpath = write_model(tmp_path, von_neumann_model(z_obs, 2))
+    spath = write(tmp_path, "state.json", {"vector": [[1.0, 0.0], [0.0, 0.0]]})
+    opath = tmp_path / "obs.json"
+    # the JSON literal NaN, which Python's json module reads as a float
+    opath.write_text('{"eigenvalues": [NaN, -1.0], "projectors": '
+                     '[[[[1, 0], [0, 0]], [[0, 0], [0, 0]]], '
+                     '[[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]}')
+    for argv in (
+        ["joint", mpath, "--second", str(opath), "--state", spath],
+        ["random-model", "--obs", str(opath), "--dim-a", "2", "--seed", "1"],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: observable: ") and "not finite" in err
+
+
+def _assert_one_error_line(err):
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_huge_input_exits_two_without_a_warning(tmp_path, capsys):
+    # no np.errstate here: the suite turns a leaked numpy warning into a failure
+    j = ser.model_to_json(von_neumann_model(observable_from_hermitian(PAULI_Z), 2))
+    j["observable"] = {"hermitian": [[[0.5, 0], [1e200, 0]], [[-1e200, 0], [0.5, 0]]]}
+    path = write(tmp_path, "huge_skew.json", j)
+    assert main(["check-model", path]) == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line(err)
+    assert "not Hermitian" in err
+
+
+def test_huge_probe_projector_exits_two_without_a_warning(tmp_path, z_obs, capsys):
+    j = ser.model_to_json(von_neumann_model(z_obs, 2))
+    j["probe"]["projectors"][0][0][1] = [1e200, 0.0]
+    path = write(tmp_path, "huge_probe.json", j)
+    assert main(["check-model", path]) == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line(err)
+    assert err.startswith("error: model.probe: ")
+
+
 @pytest.mark.parametrize("value", ["nan", "-1", "abc"])
 @pytest.mark.parametrize("source", ["flag", "env"])
 def test_bad_tol_exits_two(capsys, monkeypatch, value, source):

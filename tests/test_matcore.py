@@ -114,6 +114,27 @@ def test_hermitian_eig_rejects_non_hermitian():
                 matcore.hermitian_eig(m)
 
 
+# Hermitian, and (m + m^dag)/2 overflows to inf on its diagonal
+HUGE_DIAGONAL = np.diag([1e308, -1e308]).astype(complex)
+
+
+def test_hermitian_part_does_not_overflow():
+    with np.errstate(over="ignore"):
+        ok, h, _ = matcore.hermitian_stack(np.stack([HUGE_DIAGONAL, np.eye(2)]))
+        w, _ = matcore.hermitian_eig(HUGE_DIAGONAL)
+        lowest = matcore.min_eigenvalue(HUGE_DIAGONAL)
+    assert ok.all()
+    assert np.array_equal(h, [HUGE_DIAGONAL, np.eye(2)])
+    assert w.tolist() == [-1e308, 1e308]
+    assert lowest == -1e308
+
+
+def test_max_abs(rng):
+    m = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    assert matcore.max_abs(m) == float(np.max(np.abs(m)))
+    assert matcore.max_abs(np.zeros((0, 2, 2))) == 0.0
+
+
 def test_hermitian_eig_reconstruction_many(rng):
     # reconstruction residual stays below 1e-10 * ||m|| across sizes
     for trial in range(1000):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from reduction_lab import matcore, models
+from reduction_lab import cli, matcore, models
+from reduction_lab import serialization as ser
 from reduction_lab.errors import (
     DegenerateObservableError,
     MissingProbeError,
@@ -158,6 +159,120 @@ def test_probe_instrument_builds_each_stack_once(monkeypatch):
     # one Kraus stack for all outcomes: each probe stack is Q_a applied to
     # its apparatus index
     assert calls == 1
+
+
+def _counting(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(models, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(models, name, counted)
+    return calls
+
+
+def test_a_model_derives_its_stack_and_probe_route_once(monkeypatch):
+    three = observable_from_hermitian(np.diag([1.0, 0.0, -1.0]).astype(complex))
+    model = random_faithful_model(three, 6, seed=4, sigma_rank=2)
+    calls = _counting(monkeypatch, "_kraus", "_probe_route")
+    assert probe_consistency(model).passed
+    instrument_of(model)
+    probe_instrument_of(model)
+    operation_of(model)
+    assert calls == {"_kraus": 1, "_probe_route": 1}
+    # building a model derives nothing
+    random_faithful_model(three, 6, seed=5)
+    assert calls == {"_kraus": 1, "_probe_route": 1}
+
+
+def test_derived_arrays_are_read_only(z_obs):
+    model = random_faithful_model(z_obs, 4, seed=2)
+    stacks, residuals = model.probe_route
+    for array in (model.kraus, stacks, stacks[0], residuals):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    # a map built from a stack owns its own writable copy
+    assert not np.shares_memory(operation_of(model).kraus, model.kraus)
+
+
+def test_reports_do_not_share_a_residual_dict(z_obs):
+    model = random_faithful_model(z_obs, 4, seed=2)
+    first, second = probe_consistency(model), probe_consistency(model)
+    assert first.residuals is not second.residuals
+    first.residuals[1.0] = 1.0
+    assert not first.passed
+    assert second.passed and probe_consistency(model).passed
+
+
+def test_one_model_at_two_tolerances_gets_two_verdicts(z_obs, monkeypatch):
+    model = random_biased_model(z_obs, 2, seed=3)
+    calls = _counting(monkeypatch, "_probe_route")
+    strict, loose = probe_consistency(model), probe_consistency(model, 2.0)
+    assert strict.residuals == loose.residuals
+    assert 0.1 <= strict.max_residual <= 2.0
+    assert not strict.passed and loose.passed
+    with pytest.raises(NotAMeasurementOfAError):
+        instrument_of(model)
+    instrument_of(model, 2.0)
+    assert calls == {"_probe_route": 1}
+
+
+def test_a_biased_model_fails_at_every_consumer(tmp_path, z_obs):
+    model = random_biased_model(z_obs, 4, seed=3)
+    report = probe_consistency(model)
+    # the stored residuals give the same refusal on every call
+    for _ in range(2):
+        assert not probe_consistency(model).passed
+        for build in (instrument_of, probe_instrument_of):
+            with pytest.raises(NotAMeasurementOfAError) as err:
+                build(model)
+            assert err.value.residual == report.max_residual
+    path = tmp_path / "biased.json"
+    path.write_text(ser.dumps(ser.model_to_json(model)))
+    assert cli.main(["check-model", str(path), "--out", str(tmp_path / "r.json")]) == 1
+
+
+def _uncached(model):
+    """The stack and the probe route by the per-outcome loop: one product
+    with Q_a, F_a by ``tensordot`` and one spectral norm per outcome."""
+    ds = model.dim_s
+    kraus = models._kraus(model)
+    k = kraus.reshape(model.dim_a, -1)
+    stacks, residuals = [], []
+    for a, p in model.observable.outcomes:
+        kq = (model.probe.projector(a) @ k).reshape(-1, ds, ds)
+        f = np.tensordot(kq.conj(), kq, axes=([0, 1], [0, 1]))
+        stacks.append(kq)
+        residuals.append(matcore.spectral_norm(f - p))
+    return kraus, np.stack(stacks), np.array(residuals)
+
+
+def _haar_von_neumann():
+    u = haar_unitary(3, np.random.default_rng(8))
+    obs = observable_from_hermitian(u @ np.diag([1.0, 0.0, -1.0]) @ dagger(u))
+    return von_neumann_model(obs, 5, seed=9)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        _haar_von_neumann(),
+        random_faithful_model(
+            observable_from_hermitian(np.diag([2.0, 1.0, 1.0, -1.0]).astype(complex)),
+            6, seed=2, sigma_rank=2,
+        ),
+    ],
+    ids=["von-neumann-haar", "degenerate"],
+)
+def test_derived_values_match_an_uncached_computation(model):
+    kraus, stacks, residuals = _uncached(model)
+    assert np.array_equal(model.kraus, kraus)
+    assert np.array_equal(model.probe_route[0], stacks)
+    np.testing.assert_allclose(model.probe_route[1], residuals, rtol=0, atol=1e-15)
+    assert list(probe_consistency(model).residuals) == list(model.observable.eigenvalues)
 
 
 def _wide_model(dim_s, dim_a, degenerate, sigma_rank):

@@ -191,6 +191,20 @@ def test_observable_invariants_rejected():
                 route()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_observable_refuses_a_non_finite_eigenvalue(value):
+    p0, p1 = projector_onto(ket(2, 0)), projector_onto(ket(2, 1))
+    with pytest.raises(ValueError, match="not finite"):
+        DiscreteObservable(((value, p0), (1.0, p1)))
+
+
+def test_observable_from_a_hermitian_matrix_near_float_range():
+    # (h + h^dag)/2 overflows here, and used to give the outcomes (nan, nan)
+    with np.errstate(over="ignore"):
+        obs = observable_from_hermitian(np.diag([1e308, -1e308]).astype(complex))
+    assert obs.eigenvalues == (-1e308, 1e308)
+
+
 def test_born_rule_examples():
     obs = observable_from_hermitian(PAULI_Z)
     assert born_probability(obs, 1.0, DensityOperator(projector_onto(ket(2, 0)))) == 1.0

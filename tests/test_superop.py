@@ -194,6 +194,14 @@ def test_choi_rank_counts_kraus(rng):
     assert w[0] >= -1e-10
 
 
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 8), (3, 5), (4, 16), (6, 2), (8, 32),
+                                  (12, 3), (16, 64), (20, 1)])
+def test_from_kraus_rep_matches_the_tensordot_form(rng, d, n):
+    ks = np.stack([random_matrix(rng, d) for _ in range(n)])
+    rep = np.tensordot(ks.conj(), ks, axes=(0, 0)).transpose(0, 2, 1, 3)
+    assert np.array_equal(Superoperator.from_kraus(ks).rep, rep.reshape(d * d, d * d))
+
+
 def test_choi_superoperator_bijection(rng):
     s = Superoperator(3, random_matrix(rng, 9))
     blocks = [[apply(s, matrix_unit(3, i, j)) for j in range(3)] for i in range(3)]
