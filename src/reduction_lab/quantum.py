@@ -165,7 +165,11 @@ def observable_from_hermitian(
             j += 1
         block = v[:, i:j]
         proj = block @ block.conj().T
-        outcomes.append((float(np.mean(w[i:j])), proj))
+        level = np.mean(w[i:j])
+        if not np.isfinite(level):
+            # the plain mean overflows near the float range; w / n does not
+            level = np.sum(w[i:j] / (j - i))
+        outcomes.append((float(level), proj))
         i = j
     return DiscreteObservable(tuple(outcomes))
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalConsistencyError, ZeroProbabilityOutcomeError
-from .instrument import Instrument, instrument_from_operation, luders_instrument, reduce
+from .instrument import Instrument, _reduce_image, instrument_from_operation, luders_instrument
 from .matcore import PROBABILITY_FLOOR, ROUNDOFF_TOL, VERIFY_TOL
 from .models import MeasurementModel, instrument_of
 from .quantum import (
@@ -50,7 +50,8 @@ def joint_distribution(
     The instrument comes from ``instrument_of(model, tol)``.  Wherever the
     first-outcome probability clears ``PROBABILITY_FLOOR``, the product
     form P(a) * Tr[E_X(x) rho_a] is cross-checked; disagreement beyond
-    ``ROUNDOFF_TOL`` raises ``NumericalConsistencyError``.
+    ``ROUNDOFF_TOL`` raises ``NumericalConsistencyError``.  Each T_a is
+    applied once: rho_a is reduced from the image the table uses.
     """
     if second.dim != model.dim_s or rho.dim != model.dim_s:
         raise ValueError("dimension mismatch")
@@ -59,7 +60,7 @@ def joint_distribution(
     for a in model.observable.eigenvalues:
         image = apply(ins.component(a), rho.matrix)
         born = born_probability(model.observable, a, rho)
-        reduced = reduce(ins, a, rho) if born > PROBABILITY_FLOOR else None
+        reduced = _reduce_image(a, image) if born > PROBABILITY_FLOOR else None
         for x in second.eigenvalues:
             p = float(np.real(np.trace(second.projector(x) @ image)))
             table[(a, x)] = clamp_probability(p)

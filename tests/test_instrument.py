@@ -11,6 +11,7 @@ from reduction_lab.instrument import (
     VERIFY_TOL,
     CheckRecord,
     Instrument,
+    VerificationReport,
     _random_stack,
     instrument_from_operation,
     luders_instrument,
@@ -418,3 +419,125 @@ def test_building_an_instrument_builds_no_dual_and_rescans_no_rep(monkeypatch):
     # per outcome: one check in sandwich(E_a), where a caller's projector
     # enters, and one in the Choi PSD test of the stackless component
     assert calls == {"dual": 0, "as_complex_matrix": 6}
+
+
+@pytest.fixture
+def fresh_samples():
+    instrument._sample_set.cache_clear()
+    yield instrument._sample_set
+    instrument._sample_set.cache_clear()
+
+
+def test_verifier_samples_are_decomposed_once_per_key(z_luders, fresh_samples, monkeypatch):
+    splits = []
+
+    def counted(ms):
+        splits.append(ms.shape)
+        return superop.decompose_stack(ms)
+
+    monkeypatch.setattr(instrument, "decompose_stack", counted)
+    first = verify_theorem1(z_luders, trials=6, seed=2)
+    for _ in range(3):
+        assert verify_theorem1(z_luders, trials=6, seed=2) == first
+        verify_dual_lemma(z_luders, trials=6, seed=2)
+    assert splits == [(6, 2, 2)]
+    assert fresh_samples.cache_info().currsize == 1
+    # a new seed, trial count or dimension is a new entry
+    three = luders_instrument(observable_from_hermitian(np.diag([1.0, 0.0, -1.0])))
+    verify_theorem1(z_luders, trials=6, seed=3)
+    verify_theorem1(z_luders, trials=7, seed=2)
+    verify_theorem1(three, trials=6, seed=2)
+    assert splits == [(6, 2, 2), (6, 2, 2), (7, 2, 2), (6, 3, 3)]
+    assert fresh_samples.cache_info().currsize == 4
+    # the dual lemma draws a stack and never decomposes it
+    verify_dual_lemma(z_luders, trials=8, seed=2)
+    assert len(splits) == 4 and fresh_samples.cache_info().currsize == 5
+    # an integer seed of another type is the same key
+    verify_theorem1(z_luders, trials=6, seed=np.int64(2))
+    assert fresh_samples.cache_info().currsize == 5
+
+
+def test_cached_samples_are_read_only_and_bounded(fresh_samples):
+    samples = fresh_samples(0, 4, 3)
+    xs = _random_stack(np.random.default_rng(0), 4, 3)
+    lambdas, parts = superop.decompose_stack(xs)
+    weights = lambdas * np.array([1.0, -1.0, 1j, -1j])
+    assert np.array_equal(samples.xs, xs)
+    assert np.array_equal(samples.split[0], weights)
+    assert np.array_equal(samples.split[1], parts.reshape(-1, 3, 3))
+    for a in (samples.xs, *samples.split):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    assert fresh_samples.cache_info().maxsize == 32
+
+
+@pytest.mark.parametrize("seed", [None, 2.0, np.random.default_rng(2)])
+def test_verifier_seed_is_an_integer(z_luders, fresh_samples, seed):
+    # the samples are a function of the seed only when it is an integer
+    for verify in (verify_theorem1, verify_dual_lemma):
+        with pytest.raises(TypeError):
+            verify(z_luders, trials=3, seed=seed)
+    assert fresh_samples.cache_info().currsize == 0
+
+
+def test_a_warm_sample_cache_still_fails_a_corrupted_instrument(z_obs, z_luders, fresh_samples):
+    corrupted = dict(z_luders.components)
+    corrupted[1.0] = corrupted[1.0] + 1e-3 * Superoperator.identity(2)
+    broken = Instrument(z_obs, corrupted, total=z_luders.total, validate_invariants=False)
+
+    def records():
+        return verify_theorem1(broken).records + verify_dual_lemma(broken).records
+
+    assert verify_theorem1(z_luders).passed and verify_dual_lemma(z_luders).passed
+    warm = records()
+    fresh_samples.cache_clear()
+    cold = records()
+    assert warm == cold
+    assert not VerificationReport(warm).passed
+
+
+def test_validate_refuses_each_corruption_class():
+    # a real diagonal observable with a two-dimensional eigenspace, so that
+    # the partial transpose keeps the outcome-trace condition
+    obs = observable_from_hermitian(np.diag([1.0, 1.0, -1.0]))
+    good = luders_instrument(obs)
+    t_up, t_down = good.component(1.0), good.component(-1.0)
+    e_up = obs.projector(1.0)
+
+    # a component off by a scalar, its loss moved to the other outcome so
+    # that the components still sum to a trace-preserving total
+    scaled = Instrument(
+        obs, {1.0: 0.9 * t_up, -1.0: t_down + 0.1 * t_up},
+        total=good.total, validate_invariants=False,
+    )
+    with pytest.raises(NotAMeasurementOfAError, match="at outcome 1.0 ") as err:
+        scaled.validate()
+    assert err.value.outcome == 1.0
+    assert abs(err.value.residual - 0.1) <= 1e-15
+
+    # components that do not sum to the claimed total
+    with pytest.raises(
+        NotAMeasurementOfAError, match="components do not sum to the total operation"
+    ) as err:
+        Instrument(obs, good.components, total=Superoperator.identity(3))
+    assert err.value.outcome is None and err.value.residual == 1.0
+
+    # a total that is not trace preserving
+    with pytest.raises(ValueError, match="total operation is not trace preserving"):
+        Instrument(obs, {a: 0.9 * t for a, t in good.components.items()})
+
+    # E X^T E on the eigenspace: the sum is the total, the total is trace
+    # preserving and T_a*(1) = E_a, yet the map is not completely positive
+    transposed = Superoperator.from_function(3, lambda x: e_up @ x.T @ e_up)
+    not_cp = Instrument(
+        obs, {1.0: transposed, -1.0: t_down}, validate_invariants=False
+    )
+    assert superop.is_trace_preserving(not_cp.total)
+    assert matcore.max_abs(superop.unit_image(transposed) - e_up) == 0.0
+    with pytest.raises(
+        ValueError,
+        match=r"component at outcome 1.0 is not completely positive "
+        r"\(Choi min eigenvalue -1.000e\+00\)",
+    ):
+        not_cp.validate()

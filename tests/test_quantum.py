@@ -202,7 +202,10 @@ def test_observable_from_a_hermitian_matrix_near_float_range():
     # (h + h^dag)/2 overflows here, and used to give the outcomes (nan, nan)
     with np.errstate(over="ignore"):
         obs = observable_from_hermitian(np.diag([1e308, -1e308]).astype(complex))
+        # a degenerate level whose plain mean overflows
+        merged = observable_from_hermitian(1.7e308 * np.eye(2))
     assert obs.eigenvalues == (-1e308, 1e308)
+    assert merged.eigenvalues == (1.7e308,)
 
 
 def test_born_rule_examples():

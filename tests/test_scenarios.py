@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from reduction_lab import matcore, scenarios
+from reduction_lab import instrument, matcore, scenarios, superop
 from reduction_lab.errors import NumericalConsistencyError, ZeroProbabilityOutcomeError
 from reduction_lab.instrument import Instrument
-from reduction_lab.models import random_faithful_model, von_neumann_model
+from reduction_lab.models import instrument_of, random_faithful_model, von_neumann_model
 from reduction_lab.quantum import (
     PAULI_X,
     PAULI_Z,
     DensityOperator,
     born_probability,
+    clamp_probability,
     ket,
     mix,
     observable_from_hermitian,
@@ -20,7 +21,7 @@ from reduction_lab.scenarios import (
     joint_distribution,
     nonuniqueness_exhibit,
 )
-from reduction_lab.superop import Superoperator
+from reduction_lab.superop import Superoperator, apply
 
 from conftest import plus_state, random_density, random_hermitian
 
@@ -100,6 +101,32 @@ def test_conditional_distribution(z_model):
     assert np.isclose(cond[1.0], 1.0, atol=1e-10)
     with pytest.raises(ZeroProbabilityOutcomeError):
         conditional_distribution(jd, -1.0)
+
+
+def test_joint_distribution_applies_each_component_once(z_model, monkeypatch):
+    x_obs = observable_from_hermitian(PAULI_X)
+    rho = random_density(np.random.default_rng(7), 2)
+    ins = instrument_of(z_model)
+    want = {
+        (a, x): clamp_probability(float(np.real(np.trace(
+            x_obs.projector(x) @ apply(ins.component(a), rho.matrix)
+        ))))
+        for a in z_model.observable.eigenvalues
+        for x in x_obs.eigenvalues
+    }
+    calls = []
+
+    def counted(s, m):
+        calls.append(s)
+        return apply(s, m)
+
+    # reduce reaches apply through instrument; count every name
+    for module in (superop, instrument, scenarios):
+        monkeypatch.setattr(module, "apply", counted)
+    jd = joint_distribution(z_model, x_obs, rho)
+    # one image per outcome serves the table and the product-form check
+    assert len(calls) == 2
+    assert jd.table == want
 
 
 def test_joint_entry_outside_band_raises(z_model, monkeypatch):
