@@ -66,13 +66,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class _SampleSet:
-    """The verifiers' random samples for one ``(seed, trials, dim)``: the
-    Ginibre stack ``xs``, drawn on construction, and its four-density-
-    operator split, built and density-checked by ``decompose_stack`` the
-    first time ``verify_theorem1`` asks for it.  Every array is read-only."""
+    """The verifiers' random samples drawn from ``rng``: the Ginibre stack
+    ``xs``, drawn on construction, and its four-density-operator split,
+    built and density-checked by ``decompose_stack`` the first time
+    ``verify_theorem1`` asks for it.  Every array is read-only."""
 
-    def __init__(self, seed: int, trials: int, dim: int):
-        self.xs = _read_only(_random_stack(np.random.default_rng(seed), trials, dim))
+    def __init__(self, rng: np.random.Generator, trials: int, dim: int):
+        self.xs = _read_only(_random_stack(rng, trials, dim))
 
     @functools.cached_property
     def split(self) -> tuple:
@@ -84,19 +84,34 @@ class _SampleSet:
         return _read_only(weights), _read_only(parts.reshape(-1, d, d))
 
 
-@functools.lru_cache(maxsize=32, typed=True)
+@functools.lru_cache(maxsize=16)
 def _sample_set(seed: int, trials: int, dim: int) -> _SampleSet:
-    """The samples of one ``(seed, trials, dim)``, drawn once per process.
+    """The samples of one integer ``(seed, trials, dim)``, drawn once per
+    process and held for the 16 most recent keys.
 
-    The samples depend on nothing else, so a process that verifies several
-    instruments of one dimension at one seed (a library loop, the property
-    tests, the demo, the benchmark) draws, decomposes and checks them once;
-    a one-shot CLI call costs what it did without the cache.  No instrument
-    data is held, so no record can come from the cache.  An entry holds
-    16 * trials * d^2 bytes for the stack and 64 * trials * (d^2 + 1) more
-    once split: 2,307,200 bytes at d = 24 and 50 trials (the dual lemma's
-    default), so 32 such entries hold at most 73,830,400 bytes."""
-    return _SampleSet(seed, trials, dim)
+    The samples depend on nothing else, so only a process that verifies
+    several instruments of one dimension at one seed and trial count reuses
+    them: a loop over models at the verifiers' defaults, such as the
+    benchmark's ``ladder``, ``wide_object`` and ``cli_small`` passes or
+    repeated in-process ``cli.main`` calls.  A one-shot CLI process, the
+    demo and the property and acceptance tests, which change the seed per
+    model, never reuse an entry and cost what they did without the cache.
+    No instrument data is held, so no record can come from the cache.  An
+    entry holds 16 * trials * d^2 bytes for the stack and
+    64 * trials * (d^2 + 1) more once split: 2,307,200 bytes at d = 24 and
+    50 trials, so 16 such entries hold at most 36,915,200 bytes."""
+    return _SampleSet(np.random.default_rng(seed), trials, dim)
+
+
+def _samples(seed, trials, dim: int) -> _SampleSet:
+    """The verifiers' samples: cached for an integer seed, drawn afresh on
+    every call for any other seed ``np.random.default_rng`` takes (``None``,
+    a ``Generator``, a sequence of integers)."""
+    try:
+        key = operator.index(seed)
+    except TypeError:
+        return _SampleSet(np.random.default_rng(seed), trials, dim)
+    return _sample_set(key, operator.index(trials), dim)
 
 
 @dataclass(frozen=True)
@@ -289,14 +304,15 @@ def verify_theorem1(
     the stacked E X, X E and E X E in one each.  A record's residual is the
     largest entry of a difference over all samples; it passes at ``tol``.
 
-    The samples, their weights and their parts depend only on the integer
-    ``seed``, ``trials`` and d.  They come read-only from a per-process
-    cache of the 32 most recent keys, so the decomposition and its density
-    check run once per key; the images, residuals and verdicts are computed
-    on every call.
+    ``seed`` is anything ``np.random.default_rng`` takes.  For an integer
+    seed the samples, their weights and their parts depend only on
+    ``(seed, trials, d)``; they come read-only from a per-process cache of
+    the 16 most recent keys, so the draw, the decomposition and its density
+    check run once per key in a process.  Any other seed draws afresh.
+    The images, residuals and verdicts are computed on every call.
     """
     d = ins.dim
-    samples = _sample_set(operator.index(seed), trials, d)
+    samples = _samples(seed, trials, d)
     xs = samples.xs
     weights, parts = samples.split
     records = []
@@ -325,9 +341,11 @@ def verify_dual_lemma(
     all of them, and each T_a* in one matmul per outcome.  Every record
     passes at ``tol``.
 
-    The stack depends only on the integer ``seed``, ``trials`` and d, and
-    comes read-only from the per-process cache of ``verify_theorem1`` (32
-    keys); it is drawn once per key and never decomposed here.
+    ``seed`` is anything ``np.random.default_rng`` takes.  For an integer
+    seed the stack depends only on ``(seed, trials, d)`` and comes
+    read-only from the per-process cache of ``verify_theorem1`` (16 keys):
+    it is drawn once per key in a process and never decomposed here.  Any
+    other seed draws afresh.
     """
     d = ins.dim
     one = np.eye(d, dtype=complex)
@@ -340,7 +358,7 @@ def verify_dual_lemma(
             tol,
         )
     ]
-    xs = _sample_set(operator.index(seed), trials, d).xs
+    xs = _samples(seed, trials, d).xs
     txs = apply_stack(total_dual, xs)
     for a, p in ins.observable.outcomes:
         comp_dual = dual(ins.component(a))

@@ -452,8 +452,8 @@ def test_verifier_samples_are_decomposed_once_per_key(z_luders, fresh_samples, m
     # the dual lemma draws a stack and never decomposes it
     verify_dual_lemma(z_luders, trials=8, seed=2)
     assert len(splits) == 4 and fresh_samples.cache_info().currsize == 5
-    # an integer seed of another type is the same key
-    verify_theorem1(z_luders, trials=6, seed=np.int64(2))
+    # an integer seed or trial count of another type is the same key
+    verify_theorem1(z_luders, trials=np.int64(6), seed=np.int64(2))
     assert fresh_samples.cache_info().currsize == 5
 
 
@@ -469,16 +469,20 @@ def test_cached_samples_are_read_only_and_bounded(fresh_samples):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
-    assert fresh_samples.cache_info().maxsize == 32
+    assert fresh_samples.cache_info().maxsize == 16
 
 
-@pytest.mark.parametrize("seed", [None, 2.0, np.random.default_rng(2)])
-def test_verifier_seed_is_an_integer(z_luders, fresh_samples, seed):
-    # the samples are a function of the seed only when it is an integer
+def test_a_non_integer_seed_draws_afresh(z_luders, fresh_samples):
+    # None, a Generator or a sequence does not name one cache entry
     for verify in (verify_theorem1, verify_dual_lemma):
+        assert verify(z_luders, trials=3, seed=None).passed
+        by_generator = verify(z_luders, trials=3, seed=np.random.default_rng(2))
+        by_sequence = verify(z_luders, trials=3, seed=[2])
         with pytest.raises(TypeError):
-            verify(z_luders, trials=3, seed=seed)
-    assert fresh_samples.cache_info().currsize == 0
+            verify(z_luders, trials=3, seed=2.0)
+        assert fresh_samples.cache_info().currsize == 0
+        assert by_generator == by_sequence == verify(z_luders, trials=3, seed=2)
+        fresh_samples.cache_clear()
 
 
 def test_a_warm_sample_cache_still_fails_a_corrupted_instrument(z_obs, z_luders, fresh_samples):
