@@ -19,7 +19,14 @@ from . import matcore, superop
 from .errors import NotAMeasurementOfAError, ZeroProbabilityOutcomeError
 from .matcore import PROBABILITY_FLOOR, ROUNDOFF_TOL, VERIFY_TOL
 from .quantum import DensityOperator, DiscreteObservable, clamp_probability, maximally_mixed
-from .superop import Superoperator, apply, apply_stack, choi, decompose_stack, dual
+from .superop import (
+    Superoperator,
+    apply,
+    apply_dual_stack,
+    apply_stack,
+    choi,
+    decompose_stack,
+)
 
 
 @dataclass(frozen=True)
@@ -69,10 +76,14 @@ class _SampleSet:
     """The verifiers' random samples drawn from ``rng``: the Ginibre stack
     ``xs``, drawn on construction, and its four-density-operator split,
     built and density-checked by ``decompose_stack`` the first time
-    ``verify_theorem1`` asks for it.  Every array is read-only."""
+    ``verify_theorem1`` asks for it.  ``unit_xs`` is the identity followed
+    by the samples, for ``verify_dual_lemma``; ``xs`` is a view of it.
+    Every array is read-only."""
 
     def __init__(self, rng: np.random.Generator, trials: int, dim: int):
-        self.xs = _read_only(_random_stack(rng, trials, dim))
+        xs = _random_stack(rng, trials, dim)
+        self.unit_xs = _read_only(np.concatenate([np.eye(dim, dtype=complex)[None], xs]))
+        self.xs = self.unit_xs[1:]
 
     @functools.cached_property
     def split(self) -> tuple:
@@ -97,9 +108,10 @@ def _sample_set(seed: int, trials: int, dim: int) -> _SampleSet:
     demo and the property and acceptance tests, which change the seed per
     model, never reuse an entry and cost what they did without the cache.
     No instrument data is held, so no record can come from the cache.  An
-    entry holds 16 * trials * d^2 bytes for the stack and
-    64 * trials * (d^2 + 1) more once split: 2,307,200 bytes at d = 24 and
-    50 trials, so 16 such entries hold at most 36,915,200 bytes."""
+    entry holds 16 * (trials + 1) * d^2 bytes for the identity and the
+    stack and 64 * trials * (d^2 + 1) more once split: 2,316,416 bytes at
+    d = 24 and 50 trials, so 16 such entries hold at most 37,062,656
+    bytes."""
     return _SampleSet(np.random.default_rng(seed), trials, dim)
 
 
@@ -152,6 +164,8 @@ class Instrument:
         positive; return the completeness residual, the largest entry of
         the sum of the component reps minus the total's rep.
 
+        That difference is summed in one fresh accumulator, -T's rep with
+        each component rep added in place, so no input rep is written.
         T*(1) is read off each rep (``superop.unit_image``), not off a dual
         map.  A component with a Kraus stack is completely positive by
         construction, so only one without (a user rep, Choi input, a
@@ -160,12 +174,12 @@ class Instrument:
         d = self.dim
         if set(self.components) != set(self.observable.eigenvalues):
             raise ValueError("component outcomes must match observable eigenvalues")
-        total = np.zeros((d * d, d * d), dtype=complex)
+        diff = -self.total.rep
         for t in self.components.values():
             if t.dim != d:
                 raise ValueError("component dimension mismatch")
-            total = total + t.rep
-        completeness_resid = matcore.max_abs(total - self.total.rep)
+            diff += t.rep
+        completeness_resid = matcore.max_abs(diff)
         # written so that a NaN ``tol`` fails the check
         if not completeness_resid <= tol:
             # the claimed total cannot be the operation of an apparatus
@@ -225,7 +239,7 @@ def _reduce_image(a: float, image: np.ndarray) -> DensityOperator:
     """The state ``reduce`` makes of the image T_a(rho), for a caller that
     already holds the image."""
     p = clamp_probability(float(np.real(np.trace(image))))
-    if p <= PROBABILITY_FLOOR:
+    if not p > PROBABILITY_FLOOR:
         raise ZeroProbabilityOutcomeError(a, p, PROBABILITY_FLOOR)
     out = image / p
     # clip eigenvalue roundoff before the strict DensityOperator checks
@@ -337,9 +351,10 @@ def verify_dual_lemma(
     - each component's dual maps the identity to the outcome projector,
     - T_a*(X) equals E T*(X), T*(X) E, and E T*(X) E on random bounded X.
 
-    The samples are one (trials, d, d) stack: T*(X) is computed once for
-    all of them, and each T_a* in one matmul per outcome.  Every record
-    passes at ``tol``.
+    The samples are one (trials, d, d) stack with the identity in front.
+    T* and each T_a* are applied to it in one matmul each on the map's own
+    rep (``superop.apply_dual_stack``), so no dual map is built; row 0 of
+    an image stack is T*(1) or T_a*(1).  Every record passes at ``tol``.
 
     ``seed`` is anything ``np.random.default_rng`` takes.  For an integer
     seed the stack depends only on ``(seed, trials, d)`` and comes
@@ -347,30 +362,23 @@ def verify_dual_lemma(
     it is drawn once per key in a process and never decomposed here.  Any
     other seed draws afresh.
     """
-    d = ins.dim
-    one = np.eye(d, dtype=complex)
-    total_dual = dual(ins.total)
+    unit_xs = _samples(seed, trials, ins.dim).unit_xs
+    images = apply_dual_stack(ins.total, unit_xs)
+    txs = images[1:]
     records = [
-        CheckRecord(
-            "dual.total_unital",
-            None,
-            matcore.max_abs(apply(total_dual, one) - one),
-            tol,
-        )
+        CheckRecord("dual.total_unital", None, matcore.max_abs(images[0] - unit_xs[0]), tol)
     ]
-    xs = _samples(seed, trials, d).xs
-    txs = apply_stack(total_dual, xs)
     for a, p in ins.observable.outcomes:
-        comp_dual = dual(ins.component(a))
+        images = apply_dual_stack(ins.component(a), unit_xs)
         records.append(
             CheckRecord(
                 "dual.component_unit_to_projector",
                 a,
-                matcore.max_abs(apply(comp_dual, one) - p),
+                matcore.max_abs(images[0] - p),
                 tol,
             )
         )
-        lhs = apply_stack(comp_dual, xs)
+        lhs = images[1:]
         res_left = matcore.max_abs(lhs - p @ txs)
         res_right = matcore.max_abs(lhs - txs @ p)
         res_both = matcore.max_abs(lhs - p @ txs @ p)

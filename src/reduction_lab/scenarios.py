@@ -77,9 +77,10 @@ def joint_distribution(
 
 
 def conditional_distribution(jd: JointDistribution, a: float) -> dict:
-    """P(x | a) = P(a, x) / P(a)."""
-    p_a = jd.marginal_first(a)
-    if p_a <= PROBABILITY_FLOOR:
+    """P(x | a) = P(a, x) / P(a), with the marginal P(a) band-checked and
+    clamped like every probability."""
+    p_a = clamp_probability(jd.marginal_first(a))
+    if not p_a > PROBABILITY_FLOOR:
         raise ZeroProbabilityOutcomeError(a, p_a, PROBABILITY_FLOOR)
     return {
         x: jd.probability(a, x) / p_a for x in jd.second_observable.eigenvalues

@@ -26,10 +26,13 @@ the constructor, ``*``, ``from_function`` and ``superoperator_from_choi``.
 The other builders compute it from checked arrays and skip the scan.
 ``unit_image`` reads T*(1) off the rep, so validation builds no dual map.
 
-``apply_stack`` and ``decompose_stack`` work on an (n, d, d) stack of
-matrices at once, so that a check over many samples costs one matmul or
-one batched ``eigh`` instead of a Python loop; ``apply`` and
-``decompose_trace_class`` are their one-matrix forms.
+``apply_stack``, ``apply_dual_stack`` and ``decompose_stack`` work on an
+(n, d, d) stack of matrices at once, so that a check over many samples
+costs one matmul or one batched ``eigh`` instead of a Python loop; ``apply``
+and ``decompose_trace_class`` are one-matrix forms.  ``apply_dual_stack``
+applies s* through s's own rep, so the verifiers build no dual map;
+``dual`` copies the rep with its four axes reversed and stays for callers
+that need s* as a map, and as the tests' reference.
 """
 
 from __future__ import annotations
@@ -164,16 +167,32 @@ def apply(s: Superoperator, m) -> np.ndarray:
     return unvec(s.rep @ vec(m), s.dim)
 
 
-def apply_stack(s: Superoperator, ms) -> np.ndarray:
-    """s applied to every matrix of an (n, d, d) stack with one matmul: the
-    rows of the stack's vecs times rep^T are the vecs of the images."""
+def _stack_for(s: Superoperator, ms) -> np.ndarray:
     ms = np.asarray(ms, dtype=complex)
     d = s.dim
     if ms.ndim != 3 or ms.shape[1:] != (d, d):
         raise ValueError(f"expected an (n, {d}, {d}) stack, got shape {ms.shape}")
-    n = ms.shape[0]
+    return ms
+
+
+def apply_stack(s: Superoperator, ms) -> np.ndarray:
+    """s applied to every matrix of an (n, d, d) stack with one matmul: the
+    rows of the stack's vecs times rep^T are the vecs of the images."""
+    ms = _stack_for(s, ms)
+    n, d = ms.shape[0], s.dim
     rows = ms.transpose(0, 2, 1).reshape(n, d * d)
     return (rows @ s.rep.T).reshape(n, d, d).transpose(0, 2, 1)
+
+
+def apply_dual_stack(s: Superoperator, ms) -> np.ndarray:
+    """The dual map s* applied to every matrix of an (n, d, d) stack with one
+    matmul on s's own rep, building no dual map:
+    s*(X)[j, i] = sum_{a,b} X[b, a] rep[a + b*d, i + j*d], so the rows of
+    the stack flattened in C order times rep are the images flattened in C
+    order."""
+    ms = _stack_for(s, ms)
+    n, d = ms.shape[0], s.dim
+    return (ms.reshape(n, d * d) @ s.rep).reshape(n, d, d)
 
 
 def trace_of_map(s: Superoperator, rho) -> complex:
@@ -256,7 +275,7 @@ def kraus_from_choi(c: ChoiMatrix) -> list:
         w, vecs = (sv * sv)[::-1], u[:, ::-1]
     else:
         w, vecs = matcore.hermitian_eig(c.matrix)
-        if w[0] < -ROUNDOFF_TOL:
+        if not w[0] >= -ROUNDOFF_TOL:
             raise NotCompletelyPositiveError(float(w[0]))
     keep = w > ROUNDOFF_TOL
     # entry i*d + m of an eigenvector is K[m, i]: transpose each unvec'd

@@ -402,8 +402,9 @@ def test_building_an_instrument_builds_no_dual_and_rescans_no_rep(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
+    # the verifiers reach the dual map only through ``superop``
+    assert not hasattr(instrument, "dual")
     monkeypatch.setattr(superop, "dual", counted("dual", superop.dual))
-    monkeypatch.setattr(instrument, "dual", counted("dual", instrument.dual))
     monkeypatch.setattr(
         matcore, "as_complex_matrix", counted("as_complex_matrix", matcore.as_complex_matrix)
     )
@@ -419,6 +420,32 @@ def test_building_an_instrument_builds_no_dual_and_rescans_no_rep(monkeypatch):
     # per outcome: one check in sandwich(E_a), where a caller's projector
     # enters, and one in the Choi PSD test of the stackless component
     assert calls == {"dual": 0, "as_complex_matrix": 6}
+    # both verifiers apply T* and T_a* straight from the reps
+    assert verify_dual_lemma(ins).passed and verify_theorem1(ins).passed
+    assert calls["dual"] == 0
+
+
+def test_validate_writes_no_rep():
+    obs = observable_from_hermitian(np.diag([1.0, 0.0, -1.0]).astype(complex))
+    ins = instrument_of(random_faithful_model(obs, 6, seed=4))
+    # the library's reps are writeable: a write would show in the bytes;
+    # a write to read-only copies would raise
+    def read_only(t):
+        rep = t.rep.copy()
+        rep.flags.writeable = False
+        return Superoperator(3, rep)
+
+    frozen = Instrument(
+        obs,
+        {a: read_only(t) for a, t in ins.components.items()},
+        total=read_only(ins.total),
+        validate_invariants=False,
+    )
+    for case in (ins, frozen):
+        maps = [case.total, *case.components.values()]
+        before = [(t.rep.tobytes(), t.rep.flags.writeable) for t in maps]
+        assert case.validate() <= VERIFY_TOL
+        assert [(t.rep.tobytes(), t.rep.flags.writeable) for t in maps] == before
 
 
 @pytest.fixture
@@ -463,9 +490,13 @@ def test_cached_samples_are_read_only_and_bounded(fresh_samples):
     lambdas, parts = superop.decompose_stack(xs)
     weights = lambdas * np.array([1.0, -1.0, 1j, -1j])
     assert np.array_equal(samples.xs, xs)
+    # the dual lemma's stack is the identity, then the same samples
+    assert np.array_equal(samples.unit_xs[0], np.eye(3))
+    assert np.shares_memory(samples.unit_xs, samples.xs)
+    assert np.array_equal(samples.unit_xs[1:], xs)
     assert np.array_equal(samples.split[0], weights)
     assert np.array_equal(samples.split[1], parts.reshape(-1, 3, 3))
-    for a in (samples.xs, *samples.split):
+    for a in (samples.unit_xs, samples.xs, *samples.split):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0

@@ -201,21 +201,53 @@ def test_as_complex_matrix_rejects_non_finite_in_either_part(re, im):
         matcore.as_complex_matrix(m)
 
 
+BOUND_NAMES = {
+    "ROUNDOFF_TOL", "VERIFY_TOL", "DEGENERACY_TOL", "UNIT_TOL",
+    "PROBABILITY_FLOOR", "ZERO_WEIGHT", "tol",
+}
+
+
+def _open_comparisons(test: ast.expr):
+    """The comparisons in an ``if`` test that a NaN lets through: a ``>``,
+    or a ``<``, ``<=`` or ``>=`` against a matcore bound or ``tol``.  A
+    comparison that is the operand of ``not``, also through a method call
+    such as ``not (lo >= bound).all()``, raises on NaN and is fine."""
+    negated = set()
+    for node in ast.walk(test):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            operand = node.operand
+            while isinstance(operand, ast.Call) and isinstance(operand.func, ast.Attribute):
+                operand = operand.func.value
+            negated.add(id(operand))
+    for cmp in ast.walk(test):
+        if not isinstance(cmp, ast.Compare) or id(cmp) in negated:
+            continue
+        names = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(cmp) if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        for op in cmp.ops:
+            if isinstance(op, ast.Gt) or (
+                isinstance(op, (ast.Lt, ast.LtE, ast.GtE)) and names & BOUND_NAMES
+            ):
+                yield cmp
+                break
+
+
 def test_raising_comparisons_fail_closed():
-    # NaN passes ``x > bound``; an ``if`` whose body raises asks instead that
-    # the bound hold, ``not (x <= bound)``, so a NaN raises
+    # NaN passes ``x > bound`` and fails ``x <= bound``; an ``if`` whose body
+    # raises asks instead that the bound hold, ``not (x <= bound)``, or
+    # ``not p > floor`` for a floor, so a NaN raises
     paths = sorted(Path(matcore.__file__).parent.glob("*.py"))
     open_ = [
-        f"{path.name}:{node.lineno}"
+        f"{path.name}:{cmp.lineno}"
         for path in paths
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.If)
         and any(isinstance(stmt, ast.Raise) for stmt in node.body)
-        and any(isinstance(op, ast.Gt)
-                for cmp in ast.walk(node.test) if isinstance(cmp, ast.Compare)
-                for op in cmp.ops)
+        for cmp in _open_comparisons(node.test)
     ]
-    assert not open_, "raising tests written with '>':\n" + "\n".join(open_)
+    assert not open_, "raising tests open to NaN:\n" + "\n".join(open_)
 
 
 @st.composite

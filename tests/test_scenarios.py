@@ -103,6 +103,18 @@ def test_conditional_distribution(z_model):
         conditional_distribution(jd, -1.0)
 
 
+@pytest.mark.parametrize("p", [np.nan, 1.1])
+def test_conditional_distribution_band_checks_the_marginal(z_model, p):
+    # a marginal that is NaN, or 2.2 out of two table entries, is no
+    # probability: it raises as on every other route
+    x_obs = observable_from_hermitian(PAULI_X)
+    jd = joint_distribution(z_model, x_obs, plus_state())
+    table = {(1.0, x): p for x in x_obs.eigenvalues}
+    broken = scenarios.JointDistribution(jd.first_observable, x_obs, table)
+    with pytest.raises(NumericalConsistencyError):
+        conditional_distribution(broken, 1.0)
+
+
 def test_joint_distribution_applies_each_component_once(z_model, monkeypatch):
     x_obs = observable_from_hermitian(PAULI_X)
     rho = random_density(np.random.default_rng(7), 2)

@@ -16,6 +16,7 @@ from reduction_lab.superop import (
     ChoiMatrix,
     Superoperator,
     apply,
+    apply_dual_stack,
     apply_stack,
     choi,
     decompose_stack,
@@ -81,6 +82,31 @@ def test_apply_stack_matches_apply(rng):
         apply_stack(s, ms[0])
     with pytest.raises(ValueError):
         apply_stack(s, np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 7])
+def test_apply_dual_stack_matches_the_dual_map(rng, d, n):
+    a, b = random_matrix(rng, d), random_matrix(rng, d)
+    maps = {
+        "kraus": Superoperator.from_kraus([random_matrix(rng, d) for _ in range(3)]),
+        "sandwich": Superoperator.sandwich(a, b),
+        "transpose": Superoperator.from_function(d, lambda x: x.T),
+        "choi": superoperator_from_choi(ChoiMatrix(d, random_matrix(rng, d * d))),
+    }
+    ms = np.stack([random_matrix(rng, d) for _ in range(n)])
+    for name, s in maps.items():
+        out = apply_dual_stack(s, ms)
+        assert out.shape == ms.shape, name
+        sd = dual(s)
+        for want in (apply_stack(sd, ms), np.stack([apply(sd, m) for m in ms])):
+            bound = 1e-13 * max(1.0, matcore.max_abs(want))
+            assert matcore.max_abs(out - want) <= bound, name
+    s = maps["kraus"]
+    with pytest.raises(ValueError):
+        apply_dual_stack(s, ms[0])
+    with pytest.raises(ValueError):
+        apply_dual_stack(s, np.zeros((2, d + 1, d + 1)))
 
 
 def test_decompose_stack_matches_single(rng):
