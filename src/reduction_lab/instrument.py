@@ -19,14 +19,7 @@ from . import matcore, superop
 from .errors import NotAMeasurementOfAError, ZeroProbabilityOutcomeError
 from .matcore import PROBABILITY_FLOOR, ROUNDOFF_TOL, VERIFY_TOL
 from .quantum import DensityOperator, DiscreteObservable, clamp_probability, maximally_mixed
-from .superop import (
-    Superoperator,
-    apply,
-    apply_dual_stack,
-    apply_stack,
-    choi,
-    decompose_stack,
-)
+from .superop import Superoperator, apply, apply_dual_stack, apply_stack, choi
 
 
 @dataclass(frozen=True)
@@ -55,9 +48,6 @@ class VerificationReport:
     def max_residual(self) -> float:
         return max((r.residual for r in self.records), default=0.0)
 
-    def worst(self) -> CheckRecord | None:
-        return max(self.records, key=lambda r: r.residual, default=None)
-
 
 def _random_stack(rng: np.random.Generator, trials: int, dim: int) -> np.ndarray:
     """A (trials, dim, dim) stack of complex Ginibre samples in one draw.
@@ -67,38 +57,21 @@ def _random_stack(rng: np.random.Generator, trials: int, dim: int) -> np.ndarray
     return g[:, 0] + 1j * g[:, 1]
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-class _SampleSet:
-    """The verifiers' random samples drawn from ``rng``: the Ginibre stack
-    ``xs``, drawn on construction, and its four-density-operator split,
-    built and density-checked by ``decompose_stack`` the first time
-    ``verify_theorem1`` asks for it.  ``unit_xs`` is the identity followed
-    by the samples, for ``verify_dual_lemma``; ``xs`` is a view of it.
-    Every array is read-only."""
-
-    def __init__(self, rng: np.random.Generator, trials: int, dim: int):
-        xs = _random_stack(rng, trials, dim)
-        self.unit_xs = _read_only(np.concatenate([np.eye(dim, dtype=complex)[None], xs]))
-        self.xs = self.unit_xs[1:]
-
-    @functools.cached_property
-    def split(self) -> tuple:
-        """Weights (trials, 4) and parts (4 * trials, d, d) with
-        ``xs[n] = sum_k weights[n, k] parts[4 n + k]``."""
-        lambdas, parts = decompose_stack(self.xs)
-        weights = lambdas * np.array([1.0, -1.0, 1j, -1j])
-        d = self.xs.shape[1]
-        return _read_only(weights), _read_only(parts.reshape(-1, d, d))
+def _draw(seed, trials: int, dim: int) -> np.ndarray:
+    """The read-only (trials + 1, dim, dim) stack of the identity followed
+    by ``trials`` Ginibre samples drawn from ``np.random.default_rng(seed)``."""
+    xs = _random_stack(np.random.default_rng(seed), trials, dim)
+    unit_xs = np.concatenate([np.eye(dim, dtype=complex)[None], xs])
+    unit_xs.flags.writeable = False
+    return unit_xs
 
 
 @functools.lru_cache(maxsize=16)
-def _sample_set(seed: int, trials: int, dim: int) -> _SampleSet:
+def _sample_set(seed: int, trials: int, dim: int) -> np.ndarray:
     """The samples of one integer ``(seed, trials, dim)``, drawn once per
-    process and held for the 16 most recent keys.
+    process and held for the 16 most recent keys: the identity, then the
+    Ginibre stack.  ``verify_theorem1`` reads ``[1:]``, ``verify_dual_lemma``
+    all of it.
 
     The samples depend on nothing else, so only a process that verifies
     several instruments of one dimension at one seed and trial count reuses
@@ -106,23 +79,21 @@ def _sample_set(seed: int, trials: int, dim: int) -> _SampleSet:
     benchmark's ``ladder``, ``wide_object`` and ``cli_small`` passes or
     repeated in-process ``cli.main`` calls.  A one-shot CLI process, the
     demo and the property and acceptance tests, which change the seed per
-    model, never reuse an entry and cost what they did without the cache.
-    No instrument data is held, so no record can come from the cache.  An
-    entry holds 16 * (trials + 1) * d^2 bytes for the identity and the
-    stack and 64 * trials * (d^2 + 1) more once split: 2,316,416 bytes at
-    d = 24 and 50 trials, so 16 such entries hold at most 37,062,656
-    bytes."""
-    return _SampleSet(np.random.default_rng(seed), trials, dim)
+    model, never reuse an entry.  No instrument data is held, so no record
+    can come from the cache.  An entry holds 16 * (trials + 1) * d^2 bytes:
+    470,016 bytes at d = 24 and 50 trials, so 16 such entries hold at most
+    7,520,256 bytes."""
+    return _draw(seed, trials, dim)
 
 
-def _samples(seed, trials, dim: int) -> _SampleSet:
+def _samples(seed, trials, dim: int) -> np.ndarray:
     """The verifiers' samples: cached for an integer seed, drawn afresh on
     every call for any other seed ``np.random.default_rng`` takes (``None``,
     a ``Generator``, a sequence of integers)."""
     try:
         key = operator.index(seed)
     except TypeError:
-        return _SampleSet(np.random.default_rng(seed), trials, dim)
+        return _draw(seed, trials, dim)
     return _sample_set(key, operator.index(trials), dim)
 
 
@@ -174,6 +145,10 @@ class Instrument:
         d = self.dim
         if set(self.components) != set(self.observable.eigenvalues):
             raise ValueError("component outcomes must match observable eigenvalues")
+        if self.total.dim != d:
+            raise ValueError(
+                f"total operation dimension {self.total.dim} != observable dimension {d}"
+            )
         diff = -self.total.rep
         for t in self.components.values():
             if t.dim != d:
@@ -311,28 +286,22 @@ def verify_theorem1(
     """Check the three equal forms T_a(X) = T(E X) = T(X E) = T(E X E) on
     random trace-class operators, including non-Hermitian ones.
 
-    The samples are one (trials, d, d) stack, decomposed once into four
-    density operators each.  The left side is applied through that
-    four-density-operator linear extension, so the check also exercises the
-    decomposition: T_a maps all 4 * trials parts in one matmul, and T maps
-    the stacked E X, X E and E X E in one each.  A record's residual is the
-    largest entry of a difference over all samples; it passes at ``tol``.
+    The samples are one (trials, d, d) stack.  T_a maps it in one matmul
+    on its rep, and T maps the stacked E X, X E and E X E in one each.  A
+    record's residual is the largest entry of a difference over all
+    samples; it passes at ``tol``.
 
     ``seed`` is anything ``np.random.default_rng`` takes.  For an integer
-    seed the samples, their weights and their parts depend only on
-    ``(seed, trials, d)``; they come read-only from a per-process cache of
-    the 16 most recent keys, so the draw, the decomposition and its density
-    check run once per key in a process.  Any other seed draws afresh.
-    The images, residuals and verdicts are computed on every call.
+    seed the samples depend only on ``(seed, trials, d)``; they come
+    read-only from a per-process cache of the 16 most recent keys
+    (``_sample_set``), so they are drawn once per key in a process.  Any
+    other seed draws afresh.  The images, residuals and verdicts are
+    computed on every call.
     """
-    d = ins.dim
-    samples = _samples(seed, trials, d)
-    xs = samples.xs
-    weights, parts = samples.split
+    xs = _samples(seed, trials, ins.dim)[1:]
     records = []
     for a, p in ins.observable.outcomes:
-        images = apply_stack(ins.component(a), parts).reshape(trials, 4, d, d)
-        lhs = np.einsum("nk,nkij->nij", weights, images)
+        lhs = apply_stack(ins.component(a), xs)
         res_left = matcore.max_abs(lhs - apply_stack(ins.total, p @ xs))
         res_right = matcore.max_abs(lhs - apply_stack(ins.total, xs @ p))
         res_both = matcore.max_abs(lhs - apply_stack(ins.total, p @ xs @ p))
@@ -358,11 +327,11 @@ def verify_dual_lemma(
 
     ``seed`` is anything ``np.random.default_rng`` takes.  For an integer
     seed the stack depends only on ``(seed, trials, d)`` and comes
-    read-only from the per-process cache of ``verify_theorem1`` (16 keys):
-    it is drawn once per key in a process and never decomposed here.  Any
-    other seed draws afresh.
+    read-only from the per-process cache that ``verify_theorem1`` shares
+    (``_sample_set``, 16 keys), so it is drawn once per key in a process.
+    Any other seed draws afresh.
     """
-    unit_xs = _samples(seed, trials, ins.dim).unit_xs
+    unit_xs = _samples(seed, trials, ins.dim)
     images = apply_dual_stack(ins.total, unit_xs)
     txs = images[1:]
     records = [

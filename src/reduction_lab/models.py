@@ -237,15 +237,15 @@ def _projector_range(p: np.ndarray) -> np.ndarray:
 def von_neumann_model(
     observable: DiscreteObservable,
     dim_a: int,
-    pointer_basis: np.ndarray | None = None,
+    *,
     seed: int | None = None,
 ) -> MeasurementModel:
     """Pointer-basis model: U maps phi_n x xi to phi_n x xi_n.
 
-    The observable must be nondegenerate.  The pointer basis is taken from
-    ``pointer_basis`` (orthonormal columns), drawn Haar-randomly from
-    ``seed``, or defaults to the first apparatus basis vectors.  The probe
-    assigns unused apparatus dimensions to the first outcome.
+    The observable must be nondegenerate.  The pointer basis is drawn
+    Haar-randomly from ``seed``, or defaults to the first apparatus basis
+    vectors.  The probe assigns unused apparatus dimensions to the first
+    outcome.
     """
     dim_s = observable.dim
     n = len(observable.outcomes)
@@ -257,13 +257,7 @@ def von_neumann_model(
     if dim_a < n:
         raise ValueError(f"dim_a = {dim_a} < number of outcomes = {n}")
 
-    if pointer_basis is not None:
-        xi_n = np.asarray(pointer_basis, dtype=complex)
-        if xi_n.shape != (dim_a, n):
-            raise ValueError(f"pointer basis must be {dim_a} x {n}")
-        if not matcore.max_abs(dagger(xi_n) @ xi_n - np.eye(n)) <= ROUNDOFF_TOL:
-            raise ValueError("pointer basis columns are not orthonormal")
-    elif seed is not None:
+    if seed is not None:
         xi_n = haar_unitary(dim_a, np.random.default_rng(seed))[:, :n]
     else:
         xi_n = np.eye(dim_a, dtype=complex)[:, :n]

@@ -143,9 +143,6 @@ class DiscreteObservable:
                 return p
         return np.zeros((self.dim, self.dim), dtype=complex)
 
-    def to_hermitian(self) -> np.ndarray:
-        return sum(a * p for a, p in self.outcomes)
-
 
 def observable_from_hermitian(
     h, degeneracy_tol: float = DEGENERACY_TOL

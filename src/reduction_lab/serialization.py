@@ -177,16 +177,27 @@ def model_to_json(model: MeasurementModel) -> dict:
     return out
 
 
+def _dimension_from_json(j, key: str) -> int:
+    """``j[key]`` when it is a JSON integer >= 1; a float, a string or a
+    boolean is refused, not rounded or converted."""
+    value = j[key]
+    if type(value) is not int or value < 1:
+        raise ParseError(f"model.{key}: expected an integer >= 1, got {value!r}")
+    return value
+
+
 def model_from_json(j) -> MeasurementModel:
     if not isinstance(j, dict):
         raise ParseError("model: expected an object")
     for key in ("dim_s", "dim_a", "observable", "apparatus_state", "unitary"):
         if key not in j:
             raise ParseError(f"model: missing field '{key}'")
+    dim_s = _dimension_from_json(j, "dim_s")
+    dim_a = _dimension_from_json(j, "dim_a")
     try:
         return MeasurementModel(
-            dim_s=int(j["dim_s"]),
-            dim_a=int(j["dim_a"]),
+            dim_s=dim_s,
+            dim_a=dim_a,
             observable=observable_from_json(j["observable"], "model.observable"),
             apparatus_state=DensityOperator(
                 matrix_from_json(j["apparatus_state"], "model.apparatus_state")

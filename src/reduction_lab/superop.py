@@ -26,13 +26,16 @@ the constructor, ``*``, ``from_function`` and ``superoperator_from_choi``.
 The other builders compute it from checked arrays and skip the scan.
 ``unit_image`` reads T*(1) off the rep, so validation builds no dual map.
 
-``apply_stack``, ``apply_dual_stack`` and ``decompose_stack`` work on an
+``apply_stack`` and ``apply_dual_stack`` apply a map or its dual to an
 (n, d, d) stack of matrices at once, so that a check over many samples
-costs one matmul or one batched ``eigh`` instead of a Python loop; ``apply``
-and ``decompose_trace_class`` are one-matrix forms.  ``apply_dual_stack``
-applies s* through s's own rep, so the verifiers build no dual map;
-``dual`` copies the rep with its four axes reversed and stays for callers
-that need s* as a map, and as the tests' reference.
+costs one matmul instead of a Python loop; ``apply`` is the one-matrix
+form.  ``apply_dual_stack`` applies s* through s's own rep, so the
+verifiers build no dual map; ``dual`` copies the rep with its four axes
+reversed and stays for callers that need s* as a map, and as the tests'
+reference.  ``decompose_trace_class`` splits one matrix into four weighted
+density operators, the paper's linear extension of a map from states to
+trace-class operators; a map stored as its rep is already linear, so the
+verifiers apply it to their samples directly and never split them.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 from . import matcore
 from .errors import NotCompletelyPositiveError
 from .matcore import ROUNDOFF_TOL, VERIFY_TOL, ZERO_WEIGHT
-from .quantum import DensityOperator, check_density_stack
+from .quantum import DensityOperator
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -338,25 +341,11 @@ def _split(ms: np.ndarray):
     return lambdas, parts
 
 
-def decompose_stack(ms) -> tuple:
-    """Split every matrix of an (n, d, d) stack into four weighted density
-    operators at once: weights (n, 4) and parts (n, 4, d, d) with
-    ``m = l1 s1 - l2 s2 + i l3 s3 - i l4 s4``.  Zero-weight slots carry the
-    maximally mixed state; every part is checked once against the
-    ``DensityOperator`` bounds."""
-    ms = np.asarray(ms, dtype=complex)
-    if ms.ndim != 3 or ms.shape[1] != ms.shape[2] or ms.shape[1] < 1:
-        raise ValueError(f"expected an (n, d, d) stack, got shape {ms.shape}")
-    if not np.all(np.isfinite(ms)):
-        raise ValueError("matrix has non-finite entries")
-    lambdas, parts = _split(ms)
-    check_density_stack(parts.reshape(-1, ms.shape[1], ms.shape[1]))
-    return lambdas, parts
-
-
 def decompose_trace_class(m) -> TraceClassDecomposition:
-    """Split an arbitrary matrix into four weighted density operators; the
-    one-matrix case of ``decompose_stack``."""
+    """Split an arbitrary matrix into four weighted density operators with
+    ``m = l1 s1 - l2 s2 + i l3 s3 - i l4 s4``; zero-weight slots carry the
+    maximally mixed state, and every part is checked as a
+    ``DensityOperator``."""
     m = matcore.as_complex_matrix(m)
     lambdas, parts = _split(m[None])
     return TraceClassDecomposition(

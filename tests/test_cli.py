@@ -14,7 +14,9 @@ from reduction_lab.models import (
     random_faithful_model,
     von_neumann_model,
 )
-from reduction_lab.quantum import PAULI_X, PAULI_Z, maximally_mixed, observable_from_hermitian
+from reduction_lab.quantum import (
+    PAULI_X, PAULI_Z, PureState, maximally_mixed, observable_from_hermitian,
+)
 
 
 @pytest.fixture
@@ -525,3 +527,76 @@ def test_bad_tol_exits_two(capsys, monkeypatch, value, source):
         captured = capsys.readouterr()
         assert "error: argument --tol:" in captured.err
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("key", ["dim_s", "dim_a"])
+@pytest.mark.parametrize("value", [2.7, 2.0, "2", True, None, 0, -2, [2]])
+def test_model_dimension_must_be_a_json_integer(tmp_path, z_obs, capsys, key, value):
+    # int() would read 2.7, 2.0 and "2" as 2, and True as 1
+    j = ser.model_to_json(von_neumann_model(z_obs, 2))
+    j[key] = value
+    path = write(tmp_path, "model.json", j)
+    assert main(["check-model", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: model.{key}: expected an integer >= 1, got {value!r}\n"
+    )
+
+
+def _hermitian_observable_json(*diagonal):
+    return ser.observable_to_json(observable_from_hermitian(np.diag(diagonal)))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("dim_a", 3, "unitary dim 4 != dim_s * dim_a = 6"),
+    ("unitary", "doubled", "interaction matrix is not unitary"),
+    ("observable", _hermitian_observable_json(1.0, 0.0, -1.0), "observable dimension != dim_s"),
+    ("apparatus_state", ser.matrix_to_json(np.eye(3) / 3), "apparatus state dimension != dim_a"),
+    ("probe", _hermitian_observable_json(1.0, 0.0, -1.0), "probe dimension != dim_a"),
+    ("probe", _hermitian_observable_json(2.0, -1.0),
+     "probe eigenvalue set differs from the measured observable's"),
+])
+def test_check_model_refuses_an_inconsistent_model(tmp_path, z_obs, capsys, field, value, message):
+    model = von_neumann_model(z_obs, 2)
+    j = ser.model_to_json(model)
+    j[field] = ser.matrix_to_json(2 * model.unitary) if value == "doubled" else value
+    path = write(tmp_path, "model.json", j)
+    assert main(["check-model", path]) == 2
+    assert capsys.readouterr().err == f"error: model: {message}\n"
+
+
+def _state_commands(tmp_path, spath):
+    model = random_faithful_model(observable_from_hermitian(PAULI_Z), 3, seed=4)
+    mpath = write_model(tmp_path, model)
+    opath = write(tmp_path, "obs.json", ser.observable_to_json(observable_from_hermitian(PAULI_X)))
+    return [
+        ["reduce", mpath, "--state", spath, "--outcome", "-1"],
+        ["joint", mpath, "--second", opath, "--state", spath],
+    ]
+
+
+def test_density_state_file_gives_the_vector_file_report(tmp_path, capsys):
+    psi = PureState(np.array([0.6, 0.8j]))
+    vpath = write(tmp_path, "vector.json", {"vector": [ser.complex_to_json(z) for z in psi.vector]})
+    rho = psi.to_density()
+    dpath = write(tmp_path, "density.json", ser.density_to_json(rho))
+    assert np.array_equal(ser.density_from_json(ser.load_file(dpath)).matrix, rho.matrix)
+    for by_vector, by_density in zip(_state_commands(tmp_path, vpath), _state_commands(tmp_path, dpath)):
+        assert main(by_vector) == 0
+        want = capsys.readouterr().out
+        assert main(by_density) == 0
+        assert capsys.readouterr().out == want, by_vector[0]
+
+
+@pytest.mark.parametrize("state, message", [
+    ([[1.0, 0.0], [0.0, 0.0]], "state: expected an object"),
+    ({"rho": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+     "state: needs either 'density' or 'vector'"),
+    ({"density": ser.matrix_to_json(np.eye(2))}, "state: density operator trace (2+0j) != 1"),
+    ({"density": ser.matrix_to_json(np.diag([1.5, -0.5]))},
+     "state: density operator not PSD (min eigenvalue -5.000e-01)"),
+])
+def test_malformed_state_file_exits_two(tmp_path, capsys, state, message):
+    spath = write(tmp_path, "state.json", state)
+    for argv in _state_commands(tmp_path, spath):
+        assert main(argv) == 2, argv[0]
+        assert capsys.readouterr().err == f"error: {message}\n", argv[0]

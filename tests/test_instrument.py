@@ -455,52 +455,62 @@ def fresh_samples():
     instrument._sample_set.cache_clear()
 
 
-def test_verifier_samples_are_decomposed_once_per_key(z_luders, fresh_samples, monkeypatch):
-    splits = []
+def test_verifier_samples_are_drawn_once_per_key(z_luders, fresh_samples, monkeypatch):
+    draws = []
 
-    def counted(ms):
-        splits.append(ms.shape)
-        return superop.decompose_stack(ms)
+    def counted(rng, trials, dim):
+        draws.append((trials, dim))
+        return _random_stack(rng, trials, dim)
 
-    monkeypatch.setattr(instrument, "decompose_stack", counted)
+    monkeypatch.setattr(instrument, "_random_stack", counted)
     first = verify_theorem1(z_luders, trials=6, seed=2)
     for _ in range(3):
         assert verify_theorem1(z_luders, trials=6, seed=2) == first
         verify_dual_lemma(z_luders, trials=6, seed=2)
-    assert splits == [(6, 2, 2)]
+    # both verifiers read the one entry of a key
+    assert draws == [(6, 2)]
     assert fresh_samples.cache_info().currsize == 1
     # a new seed, trial count or dimension is a new entry
     three = luders_instrument(observable_from_hermitian(np.diag([1.0, 0.0, -1.0])))
     verify_theorem1(z_luders, trials=6, seed=3)
     verify_theorem1(z_luders, trials=7, seed=2)
     verify_theorem1(three, trials=6, seed=2)
-    assert splits == [(6, 2, 2), (6, 2, 2), (7, 2, 2), (6, 3, 3)]
+    assert draws == [(6, 2), (6, 2), (7, 2), (6, 3)]
     assert fresh_samples.cache_info().currsize == 4
-    # the dual lemma draws a stack and never decomposes it
     verify_dual_lemma(z_luders, trials=8, seed=2)
-    assert len(splits) == 4 and fresh_samples.cache_info().currsize == 5
+    assert len(draws) == 5 and fresh_samples.cache_info().currsize == 5
     # an integer seed or trial count of another type is the same key
     verify_theorem1(z_luders, trials=np.int64(6), seed=np.int64(2))
-    assert fresh_samples.cache_info().currsize == 5
+    verify_dual_lemma(z_luders, trials=np.int64(6), seed=np.int64(2))
+    assert len(draws) == 5 and fresh_samples.cache_info().currsize == 5
 
 
 def test_cached_samples_are_read_only_and_bounded(fresh_samples):
     samples = fresh_samples(0, 4, 3)
-    xs = _random_stack(np.random.default_rng(0), 4, 3)
-    lambdas, parts = superop.decompose_stack(xs)
-    weights = lambdas * np.array([1.0, -1.0, 1j, -1j])
-    assert np.array_equal(samples.xs, xs)
-    # the dual lemma's stack is the identity, then the same samples
-    assert np.array_equal(samples.unit_xs[0], np.eye(3))
-    assert np.shares_memory(samples.unit_xs, samples.xs)
-    assert np.array_equal(samples.unit_xs[1:], xs)
-    assert np.array_equal(samples.split[0], weights)
-    assert np.array_equal(samples.split[1], parts.reshape(-1, 3, 3))
-    for a in (samples.unit_xs, samples.xs, *samples.split):
+    # the identity, then the samples of the seed
+    assert samples.shape == (5, 3, 3)
+    assert np.array_equal(samples[0], np.eye(3))
+    assert np.array_equal(samples[1:], _random_stack(np.random.default_rng(0), 4, 3))
+    for a in (samples, samples[1:]):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
     assert fresh_samples.cache_info().maxsize == 16
+
+
+def test_verifiers_split_no_sample(z_luders, fresh_samples, monkeypatch):
+    # T_a is linear, so it maps each sample directly: the four-density-
+    # operator split of ``decompose_trace_class`` is the tests' reference only
+    def refuse(ms):
+        raise AssertionError("a verifier split its samples")
+
+    monkeypatch.setattr(superop, "_split", refuse)
+    with pytest.raises(AssertionError, match="split"):
+        decompose_trace_class(np.eye(2))
+    for seed in (0, None):
+        assert verify_theorem1(z_luders, seed=seed).passed
+        assert verify_dual_lemma(z_luders, seed=seed).passed
+    assert not hasattr(superop, "decompose_stack")
 
 
 def test_a_non_integer_seed_draws_afresh(z_luders, fresh_samples):
@@ -530,6 +540,19 @@ def test_a_warm_sample_cache_still_fails_a_corrupted_instrument(z_obs, z_luders,
     cold = records()
     assert warm == cold
     assert not VerificationReport(warm).passed
+
+
+def test_validate_refuses_a_total_or_component_of_another_dimension(z_obs, z_luders):
+    # compared before the completeness sum, whose broadcast of a 9 x 9 rep
+    # against 4 x 4 ones would fail with numpy's shape message instead
+    with pytest.raises(
+        ValueError, match="total operation dimension 3 != observable dimension 2"
+    ):
+        Instrument(z_obs, z_luders.components, total=Superoperator.identity(3))
+    wrong = dict(z_luders.components)
+    wrong[1.0] = Superoperator.identity(3)
+    with pytest.raises(ValueError, match="component dimension mismatch"):
+        Instrument(z_obs, wrong, total=z_luders.total)
 
 
 def test_validate_refuses_each_corruption_class():

@@ -19,7 +19,6 @@ from reduction_lab.superop import (
     apply_dual_stack,
     apply_stack,
     choi,
-    decompose_stack,
     decompose_trace_class,
     dual,
     is_positive_sampled,
@@ -109,34 +108,6 @@ def test_apply_dual_stack_matches_the_dual_map(rng, d, n):
         apply_dual_stack(s, np.zeros((2, d + 1, d + 1)))
 
 
-def test_decompose_stack_matches_single(rng):
-    h = random_hermitian(rng, 3)
-    inputs = {
-        "hermitian": (h, {2, 3}),
-        "anti_hermitian": (1j * h, {0, 1}),
-        "psd": (random_density(rng, 3).matrix * 2.5, {1, 2, 3}),
-        "zero": (np.zeros((3, 3), dtype=complex), {0, 1, 2, 3}),
-        "general": (random_matrix(rng, 3), set()),
-    }
-    lambdas, parts = decompose_stack(np.stack([m for m, _ in inputs.values()]))
-    assert lambdas.shape == (5, 4) and parts.shape == (5, 4, 3, 3)
-    for k, (name, (m, empty)) in enumerate(inputs.items()):
-        single = decompose_trace_class(m)
-        assert np.allclose(lambdas[k], single.lambdas, rtol=0, atol=1e-14), name
-        for slot, part in enumerate(single.parts):
-            assert matcore.max_abs(parts[k, slot] - part.matrix) <= 1e-14, name
-        # empty slots carry weight 0 and the maximally mixed placeholder
-        assert {i for i in range(4) if lambdas[k, i] == 0.0} == empty, name
-        for i in empty:
-            assert np.array_equal(parts[k, i], np.eye(3) / 3), name
-        weights = np.array([1, -1, 1j, -1j]) * lambdas[k]
-        assert matcore.max_abs(np.einsum("k,kij->ij", weights, parts[k]) - m) <= 1e-12
-    with pytest.raises(ValueError):
-        decompose_stack(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        decompose_stack(np.full((1, 2, 2), np.inf))
-
-
 def test_decompose_density_is_first_slot(rng):
     rho = random_density(rng, 3)
     dec = decompose_trace_class(rho.matrix)
@@ -147,6 +118,23 @@ def test_decompose_density_is_first_slot(rng):
     neg = decompose_trace_class(-rho.matrix)
     assert np.isclose(neg.lambdas[1], 1.0, atol=1e-12)
     assert neg.lambdas[0] == 0.0
+
+
+def test_decompose_empty_slots_hold_the_maximally_mixed_state(rng):
+    h = random_hermitian(rng, 3)
+    inputs = {
+        "hermitian": (h, {2, 3}),
+        "anti_hermitian": (1j * h, {0, 1}),
+        "psd": (random_density(rng, 3).matrix * 2.5, {1, 2, 3}),
+        "zero": (np.zeros((3, 3), dtype=complex), {0, 1, 2, 3}),
+        "general": (random_matrix(rng, 3), set()),
+    }
+    for name, (m, empty) in inputs.items():
+        dec = decompose_trace_class(m)
+        assert {i for i in range(4) if dec.lambdas[i] == 0.0} == empty, name
+        for i in empty:
+            assert np.array_equal(dec.parts[i].matrix, np.eye(3) / 3), name
+        assert matcore.max_abs(dec.reassemble() - m) <= 1e-12, name
 
 
 def test_decompose_reassembles(rng):
