@@ -1,8 +1,12 @@
 """Exception types raised by reduction_lab.
 
 Plain ``ValueError`` is used for dimension mismatches and malformed
-arguments; the classes here mark failures with domain meaning so callers
-(and the CLI) can map them to exit codes.
+arguments, including a state that fails the density check; the classes
+here mark failures with domain meaning so callers (and the CLI) can map
+them to exit codes: a ``ValueError`` exits 2, a ``ReductionLabError`` 1.
+A conditional state that fails the PSD test is a
+``NumericalConsistencyError``, not a ``ValueError``: its input was valid,
+and its outcome probability was too small for the roundoff.
 """
 
 
@@ -13,7 +17,9 @@ class ReductionLabError(Exception):
 class NumericalConsistencyError(ReductionLabError):
     """A quantity left its mathematically allowed band by more than tolerance.
 
-    Signals a broken model rather than roundoff; e.g. a probability of 1.3.
+    Signals a broken model, e.g. a probability of 1.3, or a result that the
+    roundoff swamps: T_a(rho)/p with an eigenvalue below -ROUNDOFF_TOL,
+    where a small outcome probability p lifts the roundoff of T_a(rho).
     """
 
 

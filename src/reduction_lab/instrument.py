@@ -16,7 +16,11 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from . import matcore, superop
-from .errors import NotAMeasurementOfAError, ZeroProbabilityOutcomeError
+from .errors import (
+    NotAMeasurementOfAError,
+    NumericalConsistencyError,
+    ZeroProbabilityOutcomeError,
+)
 from .matcore import PROBABILITY_FLOOR, ROUNDOFF_TOL, VERIFY_TOL
 from .quantum import DensityOperator, DiscreteObservable, clamp_probability, maximally_mixed
 from .superop import Superoperator, apply, apply_dual_stack, apply_stack, choi
@@ -197,7 +201,7 @@ def outcome_probability(ins: Instrument, a: float, rho: DensityOperator) -> floa
     if ins.dim != rho.dim:
         raise ValueError("dimension mismatch")
     return clamp_probability(
-        float(np.real(superop.trace_of_map(ins.component(a), rho.matrix)))
+        float(np.real(superop.trace_of_map(ins.component(a), rho)))
     )
 
 
@@ -207,12 +211,19 @@ def reduce(ins: Instrument, a: float, rho: DensityOperator) -> DensityOperator:
     ``outcome_probability``."""
     if ins.dim != rho.dim:
         raise ValueError("dimension mismatch")
-    return _reduce_image(a, apply(ins.component(a), rho.matrix))
+    return _reduce_image(a, apply(ins.component(a), rho))
 
 
 def _reduce_image(a: float, image: np.ndarray) -> DensityOperator:
     """The state ``reduce`` makes of the image T_a(rho), for a caller that
-    already holds the image."""
+    already holds the image.
+
+    The state is T_a(rho)/p made exactly Hermitian and renormalised, and
+    is built by ``DensityOperator._built``, which keeps the finite scan
+    and the PSD and trace tests.  The roundoff of T_a(rho) grows by 1/p, so
+    at a small p the result can fail the PSD test: that raises
+    ``NumericalConsistencyError`` naming the outcome, p and the min
+    eigenvalue, since no conditional state can be resolved there."""
     p = clamp_probability(float(np.real(np.trace(image))))
     if not p > PROBABILITY_FLOOR:
         raise ZeroProbabilityOutcomeError(a, p, PROBABILITY_FLOOR)
@@ -220,7 +231,14 @@ def _reduce_image(a: float, image: np.ndarray) -> DensityOperator:
     # clip eigenvalue roundoff before the strict DensityOperator checks
     out = (out + matcore.dagger(out)) / 2
     out = out / np.trace(out).real
-    return DensityOperator(out)
+
+    def unresolved(lowest: float) -> NumericalConsistencyError:
+        return NumericalConsistencyError(
+            f"outcome {a} has probability {p:.3e}, too small to resolve its "
+            f"conditional state: T_a(rho)/p has min eigenvalue {lowest:.3e}"
+        )
+
+    return DensityOperator._built(out, unresolved)
 
 
 def reduce_or_maximally_mixed(ins: Instrument, a: float, rho: DensityOperator):
@@ -237,9 +255,9 @@ def nonselective(ins: Instrument, rho: DensityOperator) -> DensityOperator:
     """Outcome-averaged state change: the total operation applied to rho."""
     if ins.dim != rho.dim:
         raise ValueError("dimension mismatch")
-    out = apply(ins.total, rho.matrix)
+    out = apply(ins.total, rho)
     out = (out + matcore.dagger(out)) / 2
-    return DensityOperator(out / np.trace(out).real)
+    return DensityOperator._built(out / np.trace(out).real)
 
 
 def instrument_from_operation(t: Superoperator, obs: DiscreteObservable) -> Instrument:

@@ -29,7 +29,13 @@ def projector_onto(vector: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Positive unit-trace matrix, checked by ``check_density_stack``."""
+    """Positive unit-trace matrix, checked by ``check_density_stack``.
+
+    The constructor scans its input with ``matcore.as_complex_matrix`` and
+    then checks it.  Library code reads ``matrix`` as checked: ``superop.apply``
+    takes the state itself and does not rescan it, so the matrix must not be
+    changed in place.  ``_built`` is the package-private constructor for
+    matrices the library computes as exactly Hermitian."""
 
     matrix: np.ndarray
 
@@ -37,6 +43,27 @@ class DensityOperator:
         m = matcore.as_complex_matrix(self.matrix)
         check_density_stack(m[None])
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _built(cls, m: np.ndarray, not_psd=None) -> "DensityOperator":
+        """The state of a d x d complex matrix that the library computed as
+        exactly Hermitian, (x + x^dag)/2 divided by a real number, as
+        ``instrument._reduce_image``, ``instrument.nonselective`` and
+        ``maximally_mixed`` do.  ``hermitian_stack`` passes such a matrix
+        and returns its Hermitian part equal to it, so only that test is
+        skipped.  The finite scan, the PSD test and the trace test run on
+        the matrix with the constructor's messages.
+
+        The PSD test stays: T_a(rho)/p is PSD only to its roundoff over p,
+        and below p of about 1e-6 it refuses most states whose conditional
+        state has low rank.  ``not_psd``, when given, makes the PSD test's
+        exception from the min eigenvalue."""
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has non-finite entries")
+        _check_spectrum(m[None], m[None], not_psd)
+        rho = object.__new__(cls)
+        vars(rho)["matrix"] = m
+        return rho
 
     @property
     def dim(self) -> int:
@@ -53,8 +80,17 @@ def check_density_stack(ms: np.ndarray) -> None:
     hermitian, h, _ = matcore.hermitian_stack(ms)
     if not hermitian.all():
         raise ValueError("density operator must be Hermitian")
+    _check_spectrum(ms, h)
+
+
+def _check_spectrum(ms: np.ndarray, h: np.ndarray, not_psd=None) -> None:
+    """The PSD and trace tests of ``check_density_stack`` on a stack ``ms``
+    with Hermitian parts ``h``; a PSD failure raises ``not_psd(min
+    eigenvalue)`` when that is given."""
     lo = np.linalg.eigvalsh(h)[:, 0]
     if not (lo >= -ROUNDOFF_TOL).all():
+        if not_psd is not None:
+            raise not_psd(float(lo.min()))
         raise ValueError(f"density operator not PSD (min eigenvalue {lo.min():.3e})")
     tr = ms.trace(axis1=-2, axis2=-1)
     on = np.abs(tr - 1.0) <= UNIT_TOL
@@ -85,7 +121,9 @@ class PureState:
 
 
 def maximally_mixed(dim: int) -> DensityOperator:
-    return DensityOperator(np.eye(dim, dtype=complex) / dim)
+    if dim < 1:
+        raise ValueError("matrix dimension must be >= 1")
+    return DensityOperator._built(np.eye(dim, dtype=complex) / dim)
 
 
 @dataclass(frozen=True)

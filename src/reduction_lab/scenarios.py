@@ -58,7 +58,7 @@ def joint_distribution(
     ins = instrument_of(model, tol)
     table = {}
     for a in model.observable.eigenvalues:
-        image = apply(ins.component(a), rho.matrix)
+        image = apply(ins.component(a), rho)
         born = born_probability(model.observable, a, rho)
         reduced = _reduce_image(a, image) if born > PROBABILITY_FLOOR else None
         for x in second.eigenvalues:
@@ -133,7 +133,7 @@ def nonuniqueness_exhibit(dim: int = 2) -> DecompositionExhibit:
 
     ins = instrument_from_operation(luders_instrument(obs).total, obs)
     component_images = {
-        a: apply(ins.component(a), rho.matrix) for a in obs.eigenvalues
+        a: apply(ins.component(a), rho) for a in obs.eigenvalues
     }
     return DecompositionExhibit(
         mixed_state=mixed_state,

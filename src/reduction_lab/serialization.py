@@ -136,6 +136,10 @@ def observable_from_json(j, where: str = "observable") -> DiscreteObservable:
             raise ParseError(f"{where}.{key}: expected an array")
     if len(eigvals) != len(projs):
         raise ParseError(f"{where}: eigenvalue and projector counts differ")
+    for k, a in enumerate(eigvals):
+        # a string, a boolean or null is refused, not converted
+        if type(a) not in (int, float):
+            raise ParseError(f"{where}.eigenvalues[{k}]: expected a number, got {a!r}")
     try:
         return DiscreteObservable(
             tuple(
@@ -143,7 +147,7 @@ def observable_from_json(j, where: str = "observable") -> DiscreteObservable:
                 for k, (a, p) in enumerate(zip(eigvals, projs))
             )
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 
@@ -154,6 +158,8 @@ def density_to_json(rho: DensityOperator) -> dict:
 def density_from_json(j, where: str = "state") -> DensityOperator:
     if not isinstance(j, dict):
         raise ParseError(f"{where}: expected an object")
+    if "vector" in j and "density" in j:
+        raise ParseError(f"{where}: holds both 'vector' and 'density'; give one")
     try:
         if "vector" in j:
             return PureState(vector_from_json(j["vector"], f"{where}.vector")).to_density()

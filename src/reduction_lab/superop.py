@@ -29,7 +29,7 @@ The other builders compute it from checked arrays and skip the scan.
 ``apply_stack`` and ``apply_dual_stack`` apply a map or its dual to an
 (n, d, d) stack of matrices at once, so that a check over many samples
 costs one matmul instead of a Python loop; ``apply`` is the one-matrix
-form.  ``apply_dual_stack`` applies s* through s's own rep, so the
+form, and reads a ``DensityOperator``'s checked matrix without a rescan.  ``apply_dual_stack`` applies s* through s's own rep, so the
 verifiers build no dual map; ``dual`` copies the rep with its four axes
 reversed and stays for callers that need s* as a map, and as the tests'
 reference.  ``decompose_trace_class`` splits one matrix into four weighted
@@ -164,10 +164,13 @@ class Superoperator:
 
 
 def apply(s: Superoperator, m) -> np.ndarray:
-    m = matcore.as_complex_matrix(m)
+    """s(m), the rep times vec(m), unvec'd.  ``m`` is a matrix, scanned by
+    ``matcore.as_complex_matrix``, or a ``DensityOperator``, whose checked
+    matrix is read with no rescan."""
+    m = m.matrix if isinstance(m, DensityOperator) else matcore.as_complex_matrix(m)
     if m.shape[0] != s.dim:
         raise ValueError(f"dimension mismatch: map dim {s.dim}, matrix dim {m.shape[0]}")
-    return unvec(s.rep @ vec(m), s.dim)
+    return (s.rep @ m.reshape(-1, order="F")).reshape(s.dim, s.dim, order="F")
 
 
 def _stack_for(s: Superoperator, ms) -> np.ndarray:
@@ -199,7 +202,7 @@ def apply_dual_stack(s: Superoperator, ms) -> np.ndarray:
 
 
 def trace_of_map(s: Superoperator, rho) -> complex:
-    """Tr[s(rho)]."""
+    """Tr[s(rho)], for a matrix or a ``DensityOperator`` as in ``apply``."""
     return complex(np.trace(apply(s, rho)))
 
 

@@ -18,6 +18,8 @@ from reduction_lab.quantum import (
     PAULI_X, PAULI_Z, PureState, maximally_mixed, observable_from_hermitian,
 )
 
+from conftest import small_probability_case
+
 
 @pytest.fixture
 def z_obs():
@@ -594,9 +596,55 @@ def test_density_state_file_gives_the_vector_file_report(tmp_path, capsys):
     ({"density": ser.matrix_to_json(np.eye(2))}, "state: density operator trace (2+0j) != 1"),
     ({"density": ser.matrix_to_json(np.diag([1.5, -0.5]))},
      "state: density operator not PSD (min eigenvalue -5.000e-01)"),
+    ({"vector": [[1.0, 0.0], [0.0, 0.0]], "density": ser.matrix_to_json(np.diag([0.0, 1.0]))},
+     "state: holds both 'vector' and 'density'; give one"),
 ])
 def test_malformed_state_file_exits_two(tmp_path, capsys, state, message):
     spath = write(tmp_path, "state.json", state)
     for argv in _state_commands(tmp_path, spath):
         assert main(argv) == 2, argv[0]
         assert capsys.readouterr().err == f"error: {message}\n", argv[0]
+
+
+@pytest.mark.parametrize("value", ["1", True, None, [1.0]])
+def test_observable_eigenvalue_must_be_a_json_number(tmp_path, z_obs, capsys, value):
+    obs = ser.observable_to_json(observable_from_hermitian(PAULI_Z))
+    obs["eigenvalues"][1] = value
+    opath = write(tmp_path, "obs.json", obs)
+    mpath = write_model(tmp_path, von_neumann_model(z_obs, 2))
+    spath = write(tmp_path, "state.json", {"vector": [[1.0, 0.0], [0.0, 0.0]]})
+    for argv in (
+        ["joint", mpath, "--second", opath, "--state", spath],
+        ["random-model", "--obs", opath, "--dim-a", "2", "--seed", "1"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: observable.eigenvalues[1]: expected a number, got {value!r}\n"
+        )
+
+
+def test_observable_eigenvalue_past_float_exits_two(tmp_path, capsys):
+    obs = ser.observable_to_json(observable_from_hermitian(PAULI_Z))
+    obs["eigenvalues"][0] = 10**400
+    opath = write(tmp_path, "obs.json", obs)
+    assert main(["random-model", "--obs", opath, "--dim-a", "2", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "error: observable: int too large to convert to float\n"
+
+
+def test_unresolved_conditional_state_exits_one(tmp_path, capsys):
+    # p = 1e-9: the conditional state is not PSD to roundoff, a numerical
+    # failure (exit 1), not a usage error (exit 2)
+    model, a, psi = small_probability_case(1e-9)
+    mpath = write_model(tmp_path, model)
+    spath = write(tmp_path, "state.json", {"vector": [ser.complex_to_json(z) for z in psi.vector]})
+    opath = write(tmp_path, "obs.json", ser.observable_to_json(model.observable))
+    for argv in (
+        ["reduce", mpath, "--state", spath, "--outcome", repr(a)],
+        ["joint", mpath, "--second", opath, "--state", spath],
+    ):
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: outcome 0.0 has probability 1.000e-09, too small to resolve "
+            "its conditional state: T_a(rho)/p has min eigenvalue -"
+        ), argv[0]

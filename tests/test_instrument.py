@@ -29,14 +29,17 @@ from reduction_lab.quantum import (
     DensityOperator,
     DiscreteObservable,
     born_probability,
+    check_density_stack,
     ket,
+    maximally_mixed,
     mix,
     observable_from_hermitian,
     projector_onto,
 )
+from reduction_lab.scenarios import joint_distribution
 from reduction_lab.superop import Superoperator, apply, decompose_trace_class, dual
 
-from conftest import plus_state, random_density
+from conftest import plus_state, random_density, small_probability_case
 
 
 @pytest.fixture
@@ -599,3 +602,91 @@ def test_validate_refuses_each_corruption_class():
         r"\(Choi min eigenvalue -1.000e\+00\)",
     ):
         not_cp.validate()
+
+
+def test_an_unresolved_conditional_state_is_a_numerical_error():
+    # at p = 1e-9 the roundoff of T_a(rho), divided by p, leaves T_a(rho)/p
+    # with an eigenvalue below -ROUNDOFF_TOL: no conditional state exists
+    # to that precision, which is a numerical failure, not a malformed input
+    model, a, psi = small_probability_case(1e-9)
+    ins, rho = instrument_of(model), psi.to_density()
+    assert outcome_probability(ins, a, rho) == pytest.approx(1e-9, rel=1e-6)
+    message = (
+        r"outcome 0.0 has probability 1.000e-09, too small to resolve its "
+        r"conditional state: T_a\(rho\)/p has min eigenvalue -\S+$"
+    )
+    for call in (
+        lambda: reduce(ins, a, rho),
+        lambda: reduce_or_maximally_mixed(ins, a, rho),
+        # the product-form cross-check reduces the same image
+        lambda: joint_distribution(model, model.observable, rho),
+    ):
+        with pytest.raises(NumericalConsistencyError, match=message) as err:
+            call()
+        assert float(err.value.args[0].rsplit(" ", 1)[1]) < -matcore.ROUNDOFF_TOL
+    # the same model and direction at p = 1e-6 give a state
+    model, a, psi = small_probability_case(1e-6)
+    reduced = reduce(instrument_of(model), a, psi.to_density())
+    check_density_stack(reduced.matrix[None])
+
+
+def test_a_non_finite_image_is_still_refused(z_obs, z_luders):
+    # row 2 of a rep gives the image's (0, 1) entry; on a state with all
+    # entries 1/2 it sums to 2 * 1.7e308, while the trace stays finite
+    component, total = z_luders.components[1.0].rep.copy(), np.eye(4, dtype=complex)
+    component[2] = total[2] = 1.7e308
+    corrupted = Instrument(
+        z_obs,
+        {1.0: Superoperator(2, component), -1.0: z_luders.components[-1.0]},
+        total=Superoperator(2, total),
+        validate_invariants=False,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert outcome_probability(corrupted, 1.0, plus_state()) == pytest.approx(0.5)
+        for call in (
+            lambda: reduce(corrupted, 1.0, plus_state()),
+            lambda: nonselective(corrupted, plus_state()),
+        ):
+            with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+                call()
+
+
+def test_built_states_skip_only_the_hermitian_test(z_luders, rng, monkeypatch):
+    rho = random_density(rng, 2)
+    scans, hermitian = [], []
+    as_complex_matrix, hermitian_stack = matcore.as_complex_matrix, matcore.hermitian_stack
+
+    def counted_scan(m):
+        scans.append(m)
+        return as_complex_matrix(m)
+
+    def counted_hermitian(ms, *args):
+        hermitian.append(ms)
+        return hermitian_stack(ms, *args)
+
+    monkeypatch.setattr(matcore, "as_complex_matrix", counted_scan)
+    monkeypatch.setattr(matcore, "hermitian_stack", counted_hermitian)
+    states = [
+        reduce(z_luders, 1.0, rho),
+        nonselective(z_luders, rho),
+        maximally_mixed(3),
+    ]
+    assert outcome_probability(z_luders, 1.0, rho) > 0
+    # the checked input is not rescanned, and no built state re-tests
+    # its Hermitian part
+    assert scans == [] and hermitian == []
+    monkeypatch.undo()
+    for state in states:
+        check_density_stack(state.matrix[None])
+        ok, h, _ = matcore.hermitian_stack(state.matrix[None])
+        assert ok[0] and np.array_equal(h[0], state.matrix)
+
+
+def test_apply_reads_a_state_with_the_bits_of_its_matrix(z_luders, rng):
+    rho = random_density(rng, 2)
+    t = z_luders.component(1.0)
+    by_state, by_matrix = apply(t, rho), apply(t, rho.matrix)
+    assert by_state.tobytes() == by_matrix.tobytes()
+    assert by_state.tobytes() == superop.unvec(t.rep @ superop.vec(rho.matrix), 2).tobytes()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        apply(Superoperator.identity(3), rho)

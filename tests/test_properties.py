@@ -2,7 +2,9 @@
 
 Each faithful example draws an observable on d_s = 2-4 with degenerate
 outcome multiplicities, the rank of the apparatus state and d_a, and builds
-a faithful model from them.  Each von Neumann example draws a
+a faithful model from them.  The reduction examples add an outcome and a
+state of rank 1 or 2 that gives it a probability from just above
+``PROBABILITY_FLOOR`` to 1/2.  Each von Neumann example draws a
 nondegenerate observable and d_a, and builds a pointer-basis model with a
 Haar pointer basis, so the probe projectors Q_a are not diagonal.  The
 profile is derandomised and keeps no database, so every run checks the
@@ -15,13 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reduction_lab import matcore
-from reduction_lab.errors import NotAMeasurementOfAError
+from reduction_lab.errors import NotAMeasurementOfAError, NumericalConsistencyError
 from reduction_lab.instrument import (
     instrument_from_operation,
+    nonselective,
+    reduce,
     verify_dual_lemma,
     verify_theorem1,
 )
-from reduction_lab.matcore import VERIFY_TOL
+from reduction_lab.matcore import PROBABILITY_FLOOR, VERIFY_TOL
 from reduction_lab.models import (
     haar_unitary,
     instrument_of,
@@ -32,7 +36,14 @@ from reduction_lab.models import (
     random_faithful_model,
     von_neumann_model,
 )
-from reduction_lab.quantum import observable_from_hermitian
+from reduction_lab.quantum import (
+    DensityOperator,
+    check_density_stack,
+    clamp_probability,
+    maximally_mixed,
+    observable_from_hermitian,
+)
+from reduction_lab.superop import apply
 
 profile = settings(max_examples=25, derandomize=True, database=None, deadline=None)
 
@@ -115,3 +126,57 @@ def test_von_neumann_models_satisfy_the_paper_identities(inputs):
         assert matcore.max_abs(t.rep - probe.components[a].rep) <= VERIFY_TOL
     assert verify_theorem1(ins, trials=5, seed=seed).passed
     assert verify_dual_lemma(ins, trials=5, seed=seed).passed
+
+
+@st.composite
+def reduction_inputs(draw):
+    """Faithful-model inputs, an outcome a and a state of rank 1 or 2 whose
+    probability for a is p: each of its vectors has weight p in a's
+    eigenspace.  With one outcome, E_a = 1 and p is 1."""
+    obs, da, seed, rank = draw(faithful_inputs())
+    a = draw(st.sampled_from(obs.eigenvalues))
+    p = draw(st.sampled_from([2 * PROBABILITY_FLOOR, 1e-11, 1e-9, 1e-8, 1e-7, 1e-6, 1e-3, 0.5]))
+    weights = draw(st.sampled_from([(1.0,), (0.6, 0.4)]))
+    rng = np.random.default_rng(seed)
+    e = obs.projector(a)
+    m = np.zeros((obs.dim, obs.dim), dtype=complex)
+    for w in weights:
+        g = rng.standard_normal(obs.dim) + 1j * rng.standard_normal(obs.dim)
+        inside, outside = e @ g, g - e @ g
+        if len(obs.outcomes) == 1:
+            psi = g / np.linalg.norm(g)
+        else:
+            psi = np.sqrt(p) * inside / np.linalg.norm(inside)
+            psi += np.sqrt(1 - p) * outside / np.linalg.norm(outside)
+        m += w * np.outer(psi, psi.conj())
+    return obs, da, seed, rank, a, DensityOperator(m)
+
+
+def _normalised(image):
+    """T_a(rho)/p made exactly Hermitian and renormalised, in the
+    arithmetic of ``instrument._reduce_image``."""
+    out = image / clamp_probability(float(np.real(np.trace(image))))
+    out = (out + out.conj().T) / 2
+    return out / np.trace(out).real
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(reduction_inputs())
+def test_states_built_without_the_hermitian_test_keep_the_full_check_verdict(inputs):
+    obs, da, seed, rank, a, rho = inputs
+    ins = instrument_of(random_faithful_model(obs, da, seed, sigma_rank=rank))
+    out = _normalised(apply(ins.component(a), rho))
+    # the Hermitian test the built states skip passes and returns out itself
+    ok, h, _ = matcore.hermitian_stack(out[None])
+    assert ok[0] and np.array_equal(h[0], out)
+    try:
+        reduced = reduce(ins, a, rho)
+    except NumericalConsistencyError:
+        # refused exactly where the full check refuses the same matrix
+        with pytest.raises(ValueError, match="not PSD"):
+            check_density_stack(out[None])
+    else:
+        assert np.array_equal(reduced.matrix, out)
+        check_density_stack(reduced.matrix[None])
+    check_density_stack(nonselective(ins, rho).matrix[None])
+    check_density_stack(maximally_mixed(obs.dim).matrix[None])

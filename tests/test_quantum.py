@@ -15,6 +15,7 @@ from reduction_lab.quantum import (
     born_probability,
     check_density_stack,
     ket,
+    maximally_mixed,
     mix,
     observable_from_hermitian,
     projector_onto,
@@ -46,6 +47,35 @@ def test_density_operator_validation(rng):
             DensityOperator(m)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match=word):
             check_density_stack(np.concatenate([good, [m.astype(complex)]]))
+
+
+@pytest.mark.parametrize("m", [
+    np.diag([1.5, -0.5]),
+    np.eye(2),
+    np.diag([0.5, 0.5 + 1e-9]),
+    np.array([[0.5, 0.5j], [-0.5j, 0.5]]),
+    np.array([[0.5, np.inf], [np.inf, 0.5]]),
+    np.array([[np.nan, 0], [0, 1]]),
+], ids=["not_psd", "trace_2", "trace_off", "pure", "inf", "nan"])
+def test_built_states_keep_the_constructor_verdicts(m):
+    # exactly Hermitian input, as the library builds it: the same state or
+    # the same refusal, bit for bit and word for word
+    m = m.astype(complex)
+    try:
+        want = DensityOperator(m)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            DensityOperator._built(m)
+        assert str(got.value) == str(err) and type(got.value) is ValueError
+    else:
+        assert DensityOperator._built(m).matrix.tobytes() == want.matrix.tobytes()
+
+
+def test_maximally_mixed():
+    for d in (1, 2, 5):
+        assert np.array_equal(maximally_mixed(d).matrix, np.eye(d) / d)
+    with pytest.raises(ValueError, match="^matrix dimension must be >= 1$"):
+        maximally_mixed(0)
 
 
 def _norm_form_check(ms):
