@@ -32,7 +32,6 @@ from .matcore import (
     is_psd,
     partial_trace_apparatus,
     tensor,
-    trace_distance,
     trace_norm,
 )
 from .models import (
@@ -52,7 +51,6 @@ from .quantum import (
     PureState,
     born_probability,
     maximally_mixed,
-    mix,
     observable_from_hermitian,
 )
 from .scenarios import (
@@ -70,7 +68,6 @@ from .superop import (
     choi,
     decompose_trace_class,
     dual,
-    is_positive_sampled,
     kraus_from_choi,
     trace_of_map,
 )

@@ -31,7 +31,9 @@ ROUNDOFF_TOL = 1e-10  # far above the roundoff of one product or eigh at unit sc
 VERIFY_TOL = 1e-9  # each of two routes carries its own roundoff: 10 x ROUNDOFF_TOL
 DEGENERACY_TOL = 1e-9  # eigh splits one degenerate level by roundoff, far below this
 UNIT_TOL = 1e-12  # a normalised state or vector is off 1 by a few ulps
-PROBABILITY_FLOOR = 1e-12  # dividing T_a(rho) by less lifts its roundoff past 1e-4
+# at or below the floor an outcome has no conditional state; between it and
+# about 1e-7, T_a(rho)/p of rank below d_s can fail the PSD test by its roundoff
+PROBABILITY_FLOOR = 1e-12
 ZERO_WEIGHT = 1e-14  # the trace of an empty eigenspace part is roundoff, below this
 
 
@@ -51,10 +53,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
-
-
 def max_abs(m: np.ndarray) -> float:
     a = np.abs(m)
     return float(a.max()) if a.size else 0.0
@@ -64,7 +62,7 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def hermitian_stack(ms: np.ndarray, tol: float = ROUNDOFF_TOL):
+def hermitian_stack(ms: np.ndarray):
     """``(ok, h, skew_sq)`` for a complex (n, d, d) stack: the verdicts of
     the one Hermitian test (see above; a NaN fails it, an overflow is no
     infinite bound), the parts (m + m^dag)/2 and ||m - m^dag||^2.  Where
@@ -76,14 +74,14 @@ def hermitian_stack(ms: np.ndarray, tol: float = ROUNDOFF_TOL):
     flat = ms.view(np.float64).reshape(size)
     skew = (ms - adj).view(np.float64).reshape(size)
     sq, skew_sq = np.vecdot(flat, flat), np.vecdot(skew, skew)
-    ok = skew_sq <= tol * tol * np.maximum(sq, 1.0)
+    ok = skew_sq <= ROUNDOFF_TOL * ROUNDOFF_TOL * np.maximum(sq, 1.0)
     huge = np.isinf(sq)
     if not huge.any():
         return ok, (ms + adj) / 2, skew_sq
     # over its largest part, m has ||m||^2 >= 1
     top = np.abs(flat[huge]).max(axis=1, keepdims=True)
     f, k = flat[huge] / top, skew[huge] / top
-    ok[huge] = np.vecdot(k, k) <= tol * tol * np.vecdot(f, f)
+    ok[huge] = np.vecdot(k, k) <= ROUNDOFF_TOL * ROUNDOFF_TOL * np.vecdot(f, f)
     h = ms / 2 + adj / 2
     h[~huge] = (ms[~huge] + adj[~huge]) / 2
     return ok, h, skew_sq
@@ -129,11 +127,6 @@ def trace_norm(m) -> float:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
-def trace_distance(a, b) -> float:
-    """Half the trace norm of the difference."""
-    return 0.5 * trace_norm(as_complex_matrix(a) - as_complex_matrix(b))
-
-
 def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of the Hermitian part of ``m``, taken by
     ``hermitian_stack`` so that it does not overflow."""
@@ -141,8 +134,9 @@ def min_eigenvalue(m) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
-def is_psd(m, tol: float = ROUNDOFF_TOL) -> bool:
-    """True iff ``m`` is Hermitian (within tol) with min eigenvalue >= -tol.
-    ``min_eigenvalue`` checks the input, so it is scanned once."""
-    lowest = min_eigenvalue(m)
-    return bool(hermitian_stack(np.asarray(m, dtype=complex)[None], tol)[0][0]) and lowest >= -tol
+def is_psd(m) -> bool:
+    """True iff ``m`` passes ``hermitian_stack`` and the lowest eigenvalue of
+    its Hermitian part is >= -ROUNDOFF_TOL: one Hermitian test, one
+    ``eigvalsh``."""
+    ok, h, _ = hermitian_stack(as_complex_matrix(m)[None])
+    return bool(ok[0]) and float(np.linalg.eigvalsh(h[0])[0]) >= -ROUNDOFF_TOL

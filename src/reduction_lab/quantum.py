@@ -228,12 +228,3 @@ def clamp_probability(p: float) -> float:
     if not -ROUNDOFF_TOL <= p <= 1.0 + ROUNDOFF_TOL:
         raise NumericalConsistencyError(f"probability {p} outside [0, 1] band")
     return min(max(p, 0.0), 1.0)
-
-
-def mix(alpha: float, rho1: DensityOperator, rho2: DensityOperator) -> DensityOperator:
-    """Convex mixture ``alpha * rho1 + (1 - alpha) * rho2``."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"mixture weight {alpha} outside [0, 1]")
-    if rho1.dim != rho2.dim:
-        raise ValueError("dimension mismatch")
-    return DensityOperator(alpha * rho1.matrix + (1.0 - alpha) * rho2.matrix)

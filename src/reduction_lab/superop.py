@@ -7,35 +7,33 @@ matrices over a single d-dimensional space.
 Maps are built from Kraus operators (``Superoperator.from_kraus``) or
 closed forms, not by probing with matrix units.  The rep and the Choi
 matrix [s(E_ij)]_ij hold the same entries in a different order, so
-``choi`` and ``superoperator_from_choi`` are one reshuffle of indices.
-``Superoperator.from_function`` probes a user callable with the d^2
-matrix units and is kept for callables and tests.
+``choi`` is one reshuffle of indices.  ``Superoperator.from_function``
+probes a user callable with the d^2 matrix units and is kept for callables
+and tests.
 
 A map built from Kraus operators keeps them as its read-only ``kraus``
 stack, an (n, d, d) array that certifies complete positivity without an
 eigendecomposition of the Choi matrix.  Only the builders that compute the
-rep from the stack set it: ``from_kraus``, ``sandwich(a)`` with ``b``
-omitted (the stack [a]), ``zero`` (an empty stack) and ``+`` (both stacks
-concatenated).  The constructor, ``identity``, ``sandwich(a, b)``, ``-``,
-``*``, ``compose``, ``dual``, ``from_function`` and
-``superoperator_from_choi`` leave it ``None``.  ``choi`` passes the stack
-on to the ``ChoiMatrix``, and ``kraus_from_choi`` reads the operators off it.
+rep from the stack set it: ``from_kraus``, ``sandwich`` (the stack
+[a]), ``zero`` (an empty stack) and ``+`` (both stacks concatenated).  The
+constructor, ``identity``, ``compose``, ``dual`` and ``from_function``
+leave it ``None``.  ``choi`` passes the stack on to the ``ChoiMatrix``, and
+``kraus_from_choi`` reads the operators off it.
 
 A rep is scanned for finite entries once, where it enters the library: in
-the constructor, ``*``, ``from_function`` and ``superoperator_from_choi``.
-The other builders compute it from checked arrays and skip the scan.
-``unit_image`` reads T*(1) off the rep, so validation builds no dual map.
+the constructor, which ``from_function`` calls.  The other builders compute
+it from checked arrays and skip the scan.  ``unit_image`` reads T*(1) off
+the rep, so validation builds no dual map.
 
 ``apply_stack`` and ``apply_dual_stack`` apply a map or its dual to an
 (n, d, d) stack of matrices at once, so that a check over many samples
 costs one matmul instead of a Python loop; ``apply`` is the one-matrix
-form, and reads a ``DensityOperator``'s checked matrix without a rescan.  ``apply_dual_stack`` applies s* through s's own rep, so the
-verifiers build no dual map; ``dual`` copies the rep with its four axes
-reversed and stays for callers that need s* as a map, and as the tests'
-reference.  ``decompose_trace_class`` splits one matrix into four weighted
-density operators, the paper's linear extension of a map from states to
-trace-class operators; a map stored as its rep is already linear, so the
-verifiers apply it to their samples directly and never split them.
+form, and reads a ``DensityOperator``'s checked matrix without a rescan.
+``apply_dual_stack`` applies s* through s's own rep, so the verifiers build
+no dual map; ``dual`` copies the rep with its four axes reversed.
+``decompose_trace_class`` splits one matrix into four weighted density
+operators, the paper's linear extension of a map from states to
+trace-class operators.
 """
 
 from __future__ import annotations
@@ -46,16 +44,12 @@ import numpy as np
 
 from . import matcore
 from .errors import NotCompletelyPositiveError
-from .matcore import ROUNDOFF_TOL, VERIFY_TOL, ZERO_WEIGHT
+from .matcore import ROUNDOFF_TOL, ZERO_WEIGHT
 from .quantum import DensityOperator
 
 
 def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape(dim, dim, order="F")
 
 
 def matrix_unit(dim: int, i: int, j: int) -> np.ndarray:
@@ -103,15 +97,10 @@ class Superoperator:
         return cls._built(dim, np.zeros((dim * dim, dim * dim), dtype=complex), empty)
 
     @classmethod
-    def sandwich(cls, a: np.ndarray, b: np.ndarray | None = None) -> "Superoperator":
-        """The map X -> A X B; B defaults to A^dagger."""
+    def sandwich(cls, a: np.ndarray) -> "Superoperator":
+        """The map X -> A X A^dagger, with the Kraus stack [A]."""
         a = matcore.as_complex_matrix(a)
-        if b is None:
-            return cls._built(a.shape[0], np.kron(a.conj(), a), a[None].copy())
-        b = matcore.as_complex_matrix(b)
-        if b.shape != a.shape:
-            raise ValueError(f"shapes {a.shape} and {b.shape} differ")
-        return cls._built(a.shape[0], np.kron(b.T, a))
+        return cls._built(a.shape[0], np.kron(a.conj(), a), a[None].copy())
 
     @classmethod
     def from_function(cls, dim: int, f) -> "Superoperator":
@@ -143,30 +132,17 @@ class Superoperator:
         ks = np.concatenate([self.kraus, other.kraus]) if both else None
         return Superoperator._built(self.dim, self.rep + other.rep, ks)
 
-    def __sub__(self, other: "Superoperator") -> "Superoperator":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return Superoperator._built(self.dim, self.rep - other.rep)
-
-    def __mul__(self, scalar) -> "Superoperator":
-        return Superoperator(self.dim, scalar * self.rep)
-
-    __rmul__ = __mul__
-
     def compose(self, other: "Superoperator") -> "Superoperator":
         """self after other: X -> self(other(X)), with rep ``rep @ rep``."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         return Superoperator._built(self.dim, self.rep @ other.rep)
 
-    def equal(self, other: "Superoperator", tol: float = VERIFY_TOL) -> bool:
-        return self.dim == other.dim and matcore.max_abs(self.rep - other.rep) <= tol
-
 
 def apply(s: Superoperator, m) -> np.ndarray:
-    """s(m), the rep times vec(m), unvec'd.  ``m`` is a matrix, scanned by
-    ``matcore.as_complex_matrix``, or a ``DensityOperator``, whose checked
-    matrix is read with no rescan."""
+    """s(m), the rep times vec(m), reshaped back to d x d.  ``m`` is a
+    matrix, scanned by ``matcore.as_complex_matrix``, or a
+    ``DensityOperator``, whose checked matrix is read with no rescan."""
     m = m.matrix if isinstance(m, DensityOperator) else matcore.as_complex_matrix(m)
     if m.shape[0] != s.dim:
         raise ValueError(f"dimension mismatch: map dim {s.dim}, matrix dim {m.shape[0]}")
@@ -237,34 +213,27 @@ class ChoiMatrix:
     matrix: np.ndarray
     kraus: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
-    def is_psd(self, tol: float = ROUNDOFF_TOL) -> bool:
-        return matcore.is_psd(self.matrix, tol)
+    def is_psd(self) -> bool:
+        return matcore.is_psd(self.matrix)
 
     def min_eigenvalue(self) -> float:
         return matcore.min_eigenvalue(self.matrix)
 
 
-def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
-    # rep[k + l*d, i + j*d] = s(E_ij)[k, l] = choi[i*d + k, j*d + l]; the
-    # index swap is its own inverse, so it maps either form to the other
-    return m.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
-
-
 def choi(s: Superoperator) -> ChoiMatrix:
-    c = ChoiMatrix(s.dim, _reshuffle(s.rep, s.dim))
+    d = s.dim
+    # rep[k + l*d, i + j*d] = s(E_ij)[k, l] = choi[i*d + k, j*d + l]
+    m = s.rep.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+    c = ChoiMatrix(d, m)
     object.__setattr__(c, "kraus", s.kraus)
     return c
-
-
-def superoperator_from_choi(c: ChoiMatrix) -> Superoperator:
-    return Superoperator(c.dim, _reshuffle(c.matrix, c.dim))
 
 
 def kraus_from_choi(c: ChoiMatrix) -> list:
     """Kraus operators of a completely positive map from its Choi matrix.
 
     The eigenpairs (lambda, u) of the Choi matrix give the operators
-    sqrt(lambda) unvec(u)^T.  When ``c`` carries a Kraus stack of at most
+    sqrt(lambda) vec^-1(u)^T.  When ``c`` carries a Kraus stack of at most
     d^2 operators, they come from one thin SVD of V, whose columns are the
     vec(K^T) in the Choi index order: C = V V^dagger, so the pairs are
     (s^2, u).  Otherwise (no stack, or a larger one, where the ``eigh`` is
@@ -284,8 +253,8 @@ def kraus_from_choi(c: ChoiMatrix) -> list:
         if not w[0] >= -ROUNDOFF_TOL:
             raise NotCompletelyPositiveError(float(w[0]))
     keep = w > ROUNDOFF_TOL
-    # entry i*d + m of an eigenvector is K[m, i]: transpose each unvec'd
-    # column, then hold one row per K in C order
+    # entry i*d + m of an eigenvector is K[m, i]: transpose each column's
+    # vec^-1, then hold one row per K in C order
     cols = (vecs[:, keep] * np.sqrt(w[keep])).T
     flat = cols.reshape(-1, d, d).transpose(0, 2, 1).reshape(-1, d * d)
     rows = np.arange(len(flat))
@@ -295,19 +264,6 @@ def kraus_from_choi(c: ChoiMatrix) -> list:
     # the product leaves the pivot's imaginary part at roundoff; make it 0
     flat[rows, at] = np.abs(pivots)
     return list(flat.reshape(-1, d, d))
-
-
-def is_positive_sampled(s: Superoperator, trials: int = 100, seed: int = 0) -> bool:
-    """Sampled necessary check of positivity: s(|psi><psi|) PSD for random psi."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        psi = rng.standard_normal(s.dim) + 1j * rng.standard_normal(s.dim)
-        psi /= np.linalg.norm(psi)
-        if not matcore.is_psd(apply(s, np.outer(psi, psi.conj()))):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

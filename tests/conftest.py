@@ -29,15 +29,16 @@ def plus_state():
     return DensityOperator(np.full((2, 2), 0.5, dtype=complex))
 
 
-def small_probability_case(p):
-    """A (4,8) faithful model with a pure apparatus state, one of its
-    outcomes and a pure state that gives it probability p: sqrt(p) of the
-    state lies in the outcome's eigenspace.  T_a(rho)/p has rank 2 of 4,
-    so its roundoff over p shows as a negative eigenvalue."""
+def small_probability_case(p, sigma_rank=1):
+    """A (4,8) faithful model with an apparatus state of rank
+    ``sigma_rank``, one of its outcomes and a pure state that gives it
+    probability p: sqrt(p) of the state lies in the outcome's eigenspace.
+    With a pure apparatus state T_a(rho)/p has rank 2 of 4, so its roundoff
+    over p shows as a negative eigenvalue; with rank 2 it has full rank."""
     rng = np.random.default_rng(1)
     v = haar_unitary(4, rng)
     obs = DiscreteObservable(tuple((float(k), projector_onto(v[:, k])) for k in range(4)))
-    model = random_faithful_model(obs, 8, seed=1, sigma_rank=1)
+    model = random_faithful_model(obs, 8, seed=1, sigma_rank=sigma_rank)
     a = obs.eigenvalues[0]
     g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     inside = obs.projector(a) @ g

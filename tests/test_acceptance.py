@@ -39,7 +39,6 @@ from reduction_lab.quantum import (
     DiscreteObservable,
     born_probability,
     ket,
-    mix,
     observable_from_hermitian,
     projector_onto,
 )
@@ -170,7 +169,7 @@ def test_criterion_3_davies_lewis_axioms(instrument_corpus):
                     worst_outcome_trace, abs(lhs - np.trace(p @ x))
                 )
         choi_ok = choi_ok and all(
-            choi(t).is_psd(1e-10) for t in ins.components.values()
+            choi(t).is_psd() for t in ins.components.values()
         )
     report(
         f"criterion 3: Davies-Lewis axioms (sum {worst_sum:.2e}, trace "
@@ -257,7 +256,7 @@ def test_criterion_7_nonuniqueness_exhibit():
     )
     (_, phi), (_, eta) = ex.decompositions
     min_dist = min(
-        matcore.trace_distance(projector_onto(p.vector), projector_onto(e.vector))
+        0.5 * matcore.trace_norm(projector_onto(p.vector) - projector_onto(e.vector))
         for p in phi
         for e in eta
     )
@@ -289,7 +288,7 @@ def test_criterion_8_joint_statistics():
         second = observable_from_hermitian(random_hermitian(rng, dim_s))
         ins = instrument_of(model)
         r1, r2 = random_density(rng, dim_s), random_density(rng, dim_s)
-        rho = mix(0.4, r1, r2)
+        rho = DensityOperator(0.4 * r1.matrix + 0.6 * r2.matrix)
         jd = joint_distribution(model, second, rho)
         jd1 = joint_distribution(model, second, r1)
         jd2 = joint_distribution(model, second, r2)

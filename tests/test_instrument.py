@@ -32,7 +32,6 @@ from reduction_lab.quantum import (
     check_density_stack,
     ket,
     maximally_mixed,
-    mix,
     observable_from_hermitian,
     projector_onto,
 )
@@ -52,6 +51,11 @@ def z_luders(z_obs):
     return luders_instrument(z_obs)
 
 
+def _scaled(ins, c):
+    """The components of ``ins``, each with its rep times ``c`` and no stack."""
+    return {a: Superoperator(t.dim, c * t.rep) for a, t in ins.components.items()}
+
+
 def test_outcome_probability_matches_born(z_luders, z_obs, rng):
     assert np.isclose(outcome_probability(z_luders, 1.0, plus_state()), 0.5)
     assert outcome_probability(z_luders, 3.7, plus_state()) == 0.0
@@ -68,17 +72,11 @@ def test_outcome_probability_matches_born(z_luders, z_obs, rng):
 def test_outcome_probability_band(z_obs, z_luders):
     up = DensityOperator(projector_onto(ket(2, 0)))
     # a deliberately trace-increasing component: far out of band raises
-    doubled = Instrument(
-        z_obs, {a: 2.0 * t for a, t in z_luders.components.items()},
-        validate_invariants=False,
-    )
+    doubled = Instrument(z_obs, _scaled(z_luders, 2.0), validate_invariants=False)
     with pytest.raises(NumericalConsistencyError):
         outcome_probability(doubled, 1.0, up)
     # roundoff above 1 inside the band is clamped
-    nudged = Instrument(
-        z_obs, {a: (1.0 + 1e-12) * t for a, t in z_luders.components.items()},
-        validate_invariants=False,
-    )
+    nudged = Instrument(z_obs, _scaled(z_luders, 1.0 + 1e-12), validate_invariants=False)
     assert outcome_probability(nudged, 1.0, up) == 1.0
 
 
@@ -156,7 +154,7 @@ def test_nonselective(z_luders, rng):
 
 def test_component_affinity(z_luders, rng):
     r1, r2 = random_density(rng, 2), random_density(rng, 2)
-    mixed = mix(0.25, r1, r2)
+    mixed = DensityOperator(0.25 * r1.matrix + 0.75 * r2.matrix)
     for a in z_luders.observable.eigenvalues:
         t = z_luders.component(a)
         lhs = apply(t, mixed.matrix)
@@ -175,7 +173,7 @@ def test_instrument_from_operation_recovers_luders(z_obs, z_luders):
 def test_instrument_from_operation_trivial_observable():
     trivial = DiscreteObservable(((1.0, np.eye(3, dtype=complex)),))
     ins = instrument_from_operation(Superoperator.identity(3), trivial)
-    assert ins.component(1.0).equal(Superoperator.identity(3), 1e-12)
+    assert matcore.max_abs(ins.component(1.0).rep - np.eye(9)) <= 1e-12
 
 
 def test_instrument_from_operation_refuses_non_measurement(z_obs):
@@ -184,8 +182,9 @@ def test_instrument_from_operation_refuses_non_measurement(z_obs):
     with pytest.raises(NotAMeasurementOfAError):
         instrument_from_operation(Superoperator.identity(2), z_obs)
     # a trace-halving map fails the outcome-trace condition at an outcome
+    halved = Superoperator(2, 0.5 * luders_instrument(z_obs).total.rep)
     with pytest.raises(NotAMeasurementOfAError) as err:
-        instrument_from_operation(0.5 * luders_instrument(z_obs).total, z_obs)
+        instrument_from_operation(halved, z_obs)
     assert err.value.outcome in z_obs.eigenvalues
     assert err.value.residual == pytest.approx(0.5, abs=1e-12)
 
@@ -214,7 +213,7 @@ def test_verify_theorem1_trivial_observable():
 def test_verify_theorem1_detects_corruption(z_obs, z_luders):
     eps = 1e-3
     corrupted = dict(z_luders.components)
-    corrupted[1.0] = corrupted[1.0] + eps * Superoperator.identity(2)
+    corrupted[1.0] = corrupted[1.0] + Superoperator(2, eps * np.eye(4))
     broken = Instrument(
         z_obs, corrupted, total=z_luders.total, validate_invariants=False
     )
@@ -231,7 +230,7 @@ def test_verify_dual_lemma_passes_luders(z_luders):
 
 
 def test_verify_dual_lemma_detects_trace_decrease(z_obs, z_luders):
-    shrunk = {a: 0.9 * t for a, t in z_luders.components.items()}
+    shrunk = _scaled(z_luders, 0.9)
     broken = Instrument(z_obs, shrunk, validate_invariants=False)
     report = verify_dual_lemma(broken)
     unital = [r for r in report.records if r.check == "dual.total_unital"]
@@ -244,7 +243,7 @@ def test_instrument_invariants_enforced(z_obs, z_luders):
         Instrument(z_obs, z_luders.components, total=Superoperator.zero(2))
     # trace-decreasing components are refused
     with pytest.raises(ValueError):
-        Instrument(z_obs, {a: 0.5 * t for a, t in z_luders.components.items()})
+        Instrument(z_obs, _scaled(z_luders, 0.5))
 
 
 def _loop_theorem1(ins, trials, seed, tol):
@@ -315,7 +314,7 @@ def _reference_instruments():
     assert np.linalg.matrix_rank(dilation.apparatus_state.matrix) == 2
     luders_z = luders_instrument(z)
     corrupted = dict(luders_z.components)
-    corrupted[1.0] = corrupted[1.0] + 1e-3 * Superoperator.identity(2)
+    corrupted[1.0] = corrupted[1.0] + Superoperator(2, 1e-3 * np.eye(4))
     return {
         "luders": luders_z,
         "luders_three": luders_instrument(three),
@@ -364,7 +363,7 @@ def test_verifiers_match_per_sample_reference(name):
 def test_each_form_detects_corruption(z_obs, z_luders, check):
     eps = 1e-3
     corrupted = dict(z_luders.components)
-    corrupted[1.0] = corrupted[1.0] + eps * Superoperator.identity(2)
+    corrupted[1.0] = corrupted[1.0] + Superoperator(2, eps * np.eye(4))
     broken = Instrument(
         z_obs, corrupted, total=z_luders.total, validate_invariants=False
     )
@@ -531,7 +530,7 @@ def test_a_non_integer_seed_draws_afresh(z_luders, fresh_samples):
 
 def test_a_warm_sample_cache_still_fails_a_corrupted_instrument(z_obs, z_luders, fresh_samples):
     corrupted = dict(z_luders.components)
-    corrupted[1.0] = corrupted[1.0] + 1e-3 * Superoperator.identity(2)
+    corrupted[1.0] = corrupted[1.0] + Superoperator(2, 1e-3 * np.eye(4))
     broken = Instrument(z_obs, corrupted, total=z_luders.total, validate_invariants=False)
 
     def records():
@@ -569,7 +568,9 @@ def test_validate_refuses_each_corruption_class():
     # a component off by a scalar, its loss moved to the other outcome so
     # that the components still sum to a trace-preserving total
     scaled = Instrument(
-        obs, {1.0: 0.9 * t_up, -1.0: t_down + 0.1 * t_up},
+        obs,
+        {1.0: Superoperator(3, 0.9 * t_up.rep),
+         -1.0: t_down + Superoperator(3, 0.1 * t_up.rep)},
         total=good.total, validate_invariants=False,
     )
     with pytest.raises(NotAMeasurementOfAError, match="at outcome 1.0 ") as err:
@@ -586,7 +587,7 @@ def test_validate_refuses_each_corruption_class():
 
     # a total that is not trace preserving
     with pytest.raises(ValueError, match="total operation is not trace preserving"):
-        Instrument(obs, {a: 0.9 * t for a, t in good.components.items()})
+        Instrument(obs, _scaled(good, 0.9))
 
     # E X^T E on the eigenspace: the sum is the total, the total is trace
     # preserving and T_a*(1) = E_a, yet the map is not completely positive
@@ -630,6 +631,27 @@ def test_an_unresolved_conditional_state_is_a_numerical_error():
     check_density_stack(reduced.matrix[None])
 
 
+def test_the_apparatus_rank_decides_which_small_p_resolves():
+    # (4,8), seed 1.  With a pure apparatus state T_a(rho)/p has rank 2 of
+    # 4, so its roundoff over p fails the PSD test up to about 1e-8; with
+    # an apparatus state of rank 2 it has full rank and resolves just above
+    # PROBABILITY_FLOOR.  At or below the floor neither has a state.
+    def reduced(p, sigma_rank):
+        model, a, psi = small_probability_case(p, sigma_rank)
+        return reduce(instrument_of(model), a, psi.to_density())
+
+    for p in (1e-11, 1e-9):
+        with pytest.raises(NumericalConsistencyError, match="too small to resolve"):
+            reduced(p, 1)
+    check_density_stack(reduced(1e-8, 1).matrix[None])
+    full = reduced(1e-11, 2)
+    check_density_stack(full.matrix[None])
+    assert np.linalg.eigvalsh(full.matrix)[0] == pytest.approx(2.9e-2, abs=1e-3)
+    for sigma_rank in (1, 2):
+        with pytest.raises(ZeroProbabilityOutcomeError):
+            reduced(1e-13, sigma_rank)
+
+
 def test_a_non_finite_image_is_still_refused(z_obs, z_luders):
     # row 2 of a rep gives the image's (0, 1) entry; on a state with all
     # entries 1/2 it sums to 2 * 1.7e308, while the trace stays finite
@@ -660,9 +682,9 @@ def test_built_states_skip_only_the_hermitian_test(z_luders, rng, monkeypatch):
         scans.append(m)
         return as_complex_matrix(m)
 
-    def counted_hermitian(ms, *args):
+    def counted_hermitian(ms):
         hermitian.append(ms)
-        return hermitian_stack(ms, *args)
+        return hermitian_stack(ms)
 
     monkeypatch.setattr(matcore, "as_complex_matrix", counted_scan)
     monkeypatch.setattr(matcore, "hermitian_stack", counted_hermitian)
@@ -687,6 +709,7 @@ def test_apply_reads_a_state_with_the_bits_of_its_matrix(z_luders, rng):
     t = z_luders.component(1.0)
     by_state, by_matrix = apply(t, rho), apply(t, rho.matrix)
     assert by_state.tobytes() == by_matrix.tobytes()
-    assert by_state.tobytes() == superop.unvec(t.rep @ superop.vec(rho.matrix), 2).tobytes()
+    by_rep = (t.rep @ superop.vec(rho.matrix)).reshape(2, 2, order="F")
+    assert by_state.tobytes() == by_rep.tobytes()
     with pytest.raises(ValueError, match="dimension mismatch"):
         apply(Superoperator.identity(3), rho)

@@ -142,7 +142,7 @@ def test_hermitian_eig_reconstruction_many(rng):
         h = random_hermitian(rng, dim)
         w, v = matcore.hermitian_eig(h)
         recon = (v * w) @ v.conj().T
-        assert matcore.frobenius(h - recon) <= 1e-10 * max(matcore.frobenius(h), 1)
+        assert np.linalg.norm(h - recon) <= 1e-10 * max(np.linalg.norm(h), 1)
         assert np.allclose(v.conj().T @ v, np.eye(dim), atol=1e-10)
         assert np.all(np.diff(w) >= 0)
 
@@ -163,7 +163,9 @@ def test_trace_norm_dominates_trace(rng):
 def test_is_psd():
     assert matcore.is_psd(np.eye(2))
     assert not matcore.is_psd(PAULI_Z)
-    assert matcore.is_psd(np.diag([0.5, 0.5 - 1e-13]), tol=1e-10)
+    # the one bound is ROUNDOFF_TOL, for the Hermitian test and the spectrum
+    assert matcore.is_psd(np.diag([0.5, -0.5 * matcore.ROUNDOFF_TOL]))
+    assert not matcore.is_psd(np.diag([0.5, -2 * matcore.ROUNDOFF_TOL]))
     # non-Hermitian input is simply not PSD
     assert not matcore.is_psd(np.array([[1, 1], [0, 1]], dtype=complex))
     with np.errstate(over="ignore"):

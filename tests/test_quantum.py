@@ -16,7 +16,6 @@ from reduction_lab.quantum import (
     check_density_stack,
     ket,
     maximally_mixed,
-    mix,
     observable_from_hermitian,
     projector_onto,
 )
@@ -259,7 +258,7 @@ def test_born_probabilities_sum_to_one(rng):
 def test_born_affine_in_state(rng):
     obs = observable_from_hermitian(PAULI_X)
     r1, r2 = random_density(rng, 2), random_density(rng, 2)
-    mixed = mix(0.3, r1, r2)
+    mixed = DensityOperator(0.3 * r1.matrix + 0.7 * r2.matrix)
     for a in obs.eigenvalues:
         expected = 0.3 * born_probability(obs, a, r1) + 0.7 * born_probability(obs, a, r2)
         assert np.isclose(born_probability(obs, a, mixed), expected, atol=1e-12)
@@ -271,12 +270,3 @@ def test_born_out_of_band_raises():
     object.__setattr__(bad, "matrix", np.diag([2.0, -1.0]).astype(complex))
     with pytest.raises(NumericalConsistencyError):
         born_probability(obs, 1.0, bad)
-
-
-def test_mix(rng):
-    r1, r2 = random_density(rng, 3), random_density(rng, 3)
-    m = mix(0.3, r1, r2)
-    assert np.allclose(m.matrix, 0.3 * r1.matrix + 0.7 * r2.matrix, atol=1e-14)
-    assert np.allclose(mix(1.0, r1, r2).matrix, r1.matrix)
-    with pytest.raises(ValueError):
-        mix(1.5, r1, r2)

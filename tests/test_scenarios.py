@@ -12,7 +12,6 @@ from reduction_lab.quantum import (
     born_probability,
     clamp_probability,
     ket,
-    mix,
     observable_from_hermitian,
     projector_onto,
 )
@@ -78,7 +77,8 @@ def test_joint_mixture_affinity(rng):
     second = observable_from_hermitian(random_hermitian(rng, 2))
     r1, r2 = random_density(rng, 2), random_density(rng, 2)
     alpha = 0.35
-    jd_mixed = joint_distribution(model, second, mix(alpha, r1, r2))
+    mixed = DensityOperator(alpha * r1.matrix + (1 - alpha) * r2.matrix)
+    jd_mixed = joint_distribution(model, second, mixed)
     jd1 = joint_distribution(model, second, r1)
     jd2 = joint_distribution(model, second, r2)
     for key in jd_mixed.table:
@@ -148,7 +148,7 @@ def test_joint_entry_outside_band_raises(z_model, monkeypatch):
     broken = Instrument(
         z_obs,
         {1.0: Superoperator.sandwich(z_obs.projector(1.0)),
-         -1.0: 2.0 * Superoperator.identity(2)},
+         -1.0: Superoperator(2, 2.0 * np.eye(4))},
         validate_invariants=False,
     )
     monkeypatch.setattr(scenarios, "instrument_of", lambda *args: broken)
@@ -171,7 +171,7 @@ def test_nonuniqueness_exhibit_qubit():
     # the two pure-state families are genuinely different
     (w1, phi), (w2, eta) = ex.decompositions
     dist = min(
-        matcore.trace_distance(projector_onto(p.vector), projector_onto(e.vector))
+        0.5 * matcore.trace_norm(projector_onto(p.vector) - projector_onto(e.vector))
         for p in phi
         for e in eta
     )
@@ -194,8 +194,8 @@ def test_nonuniqueness_exhibit_dim3():
         )
         assert matcore.max_abs(reassembled - ex.mixed_state.matrix) <= 1e-12
     (w1, phi), (w2, eta) = ex.decompositions
-    assert matcore.trace_distance(
-        projector_onto(phi[0].vector), projector_onto(eta[0].vector)
+    assert 0.5 * matcore.trace_norm(
+        projector_onto(phi[0].vector) - projector_onto(eta[0].vector)
     ) >= 0.5
 
 

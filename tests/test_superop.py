@@ -11,7 +11,7 @@ from reduction_lab.models import (
     probe_instrument_of,
     random_faithful_model,
 )
-from reduction_lab.quantum import PAULI_Z, ket, observable_from_hermitian, projector_onto
+from reduction_lab.quantum import ket, observable_from_hermitian, projector_onto
 from reduction_lab.superop import (
     ChoiMatrix,
     Superoperator,
@@ -21,15 +21,12 @@ from reduction_lab.superop import (
     choi,
     decompose_trace_class,
     dual,
-    is_positive_sampled,
     is_trace_preserving,
     kraus_from_choi,
     matrix_unit,
-    superoperator_from_choi,
     trace_of_map,
     unit_image,
     vec,
-    unvec,
 )
 
 from conftest import random_density, random_hermitian, random_matrix
@@ -45,7 +42,7 @@ def test_vec_convention(rng):
     # column stacking: vec(AXB) = (B^T kron A) vec(X)
     a, x, b = (random_matrix(rng, 3) for _ in range(3))
     assert np.allclose(np.kron(b.T, a) @ vec(x), vec(a @ x @ b), atol=1e-12)
-    assert np.allclose(unvec(vec(x), 3), x)
+    assert np.allclose(vec(x).reshape(3, 3, order="F"), x)
 
 
 def test_apply_identity_and_conjugation(rng):
@@ -89,9 +86,9 @@ def test_apply_dual_stack_matches_the_dual_map(rng, d, n):
     a, b = random_matrix(rng, d), random_matrix(rng, d)
     maps = {
         "kraus": Superoperator.from_kraus([random_matrix(rng, d) for _ in range(3)]),
-        "sandwich": Superoperator.sandwich(a, b),
+        "a x b": Superoperator(d, np.kron(b.T, a)),
         "transpose": Superoperator.from_function(d, lambda x: x.T),
-        "choi": superoperator_from_choi(ChoiMatrix(d, random_matrix(rng, d * d))),
+        "generic": Superoperator(d, random_matrix(rng, d * d)),
     }
     ms = np.stack([random_matrix(rng, d) for _ in range(n)])
     for name, s in maps.items():
@@ -151,11 +148,11 @@ def test_decompose_reassembles(rng):
 
 
 def test_dual_examples(rng):
-    assert dual(Superoperator.identity(3)).equal(Superoperator.identity(3), 1e-12)
+    one = Superoperator.identity(3)
+    assert matcore.max_abs(dual(one).rep - one.rep) <= 1e-12
     u = haar(rng, 3)
-    assert dual(Superoperator.sandwich(u)).equal(
-        Superoperator.sandwich(u.conj().T), 1e-12
-    )
+    want = Superoperator.sandwich(u.conj().T)
+    assert matcore.max_abs(dual(Superoperator.sandwich(u)).rep - want.rep) <= 1e-12
 
 
 def test_dual_defining_relation(rng):
@@ -216,12 +213,10 @@ def test_from_kraus_rep_matches_the_tensordot_form(rng, d, n):
     assert np.array_equal(Superoperator.from_kraus(ks).rep, rep.reshape(d * d, d * d))
 
 
-def test_choi_superoperator_bijection(rng):
+def test_choi_is_the_block_matrix_of_unit_images(rng):
     s = Superoperator(3, random_matrix(rng, 9))
     blocks = [[apply(s, matrix_unit(3, i, j)) for j in range(3)] for i in range(3)]
     assert np.array_equal(choi(s).matrix, np.block(blocks))
-    back = superoperator_from_choi(choi(s))
-    assert matcore.max_abs(back.rep - s.rep) <= 1e-12
 
 
 def test_kraus_from_choi_reconstruction(rng):
@@ -326,14 +321,8 @@ def test_kraus_stack_provenance(rng):
     for m in (
         Superoperator(3, s.rep),
         Superoperator.identity(3),
-        s - s,
-        -1.0 * s,
-        1j * s,
-        s * 2.0,
         dual(s),
         Superoperator.from_function(3, lambda x: x),
-        superoperator_from_choi(choi(s)),
-        Superoperator.sandwich(p, p),
         s + Superoperator(3, s.rep),
     ):
         assert m.kraus is None and choi(m).kraus is None
@@ -366,18 +355,6 @@ def test_kraus_from_choi_rejects_non_cp():
     assert err.value.most_negative_eigenvalue < -0.5
 
 
-def test_is_positive_sampled():
-    assert is_positive_sampled(Superoperator.identity(2), trials=50, seed=1)
-    transpose = Superoperator.from_function(2, lambda x: x.T)
-    assert is_positive_sampled(transpose, trials=200, seed=1)
-    skew = Superoperator.from_function(2, lambda x: PAULI_Z @ x)
-    assert not is_positive_sampled(skew, trials=200, seed=1)
-    # deterministic for a fixed seed
-    assert is_positive_sampled(transpose, 50, seed=9) == is_positive_sampled(
-        transpose, 50, seed=9
-    )
-
-
 def test_trace_of_map(rng):
     rho = random_density(rng, 3)
     u = haar(rng, 3)
@@ -403,16 +380,9 @@ def test_unit_image_is_the_dual_applied_to_the_identity(rng, d):
 
 
 def test_the_boundary_still_rejects_bad_maps(rng):
-    s = Superoperator.from_kraus([random_matrix(rng, 2)])
     rep = random_matrix(rng, 4)
     rep[1, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         Superoperator(2, rep)
     with pytest.raises(ValueError, match="non-finite"):
-        s * np.nan
-    with pytest.raises(ValueError, match="non-finite"):
         Superoperator.from_function(2, lambda x: x + np.inf)
-    with pytest.raises(ValueError, match="non-finite"):
-        superoperator_from_choi(ChoiMatrix(2, np.full((4, 4), np.nan)))
-    with pytest.raises(ValueError, match="differ"):
-        Superoperator.sandwich(np.eye(2), np.eye(3))
