@@ -304,10 +304,11 @@ def verify_theorem1(
     """Check the three equal forms T_a(X) = T(E X) = T(X E) = T(E X E) on
     random trace-class operators, including non-Hermitian ones.
 
-    The samples are one (trials, d, d) stack.  T_a maps it in one matmul
-    on its rep, and T maps the stacked E X, X E and E X E in one each.  A
-    record's residual is the largest entry of a difference over all
-    samples; it passes at ``tol``.
+    The samples are one (trials, d, d) stack.  T_a maps it in one call of
+    ``superop.apply_stack``, and T maps the stacked E X, X E and E X E in
+    one each: two GEMMs through the map's Kraus stack when that stack is
+    small against d, else one matmul on its rep.  A record's residual is the
+    largest entry of a difference over all samples; it passes at ``tol``.
 
     ``seed`` is anything ``np.random.default_rng`` takes.  For an integer
     seed the samples depend only on ``(seed, trials, d)``; they come
@@ -339,9 +340,11 @@ def verify_dual_lemma(
     - T_a*(X) equals E T*(X), T*(X) E, and E T*(X) E on random bounded X.
 
     The samples are one (trials, d, d) stack with the identity in front.
-    T* and each T_a* are applied to it in one matmul each on the map's own
-    rep (``superop.apply_dual_stack``), so no dual map is built; row 0 of
-    an image stack is T*(1) or T_a*(1).  Every record passes at ``tol``.
+    T* and each T_a* are applied to it in one call each of
+    ``superop.apply_dual_stack``, through the adjoints of the map's own
+    Kraus stack when that stack is small against d, else with one matmul on
+    its rep, so no dual map is built; row 0 of an image stack is T*(1) or
+    T_a*(1).  Every record passes at ``tol``.
 
     ``seed`` is anything ``np.random.default_rng`` takes.  For an integer
     seed the stack depends only on ``(seed, trials, d)`` and comes

@@ -26,11 +26,16 @@ it from checked arrays and skip the scan.  ``unit_image`` reads T*(1) off
 the rep, so validation builds no dual map.
 
 ``apply_stack`` and ``apply_dual_stack`` apply a map or its dual to an
-(n, d, d) stack of matrices at once, so that a check over many samples
-costs one matmul instead of a Python loop; ``apply`` is the one-matrix
-form, and reads a ``DensityOperator``'s checked matrix without a rescan.
-``apply_dual_stack`` applies s* through s's own rep, so the verifiers build
-no dual map; ``dual`` copies the rep with its four axes reversed.
+(m, d, d) stack of matrices at once, so that a check over many samples
+costs two GEMMs or one instead of a Python loop; ``apply`` is the
+one-matrix form, and reads a ``DensityOperator``'s checked matrix without a
+rescan.  A map whose Kraus stack of n operators is small against d (the
+rule in ``_on_stack``) is applied through that stack, as
+sum_k K_k X K_k^dagger in 2n d^3 flops per matrix; any other map, and
+every map without a stack, through its rep in d^4.  Both routes give the
+same images to roundoff.  ``apply_dual_stack`` applies s* through s's own
+stack (the adjoints K_k^dagger) or rep, so the verifiers build no dual map;
+``dual`` copies the rep with its four axes reversed.
 ``decompose_trace_class`` splits one matrix into four weighted density
 operators, the paper's linear extension of a map from states to
 trace-class operators.
@@ -139,13 +144,42 @@ class Superoperator:
         return Superoperator._built(self.dim, self.rep @ other.rep)
 
 
+# Below d = 9 per-call overhead outweighs the stack's flop saving: inside
+# 4n <= d the rep is faster there in every cell of the stack-against-rep
+# table in ROADMAP but (8,1) at 21 and 51 matrices.
+KRAUS_ROUTE_MIN_DIM = 9
+
+
+def _on_stack(s: Superoperator) -> bool:
+    """Whether ``apply*`` take s through its Kraus stack of n operators:
+    when d >= ``KRAUS_ROUTE_MIN_DIM`` and 4n <= d, where the stack's 2n d^3
+    flops per matrix are at most half the rep's d^4."""
+    return s.kraus is not None and s.dim >= KRAUS_ROUTE_MIN_DIM and 4 * len(s.kraus) <= s.dim
+
+
+def _kraus_sum(ks: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """sum_k K_k X K_k^dagger for every X of an (m, d, d) stack, from an
+    (n, d, d) stack K in two GEMMs: K stacked as (n d x d) times the X side
+    by side (d x m d) gives every K_k X_j; regrouped so that row block j
+    holds [K_1 X_j ... K_n X_j], that times K^dagger stacked as (n d x d)
+    is the sum over k for every j."""
+    n, d = ks.shape[:2]
+    m = len(ms)
+    y = ks.reshape(n * d, d) @ ms.transpose(1, 0, 2).reshape(d, m * d)
+    z = y.reshape(n, d, m, d).transpose(2, 1, 0, 3).reshape(m * d, n * d)
+    return (z @ ks.conj().transpose(0, 2, 1).reshape(n * d, d)).reshape(m, d, d)
+
+
 def apply(s: Superoperator, m) -> np.ndarray:
-    """s(m), the rep times vec(m), reshaped back to d x d.  ``m`` is a
-    matrix, scanned by ``matcore.as_complex_matrix``, or a
-    ``DensityOperator``, whose checked matrix is read with no rescan."""
+    """s(m): through s's Kraus stack when ``_on_stack`` takes it, else the
+    rep times vec(m), reshaped back to d x d.  ``m`` is a matrix, scanned by
+    ``matcore.as_complex_matrix``, or a ``DensityOperator``, whose checked
+    matrix is read with no rescan."""
     m = m.matrix if isinstance(m, DensityOperator) else matcore.as_complex_matrix(m)
     if m.shape[0] != s.dim:
         raise ValueError(f"dimension mismatch: map dim {s.dim}, matrix dim {m.shape[0]}")
+    if _on_stack(s):
+        return _kraus_sum(s.kraus, m[None])[0]
     return (s.rep @ m.reshape(-1, order="F")).reshape(s.dim, s.dim, order="F")
 
 
@@ -158,21 +192,28 @@ def _stack_for(s: Superoperator, ms) -> np.ndarray:
 
 
 def apply_stack(s: Superoperator, ms) -> np.ndarray:
-    """s applied to every matrix of an (n, d, d) stack with one matmul: the
-    rows of the stack's vecs times rep^T are the vecs of the images."""
+    """s applied to every matrix of an (m, d, d) stack at once: through s's
+    Kraus stack when ``_on_stack`` takes it, else with one matmul, the
+    rows of the stack's vecs times rep^T being the vecs of the images."""
     ms = _stack_for(s, ms)
+    if _on_stack(s):
+        return _kraus_sum(s.kraus, ms)
     n, d = ms.shape[0], s.dim
     rows = ms.transpose(0, 2, 1).reshape(n, d * d)
     return (rows @ s.rep.T).reshape(n, d, d).transpose(0, 2, 1)
 
 
 def apply_dual_stack(s: Superoperator, ms) -> np.ndarray:
-    """The dual map s* applied to every matrix of an (n, d, d) stack with one
-    matmul on s's own rep, building no dual map:
+    """The dual map s* applied to every matrix of an (m, d, d) stack at once,
+    building no dual map: through the adjoints of s's Kraus stack,
+    s*(X) = sum_k K_k^dagger X K_k, when ``_on_stack`` takes it, else with
+    one matmul on s's own rep:
     s*(X)[j, i] = sum_{a,b} X[b, a] rep[a + b*d, i + j*d], so the rows of
     the stack flattened in C order times rep are the images flattened in C
     order."""
     ms = _stack_for(s, ms)
+    if _on_stack(s):
+        return _kraus_sum(s.kraus.conj().transpose(0, 2, 1), ms)
     n, d = ms.shape[0], s.dim
     return (ms.reshape(n, d * d) @ s.rep).reshape(n, d, d)
 

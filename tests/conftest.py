@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from reduction_lab.instrument import Instrument
 from reduction_lab.models import haar_unitary, random_faithful_model
 from reduction_lab.quantum import DensityOperator, DiscreteObservable, PureState, projector_onto
+from reduction_lab.superop import Superoperator
 
 
 @pytest.fixture
@@ -27,6 +29,24 @@ def random_matrix(rng, dim):
 
 def plus_state():
     return DensityOperator(np.full((2, 2), 0.5, dtype=complex))
+
+
+def half_split(d, seed):
+    """Two outcomes, +1 and -1, with Haar-random d/2-fold eigenspaces."""
+    v = haar_unitary(d, np.random.default_rng(seed))[:, : d // 2]
+    p = v @ v.conj().T
+    return DiscreteObservable(((1.0, p), (-1.0, np.eye(d) - p)))
+
+
+def without_stacks(ins):
+    """``ins`` with every map's Kraus stack dropped, not validated: every
+    apply takes the rep route."""
+    return Instrument(
+        ins.observable,
+        {a: Superoperator(ins.dim, t.rep) for a, t in ins.components.items()},
+        total=Superoperator(ins.dim, ins.total.rep),
+        validate_invariants=False,
+    )
 
 
 def small_probability_case(p, sigma_rank=1):

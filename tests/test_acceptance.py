@@ -25,7 +25,6 @@ from reduction_lab.models import (
     MeasurementModel,
     haar_unitary,
     instrument_of,
-    operation_of,
     probe_consistency,
     probe_instrument_of,
     random_biased_model,
@@ -43,7 +42,7 @@ from reduction_lab.quantum import (
     projector_onto,
 )
 from reduction_lab.scenarios import joint_distribution, nonuniqueness_exhibit
-from reduction_lab.superop import apply, choi, dual, matrix_unit
+from reduction_lab.superop import apply, choi, matrix_unit
 
 from conftest import plus_state, random_density, random_hermitian
 

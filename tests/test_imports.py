@@ -1,0 +1,31 @@
+"""Every name a module imports is used in it: the library (re-exports in
+``__init__.py`` are its API), the tests and the demos."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _unused_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    paths = [
+        p for p in sorted((ROOT / "src").rglob("*.py")) if p.name != "__init__.py"
+    ] + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    assert len(paths) > 20
+    unused = [entry for path in paths for entry in _unused_imports(path)]
+    assert not unused, "unused imports:\n" + "\n".join(unused)

@@ -22,9 +22,13 @@ from reduction_lab.instrument import (
     verify_dual_lemma,
     verify_theorem1,
 )
-from reduction_lab.models import instrument_of, operation_of, random_faithful_model
+from reduction_lab.models import (
+    instrument_of,
+    operation_of,
+    random_biased_model,
+    random_faithful_model,
+)
 from reduction_lab.quantum import (
-    PAULI_X,
     PAULI_Z,
     DensityOperator,
     DiscreteObservable,
@@ -38,7 +42,13 @@ from reduction_lab.quantum import (
 from reduction_lab.scenarios import joint_distribution
 from reduction_lab.superop import Superoperator, apply, decompose_trace_class, dual
 
-from conftest import plus_state, random_density, small_probability_case
+from conftest import (
+    half_split,
+    plus_state,
+    random_density,
+    small_probability_case,
+    without_stacks,
+)
 
 
 @pytest.fixture
@@ -312,6 +322,9 @@ def _reference_instruments():
     )
     dilation = random_faithful_model(three, 6, seed=4, sigma_rank=2)
     assert np.linalg.matrix_rank(dilation.apparatus_state.matrix) == 2
+    # two Kraus operators per map at d_s = 12: applied through the stacks
+    wide = instrument_of(random_faithful_model(half_split(12, 5), 2, seed=5, sigma_rank=1))
+    assert superop._on_stack(wide.total)
     luders_z = luders_instrument(z)
     corrupted = dict(luders_z.components)
     corrupted[1.0] = corrupted[1.0] + Superoperator(2, 1e-3 * np.eye(4))
@@ -319,6 +332,7 @@ def _reference_instruments():
         "luders": luders_z,
         "luders_three": luders_instrument(three),
         "dilation_3x6": instrument_of(dilation),
+        "dilation_12x2": wide,
         "degenerate_luders": luders_instrument(degenerate),
         "degenerate_dilation": instrument_of(
             random_faithful_model(degenerate, 6, seed=2, sigma_rank=2)
@@ -350,6 +364,31 @@ def test_verifiers_match_per_sample_reference(name):
         assert not verify_theorem1(ins).passed and not verify_dual_lemma(ins).passed
     else:
         assert verify_theorem1(ins).passed and verify_dual_lemma(ins).passed
+
+
+@pytest.mark.parametrize("control", ["swapped projectors", "biased probe route"])
+def test_corrupted_kraus_stacks_fail_on_the_stack_route(control):
+    # d_s = 12, d_a = 2, sigma of rank 1: every map holds two Kraus operators,
+    # so the verifiers apply them through their stacks
+    obs = half_split(12, 7)
+    if control == "swapped projectors":
+        model = random_faithful_model(obs, 2, seed=7, sigma_rank=1)
+        stacks = {1.0: model.kraus @ obs.projector(-1.0), -1.0: model.kraus @ obs.projector(1.0)}
+    else:
+        model = random_biased_model(obs, 2, seed=7)
+        stacks = dict(zip(obs.eigenvalues, model.probe_route[0]))
+    components = {a: Superoperator.from_kraus(k) for a, k in stacks.items()}
+    broken = Instrument(obs, components, total=operation_of(model), validate_invariants=False)
+    assert all(superop._on_stack(t) for t in (broken.total, *components.values()))
+    for verify in (verify_theorem1, verify_dual_lemma):
+        report = verify(broken)
+        assert not report.passed
+        got, want = report.records, verify(without_stacks(broken)).records
+        assert [(r.check, r.outcome, r.passed) for r in got] == [
+            (r.check, r.outcome, r.passed) for r in want
+        ]
+        for r, w in zip(got, want):
+            assert abs(r.residual - w.residual) <= 1e-12, (r, w)
 
 
 @pytest.mark.parametrize("check", [

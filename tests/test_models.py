@@ -27,7 +27,6 @@ from reduction_lab.models import (
     von_neumann_model,
 )
 from reduction_lab.quantum import (
-    PAULI_X,
     PAULI_Z,
     DensityOperator,
     DiscreteObservable,

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reduction_lab import matcore
+from reduction_lab import instrument, matcore, superop
 from reduction_lab.errors import NotCompletelyPositiveError
 from reduction_lab.instrument import instrument_from_operation
 from reduction_lab.models import (
@@ -11,8 +13,14 @@ from reduction_lab.models import (
     probe_instrument_of,
     random_faithful_model,
 )
-from reduction_lab.quantum import ket, observable_from_hermitian, projector_onto
+from reduction_lab.quantum import (
+    PureState,
+    ket,
+    observable_from_hermitian,
+    projector_onto,
+)
 from reduction_lab.superop import (
+    KRAUS_ROUTE_MIN_DIM,
     ChoiMatrix,
     Superoperator,
     apply,
@@ -29,7 +37,13 @@ from reduction_lab.superop import (
     vec,
 )
 
-from conftest import random_density, random_hermitian, random_matrix
+from conftest import (
+    half_split,
+    random_density,
+    random_hermitian,
+    random_matrix,
+    without_stacks,
+)
 
 
 def haar(rng, n):
@@ -103,6 +117,101 @@ def test_apply_dual_stack_matches_the_dual_map(rng, d, n):
         apply_dual_stack(s, ms[0])
     with pytest.raises(ValueError):
         apply_dual_stack(s, np.zeros((2, d + 1, d + 1)))
+
+
+def _close(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal within 1e-13 of the images' scale."""
+    return got.shape == want.shape and matcore.max_abs(got - want) <= 1e-13 * max(
+        1.0, matcore.max_abs(want)
+    )
+
+
+@st.composite
+def route_cases(draw):
+    """``(d, n, m, stack)``: a d x d map with n Kraus operators applied to m
+    matrices, drawn on the stack side of the route rule (d >= 9, 4n <= d)
+    when ``stack`` is true and on the rep side otherwise."""
+    stack = draw(st.booleans())
+    if stack:
+        d = draw(st.integers(KRAUS_ROUTE_MIN_DIM, 20))
+        n = draw(st.integers(1, d // 4))
+    else:
+        d = draw(st.integers(1, 20))
+        n = draw(st.integers(d // 4 + 1 if d >= KRAUS_ROUTE_MIN_DIM else 1, d + 1))
+    return d, n, draw(st.integers(1, 21)), stack
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(route_cases(), st.integers(0, 2**32 - 1))
+def test_both_routes_give_the_same_images(case, seed):
+    d, n, m, stack = case
+    rng = np.random.default_rng(seed)
+    s = Superoperator.from_kraus([random_matrix(rng, d) for _ in range(n)])
+    plain = Superoperator(d, s.rep)  # no stack: always the rep route
+    assert superop._on_stack(s) == stack and not superop._on_stack(plain)
+    ms = np.stack([random_matrix(rng, d) for _ in range(m)])
+    assert _close(apply(s, ms[0]), apply(plain, ms[0]))
+    assert _close(apply_stack(s, ms), apply_stack(plain, ms))
+    assert _close(apply_dual_stack(s, ms), apply_dual_stack(plain, ms))
+    # the kernel itself, also where the rule keeps the rep route
+    assert _close(superop._kraus_sum(s.kraus, ms), apply_stack(plain, ms))
+
+
+@pytest.mark.parametrize("d", [3, 8, 9, 16])
+def test_an_empty_stack_and_a_sandwich_take_the_route_rule(rng, d):
+    a = random_matrix(rng, d)
+    ms = np.stack([random_matrix(rng, d) for _ in range(3)])
+    zero, sandwich = Superoperator.zero(d), Superoperator.sandwich(a)
+    # 4n <= d holds for n = 0 and 1 from d = 4, so only the floor decides
+    assert superop._on_stack(zero) == superop._on_stack(sandwich) == (d >= KRAUS_ROUTE_MIN_DIM)
+    for f in (apply_stack, apply_dual_stack):
+        assert np.array_equal(f(zero, ms), np.zeros_like(ms))
+    assert np.array_equal(apply(zero, ms[0]), np.zeros((d, d)))
+    plain = Superoperator(d, sandwich.rep)
+    want = a @ ms @ a.conj().T
+    assert _close(apply_stack(sandwich, ms), want)
+    assert _close(apply_stack(sandwich, ms), apply_stack(plain, ms))
+    assert _close(apply(sandwich, ms[1]), want[1])
+    assert _close(apply_dual_stack(sandwich, ms), a.conj().T @ ms @ a)
+    assert _close(apply_dual_stack(sandwich, ms), apply_dual_stack(plain, ms))
+
+
+@pytest.mark.parametrize("ds, da, kernel_calls", [(12, 2, 14), (8, 16, 0)])
+def test_a_faithful_model_applies_through_its_stack_when_the_rule_says(
+    rng, monkeypatch, ds, da, kernel_calls
+):
+    # (12,2): 2 Kraus operators per map, the stack route; (8,16): 16, the rep
+    model = random_faithful_model(half_split(ds, 3), da, seed=3, sigma_rank=1)
+    ins = instrument_of(model)
+    calls = 0
+    original = superop._kraus_sum
+
+    def counted(ks, ms):
+        nonlocal calls
+        calls += 1
+        return original(ks, ms)
+
+    g = random_matrix(rng, ds)[:, 0]
+    rho = PureState(g / np.linalg.norm(g)).to_density()
+
+    def outputs(ins):
+        return (
+            # 4 applies per outcome, then T* and each T_a*
+            [r.residual for r in instrument.verify_theorem1(ins).records],
+            [r.residual for r in instrument.verify_dual_lemma(ins).records],
+            instrument.outcome_probability(ins, 1.0, rho),
+            instrument.reduce(ins, 1.0, rho).matrix,
+            instrument.nonselective(ins, rho).matrix,
+        )
+
+    monkeypatch.setattr(superop, "_kraus_sum", counted)
+    got = outputs(ins)
+    assert calls == kernel_calls
+    # the same maps without their stacks: the rep route gives the same outputs
+    want = outputs(without_stacks(ins))
+    assert calls == kernel_calls
+    for x, y in zip(got, want):
+        assert matcore.max_abs(np.asarray(x) - np.asarray(y)) <= 1e-13
 
 
 def test_decompose_density_is_first_slot(rng):
