@@ -139,11 +139,16 @@ class Instrument:
         positive; return the completeness residual, the largest entry of
         the sum of the component reps minus the total's rep.
 
-        That difference is summed in one fresh accumulator, -T's rep with
-        each component rep added in place, so no input rep is written.
-        T*(1) is read off each rep (``superop.unit_image``), not off a dual
-        map.  A component with a Kraus stack is completely positive by
-        construction, so only one without (a user rep, Choi input, a
+        When the total and every component are on the stack route
+        (``superop._on_stack``), no rep is read: with V the component
+        stacks and W the total's stack, flattened to rows of d^2 entries,
+        the one product [V; W]^dagger [V; -W] holds the entries of that
+        difference in another order.  Otherwise the difference is summed
+        in one fresh accumulator, -T's rep with each component rep added
+        in place, so no input rep is written.  T*(1) is taken by
+        ``superop.unit_image``, from the stack on the stack route, not off
+        a dual map.  A component with a Kraus stack is completely positive
+        by construction, so only one without (a user rep, Choi input, a
         ``from_function`` map or a corrupted component) takes the Choi PSD
         test, an ``eigh`` of its d^2 x d^2 Choi matrix."""
         d = self.dim
@@ -153,11 +158,17 @@ class Instrument:
             raise ValueError(
                 f"total operation dimension {self.total.dim} != observable dimension {d}"
             )
-        diff = -self.total.rep
-        for t in self.components.values():
-            if t.dim != d:
-                raise ValueError("component dimension mismatch")
-            diff += t.rep
+        maps = list(self.components.values())
+        if any(t.dim != d for t in maps):
+            raise ValueError("component dimension mismatch")
+        if all(map(superop._on_stack, [self.total, *maps])):
+            v = np.concatenate([t.kraus for t in maps]).reshape(-1, d * d)
+            w = self.total.kraus.reshape(-1, d * d)
+            diff = np.concatenate([v, w]).conj().T @ np.concatenate([v, -w])
+        else:
+            diff = -self.total.rep
+            for t in maps:
+                diff += t.rep
         completeness_resid = matcore.max_abs(diff)
         # written so that a NaN ``tol`` fails the check
         if not completeness_resid <= tol:

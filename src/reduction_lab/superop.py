@@ -20,10 +20,24 @@ constructor, ``identity``, ``compose``, ``dual`` and ``from_function``
 leave it ``None``.  ``choi`` passes the stack on to the ``ChoiMatrix``, and
 ``kraus_from_choi`` reads the operators off it.
 
+The d^4 entries of a rep are written only when something reads them, if
+``_on_stack`` takes the map through its stack (n operators, d >= 9,
+4n <= d): such a map holds only the stack when those four builders make
+it, and its rep is computed on the first read of ``rep``, as
+sum_k conj(K_k) kron K_k (the ``from_kraus`` formula, in ``_rep_of``),
+and then kept.  Every other map gets its rep at construction:
+``from_kraus`` by the same formula, ``sandwich`` as conj(A) kron A,
+``zero`` as zeros, ``+`` as the sum of the two reps; the constructor,
+``identity``, ``compose``, ``dual`` and ``from_function`` always hold one.
+``compose``, ``dual`` and ``choi`` read ``rep``, so they build it on
+demand; the ``apply*`` functions on the stack route and ``unit_image``
+never do.
+
 A rep is scanned for finite entries once, where it enters the library: in
 the constructor, which ``from_function`` calls.  The other builders compute
-it from checked arrays and skip the scan.  ``unit_image`` reads T*(1) off
-the rep, so validation builds no dual map.
+it from checked arrays and skip the scan.  ``unit_image`` gives T*(1)
+without a dual map: on the stack route as sum_k K_k^dagger K_k, one
+(d x nd)(nd x d) product, else read off the rep.
 
 ``apply_stack`` and ``apply_dual_stack`` apply a map or its dual to an
 (m, d, d) stack of matrices at once, so that a check over many samples
@@ -63,16 +77,17 @@ def matrix_unit(dim: int, i: int, j: int) -> np.ndarray:
     return e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Superoperator:
     """A linear transformation of d x d matrices, stored as its d^2 x d^2
     matrix over column-vectorized operators, with the (n, d, d) stack of
     Kraus operators it was built from when there is one (see the module
-    docstring)."""
+    docstring).  A stack-route map computes its rep on first read.
+    Equality is identity, so maps hash by identity too."""
 
     dim: int
-    rep: np.ndarray
-    kraus: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    rep: np.ndarray = field(repr=False)
+    kraus: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         rep = matcore.as_complex_matrix(self.rep)
@@ -82,14 +97,34 @@ class Superoperator:
             )
         object.__setattr__(self, "rep", rep)
 
+    def __getattr__(self, name):
+        # reached only when the usual lookup fails: the unbuilt rep of a
+        # stack-route map, computed once and kept
+        ks = vars(self).get("kraus")
+        if name != "rep" or ks is None:
+            raise AttributeError(f"'Superoperator' object has no attribute {name!r}")
+        rep = vars(self)["rep"] = _rep_of(ks)
+        return rep
+
     @classmethod
-    def _built(cls, dim: int, rep: np.ndarray, kraus: np.ndarray | None = None):
-        """A map whose rep and stack were computed from checked arrays: no
-        rescan, and the stack is made read-only to keep matching the rep."""
-        if kraus is not None:
-            kraus.flags.writeable = False
+    def _built(cls, dim: int, rep: np.ndarray):
+        """A map with no stack whose rep was computed from checked arrays:
+        no rescan."""
         s = object.__new__(cls)
-        vars(s).update(dim=dim, rep=rep, kraus=kraus)
+        vars(s).update(dim=dim, rep=rep, kraus=None)
+        return s
+
+    @classmethod
+    def _from_stack(cls, ks: np.ndarray, rep=None):
+        """The map with the (n, d, d) Kraus stack ``ks``, made read-only to
+        keep matching the rep.  On the stack route it holds no rep until
+        one is read; any other map gets ``rep()`` now, or ``_rep_of(ks)``
+        when ``rep`` is None."""
+        ks.flags.writeable = False
+        s = object.__new__(cls)
+        vars(s).update(dim=ks.shape[1], kraus=ks)
+        if not _on_stack(s):
+            vars(s)["rep"] = _rep_of(ks) if rep is None else rep()
         return s
 
     @classmethod
@@ -99,13 +134,13 @@ class Superoperator:
     @classmethod
     def zero(cls, dim: int) -> "Superoperator":
         empty = np.zeros((0, dim, dim), dtype=complex)
-        return cls._built(dim, np.zeros((dim * dim, dim * dim), dtype=complex), empty)
+        return cls._from_stack(empty, lambda: np.zeros((dim * dim,) * 2, dtype=complex))
 
     @classmethod
     def sandwich(cls, a: np.ndarray) -> "Superoperator":
         """The map X -> A X A^dagger, with the Kraus stack [A]."""
         a = matcore.as_complex_matrix(a)
-        return cls._built(a.shape[0], np.kron(a.conj(), a), a[None].copy())
+        return cls._from_stack(a[None].copy(), lambda: np.kron(a.conj(), a))
 
     @classmethod
     def from_function(cls, dim: int, f) -> "Superoperator":
@@ -125,23 +160,30 @@ class Superoperator:
             raise ValueError(f"expected square Kraus operators, got shape {ks.shape}")
         if not np.all(np.isfinite(ks)):
             raise ValueError("Kraus operators have non-finite entries")
-        n, dim = ks.shape[:2]
-        flat = ks.reshape(n, dim * dim)
-        rep = (flat.conj().T @ flat).reshape((dim,) * 4).transpose(0, 2, 1, 3)
-        return cls._built(dim, rep.reshape(dim * dim, dim * dim), ks)
+        return cls._from_stack(ks)
 
     def __add__(self, other: "Superoperator") -> "Superoperator":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        both = self.kraus is not None and other.kraus is not None
-        ks = np.concatenate([self.kraus, other.kraus]) if both else None
-        return Superoperator._built(self.dim, self.rep + other.rep, ks)
+        if self.kraus is None or other.kraus is None:
+            return Superoperator._built(self.dim, self.rep + other.rep)
+        ks = np.concatenate([self.kraus, other.kraus])
+        return Superoperator._from_stack(ks, lambda: self.rep + other.rep)
 
     def compose(self, other: "Superoperator") -> "Superoperator":
         """self after other: X -> self(other(X)), with rep ``rep @ rep``."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         return Superoperator._built(self.dim, self.rep @ other.rep)
+
+
+def _rep_of(ks: np.ndarray) -> np.ndarray:
+    """sum_k conj(K_k) kron K_k, the rep of an (n, d, d) Kraus stack: one
+    (d^2 x n)(n x d^2) product and a regroup of its four axes."""
+    n, dim = ks.shape[:2]
+    flat = ks.reshape(n, dim * dim)
+    rep = (flat.conj().T @ flat).reshape((dim,) * 4).transpose(0, 2, 1, 3)
+    return rep.reshape(dim * dim, dim * dim)
 
 
 # Below d = 9 per-call overhead outweighs the stack's flop saving: inside
@@ -234,8 +276,13 @@ def dual(s: Superoperator) -> Superoperator:
 
 
 def unit_image(s: Superoperator) -> np.ndarray:
-    """s*(1), the dual map applied to the identity, read off the rep with
-    d^3 adds: s*(1)[l, k] = Tr s(E_kl) = sum_i rep[i + i*d, k + l*d]."""
+    """s*(1), the dual map applied to the identity.  On the stack route it
+    is sum_k K_k^dagger K_k, the stack as (n d x d) rows times their
+    adjoint; else it is read off the rep with d^3 adds:
+    s*(1)[l, k] = Tr s(E_kl) = sum_i rep[i + i*d, k + l*d]."""
+    if _on_stack(s):
+        rows = s.kraus.reshape(-1, s.dim)
+        return rows.conj().T @ rows
     return s.rep[:: s.dim + 1].sum(axis=0).reshape(s.dim, s.dim)
 
 
@@ -244,15 +291,15 @@ def is_trace_preserving(s: Superoperator) -> bool:
     return matcore.max_abs(unit_image(s) - np.eye(s.dim)) <= ROUNDOFF_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """Block matrix [s(E_ij)]_ij; PSD exactly when the map is completely
     positive.  ``kraus`` is the Kraus stack of the map it came from, set
-    only by ``choi``."""
+    only by ``choi``.  Equality is identity, as for ``Superoperator``."""
 
     dim: int
     matrix: np.ndarray
-    kraus: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    kraus: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def is_psd(self) -> bool:
         return matcore.is_psd(self.matrix)

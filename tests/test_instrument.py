@@ -16,6 +16,7 @@ from reduction_lab.instrument import (
     instrument_from_operation,
     luders_instrument,
     nonselective,
+    operation_instrument,
     outcome_probability,
     reduce,
     reduce_or_maximally_mixed,
@@ -23,6 +24,8 @@ from reduction_lab.instrument import (
     verify_theorem1,
 )
 from reduction_lab.models import (
+    MeasurementModel,
+    haar_unitary,
     instrument_of,
     operation_of,
     random_biased_model,
@@ -32,6 +35,7 @@ from reduction_lab.quantum import (
     PAULI_Z,
     DensityOperator,
     DiscreteObservable,
+    PureState,
     born_probability,
     check_density_stack,
     ket,
@@ -366,10 +370,11 @@ def test_verifiers_match_per_sample_reference(name):
         assert verify_theorem1(ins).passed and verify_dual_lemma(ins).passed
 
 
-@pytest.mark.parametrize("control", ["swapped projectors", "biased probe route"])
-def test_corrupted_kraus_stacks_fail_on_the_stack_route(control):
-    # d_s = 12, d_a = 2, sigma of rank 1: every map holds two Kraus operators,
-    # so the verifiers apply them through their stacks
+def _corrupted_stack_control(control):
+    """A (12,2) instrument whose components are Kraus stacks that fail the
+    outcome-trace condition, over the model's true operation: K E_a with
+    the two projectors swapped, or the biased model's probe-route stacks.
+    Every map holds two Kraus operators, so it is on the stack route."""
     obs = half_split(12, 7)
     if control == "swapped projectors":
         model = random_faithful_model(obs, 2, seed=7, sigma_rank=1)
@@ -380,6 +385,12 @@ def test_corrupted_kraus_stacks_fail_on_the_stack_route(control):
     components = {a: Superoperator.from_kraus(k) for a, k in stacks.items()}
     broken = Instrument(obs, components, total=operation_of(model), validate_invariants=False)
     assert all(superop._on_stack(t) for t in (broken.total, *components.values()))
+    return broken
+
+
+@pytest.mark.parametrize("control", ["swapped projectors", "biased probe route"])
+def test_corrupted_kraus_stacks_fail_on_the_stack_route(control):
+    broken = _corrupted_stack_control(control)
     for verify in (verify_theorem1, verify_dual_lemma):
         report = verify(broken)
         assert not report.passed
@@ -389,6 +400,53 @@ def test_corrupted_kraus_stacks_fail_on_the_stack_route(control):
         ]
         for r, w in zip(got, want):
             assert abs(r.residual - w.residual) <= 1e-12, (r, w)
+
+
+@pytest.mark.parametrize("ds", [12, 16, 20])
+def test_validation_on_the_stack_route_gives_the_rep_route_residuals(ds):
+    ins = instrument_of(random_faithful_model(half_split(ds, 9), 2, seed=9, sigma_rank=1))
+    maps = [ins.total, *ins.components.values()]
+    assert all(superop._on_stack(t) for t in maps)
+    resid = ins.validate()
+    images = [superop.unit_image(t) for t in maps]
+    # completeness and T*(1) came from the stacks: no rep was written
+    assert not any("rep" in vars(t) for t in maps)
+    plain = without_stacks(ins)
+    assert abs(resid - plain.validate()) <= 1e-15
+    for image, t in zip(images, [plain.total, *plain.components.values()]):
+        assert matcore.max_abs(image - superop.unit_image(t)) <= 1e-15
+
+
+@pytest.mark.parametrize("control", ["swapped projectors", "biased probe route"])
+def test_both_validation_routes_refuse_a_corrupted_stack_at_one_outcome(control):
+    broken = _corrupted_stack_control(control)
+    errors = []
+    for case in (broken, without_stacks(broken)):
+        # the components still sum to the total: the outcome-trace check fails
+        with pytest.raises(NotAMeasurementOfAError, match="outcome-trace") as err:
+            case.validate()
+        errors.append(err.value)
+    assert errors[0].outcome is not None
+    assert errors[0].outcome == errors[1].outcome
+    assert abs(errors[0].residual - errors[1].residual) <= 1e-12
+
+
+def test_both_validation_routes_refuse_a_probeless_haar_model():
+    # a Haar-random U measures no observable: its components T(E_a . E_a)
+    # do not sum to T
+    obs = half_split(12, 13)
+    u = haar_unitary(24, np.random.default_rng(13))
+    model = MeasurementModel(12, 2, obs, PureState(ket(2, 0)).to_density(), u)
+    ins = operation_instrument(operation_of(model), obs)
+    assert all(superop._on_stack(t) for t in (ins.total, *ins.components.values()))
+    residuals = []
+    for case in (ins, without_stacks(ins)):
+        with pytest.raises(NotAMeasurementOfAError, match="do not sum") as err:
+            case.validate()
+        assert err.value.outcome is None
+        residuals.append(err.value.residual)
+    assert residuals[0] > 1e-3
+    assert abs(residuals[0] - residuals[1]) <= 1e-12
 
 
 @pytest.mark.parametrize("check", [

@@ -214,6 +214,61 @@ def test_a_faithful_model_applies_through_its_stack_when_the_rule_says(
         assert matcore.max_abs(np.asarray(x) - np.asarray(y)) <= 1e-13
 
 
+@pytest.mark.parametrize("ds, da", [(12, 2), (8, 16)])
+def test_only_a_map_off_the_stack_route_builds_its_rep(rng, monkeypatch, ds, da):
+    # (12,2): every map of the operation route holds 2 Kraus operators and
+    # none writes its rep; (8,16): 16 operators under the floor, and every
+    # map writes its rep when it is built, as from_kraus always did
+    model = random_faithful_model(half_split(ds, 3), da, seed=3, sigma_rank=1)
+    g = random_matrix(rng, ds)[:, 0]
+    rho = PureState(g / np.linalg.norm(g)).to_density()
+    builds = []
+    original = superop._rep_of
+    monkeypatch.setattr(superop, "_rep_of", lambda ks: builds.append(ks) or original(ks))
+    operation = instrument_of(model), instrument_from_operation(operation_of(model), model.observable)
+    maps = [t for ins in operation for t in (ins.total, *ins.components.values())]
+    on_stack = ds >= KRAUS_ROUTE_MIN_DIM
+    assert all(superop._on_stack(t) == on_stack for t in maps)
+    assert all(("rep" in vars(t)) != on_stack for t in maps)
+    assert len(builds) == (0 if on_stack else len(maps))
+    # the probe route's total holds all 4 of its components' operators:
+    # off the route at d = 12, so building and validating it read reps
+    probe = probe_instrument_of(model)
+    assert not superop._on_stack(probe.total) and "rep" in vars(probe.total)
+    built = len(builds)
+    for ins in (*operation, probe):
+        instrument.verify_theorem1(ins)
+        instrument.verify_dual_lemma(ins)
+        instrument.outcome_probability(ins, 1.0, rho)
+        instrument.reduce(ins, 1.0, rho)
+        instrument.nonselective(ins, rho)
+    assert len(builds) == built
+    assert all(("rep" in vars(t)) != on_stack for t in maps)
+
+
+def test_a_stack_route_instrument_holds_no_rep_until_one_is_read():
+    d = 16
+    ins = instrument_of(random_faithful_model(half_split(d, 5), 2, seed=5, sigma_rank=1))
+    maps = [ins.total, *ins.components.values()]
+    # two d x d Kraus operators each, no d^4 array
+    assert all(set(vars(t)) == {"dim", "kraus"} and t.kraus.shape == (2, d, d) for t in maps)
+    rep = ins.total.rep
+    assert rep.shape == (d * d, d * d) and ins.total.rep is rep
+    assert all("rep" not in vars(t) for t in ins.components.values())
+
+
+def test_maps_compare_and_hash_by_identity(rng):
+    a, b = Superoperator(2, np.eye(4)), Superoperator(2, np.eye(4))
+    assert a == a and a != b and len({a, b, a}) == 2
+    c = choi(a)
+    assert c == c and c != choi(a) and hash(c) == hash(c)
+    s = Superoperator.from_kraus([random_matrix(rng, 12) for _ in range(3)])
+    assert superop._on_stack(s)
+    assert repr(s) == "Superoperator(dim=12)" and s == s and len({s, s}) == 1
+    # neither the comparison, the hash nor repr read the rep
+    assert "rep" not in vars(s)
+
+
 def test_decompose_density_is_first_slot(rng):
     rho = random_density(rng, 3)
     dec = decompose_trace_class(rho.matrix)
@@ -315,11 +370,16 @@ def test_choi_rank_counts_kraus(rng):
 
 
 @pytest.mark.parametrize("d, n", [(2, 1), (2, 8), (3, 5), (4, 16), (6, 2), (8, 32),
-                                  (12, 3), (16, 64), (20, 1)])
+                                  (12, 3), (16, 4), (16, 64), (20, 1)])
 def test_from_kraus_rep_matches_the_tensordot_form(rng, d, n):
     ks = np.stack([random_matrix(rng, d) for _ in range(n)])
     rep = np.tensordot(ks.conj(), ks, axes=(0, 0)).transpose(0, 2, 1, 3)
-    assert np.array_equal(Superoperator.from_kraus(ks).rep, rep.reshape(d * d, d * d))
+    s = Superoperator.from_kraus(ks)
+    # on the stack route ((12,3), (16,4), (20,1)) the rep is computed when
+    # first read, with the same bits
+    assert ("rep" in vars(s)) != superop._on_stack(s)
+    assert np.array_equal(s.rep, rep.reshape(d * d, d * d))
+    assert "rep" in vars(s)
 
 
 def test_choi_is_the_block_matrix_of_unit_images(rng):
@@ -472,8 +532,9 @@ def test_trace_of_map(rng):
     assert is_trace_preserving(Superoperator.sandwich(u))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 12])
 def test_unit_image_is_the_dual_applied_to_the_identity(rng, d):
+    # at d = 12 the stack maps take the stack route: sum_k K_k^dagger K_k
     a = random_matrix(rng, d)
     maps = [
         Superoperator.from_kraus([random_matrix(rng, d) for _ in range(3)]),
