@@ -115,10 +115,8 @@ class Instrument:
 
     def __post_init__(self, validate_invariants: bool):
         if self.total is None:
-            total = Superoperator.zero(self.observable.dim)
-            for t in self.components.values():
-                total = total + t
-            object.__setattr__(self, "total", total)
+            maps = list(self.components.values())
+            object.__setattr__(self, "total", Superoperator.sum_of(self.observable.dim, maps))
         if validate_invariants:
             self.validate()
 
@@ -211,9 +209,7 @@ def outcome_probability(ins: Instrument, a: float, rho: DensityOperator) -> floa
     outside the band raises ``NumericalConsistencyError``."""
     if ins.dim != rho.dim:
         raise ValueError("dimension mismatch")
-    return clamp_probability(
-        float(np.real(superop.trace_of_map(ins.component(a), rho)))
-    )
+    return clamp_probability(superop.trace_of_map(ins.component(a), rho).real)
 
 
 def reduce(ins: Instrument, a: float, rho: DensityOperator) -> DensityOperator:
@@ -229,19 +225,22 @@ def _reduce_image(a: float, image: np.ndarray) -> DensityOperator:
     """The state ``reduce`` makes of the image T_a(rho), for a caller that
     already holds the image.
 
-    The state is T_a(rho)/p made exactly Hermitian and renormalised, and
-    is built by ``DensityOperator._built``, which keeps the finite scan
-    and the PSD and trace tests.  The roundoff of T_a(rho) grows by 1/p, so
+    The state is T_a(rho)/p made exactly Hermitian and renormalised in two
+    array operations, x + x^dag and one in-place division by its real
+    trace: the bits of (x + x^dag)/2 over its trace, since both halvings
+    are exact and numpy divides a complex array by a real number through
+    its reciprocal.  ``DensityOperator._built`` keeps the finite scan and
+    the PSD and trace tests.  The roundoff of T_a(rho) grows by 1/p, so
     at a small p the result can fail the PSD test: that raises
     ``NumericalConsistencyError`` naming the outcome, p and the min
     eigenvalue, since no conditional state can be resolved there."""
-    p = clamp_probability(float(np.real(np.trace(image))))
+    p = clamp_probability(float(image.trace().real))
     if not p > PROBABILITY_FLOOR:
         raise ZeroProbabilityOutcomeError(a, p, PROBABILITY_FLOOR)
     out = image / p
     # clip eigenvalue roundoff before the strict DensityOperator checks
-    out = (out + matcore.dagger(out)) / 2
-    out = out / np.trace(out).real
+    out = out + out.conj().T
+    out /= out.trace().real
 
     def unresolved(lowest: float) -> NumericalConsistencyError:
         return NumericalConsistencyError(
@@ -263,12 +262,15 @@ def reduce_or_maximally_mixed(ins: Instrument, a: float, rho: DensityOperator):
 
 
 def nonselective(ins: Instrument, rho: DensityOperator) -> DensityOperator:
-    """Outcome-averaged state change: the total operation applied to rho."""
+    """Outcome-averaged state change: the total operation applied to rho,
+    made exactly Hermitian and renormalised as in ``_reduce_image`` and
+    built by ``DensityOperator._built``."""
     if ins.dim != rho.dim:
         raise ValueError("dimension mismatch")
     out = apply(ins.total, rho)
-    out = (out + matcore.dagger(out)) / 2
-    return DensityOperator._built(out / np.trace(out).real)
+    out = out + out.conj().T
+    out /= out.trace().real
+    return DensityOperator._built(out)
 
 
 def instrument_from_operation(t: Superoperator, obs: DiscreteObservable) -> Instrument:

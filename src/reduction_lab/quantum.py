@@ -29,7 +29,8 @@ def projector_onto(vector: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Positive unit-trace matrix, checked by ``check_density_stack``.
+    """Positive unit-trace matrix, checked by the Hermitian test of
+    ``check_density_stack`` and by ``_check_spectrum``.
 
     The constructor scans its input with ``matcore.as_complex_matrix`` and
     then checks it.  Library code reads ``matrix`` as checked: ``superop.apply``
@@ -41,18 +42,18 @@ class DensityOperator:
 
     def __post_init__(self):
         m = matcore.as_complex_matrix(self.matrix)
-        check_density_stack(m[None])
+        _check_spectrum(m, _hermitian_parts(m[None])[0])
         object.__setattr__(self, "matrix", m)
 
     @classmethod
     def _built(cls, m: np.ndarray, not_psd=None) -> "DensityOperator":
         """The state of a d x d complex matrix that the library computed as
-        exactly Hermitian, (x + x^dag)/2 divided by a real number, as
-        ``instrument._reduce_image``, ``instrument.nonselective`` and
-        ``maximally_mixed`` do.  ``hermitian_stack`` passes such a matrix
-        and returns its Hermitian part equal to it, so only that test is
-        skipped.  The finite scan, the PSD test and the trace test run on
-        the matrix with the constructor's messages.
+        exactly Hermitian: x + x^dag over its real trace in
+        ``instrument._reduce_image`` and ``instrument.nonselective``, the
+        identity over d in ``maximally_mixed``.  Such a matrix is its own
+        Hermitian part, so only the Hermitian test is skipped: the finite
+        scan runs, then ``_check_spectrum`` on the matrix itself, one
+        ``eigvalsh`` and the constructor's messages.
 
         The PSD test stays: T_a(rho)/p is PSD only to its roundoff over p,
         and below p of about 1e-6 it refuses most states whose conditional
@@ -60,7 +61,7 @@ class DensityOperator:
         exception from the min eigenvalue."""
         if not np.isfinite(m).all():
             raise ValueError("matrix has non-finite entries")
-        _check_spectrum(m[None], m[None], not_psd)
+        _check_spectrum(m, m, not_psd)
         rho = object.__new__(cls)
         vars(rho)["matrix"] = m
         return rho
@@ -72,30 +73,40 @@ class DensityOperator:
 
 def check_density_stack(ms: np.ndarray) -> None:
     """Raise ``ValueError`` unless every matrix of an (n, d, d) stack is a
-    density operator: Hermitian by ``matcore.hermitian_stack``, no
-    eigenvalue below ``-ROUNDOFF_TOL`` and trace within ``UNIT_TOL`` of 1.
+    density operator: Hermitian by ``matcore.hermitian_stack``, tested on
+    the whole stack first, then ``_check_spectrum`` on each matrix in turn,
+    so the first matrix that fails the PSD or the trace test is the one
+    reported.
 
     The check is fail-closed: each test asks that the bound hold, so a NaN
     anywhere in the stack fails it."""
+    for m, h in zip(ms, _hermitian_parts(ms)):
+        _check_spectrum(m, h)
+
+
+def _hermitian_parts(ms: np.ndarray) -> np.ndarray:
+    """The Hermitian parts of an (n, d, d) stack that passes the Hermitian
+    test of ``matcore.hermitian_stack``; raise ``ValueError`` otherwise."""
     hermitian, h, _ = matcore.hermitian_stack(ms)
     if not hermitian.all():
         raise ValueError("density operator must be Hermitian")
-    _check_spectrum(ms, h)
+    return h
 
 
-def _check_spectrum(ms: np.ndarray, h: np.ndarray, not_psd=None) -> None:
-    """The PSD and trace tests of ``check_density_stack`` on a stack ``ms``
-    with Hermitian parts ``h``; a PSD failure raises ``not_psd(min
-    eigenvalue)`` when that is given."""
-    lo = np.linalg.eigvalsh(h)[:, 0]
-    if not (lo >= -ROUNDOFF_TOL).all():
+def _check_spectrum(m: np.ndarray, h: np.ndarray, not_psd=None) -> None:
+    """The PSD and trace tests of one d x d matrix ``m`` with Hermitian part
+    ``h``: one ``eigvalsh`` of ``h``, then its lowest eigenvalue against
+    ``-ROUNDOFF_TOL`` and the trace of ``m`` within ``UNIT_TOL`` of 1, both
+    compared as Python numbers and fail-closed, so a NaN fails them.  A PSD
+    failure raises ``not_psd(min eigenvalue)`` when that is given."""
+    lo = float(np.linalg.eigvalsh(h)[0])
+    if not lo >= -ROUNDOFF_TOL:
         if not_psd is not None:
-            raise not_psd(float(lo.min()))
-        raise ValueError(f"density operator not PSD (min eigenvalue {lo.min():.3e})")
-    tr = ms.trace(axis1=-2, axis2=-1)
-    on = np.abs(tr - 1.0) <= UNIT_TOL
-    if not on.all():
-        raise ValueError(f"density operator trace {complex(tr[~on][0])} != 1")
+            raise not_psd(lo)
+        raise ValueError(f"density operator not PSD (min eigenvalue {lo:.3e})")
+    tr = complex(m.trace())
+    if not abs(tr - 1.0) <= UNIT_TOL:
+        raise ValueError(f"density operator trace {tr} != 1")
 
 
 @dataclass(frozen=True)

@@ -15,19 +15,21 @@ A map built from Kraus operators keeps them as its read-only ``kraus``
 stack, an (n, d, d) array that certifies complete positivity without an
 eigendecomposition of the Choi matrix.  Only the builders that compute the
 rep from the stack set it: ``from_kraus``, ``sandwich`` (the stack
-[a]), ``zero`` (an empty stack) and ``+`` (both stacks concatenated).  The
+[a]), ``zero`` (an empty stack), ``+`` and ``sum_of`` (the stacks
+concatenated, when every operand has one).  The
 constructor, ``identity``, ``compose``, ``dual`` and ``from_function``
 leave it ``None``.  ``choi`` passes the stack on to the ``ChoiMatrix``, and
 ``kraus_from_choi`` reads the operators off it.
 
 The d^4 entries of a rep are written only when something reads them, if
 ``_on_stack`` takes the map through its stack (n operators, d >= 9,
-4n <= d): such a map holds only the stack when those four builders make
+4n <= d): such a map holds only the stack when those five builders make
 it, and its rep is computed on the first read of ``rep``, as
 sum_k conj(K_k) kron K_k (the ``from_kraus`` formula, in ``_rep_of``),
 and then kept.  Every other map gets its rep at construction:
 ``from_kraus`` by the same formula, ``sandwich`` as conj(A) kron A,
-``zero`` as zeros, ``+`` as the sum of the two reps; the constructor,
+``zero`` as zeros, ``+`` as the sum of the two reps, ``sum_of`` as the
+reps added to zeros in order; the constructor,
 ``identity``, ``compose``, ``dual`` and ``from_function`` always hold one.
 ``compose``, ``dual`` and ``choi`` read ``rep``, so they build it on
 demand; the ``apply*`` functions on the stack route and ``unit_image``
@@ -170,6 +172,27 @@ class Superoperator:
         ks = np.concatenate([self.kraus, other.kraus])
         return Superoperator._from_stack(ks, lambda: self.rep + other.rep)
 
+    @classmethod
+    def sum_of(cls, dim: int, maps: list) -> "Superoperator":
+        """zero(dim) + maps[0] + maps[1] + ... in one step.  When every map
+        has a Kraus stack the sum holds their concatenation, so only the sum
+        is put on or off the stack route; its rep, when one is built, is the
+        maps' reps added to zeros in order, without a rep of any partial
+        sum."""
+        if any(t.dim != dim for t in maps):
+            raise ValueError("dimension mismatch")
+
+        def rep():
+            out = np.zeros((dim * dim,) * 2, dtype=complex)
+            for t in maps:
+                out += t.rep
+            return out
+
+        if any(t.kraus is None for t in maps):
+            return cls._built(dim, rep())
+        empty = np.zeros((0, dim, dim), dtype=complex)
+        return cls._from_stack(np.concatenate([empty, *(t.kraus for t in maps)]), rep)
+
     def compose(self, other: "Superoperator") -> "Superoperator":
         """self after other: X -> self(other(X)), with rep ``rep @ rep``."""
         if self.dim != other.dim:
@@ -262,7 +285,7 @@ def apply_dual_stack(s: Superoperator, ms) -> np.ndarray:
 
 def trace_of_map(s: Superoperator, rho) -> complex:
     """Tr[s(rho)], for a matrix or a ``DensityOperator`` as in ``apply``."""
-    return complex(np.trace(apply(s, rho)))
+    return complex(apply(s, rho).trace())
 
 
 def dual(s: Superoperator) -> Superoperator:

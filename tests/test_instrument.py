@@ -772,8 +772,9 @@ def test_a_non_finite_image_is_still_refused(z_obs, z_luders):
 
 def test_built_states_skip_only_the_hermitian_test(z_luders, rng, monkeypatch):
     rho = random_density(rng, 2)
-    scans, hermitian = [], []
+    scans, hermitian, spectra = [], [], []
     as_complex_matrix, hermitian_stack = matcore.as_complex_matrix, matcore.hermitian_stack
+    eigvalsh = np.linalg.eigvalsh
 
     def counted_scan(m):
         scans.append(m)
@@ -785,12 +786,20 @@ def test_built_states_skip_only_the_hermitian_test(z_luders, rng, monkeypatch):
 
     monkeypatch.setattr(matcore, "as_complex_matrix", counted_scan)
     monkeypatch.setattr(matcore, "hermitian_stack", counted_hermitian)
-    states = [
-        reduce(z_luders, 1.0, rho),
-        nonselective(z_luders, rho),
-        maximally_mixed(3),
-    ]
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: spectra.append(h) or eigvalsh(h))
+    states = []
+    for build in (
+        lambda: reduce(z_luders, 1.0, rho),
+        lambda: nonselective(z_luders, rho),
+        lambda: maximally_mixed(3),
+    ):
+        # one PSD test per built state, on the state's own matrix
+        spectra.clear()
+        states.append(build())
+        assert len(spectra) == 1 and spectra[0] is states[-1].matrix
+    spectra.clear()
     assert outcome_probability(z_luders, 1.0, rho) > 0
+    assert spectra == []
     # the checked input is not rescanned, and no built state re-tests
     # its Hermitian part
     assert scans == [] and hermitian == []

@@ -21,6 +21,7 @@ from reduction_lab.errors import NotAMeasurementOfAError, NumericalConsistencyEr
 from reduction_lab.instrument import (
     instrument_from_operation,
     nonselective,
+    outcome_probability,
     reduce,
     verify_dual_lemma,
     verify_theorem1,
@@ -152,12 +153,21 @@ def reduction_inputs(draw):
     return obs, da, seed, rank, a, DensityOperator(m)
 
 
+def _hermitian_normalised(x):
+    """(x + x^dag)/2 over its real trace: the bits ``instrument`` gives its
+    built states, which it computes as x + x^dag over its trace."""
+    out = (x + x.conj().T) / 2
+    return out / np.trace(out).real
+
+
+def _probability(image):
+    return clamp_probability(float(np.real(np.trace(image))))
+
+
 def _normalised(image):
     """T_a(rho)/p made exactly Hermitian and renormalised, in the
     arithmetic of ``instrument._reduce_image``."""
-    out = image / clamp_probability(float(np.real(np.trace(image))))
-    out = (out + out.conj().T) / 2
-    return out / np.trace(out).real
+    return _hermitian_normalised(image / _probability(image))
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -165,7 +175,8 @@ def _normalised(image):
 def test_states_built_without_the_hermitian_test_keep_the_full_check_verdict(inputs):
     obs, da, seed, rank, a, rho = inputs
     ins = instrument_of(random_faithful_model(obs, da, seed, sigma_rank=rank))
-    out = _normalised(apply(ins.component(a), rho))
+    image = apply(ins.component(a), rho)
+    out = _normalised(image)
     # the Hermitian test the built states skip passes and returns out itself
     ok, h, _ = matcore.hermitian_stack(out[None])
     assert ok[0] and np.array_equal(h[0], out)
@@ -178,5 +189,9 @@ def test_states_built_without_the_hermitian_test_keep_the_full_check_verdict(inp
     else:
         assert np.array_equal(reduced.matrix, out)
         check_density_stack(reduced.matrix[None])
-    check_density_stack(nonselective(ins, rho).matrix[None])
+    averaged = nonselective(ins, rho).matrix
+    assert np.array_equal(averaged, _hermitian_normalised(apply(ins.total, rho)))
+    check_density_stack(averaged[None])
     check_density_stack(maximally_mixed(obs.dim).matrix[None])
+    p = outcome_probability(ins, a, rho)
+    assert type(p) is float and p == _probability(image)

@@ -141,6 +141,12 @@ def _verdict(check, ms):
 @given(near_bound_stacks())
 def test_density_check_keeps_the_norm_form_verdicts(ms):
     assert _verdict(check_density_stack, ms) == _verdict(_norm_form_check, ms)
+    # one matrix at a time: the constructor on each, and the built-state
+    # check on each exactly Hermitian part
+    for m in ms:
+        assert _verdict(DensityOperator, m) == _verdict(_norm_form_check, m[None])
+        h = (m + m.conj().T) / 2
+        assert _verdict(DensityOperator._built, h) == _verdict(_norm_form_check, h[None])
 
 
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)

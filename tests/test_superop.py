@@ -176,6 +176,31 @@ def test_an_empty_stack_and_a_sandwich_take_the_route_rule(rng, d):
     assert _close(apply_dual_stack(sandwich, ms), apply_dual_stack(plain, ms))
 
 
+@pytest.mark.parametrize("d", [3, 12])
+def test_a_sum_of_maps_holds_their_stacks_and_the_sum_of_their_reps(rng, d):
+    stacked = [Superoperator.from_kraus([random_matrix(rng, d) for _ in range(n)]) for n in (1, 2, 3)]
+    plain = Superoperator(d, random_matrix(rng, d * d))
+    for maps in (stacked, [*stacked, plain], []):
+        total = Superoperator.sum_of(d, maps)
+        chain = Superoperator.zero(d)
+        for t in maps:
+            chain = chain + t
+        assert _close(total.rep, chain.rep)
+        # the component reps added to zeros in order, whichever route
+        want = np.zeros((d * d, d * d), dtype=complex)
+        for t in maps:
+            want = want + t.rep
+        assert np.array_equal(total.rep, want)
+        if plain in maps:
+            assert total.kraus is None
+        else:
+            stacks = np.concatenate([np.zeros((0, d, d)), *(t.kraus for t in maps)])
+            assert np.array_equal(total.kraus, stacks)
+            assert superop._on_stack(total) == (d >= KRAUS_ROUTE_MIN_DIM and 4 * len(stacks) <= d)
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        Superoperator.sum_of(d, [*stacked, Superoperator.identity(d + 1)])
+
+
 @pytest.mark.parametrize("ds, da, kernel_calls", [(12, 2, 14), (8, 16, 0)])
 def test_a_faithful_model_applies_through_its_stack_when_the_rule_says(
     rng, monkeypatch, ds, da, kernel_calls
@@ -232,9 +257,12 @@ def test_only_a_map_off_the_stack_route_builds_its_rep(rng, monkeypatch, ds, da)
     assert all(("rep" in vars(t)) != on_stack for t in maps)
     assert len(builds) == (0 if on_stack else len(maps))
     # the probe route's total holds all 4 of its components' operators:
-    # off the route at d = 12, so building and validating it read reps
+    # off the route at d = 12, so building and validating it read reps,
+    # one per component and none of a partial sum
+    built = len(builds)
     probe = probe_instrument_of(model)
     assert not superop._on_stack(probe.total) and "rep" in vars(probe.total)
+    assert len(builds) == built + 2
     built = len(builds)
     for ins in (*operation, probe):
         instrument.verify_theorem1(ins)
