@@ -15,7 +15,7 @@ A map built from Kraus operators keeps them as its read-only ``kraus``
 stack, an (n, d, d) array that certifies complete positivity without an
 eigendecomposition of the Choi matrix.  Only the builders that compute the
 rep from the stack set it: ``from_kraus``, ``sandwich`` (the stack
-[a]), ``zero`` (an empty stack), ``+`` and ``sum_of`` (the stacks
+[a]), ``zero`` (an empty stack), ``sum_of`` and ``+`` (the stacks
 concatenated, when every operand has one).  The
 constructor, ``identity``, ``compose``, ``dual`` and ``from_function``
 leave it ``None``.  ``choi`` passes the stack on to the ``ChoiMatrix``, and
@@ -28,8 +28,8 @@ it, and its rep is computed on the first read of ``rep``, as
 sum_k conj(K_k) kron K_k (the ``from_kraus`` formula, in ``_rep_of``),
 and then kept.  Every other map gets its rep at construction:
 ``from_kraus`` by the same formula, ``sandwich`` as conj(A) kron A,
-``zero`` as zeros, ``+`` as the sum of the two reps, ``sum_of`` as the
-reps added to zeros in order; the constructor,
+``zero`` as zeros, ``sum_of`` and ``+`` (the sum of two) as the reps
+added to zeros in order; the constructor,
 ``identity``, ``compose``, ``dual`` and ``from_function`` always hold one.
 ``compose``, ``dual`` and ``choi`` read ``rep``, so they build it on
 demand; the ``apply*`` functions on the stack route and ``unit_image``
@@ -165,20 +165,14 @@ class Superoperator:
         return cls._from_stack(ks)
 
     def __add__(self, other: "Superoperator") -> "Superoperator":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        if self.kraus is None or other.kraus is None:
-            return Superoperator._built(self.dim, self.rep + other.rep)
-        ks = np.concatenate([self.kraus, other.kraus])
-        return Superoperator._from_stack(ks, lambda: self.rep + other.rep)
+        return Superoperator.sum_of(self.dim, [self, other])
 
     @classmethod
     def sum_of(cls, dim: int, maps: list) -> "Superoperator":
-        """zero(dim) + maps[0] + maps[1] + ... in one step.  When every map
-        has a Kraus stack the sum holds their concatenation, so only the sum
-        is put on or off the stack route; its rep, when one is built, is the
-        maps' reps added to zeros in order, without a rep of any partial
-        sum."""
+        """The sum of ``maps``, all of dimension ``dim``.  When every map has
+        a Kraus stack the sum holds their concatenation, and only the sum is
+        put on or off the stack route; its rep, when one is built, is the
+        maps' reps added to zeros in order, with no rep of a partial sum."""
         if any(t.dim != dim for t in maps):
             raise ValueError("dimension mismatch")
 
