@@ -23,7 +23,7 @@ from .errors import (
 )
 from .matcore import PROBABILITY_FLOOR, ROUNDOFF_TOL, VERIFY_TOL
 from .quantum import DensityOperator, DiscreteObservable, clamp_probability, maximally_mixed
-from .superop import Superoperator, apply, apply_dual_stack, apply_stack, choi
+from .superop import Superoperator, apply, choi
 
 
 @dataclass(frozen=True)
@@ -301,14 +301,73 @@ def operation_instrument(t: Superoperator, obs: DiscreteObservable) -> Instrumen
     as an instrument with total ``t`` that is not yet validated.
 
     When ``t`` carries a Kraus stack K, T_a is ``from_kraus`` of the stack
-    K E^A(a) (Ozawa, J. Math. Phys. 25, 79 (1984)); otherwise it is ``t``
-    composed with the sandwich by E^A(a).  ``Instrument.validate`` accepts
-    the result only when the components sum to ``t``."""
+    K E^A(a) (Ozawa, J. Math. Phys. 25, 79 (1984)), formed in one 2-D GEMM
+    per outcome: K stacked as (N d x d) rows times E^A(a).  Otherwise T_a is
+    ``t`` composed with the sandwich by E^A(a).  ``Instrument.validate``
+    accepts the result only when the components sum to ``t``."""
     if t.kraus is not None:
-        components = {a: Superoperator.from_kraus(t.kraus @ p) for a, p in obs.outcomes}
+        d = t.dim
+        rows = t.kraus.reshape(-1, d)
+        components = {
+            a: Superoperator.from_kraus((rows @ p).reshape(-1, d, d)) for a, p in obs.outcomes
+        }
     else:
         components = {a: t.compose(Superoperator.sandwich(p)) for a, p in obs.outcomes}
     return Instrument(obs, components, total=t, validate_invariants=False)
+
+
+# Up to d = 4 per-call overhead decides, and the verifiers take all outcomes
+# at once: one GEMM per product, one apply of T per form.  Above it the
+# dual lemma's temporaries for all outcomes pass about 100 KB, and glibc
+# hands them back to the system between calls, so the next call
+# page-faults; one outcome at a time is faster there (the per-call table in
+# ROADMAP item 11).
+ALL_OUTCOMES_MAX_DIM = 4
+
+
+def _outcome_groups(obs: DiscreteObservable) -> list:
+    """The outcomes as the verifiers take them: ``(eigenvalues, ps)`` pairs
+    with ps the (g, d, d) stack of their projectors, in the order of
+    ``obs.outcomes``; all outcomes in one group when d <=
+    ``ALL_OUTCOMES_MAX_DIM``, else one group per outcome."""
+    values = obs.eigenvalues
+    ps = np.stack([p for _, p in obs.outcomes])
+    if obs.dim <= ALL_OUTCOMES_MAX_DIM:
+        return [(values, ps)]
+    return [((a,), ps[k : k + 1]) for k, a in enumerate(values)]
+
+
+def _layouts(ms: np.ndarray) -> tuple:
+    """An (m, d, d) stack side by side, (d x m d), and as rows, (m d x d):
+    the layouts in which one GEMM multiplies every matrix of it from the
+    left or from the right."""
+    m, d = ms.shape[:2]
+    return ms.transpose(1, 0, 2).reshape(d, m * d), ms.reshape(m * d, d)
+
+
+def _projected(ps: np.ndarray, side: np.ndarray, rows: np.ndarray):
+    """Yield P X, X P and (P X) P for every P of a (g, d, d) projector stack
+    and every X of a stack in its two ``_layouts``, each as a (g, m, d, d)
+    array.  The first two are strided views of one GEMM each: P stacked as
+    (g d x d) rows times the X side by side, and the X as rows times the P
+    side by side.  The third is the first, copied to rows, times its own P
+    in one stacked product of g GEMMs.  The forms are yielded one at a time,
+    so a caller that reduces each before taking the next never holds all
+    three, and their temporaries stay small."""
+    g, d = ps.shape[:2]
+    m = len(rows) // d
+    left = (ps.reshape(g * d, d) @ side).reshape(g, d, m, d).transpose(0, 2, 1, 3)
+    yield left
+    ps_side = ps.transpose(1, 0, 2).reshape(d, g * d)
+    yield (rows @ ps_side).reshape(m, d, g, d).transpose(2, 0, 1, 3)
+    yield (np.ascontiguousarray(left).reshape(g, m * d, d) @ ps).reshape(g, m, d, d)
+
+
+def _max_abs_each(ms: np.ndarray) -> list:
+    """The largest entry modulus of each ms[k] as a float, 0.0 when ms[k]
+    is empty; a NaN anywhere in ms[k] makes its value NaN, which fails
+    every bound."""
+    return np.abs(ms).max(axis=tuple(range(1, ms.ndim)), initial=0.0).tolist()
 
 
 def verify_theorem1(
@@ -317,11 +376,15 @@ def verify_theorem1(
     """Check the three equal forms T_a(X) = T(E X) = T(X E) = T(E X E) on
     random trace-class operators, including non-Hermitian ones.
 
-    The samples are one (trials, d, d) stack.  T_a maps it in one call of
-    ``superop.apply_stack``, and T maps the stacked E X, X E and E X E in
-    one each: two GEMMs through the map's Kraus stack when that stack is
-    small against d, else one matmul on its rep.  A record's residual is the
-    largest entry of a difference over all samples; it passes at ``tol``.
+    The samples are one (trials, d, d) stack.  Each T_a maps it in one call
+    of ``superop.apply_stack``.  The projected samples E X, X E and (E X) E
+    are formed by ``_projected`` as 2-D GEMMs on the stack laid out once
+    per call, and T maps each form in one call over the outcomes of a
+    group (``_outcome_groups``): two GEMMs through the map's Kraus stack
+    when that stack is small against d, else one matmul on its rep.  A
+    record's residual is the largest entry of a difference over all
+    samples, taken for a whole group in one reduction; it passes at
+    ``tol``.
 
     ``seed`` is anything ``np.random.default_rng`` takes.  For an integer
     seed the samples depend only on ``(seed, trials, d)``; they come
@@ -330,16 +393,22 @@ def verify_theorem1(
     other seed draws afresh.  The images, residuals and verdicts are
     computed on every call.
     """
-    xs = _samples(seed, trials, ins.dim)[1:]
+    d = ins.dim
+    xs = _samples(seed, trials, d)[1:]
+    layouts = _layouts(xs)
     records = []
-    for a, p in ins.observable.outcomes:
-        lhs = apply_stack(ins.component(a), xs)
-        res_left = matcore.max_abs(lhs - apply_stack(ins.total, p @ xs))
-        res_right = matcore.max_abs(lhs - apply_stack(ins.total, xs @ p))
-        res_both = matcore.max_abs(lhs - apply_stack(ins.total, p @ xs @ p))
-        records.append(CheckRecord("uniqueness.left_projected", a, res_left, tol))
-        records.append(CheckRecord("uniqueness.right_projected", a, res_right, tol))
-        records.append(CheckRecord("uniqueness.both_projected", a, res_both, tol))
+    for values, ps in _outcome_groups(ins.observable):
+        lhs = np.stack([superop.apply_stack(ins.component(a), xs) for a in values])
+        residuals = [
+            _max_abs_each(
+                lhs - superop.apply_stack(ins.total, f.reshape(-1, d, d)).reshape(lhs.shape)
+            )
+            for f in _projected(ps, *layouts)
+        ]
+        for a, (left, right, both) in zip(values, zip(*residuals)):
+            records.append(CheckRecord("uniqueness.left_projected", a, left, tol))
+            records.append(CheckRecord("uniqueness.right_projected", a, right, tol))
+            records.append(CheckRecord("uniqueness.both_projected", a, both, tol))
     return VerificationReport(tuple(records))
 
 
@@ -357,7 +426,10 @@ def verify_dual_lemma(
     ``superop.apply_dual_stack``, through the adjoints of the map's own
     Kraus stack when that stack is small against d, else with one matmul on
     its rep, so no dual map is built; row 0 of an image stack is T*(1) or
-    T_a*(1).  Every record passes at ``tol``.
+    T_a*(1).  E T*(X), T*(X) E and (E T*(X)) E are formed by ``_projected``
+    as 2-D GEMMs on the images laid out once per call, for the outcomes of
+    a group (``_outcome_groups``) at once, and each family's residuals of
+    a group come from one reduction.  Every record passes at ``tol``.
 
     ``seed`` is anything ``np.random.default_rng`` takes.  For an integer
     seed the stack depends only on ``(seed, trials, d)`` and comes
@@ -366,26 +438,18 @@ def verify_dual_lemma(
     Any other seed draws afresh.
     """
     unit_xs = _samples(seed, trials, ins.dim)
-    images = apply_dual_stack(ins.total, unit_xs)
-    txs = images[1:]
+    images = superop.apply_dual_stack(ins.total, unit_xs)
+    layouts = _layouts(images[1:])
     records = [
         CheckRecord("dual.total_unital", None, matcore.max_abs(images[0] - unit_xs[0]), tol)
     ]
-    for a, p in ins.observable.outcomes:
-        images = apply_dual_stack(ins.component(a), unit_xs)
-        records.append(
-            CheckRecord(
-                "dual.component_unit_to_projector",
-                a,
-                matcore.max_abs(images[0] - p),
-                tol,
-            )
-        )
-        lhs = images[1:]
-        res_left = matcore.max_abs(lhs - p @ txs)
-        res_right = matcore.max_abs(lhs - txs @ p)
-        res_both = matcore.max_abs(lhs - p @ txs @ p)
-        records.append(CheckRecord("dual.sandwich_left", a, res_left, tol))
-        records.append(CheckRecord("dual.sandwich_right", a, res_right, tol))
-        records.append(CheckRecord("dual.sandwich_both", a, res_both, tol))
+    for values, ps in _outcome_groups(ins.observable):
+        comps = np.stack([superop.apply_dual_stack(ins.component(a), unit_xs) for a in values])
+        units = _max_abs_each(comps[:, 0] - ps)
+        residuals = [_max_abs_each(comps[:, 1:] - f) for f in _projected(ps, *layouts)]
+        for a, unit, (left, right, both) in zip(values, units, zip(*residuals)):
+            records.append(CheckRecord("dual.component_unit_to_projector", a, unit, tol))
+            records.append(CheckRecord("dual.sandwich_left", a, left, tol))
+            records.append(CheckRecord("dual.sandwich_right", a, right, tol))
+            records.append(CheckRecord("dual.sandwich_both", a, both, tol))
     return VerificationReport(tuple(records))

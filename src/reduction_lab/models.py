@@ -20,8 +20,8 @@ sigma = sum_j w_j |v_j><v_j| and an orthonormal apparatus basis |m>,
 gives T(rho) = sum K rho K+.  The instrument is read off the operation
 alone by ``instrument.operation_instrument``: T_a is the stack K E_a.  The
 probe route acts with Q_a on the apparatus index alone (Ozawa, J. Math.
-Phys. 25, 79 (1984)): sum_n (Q_a)_{mn} K_{n,j}, one stacked matrix product
-over the outcomes.
+Phys. 25, 79 (1984)): sum_n (Q_a)_{mn} K_{n,j}, one GEMM over all the
+outcomes.
 
 A model derives both once and keeps them: ``MeasurementModel.kraus`` is the
 stack, built by one contraction of ``U.reshape(d_s, d_a, d_s, d_a)``, and
@@ -140,16 +140,16 @@ def operation_of(model: MeasurementModel) -> Superoperator:
 
 def _probe_route(model: MeasurementModel) -> tuple:
     """Probe-route Kraus stacks of all n outcomes, Q_a applied to the
-    apparatus index of the model's stack by one stacked product, and the
-    spectral-norm residuals of F_a = sum K'+ K' against E_a taken from the
-    same stacks."""
+    apparatus index of the model's stack by one GEMM, the Q_a stacked as
+    (n d_a x d_a) rows times the stack as d_a rows, and the spectral-norm
+    residuals of F_a = sum K'+ K' against E_a taken from the same stacks."""
     if model.probe is None:
         raise MissingProbeError("model has no probe observable")
-    ds = model.dim_s
+    ds, da = model.dim_s, model.dim_a
     obs = model.observable
     qs = np.stack([model.probe.projector(a) for a in obs.eigenvalues])
     ps = np.stack([p for _, p in obs.outcomes])
-    kq = (qs @ model.kraus.reshape(model.dim_a, -1)).reshape(len(qs), -1, ds, ds)
+    kq = (qs.reshape(-1, da) @ model.kraus.reshape(da, -1)).reshape(len(qs), -1, ds, ds)
     rows = kq.reshape(len(qs), -1, ds)
     f = rows.conj().swapaxes(1, 2) @ rows
     return kq, np.linalg.norm(f - ps, 2, axis=(1, 2))

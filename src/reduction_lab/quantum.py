@@ -30,7 +30,8 @@ def projector_onto(vector: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class DensityOperator:
     """Positive unit-trace matrix, checked by the Hermitian test of
-    ``check_density_stack`` and by ``_check_spectrum``.
+    ``matcore.hermitian_stack`` on a stack of one and by ``_check_spectrum``
+    on its Hermitian part.
 
     The constructor scans its input with ``matcore.as_complex_matrix`` and
     then checks it.  Library code reads ``matrix`` as checked: ``superop.apply``
@@ -42,7 +43,10 @@ class DensityOperator:
 
     def __post_init__(self):
         m = matcore.as_complex_matrix(self.matrix)
-        _check_spectrum(m, _hermitian_parts(m[None])[0])
+        hermitian, h, _ = matcore.hermitian_stack(m[None])
+        if not hermitian[0]:
+            raise ValueError("density operator must be Hermitian")
+        _check_spectrum(m, h[0])
         object.__setattr__(self, "matrix", m)
 
     @classmethod
@@ -69,28 +73,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def check_density_stack(ms: np.ndarray) -> None:
-    """Raise ``ValueError`` unless every matrix of an (n, d, d) stack is a
-    density operator: Hermitian by ``matcore.hermitian_stack``, tested on
-    the whole stack first, then ``_check_spectrum`` on each matrix in turn,
-    so the first matrix that fails the PSD or the trace test is the one
-    reported.
-
-    The check is fail-closed: each test asks that the bound hold, so a NaN
-    anywhere in the stack fails it."""
-    for m, h in zip(ms, _hermitian_parts(ms)):
-        _check_spectrum(m, h)
-
-
-def _hermitian_parts(ms: np.ndarray) -> np.ndarray:
-    """The Hermitian parts of an (n, d, d) stack that passes the Hermitian
-    test of ``matcore.hermitian_stack``; raise ``ValueError`` otherwise."""
-    hermitian, h, _ = matcore.hermitian_stack(ms)
-    if not hermitian.all():
-        raise ValueError("density operator must be Hermitian")
-    return h
 
 
 def _check_spectrum(m: np.ndarray, h: np.ndarray, not_psd=None) -> None:
@@ -144,7 +126,9 @@ class DiscreteObservable:
     ``outcomes`` is a tuple of ``(eigenvalue, projector)`` pairs.  The
     eigenvalues must be finite and pairwise distinct, the projectors
     mutually orthogonal and sum to the identity; a value that is not in the
-    eigenvalue list carries the zero projector.
+    eigenvalue list carries the zero projector.  The n^2 products P_k P_l
+    that the projector and orthogonality tests read are the blocks of one
+    (n d x n d) GEMM.
     """
 
     outcomes: tuple = field()
@@ -164,14 +148,17 @@ class DiscreteObservable:
         # the projectors before the first of another dimension, as one stack
         n = next((k for k, (_, p) in enumerate(outs) if p.shape[0] != d), len(outs))
         ps = np.stack([p for _, p in outs[:n]])
-        prods, at = ps[:, None] @ ps[None], np.arange(n)  # p_k p_l for all k, l
-        idempotent = np.abs(prods[at, at] - ps).max(axis=(1, 2)) <= ROUNDOFF_TOL
+        # the projectors stacked as (n d x d) rows times the same side by
+        # side (d x n d): prods[k, :, l] is p_k p_l
+        prods = ps.reshape(n * d, d) @ ps.transpose(1, 0, 2).reshape(d, n * d)
+        prods, at = prods.reshape(n, d, n, d), np.arange(n)
+        idempotent = np.abs(prods[at, :, at] - ps).max(axis=(1, 2)) <= ROUNDOFF_TOL
         bad = ~(matcore.hermitian_stack(ps)[0] & idempotent)
         if bad.any():
             raise ValueError(f"outcome {outs[bad.argmax()][0]}: not an orthogonal projector")
         if n < len(outs):
             raise ValueError("projector dimensions disagree")
-        prods[at, at] = 0
+        prods[at, :, at] = 0
         if not matcore.max_abs(prods) <= ROUNDOFF_TOL:
             raise ValueError("projectors are not mutually orthogonal")
         if not matcore.max_abs(ps.sum(axis=0) - np.eye(d)) <= ROUNDOFF_TOL:

@@ -117,6 +117,9 @@ def observable_from_json(j, where: str = "observable") -> DiscreteObservable:
     if not isinstance(j, dict):
         raise ParseError(f"{where}: expected an object")
     if "hermitian" in j:
+        for key in ("eigenvalues", "projectors"):
+            if key in j:
+                raise ParseError(f"{where}.{key}: given beside 'hermitian'; give one form")
         h = matrix_from_json(j["hermitian"], f"{where}.hermitian")
         try:
             tol = as_tolerance(j.get("degeneracy_tol", DEGENERACY_TOL))

@@ -37,7 +37,6 @@ from reduction_lab.quantum import (
     DiscreteObservable,
     PureState,
     born_probability,
-    check_density_stack,
     ket,
     maximally_mixed,
     observable_from_hermitian,
@@ -449,6 +448,136 @@ def test_both_validation_routes_refuse_a_probeless_haar_model():
     assert abs(residuals[0] - residuals[1]) <= 1e-12
 
 
+def _stacked_theorem1(ins):
+    """``verify_theorem1`` at its defaults with the projected samples formed
+    one outcome at a time by numpy's stacked ``@``, (P X) P associated as
+    in ``p @ xs @ p``: the arithmetic the verifier's GEMMs must keep."""
+    xs = instrument._samples(0, 20, ins.dim)[1:]
+    records = []
+    for a, p in ins.observable.outcomes:
+        lhs = superop.apply_stack(ins.component(a), xs)
+        for form, y in (("left", p @ xs), ("right", xs @ p), ("both", p @ xs @ p)):
+            resid = matcore.max_abs(lhs - superop.apply_stack(ins.total, y))
+            records.append(CheckRecord(f"uniqueness.{form}_projected", a, resid, VERIFY_TOL))
+    return records
+
+
+def _stacked_dual_lemma(ins):
+    """``verify_dual_lemma`` at its defaults with the sandwiches of T*(X)
+    formed one outcome at a time by numpy's stacked ``@``."""
+    unit_xs = instrument._samples(0, 50, ins.dim)
+    images = superop.apply_dual_stack(ins.total, unit_xs)
+    txs = images[1:]
+    records = [CheckRecord(
+        "dual.total_unital", None, matcore.max_abs(images[0] - unit_xs[0]), VERIFY_TOL
+    )]
+    for a, p in ins.observable.outcomes:
+        images = superop.apply_dual_stack(ins.component(a), unit_xs)
+        records.append(CheckRecord(
+            "dual.component_unit_to_projector", a, matcore.max_abs(images[0] - p), VERIFY_TOL
+        ))
+        for form, y in (("left", p @ txs), ("right", txs @ p), ("both", p @ txs @ p)):
+            records.append(
+                CheckRecord(f"dual.sandwich_{form}", a, matcore.max_abs(images[1:] - y), VERIFY_TOL)
+            )
+    return records
+
+
+def _haar_observable(ranks, seed):
+    """Outcomes 0, 1, ... with Haar-random eigenspaces of the given ranks."""
+    v = haar_unitary(sum(ranks), np.random.default_rng(seed))
+    cuts = np.cumsum((0, *ranks))
+    return DiscreteObservable(tuple(
+        (float(k), v[:, lo:hi] @ v[:, lo:hi].conj().T)
+        for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))
+    ))
+
+
+def _pinned_instruments(ds, da):
+    """The faithful instrument of a (ds, da) model and the three negative
+    controls on the same observable: the biased model's probe-route stacks
+    over the true operation, the components of a Haar-random U that does
+    not measure A, and one component corrupted by 1e-3 X with no stack."""
+    obs = _haar_observable((1,) * ds if ds <= 8 else (ds // 2, ds - ds // 2), ds)
+    faithful = instrument_of(random_faithful_model(obs, da, seed=ds, sigma_rank=1))
+    biased = random_biased_model(obs, da, seed=ds)
+    stacks = {a: Superoperator.from_kraus(k) for a, k in zip(obs.eigenvalues, biased.probe_route[0])}
+    u = haar_unitary(ds * da, np.random.default_rng(ds))
+    haar = MeasurementModel(ds, da, obs, PureState(ket(da, 0)).to_density(), u)
+    corrupted = dict(faithful.components)
+    corrupted[0.0] = Superoperator(ds, faithful.component(0.0).rep + 1e-3 * np.eye(ds * ds))
+    return {
+        "faithful": faithful,
+        "biased probe": Instrument(obs, stacks, total=operation_of(biased), validate_invariants=False),
+        "U not measuring A": operation_instrument(operation_of(haar), obs),
+        "corrupted component": Instrument(
+            obs, corrupted, total=faithful.total, validate_invariants=False
+        ),
+    }
+
+
+@pytest.mark.parametrize("ds, da, on_stack", [
+    (2, 4, False), (3, 6, False), (4, 8, False), (8, 16, False), (12, 2, True), (16, 4, True),
+])
+def test_verifiers_keep_the_stacked_product_arithmetic(ds, da, on_stack):
+    # every record of both verifiers against the per-outcome stacked @,
+    # bit for bit from d = 4 on, where the GEMMs sum in the same order
+    instruments = _pinned_instruments(ds, da)
+    assert superop._on_stack(instruments["faithful"].total) is on_stack
+    for name, ins in instruments.items():
+        for verify, reference in (
+            (verify_theorem1, _stacked_theorem1),
+            (verify_dual_lemma, _stacked_dual_lemma),
+        ):
+            got, want = verify(ins).records, reference(ins)
+            assert [(r.check, r.outcome, r.passed) for r in got] == [
+                (r.check, r.outcome, r.passed) for r in want
+            ], name
+            for r, w in zip(got, want):
+                assert type(r.residual) is float
+                if ds >= 4:
+                    assert r.residual == w.residual, (name, r, w)
+                else:
+                    assert abs(r.residual - w.residual) <= 1e-15, (name, r, w)
+            assert verify(ins).passed is (name == "faithful")
+
+
+@pytest.mark.parametrize("ds, da", [(2, 4), (4, 8), (12, 2)])
+def test_a_nan_in_a_component_fails_its_records_only(ds, da):
+    ins = _pinned_instruments(ds, da)["faithful"]
+    rep = ins.component(0.0).rep.copy()
+    rep[0, 0] = np.nan
+    components = dict(ins.components)
+    components[0.0] = Superoperator._built(ds, rep)
+    broken = Instrument(ins.observable, components, total=ins.total, validate_invariants=False)
+    for verify in (verify_theorem1, verify_dual_lemma):
+        records = verify(broken).records
+        assert [r.passed for r in records] == [r.outcome != 0.0 for r in records]
+        assert all(np.isnan(r.residual) for r in records if r.outcome == 0.0)
+
+
+@pytest.mark.parametrize("ds, da, theorem1, dual_lemma", [(2, 4, 5, 3), (12, 2, 8, 3)])
+def test_the_verifiers_apply_each_map_a_fixed_number_of_times(
+    monkeypatch, ds, da, theorem1, dual_lemma
+):
+    # (2,4): two outcomes taken together, each T_a once and T once per
+    # form; (12,2): one outcome at a time, T once per form and outcome.
+    # The dual lemma applies T* and each T_a* once.  A per-sample or
+    # per-form loop would raise these counts.
+    ins = _pinned_instruments(ds, da)["faithful"]
+    calls = []
+    for name in ("apply_stack", "apply_dual_stack"):
+        original = getattr(superop, name)
+        monkeypatch.setattr(
+            superop, name, lambda s, ms, f=original, n=name: calls.append(n) or f(s, ms)
+        )
+    verify_theorem1(ins)
+    assert calls == ["apply_stack"] * theorem1
+    calls.clear()
+    verify_dual_lemma(ins)
+    assert calls == ["apply_dual_stack"] * dual_lemma
+
+
 @pytest.mark.parametrize("check", [
     "uniqueness.left_projected",
     "uniqueness.right_projected",
@@ -725,7 +854,7 @@ def test_an_unresolved_conditional_state_is_a_numerical_error():
     # the same model and direction at p = 1e-6 give a state
     model, a, psi = small_probability_case(1e-6)
     reduced = reduce(instrument_of(model), a, psi.to_density())
-    check_density_stack(reduced.matrix[None])
+    DensityOperator(reduced.matrix)
 
 
 def test_the_apparatus_rank_decides_which_small_p_resolves():
@@ -740,9 +869,9 @@ def test_the_apparatus_rank_decides_which_small_p_resolves():
     for p in (1e-11, 1e-9):
         with pytest.raises(NumericalConsistencyError, match="too small to resolve"):
             reduced(p, 1)
-    check_density_stack(reduced(1e-8, 1).matrix[None])
+    DensityOperator(reduced(1e-8, 1).matrix)
     full = reduced(1e-11, 2)
-    check_density_stack(full.matrix[None])
+    DensityOperator(full.matrix)
     assert np.linalg.eigvalsh(full.matrix)[0] == pytest.approx(2.9e-2, abs=1e-3)
     for sigma_rank in (1, 2):
         with pytest.raises(ZeroProbabilityOutcomeError):
@@ -805,7 +934,7 @@ def test_built_states_skip_only_the_hermitian_test(z_luders, rng, monkeypatch):
     assert scans == [] and hermitian == []
     monkeypatch.undo()
     for state in states:
-        check_density_stack(state.matrix[None])
+        DensityOperator(state.matrix)
         ok, h, _ = matcore.hermitian_stack(state.matrix[None])
         assert ok[0] and np.array_equal(h[0], state.matrix)
 

@@ -39,7 +39,6 @@ from reduction_lab.models import (
 )
 from reduction_lab.quantum import (
     DensityOperator,
-    check_density_stack,
     clamp_probability,
     maximally_mixed,
     observable_from_hermitian,
@@ -185,13 +184,13 @@ def test_states_built_without_the_hermitian_test_keep_the_full_check_verdict(inp
     except NumericalConsistencyError:
         # refused exactly where the full check refuses the same matrix
         with pytest.raises(ValueError, match="not PSD"):
-            check_density_stack(out[None])
+            DensityOperator(out)
     else:
         assert np.array_equal(reduced.matrix, out)
-        check_density_stack(reduced.matrix[None])
+        DensityOperator(reduced.matrix)
     averaged = nonselective(ins, rho).matrix
     assert np.array_equal(averaged, _hermitian_normalised(apply(ins.total, rho)))
-    check_density_stack(averaged[None])
-    check_density_stack(maximally_mixed(obs.dim).matrix[None])
+    DensityOperator(averaged)
+    DensityOperator(maximally_mixed(obs.dim).matrix)
     p = outcome_probability(ins, a, rho)
     assert type(p) is float and p == _probability(image)

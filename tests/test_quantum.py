@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reduction_lab import matcore
 from reduction_lab import serialization as ser
 from reduction_lab.errors import NumericalConsistencyError
 from reduction_lab.matcore import ROUNDOFF_TOL, UNIT_TOL
@@ -13,7 +14,6 @@ from reduction_lab.quantum import (
     DiscreteObservable,
     PureState,
     born_probability,
-    check_density_stack,
     ket,
     maximally_mixed,
     observable_from_hermitian,
@@ -30,9 +30,8 @@ def test_density_operator_validation(rng):
         DensityOperator(PAULI_Z)  # negative eigenvalue
     with pytest.raises(ValueError):
         DensityOperator(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
-    # the stacked check applies the same bounds to every matrix
-    good = np.stack([random_density(rng, 2).matrix for _ in range(3)])
-    check_density_stack(good)
+    for m in (random_density(rng, 2).matrix for _ in range(3)):
+        DensityOperator(m)
     bad = [
         ("trace", np.eye(2)),
         ("PSD", PAULI_Z),
@@ -44,8 +43,6 @@ def test_density_operator_validation(rng):
     for word, m in bad:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match=word):
             DensityOperator(m)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match=word):
-            check_density_stack(np.concatenate([good, [m.astype(complex)]]))
 
 
 @pytest.mark.parametrize("m", [
@@ -124,11 +121,6 @@ def near_bound_stacks(draw):
     return ms
 
 
-def test_density_check_accepts_an_empty_stack():
-    # a verifier run with no samples checks no parts
-    check_density_stack(np.zeros((0, 2, 2), dtype=complex))
-
-
 def _verdict(check, ms):
     try:
         check(ms)
@@ -140,7 +132,6 @@ def _verdict(check, ms):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(near_bound_stacks())
 def test_density_check_keeps_the_norm_form_verdicts(ms):
-    assert _verdict(check_density_stack, ms) == _verdict(_norm_form_check, ms)
     # one matrix at a time: the constructor on each, and the built-state
     # check on each exactly Hermitian part
     for m in ms:
@@ -155,8 +146,11 @@ def test_density_check_fails_closed_on_nan(ms, data):
     n, d = ms.shape[:2]
     at = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, d - 1), st.integers(0, d - 1)))
     ms[at] = data.draw(st.sampled_from([complex(np.nan, 0), complex(0, np.nan)]))
-    with pytest.raises(ValueError, match="Hermitian"):
-        check_density_stack(ms)
+    # the Hermitian test fails the matrix with the NaN
+    assert not matcore.hermitian_stack(ms)[0][at[0]]
+    # the constructor refuses it at its finite scan, before any test
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        DensityOperator(ms[at[0]])
 
 
 def test_pure_state_norm():
@@ -202,10 +196,10 @@ def test_observable_reconstruction(rng):
 
 def test_observable_invariants_rejected():
     p0 = projector_onto(ket(2, 0))
-    with pytest.raises(ValueError):
-        DiscreteObservable(((1.0, p0), (2.0, p0)))  # not orthogonal
-    with pytest.raises(ValueError):
-        DiscreteObservable(((1.0, p0),))  # incomplete
+    with pytest.raises(ValueError, match="^projectors are not mutually orthogonal$"):
+        DiscreteObservable(((1.0, p0), (2.0, p0)))
+    with pytest.raises(ValueError, match="^projectors do not sum to the identity$"):
+        DiscreteObservable(((1.0, p0),))
     # ||m||^2 overflows, so a bound that scales with ||m|| is infinite
     huge_skew = np.array([[0.5, 1e200], [-1e200, 0.5]], dtype=complex)
     # idempotent, orthogonal and complete, but not Hermitian
