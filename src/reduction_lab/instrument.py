@@ -148,7 +148,11 @@ class Instrument:
         a dual map.  A component with a Kraus stack is completely positive
         by construction, so only one without (a user rep, Choi input, a
         ``from_function`` map or a corrupted component) takes the Choi PSD
-        test, an ``eigh`` of its d^2 x d^2 Choi matrix."""
+        test: the Hermitian test of its d^2 x d^2 Choi matrix, then
+        ``matcore.psd_refusal`` of its Hermitian part, one Cholesky factor,
+        whose ``eigvalsh`` fallback gives a refusal its min eigenvalue.  A
+        Choi matrix that fails the Hermitian test takes one ``eigvalsh`` of
+        its Hermitian part, for the message."""
         d = self.dim
         if set(self.components) != set(self.observable.eigenvalues):
             raise ValueError("component outcomes must match observable eigenvalues")
@@ -187,11 +191,13 @@ class Instrument:
                 raise NotAMeasurementOfAError(a, resid)
             if t.kraus is not None:
                 continue
-            c = choi(t)
-            if not c.is_psd():
+            c = choi(t).matrix
+            ok, h, _ = matcore.hermitian_stack(c[None])
+            lo = matcore.psd_refusal(h[0]) if ok[0] else matcore.min_eigenvalue(c)
+            if lo is not None:
                 raise ValueError(
                     f"component at outcome {a} is not completely positive "
-                    f"(Choi min eigenvalue {c.min_eigenvalue():.3e})"
+                    f"(Choi min eigenvalue {lo:.3e})"
                 )
         return completeness_resid
 

@@ -17,7 +17,10 @@ the unit trace of a state and the unit norm of a vector;
 no conditional state; ``ZERO_WEIGHT`` is the weight at or below which a
 decomposition slot is empty.  The bounds are absolute, except that the one
 Hermitian test, ``hermitian_stack``, scales with the Frobenius norm of m, or
-of m over its largest part where ||m||^2 overflows.  A function takes a
+of m over its largest part where ||m||^2 overflows.  The one PSD test,
+``psd_refusal``, accepts by a Cholesky factor shifted by half of
+``ROUNDOFF_TOL``, inside the bound, and decides a matrix whose factor
+fails by its lowest eigenvalue against the whole bound.  A function takes a
 tolerance parameter only where a caller sets its own value: the CLI's
 ``--tol`` replaces ``VERIFY_TOL`` and a file's ``degeneracy_tol`` replaces
 ``DEGENERACY_TOL``.
@@ -134,9 +137,36 @@ def min_eigenvalue(m) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
+def psd_refusal(h) -> float | None:
+    """None when the exactly Hermitian d x d matrix ``h`` is PSD within
+    ``ROUNDOFF_TOL``; else its lowest eigenvalue, for the refusal's message.
+
+    The one positivity test.  It accepts when ``np.linalg.cholesky``
+    factors h + (ROUNDOFF_TOL/2) 1: Cholesky is backward stable, so the
+    factor is exact for h + (ROUNDOFF_TOL/2) 1 + E with ||E|| about
+    d eps ||h||, orders below the other half of the bound for a unit-trace
+    state or a Choi matrix, and the lowest eigenvalue of h is then above
+    -ROUNDOFF_TOL.  The full bound as the shift would accept matrices just
+    below -ROUNDOFF_TOL.  Only when the factor fails does it take one
+    ``eigvalsh``, whose lowest eigenvalue decides against -ROUNDOFF_TOL as
+    a Python number, fail-closed, so a NaN eigenvalue is refused.  The
+    factor reads only the lower triangle of ``h``."""
+    d = h.shape[0]
+    shifted = h.copy()
+    shifted.reshape(-1)[:: d + 1] += ROUNDOFF_TOL / 2
+    try:
+        # numpy's factor does not stop at a NaN pivot, and a NaN anywhere
+        # in the factor reaches its last pivot
+        if np.linalg.cholesky(shifted)[-1, -1].real > 0:
+            return None
+    except np.linalg.LinAlgError:
+        pass
+    lo = float(np.linalg.eigvalsh(h)[0])
+    return None if lo >= -ROUNDOFF_TOL else lo
+
+
 def is_psd(m) -> bool:
-    """True iff ``m`` passes ``hermitian_stack`` and the lowest eigenvalue of
-    its Hermitian part is >= -ROUNDOFF_TOL: one Hermitian test, one
-    ``eigvalsh``."""
+    """True iff ``m`` passes ``hermitian_stack`` and ``psd_refusal`` accepts
+    its Hermitian part: one Hermitian test, one Cholesky factor."""
     ok, h, _ = hermitian_stack(as_complex_matrix(m)[None])
-    return bool(ok[0]) and float(np.linalg.eigvalsh(h[0])[0]) >= -ROUNDOFF_TOL
+    return bool(ok[0]) and psd_refusal(h[0]) is None

@@ -31,7 +31,8 @@ def projector_onto(vector: np.ndarray) -> np.ndarray:
 class DensityOperator:
     """Positive unit-trace matrix, checked by the Hermitian test of
     ``matcore.hermitian_stack`` on a stack of one and by ``_check_spectrum``
-    on its Hermitian part.
+    on its Hermitian part: the PSD test of ``matcore.psd_refusal``, one
+    Cholesky factor, and the trace test.
 
     The constructor scans its input with ``matcore.as_complex_matrix`` and
     then checks it.  Library code reads ``matrix`` as checked: ``superop.apply``
@@ -56,8 +57,8 @@ class DensityOperator:
         ``instrument._reduce_image`` and ``instrument.nonselective``, the
         identity over d in ``maximally_mixed``.  Such a matrix is its own
         Hermitian part, so only the Hermitian test is skipped: the finite
-        scan runs, then ``_check_spectrum`` on the matrix itself, one
-        ``eigvalsh`` and the constructor's messages.
+        scan runs, then ``_check_spectrum`` on the matrix itself, with the
+        constructor's PSD test and messages.
 
         The PSD test stays: T_a(rho)/p is PSD only to its roundoff over p,
         and below p of about 1e-6 it refuses most states whose conditional
@@ -76,13 +77,14 @@ class DensityOperator:
 
 
 def _check_spectrum(m: np.ndarray, h: np.ndarray, not_psd=None) -> None:
-    """The PSD and trace tests of one d x d matrix ``m`` with Hermitian part
-    ``h``: one ``eigvalsh`` of ``h``, then its lowest eigenvalue against
-    ``-ROUNDOFF_TOL`` and the trace of ``m`` within ``UNIT_TOL`` of 1, both
-    compared as Python numbers and fail-closed, so a NaN fails them.  A PSD
-    failure raises ``not_psd(min eigenvalue)`` when that is given."""
-    lo = float(np.linalg.eigvalsh(h)[0])
-    if not lo >= -ROUNDOFF_TOL:
+    """The PSD and trace tests of one d x d matrix ``m`` with exactly
+    Hermitian part ``h``: ``matcore.psd_refusal`` of ``h`` (one Cholesky
+    factor; one ``eigvalsh`` only when the factor fails), then the trace of
+    ``m`` within ``UNIT_TOL`` of 1, compared as a Python number and
+    fail-closed, so a NaN fails it.  A PSD failure raises
+    ``not_psd(min eigenvalue)`` when that is given."""
+    lo = matcore.psd_refusal(h)
+    if lo is not None:
         if not_psd is not None:
             raise not_psd(lo)
         raise ValueError(f"density operator not PSD (min eigenvalue {lo:.3e})")

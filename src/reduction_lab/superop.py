@@ -321,9 +321,6 @@ class ChoiMatrix:
     def is_psd(self) -> bool:
         return matcore.is_psd(self.matrix)
 
-    def min_eigenvalue(self) -> float:
-        return matcore.min_eigenvalue(self.matrix)
-
 
 def choi(s: Superoperator) -> ChoiMatrix:
     d = s.dim

@@ -646,8 +646,8 @@ def test_building_an_instrument_builds_no_dual_and_rescans_no_rep(monkeypatch):
     calls.update(dual=0, as_complex_matrix=0)
     instrument_from_operation(bare, obs)
     # per outcome: one check in sandwich(E_a), where a caller's projector
-    # enters, and one in the Choi PSD test of the stackless component
-    assert calls == {"dual": 0, "as_complex_matrix": 6}
+    # enters; the Choi PSD test reads the Choi matrix of a checked rep as is
+    assert calls == {"dual": 0, "as_complex_matrix": 3}
     # both verifiers apply T* and T_a* straight from the reps
     assert verify_dual_lemma(ins).passed and verify_theorem1(ins).passed
     assert calls["dual"] == 0
@@ -901,9 +901,9 @@ def test_a_non_finite_image_is_still_refused(z_obs, z_luders):
 
 def test_built_states_skip_only_the_hermitian_test(z_luders, rng, monkeypatch):
     rho = random_density(rng, 2)
-    scans, hermitian, spectra = [], [], []
+    scans, hermitian, psd_tests, spectra = [], [], [], []
     as_complex_matrix, hermitian_stack = matcore.as_complex_matrix, matcore.hermitian_stack
-    eigvalsh = np.linalg.eigvalsh
+    psd_refusal, eigvalsh = matcore.psd_refusal, np.linalg.eigvalsh
 
     def counted_scan(m):
         scans.append(m)
@@ -915,6 +915,7 @@ def test_built_states_skip_only_the_hermitian_test(z_luders, rng, monkeypatch):
 
     monkeypatch.setattr(matcore, "as_complex_matrix", counted_scan)
     monkeypatch.setattr(matcore, "hermitian_stack", counted_hermitian)
+    monkeypatch.setattr(matcore, "psd_refusal", lambda h: psd_tests.append(h) or psd_refusal(h))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: spectra.append(h) or eigvalsh(h))
     states = []
     for build in (
@@ -922,13 +923,15 @@ def test_built_states_skip_only_the_hermitian_test(z_luders, rng, monkeypatch):
         lambda: nonselective(z_luders, rho),
         lambda: maximally_mixed(3),
     ):
-        # one PSD test per built state, on the state's own matrix
-        spectra.clear()
+        # one PSD test per built state, on the state's own matrix, and an
+        # accepted state takes no eigendecomposition
+        psd_tests.clear()
         states.append(build())
-        assert len(spectra) == 1 and spectra[0] is states[-1].matrix
-    spectra.clear()
+        assert len(psd_tests) == 1 and psd_tests[0] is states[-1].matrix
+        assert spectra == []
+    psd_tests.clear()
     assert outcome_probability(z_luders, 1.0, rho) > 0
-    assert spectra == []
+    assert psd_tests == []
     # the checked input is not rescanned, and no built state re-tests
     # its Hermitian part
     assert scans == [] and hermitian == []

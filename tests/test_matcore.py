@@ -172,6 +172,25 @@ def test_is_psd():
         assert not matcore.is_psd(HUGE_SKEW)  # its Hermitian part is I/2
 
 
+def test_psd_refusal_refuses_a_factor_that_overflows():
+    # near the float range numpy's Cholesky factor of an indefinite matrix
+    # can come back with NaN pivots instead of raising (at seeds 13, 26, 32
+    # and 40 among these, on OpenBLAS); the lowest eigenvalue is -0.5e308
+    for seed in range(41):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        v = np.linalg.qr(g)[0]
+        with np.errstate(over="ignore"):
+            h = (v * [-0.5, 0.5, 1.0]) @ v.conj().T * 1e308
+            h = h / 2 + h.conj().T / 2
+        if not np.isfinite(h).all():
+            continue
+        lo = matcore.psd_refusal(h)
+        assert lo is not None and lo < -1e307
+        with np.errstate(over="ignore"):  # ||h||^2 overflows in the Hermitian test
+            assert not matcore.is_psd(h)
+
+
 def test_tolerances_live_in_the_matcore_table():
     # a float in (0, 1e-6] is a numerical bound; only the values of the
     # table's top-level assignments in matcore may spell one out
@@ -190,6 +209,26 @@ def test_tolerances_live_in_the_matcore_table():
             and 0 < node.value <= 1e-6 and id(node) not in table
         ]
     assert not stray, "bounds outside the matcore table:\n" + "\n".join(stray)
+
+
+def test_positivity_is_decided_only_in_matcore():
+    # np.linalg.eigvalsh and np.linalg.cholesky decide positivity; only
+    # matcore may name them, so every PSD verdict is psd_refusal's
+    paths = sorted(Path(matcore.__file__).parent.glob("*.py"))
+    kernels = {"eigvalsh", "cholesky"}
+    named = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in kernels:
+                named.setdefault(path.name, []).append(f"{node.lineno}: {node.attr}")
+            elif isinstance(node, ast.ImportFrom):
+                named.setdefault(path.name, []).extend(
+                    f"{node.lineno}: import {alias.name}"
+                    for alias in node.names if alias.name in kernels
+                )
+    assert {k.split()[-1] for k in named.pop("matcore.py")} == kernels
+    stray = [f"{name}:{line}" for name, lines in named.items() for line in lines]
+    assert not stray, "PSD kernels outside matcore:\n" + "\n".join(stray)
 
 
 @pytest.mark.parametrize("re, im", [(np.nan, 0), (np.inf, 0), (-np.inf, 1), (0, np.nan),

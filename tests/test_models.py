@@ -290,7 +290,7 @@ def _wide_model(dim_s, dim_a, degenerate, sigma_rank):
     ids=["8x16", "12x2-degenerate"],
 )
 def test_stacked_maps_skip_the_choi_eigendecomposition(model, monkeypatch):
-    calls = {"is_psd": 0, "hermitian_eig": 0}
+    calls = {"psd_refusal": 0, "hermitian_eig": 0}
     for name in calls:
         original = getattr(matcore, name)
 
@@ -307,17 +307,19 @@ def test_stacked_maps_skip_the_choi_eigendecomposition(model, monkeypatch):
     for ins in built:
         for t in ins.components.values():
             kraus_from_choi(choi(t))
-    # every map carries its Kraus stack: no Choi eigh to validate or extract
-    assert calls == {"is_psd": 0, "hermitian_eig": 0}
-    # the same maps as bare reps take one eigh per component on each path
+    # every map carries its Kraus stack: no Choi PSD test to validate, no
+    # Choi eigh to extract
+    assert calls == {"psd_refusal": 0, "hermitian_eig": 0}
+    # the same maps as bare reps take one Choi PSD test per component to
+    # validate and one eigh to extract
     n, d = len(model.observable.outcomes), model.dim_s
     for ins in built:
         bare = {a: Superoperator(d, t.rep) for a, t in ins.components.items()}
-        calls.update(is_psd=0, hermitian_eig=0)
+        calls.update(psd_refusal=0, hermitian_eig=0)
         Instrument(model.observable, bare, total=Superoperator(d, ins.total.rep))
         for t in bare.values():
             kraus_from_choi(choi(t))
-        assert calls == {"is_psd": n, "hermitian_eig": n}
+        assert calls == {"psd_refusal": n, "hermitian_eig": n}
 
 
 def test_compose_drops_a_stack_of_more_than_d_squared():

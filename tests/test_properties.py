@@ -7,9 +7,14 @@ state of rank 1 or 2 that gives it a probability from just above
 ``PROBABILITY_FLOOR`` to 1/2.  Each von Neumann example draws a
 nondegenerate observable and d_a, and builds a pointer-basis model with a
 Haar pointer basis, so the probe projectors Q_a are not diagonal.  The
+PSD-edge examples are Hermitian matrices, states and Choi matrices whose
+lowest eigenvalue sits on either side of the two bounds of
+``matcore.psd_refusal``, at zero, or well above it.  The
 profile is derandomised and keeps no database, so every run checks the
 same examples.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -26,7 +31,7 @@ from reduction_lab.instrument import (
     verify_dual_lemma,
     verify_theorem1,
 )
-from reduction_lab.matcore import PROBABILITY_FLOOR, VERIFY_TOL
+from reduction_lab.matcore import PROBABILITY_FLOOR, ROUNDOFF_TOL, UNIT_TOL, VERIFY_TOL
 from reduction_lab.models import (
     haar_unitary,
     instrument_of,
@@ -39,11 +44,14 @@ from reduction_lab.models import (
 )
 from reduction_lab.quantum import (
     DensityOperator,
+    PureState,
     clamp_probability,
     maximally_mixed,
     observable_from_hermitian,
 )
-from reduction_lab.superop import apply
+from reduction_lab.superop import ChoiMatrix, apply
+
+from conftest import small_probability_case
 
 profile = settings(max_examples=25, derandomize=True, database=None, deadline=None)
 
@@ -194,3 +202,94 @@ def test_states_built_without_the_hermitian_test_keep_the_full_check_verdict(inp
     DensityOperator(maximally_mixed(obs.dim).matrix)
     p = outcome_probability(ins, a, rho)
     assert type(p) is float and p == _probability(image)
+
+
+@st.composite
+def psd_edge_cases(draw):
+    """``(h, d, source, p)``: an exactly Hermitian n x n matrix, what it
+    stands for and, for a conditional state, its outcome probability.  A
+    ``"state"`` (n = d of 1-6) or ``"choi"`` matrix (n = d^2, d of 1-3)
+    gets a Haar eigenbasis and a spectrum whose lowest eigenvalue is
+    -ROUNDOFF_TOL/2 or -ROUNDOFF_TOL times 1 +- 1e-6, where the Cholesky
+    factor of ``psd_refusal`` hands over to its ``eigvalsh`` and where that
+    decides; 0, with 1 to n - 1 zeros when n > 1; or drawn from [0.5, 1].
+    The other eigenvalues lie in [0.5, 1] times the scale, 1 or 1e3; at
+    scale 1 a state's spectrum with an edge is normalised to unit trace.
+    A ``"pure"`` state is the projector onto a random unit vector, and a
+    ``"conditional"`` one is the matrix ``reduce`` builds from
+    ``small_probability_case`` at sigma of rank 1: of rank 2 of 4 up to
+    its roundoff over p, which fails the PSD test up to about p = 1e-8."""
+    source = draw(st.sampled_from(["state", "choi", "pure", "conditional"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if source == "conditional":
+        p = draw(st.sampled_from([1e-11, 1e-9, 1e-8, 1e-7, 1e-6, 1e-3, 0.5]))
+        ins, a, rho = _conditional_case(p)
+        return _normalised(apply(ins.component(a), rho)), 4, source, p
+    d = draw(st.integers(1, 3 if source == "choi" else 6))
+    if source == "pure":
+        g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        return PureState(g / np.linalg.norm(g)).to_density().matrix, d, source, None
+    n = d * d if source == "choi" else d
+    scale = draw(st.sampled_from([1.0, 1e3]))
+    edge = draw(st.sampled_from(["half", "bound", "zero", "positive"]))
+    w = rng.uniform(0.5, 1.0, n) * scale
+    if edge == "zero":
+        w[: draw(st.integers(1, max(n - 1, 1)))] = 0.0
+    elif edge != "positive":
+        bound = ROUNDOFF_TOL / 2 if edge == "half" else ROUNDOFF_TOL
+        w[0] = -bound * (1 + draw(st.sampled_from([-1e-6, 1e-6])))
+        if source == "state" and scale == 1.0 and n > 1:
+            w[1:] *= (1 - w[0]) / w[1:].sum()
+    v = haar_unitary(n, rng)
+    h = (v * w) @ v.conj().T
+    return (h + h.conj().T) / 2, d, source, None
+
+
+@functools.lru_cache(maxsize=None)
+def _conditional_case(p):
+    model, a, psi = small_probability_case(p, 1)
+    return instrument_of(model), a, psi.to_density()
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(psd_edge_cases())
+def test_psd_refusal_keeps_the_eigenvalue_verdicts_and_messages(case):
+    h, d, source, p = case
+    # the test before the Cholesky factor: one eigvalsh, fail-closed
+    lo = float(np.linalg.eigvalsh(h)[0])
+    psd = lo >= -ROUNDOFF_TOL
+    refusal = matcore.psd_refusal(h)
+    assert (refusal is None) == psd
+    assert psd or refusal == lo
+    # h is exactly Hermitian, so its Hermitian part has its bits
+    assert matcore.is_psd(h) == psd
+    if source == "choi":
+        assert ChoiMatrix(d, h).is_psd() == psd
+        return
+    tr = complex(h.trace())
+    if not psd:
+        message = f"density operator not PSD (min eigenvalue {lo:.3e})"
+    elif not abs(tr - 1.0) <= UNIT_TOL:
+        message = f"density operator trace {tr} != 1"
+    else:
+        message = None
+    for build in (DensityOperator, DensityOperator._built):
+        if message is None:
+            assert np.array_equal(build(h).matrix, h)
+        else:
+            with pytest.raises(ValueError) as err:
+                build(h)
+            assert str(err.value) == message
+    lowest = []
+    if not psd:
+        with pytest.raises(NumericalConsistencyError):
+            DensityOperator._built(h, lambda x: lowest.append(x) or NumericalConsistencyError())
+    assert lowest == ([] if psd else [lo])
+    if source == "conditional":
+        ins, a, rho = _conditional_case(p)
+        if psd:
+            assert np.array_equal(reduce(ins, a, rho).matrix, h)
+        else:
+            with pytest.raises(NumericalConsistencyError) as err:
+                reduce(ins, a, rho)
+            assert str(err.value).endswith(f"T_a(rho)/p has min eigenvalue {lo:.3e}")
