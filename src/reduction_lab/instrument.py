@@ -151,8 +151,9 @@ class Instrument:
         test: the Hermitian test of its d^2 x d^2 Choi matrix, then
         ``matcore.psd_refusal`` of its Hermitian part, one Cholesky factor,
         whose ``eigvalsh`` fallback gives a refusal its min eigenvalue.  A
-        Choi matrix that fails the Hermitian test takes one ``eigvalsh`` of
-        its Hermitian part, for the message."""
+        Choi matrix C that fails the Hermitian test is refused by that test,
+        with ||C - C^dag|| from the test's own sums, and takes no
+        eigendecomposition."""
         d = self.dim
         if set(self.components) != set(self.observable.eigenvalues):
             raise ValueError("component outcomes must match observable eigenvalues")
@@ -191,9 +192,13 @@ class Instrument:
                 raise NotAMeasurementOfAError(a, resid)
             if t.kraus is not None:
                 continue
-            c = choi(t).matrix
-            ok, h, _ = matcore.hermitian_stack(c[None])
-            lo = matcore.psd_refusal(h[0]) if ok[0] else matcore.min_eigenvalue(c)
+            ok, h, skew_sq = matcore.hermitian_stack(choi(t).matrix[None])
+            if not ok[0]:
+                raise ValueError(
+                    f"component at outcome {a} is not completely positive "
+                    f"(Choi matrix not Hermitian: ||C - C^dag|| = {np.sqrt(skew_sq[0]):.3e})"
+                )
+            lo = matcore.psd_refusal(h[0])
             if lo is not None:
                 raise ValueError(
                     f"component at outcome {a} is not completely positive "
@@ -227,26 +232,29 @@ def reduce(ins: Instrument, a: float, rho: DensityOperator) -> DensityOperator:
     return _reduce_image(a, apply(ins.component(a), rho))
 
 
+def _normalised(x: np.ndarray, not_psd=None) -> DensityOperator:
+    """The state of a computed image x, made exactly Hermitian and
+    renormalised in two array operations, x + x^dag and one in-place
+    division by its real trace: the bits of (x + x^dag)/2 over its trace,
+    since both halvings are exact and numpy divides a complex array by a
+    real number through its reciprocal.  ``DensityOperator._built`` keeps
+    the finite scan and the PSD and trace tests, and takes ``not_psd``."""
+    # clip eigenvalue roundoff before the strict DensityOperator checks
+    out = x + x.conj().T
+    out /= out.trace().real
+    return DensityOperator._built(out, not_psd)
+
+
 def _reduce_image(a: float, image: np.ndarray) -> DensityOperator:
     """The state ``reduce`` makes of the image T_a(rho), for a caller that
-    already holds the image.
-
-    The state is T_a(rho)/p made exactly Hermitian and renormalised in two
-    array operations, x + x^dag and one in-place division by its real
-    trace: the bits of (x + x^dag)/2 over its trace, since both halvings
-    are exact and numpy divides a complex array by a real number through
-    its reciprocal.  ``DensityOperator._built`` keeps the finite scan and
-    the PSD and trace tests.  The roundoff of T_a(rho) grows by 1/p, so
-    at a small p the result can fail the PSD test: that raises
-    ``NumericalConsistencyError`` naming the outcome, p and the min
-    eigenvalue, since no conditional state can be resolved there."""
+    already holds the image: ``_normalised`` of T_a(rho)/p.  The roundoff
+    of T_a(rho) grows by 1/p, so at a small p the result can fail the PSD
+    test: that raises ``NumericalConsistencyError`` naming the outcome, p
+    and the min eigenvalue, since no conditional state can be resolved
+    there."""
     p = clamp_probability(float(image.trace().real))
     if not p > PROBABILITY_FLOOR:
         raise ZeroProbabilityOutcomeError(a, p, PROBABILITY_FLOOR)
-    out = image / p
-    # clip eigenvalue roundoff before the strict DensityOperator checks
-    out = out + out.conj().T
-    out /= out.trace().real
 
     def unresolved(lowest: float) -> NumericalConsistencyError:
         return NumericalConsistencyError(
@@ -254,7 +262,7 @@ def _reduce_image(a: float, image: np.ndarray) -> DensityOperator:
             f"conditional state: T_a(rho)/p has min eigenvalue {lowest:.3e}"
         )
 
-    return DensityOperator._built(out, unresolved)
+    return _normalised(image / p, unresolved)
 
 
 def reduce_or_maximally_mixed(ins: Instrument, a: float, rho: DensityOperator):
@@ -268,15 +276,11 @@ def reduce_or_maximally_mixed(ins: Instrument, a: float, rho: DensityOperator):
 
 
 def nonselective(ins: Instrument, rho: DensityOperator) -> DensityOperator:
-    """Outcome-averaged state change: the total operation applied to rho,
-    made exactly Hermitian and renormalised as in ``_reduce_image`` and
-    built by ``DensityOperator._built``."""
+    """Outcome-averaged state change: ``_normalised`` of the total
+    operation applied to rho."""
     if ins.dim != rho.dim:
         raise ValueError("dimension mismatch")
-    out = apply(ins.total, rho)
-    out = out + out.conj().T
-    out /= out.trace().real
-    return DensityOperator._built(out)
+    return _normalised(apply(ins.total, rho))
 
 
 def instrument_from_operation(t: Superoperator, obs: DiscreteObservable) -> Instrument:
@@ -333,11 +337,11 @@ ALL_OUTCOMES_MAX_DIM = 4
 
 def _outcome_groups(obs: DiscreteObservable) -> list:
     """The outcomes as the verifiers take them: ``(eigenvalues, ps)`` pairs
-    with ps the (g, d, d) stack of their projectors, in the order of
-    ``obs.outcomes``; all outcomes in one group when d <=
-    ``ALL_OUTCOMES_MAX_DIM``, else one group per outcome."""
-    values = obs.eigenvalues
-    ps = np.stack([p for _, p in obs.outcomes])
+    with ps the (g, d, d) stack of their projectors, read off
+    ``obs.projectors`` in the order of ``obs.outcomes``; all outcomes in
+    one group when d <= ``ALL_OUTCOMES_MAX_DIM``, else one group per
+    outcome."""
+    values, ps = obs.eigenvalues, obs.projectors
     if obs.dim <= ALL_OUTCOMES_MAX_DIM:
         return [(values, ps)]
     return [((a,), ps[k : k + 1]) for k, a in enumerate(values)]

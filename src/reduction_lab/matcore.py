@@ -130,13 +130,6 @@ def trace_norm(m) -> float:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
-def min_eigenvalue(m) -> float:
-    """Smallest eigenvalue of the Hermitian part of ``m``, taken by
-    ``hermitian_stack`` so that it does not overflow."""
-    h = hermitian_stack(as_complex_matrix(m)[None])[1][0]
-    return float(np.linalg.eigvalsh(h)[0])
-
-
 def psd_refusal(h) -> float | None:
     """None when the exactly Hermitian d x d matrix ``h`` is PSD within
     ``ROUNDOFF_TOL``; else its lowest eigenvalue, for the refusal's message.

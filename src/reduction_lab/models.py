@@ -38,7 +38,7 @@ so dropping them needs no tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -148,11 +148,10 @@ def _probe_route(model: MeasurementModel) -> tuple:
     ds, da = model.dim_s, model.dim_a
     obs = model.observable
     qs = np.stack([model.probe.projector(a) for a in obs.eigenvalues])
-    ps = np.stack([p for _, p in obs.outcomes])
     kq = (qs.reshape(-1, da) @ model.kraus.reshape(da, -1)).reshape(len(qs), -1, ds, ds)
     rows = kq.reshape(len(qs), -1, ds)
     f = rows.conj().swapaxes(1, 2) @ rows
-    return kq, np.linalg.norm(f - ps, 2, axis=(1, 2))
+    return kq, np.linalg.norm(f - obs.projectors, 2, axis=(1, 2))
 
 
 def probe_consistency(
@@ -234,6 +233,26 @@ def _projector_range(p: np.ndarray) -> np.ndarray:
     return v[:, ::-1][:, :rank]
 
 
+def _model(
+    observable: DiscreteObservable,
+    sigma: np.ndarray,
+    in_cols: np.ndarray,
+    out_cols: np.ndarray,
+    probes: list,
+) -> MeasurementModel:
+    """The model of apparatus state ``sigma`` whose U maps ``in_cols`` onto
+    ``out_cols`` (``_complete_unitary``), with the probe projectors
+    ``probes`` taken in the order of ``observable.outcomes``."""
+    return MeasurementModel(
+        dim_s=observable.dim,
+        dim_a=sigma.shape[0],
+        observable=observable,
+        apparatus_state=DensityOperator(sigma),
+        unitary=_complete_unitary(in_cols, out_cols),
+        probe=DiscreteObservable(tuple(zip(observable.eigenvalues, probes))),
+    )
+
+
 def von_neumann_model(
     observable: DiscreteObservable,
     dim_a: int,
@@ -247,7 +266,6 @@ def von_neumann_model(
     vectors.  The probe assigns unused apparatus dimensions to the first
     outcome.
     """
-    dim_s = observable.dim
     n = len(observable.outcomes)
     for a, p in observable.outcomes:
         if int(round(np.real(np.trace(p)))) != 1:
@@ -268,25 +286,10 @@ def von_neumann_model(
     out_cols = np.column_stack(
         [np.kron(phi, xi_n[:, k]) for k, phi in enumerate(phis)]
     )
-    u = _complete_unitary(in_cols, out_cols)
-
     pointer_proj = [np.outer(xi_n[:, k], xi_n[:, k].conj()) for k in range(n)]
     unused = np.eye(dim_a, dtype=complex) - sum(pointer_proj)
     pointer_proj[0] = pointer_proj[0] + unused
-    probe = DiscreteObservable(
-        tuple(
-            (a, pointer_proj[k])
-            for k, (a, _) in enumerate(observable.outcomes)
-        )
-    )
-    return MeasurementModel(
-        dim_s=dim_s,
-        dim_a=dim_a,
-        observable=observable,
-        apparatus_state=DensityOperator(np.outer(xi, xi.conj())),
-        unitary=u,
-        probe=probe,
-    )
+    return _model(observable, np.outer(xi, xi.conj()), in_cols, out_cols, pointer_proj)
 
 
 def _sector_sizes(dim_a: int, n_out: int) -> list:
@@ -335,8 +338,8 @@ def random_faithful_model(
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     in_blocks = []
     out_blocks = []
-    probe_outcomes = []
-    for k, (a, p) in enumerate(observable.outcomes):
+    probes = []
+    for k, (_, p) in enumerate(observable.outcomes):
         # input branch: eigenspace x sigma support
         ins = np.kron(_projector_range(p), eye_a[:, :sigma_rank])
         # output space: full object space x this outcome's sector
@@ -347,17 +350,8 @@ def random_faithful_model(
         out_blocks.append(out_basis @ iso)
         q = np.zeros((dim_a, dim_a), dtype=complex)
         q[sector, sector] = eye_a[sector, sector]
-        probe_outcomes.append((a, q))
-
-    u = _complete_unitary(np.hstack(in_blocks), np.hstack(out_blocks))
-    return MeasurementModel(
-        dim_s=dim_s,
-        dim_a=dim_a,
-        observable=observable,
-        apparatus_state=DensityOperator(sigma),
-        unitary=u,
-        probe=DiscreteObservable(tuple(probe_outcomes)),
-    )
+        probes.append(q)
+    return _model(observable, sigma, np.hstack(in_blocks), np.hstack(out_blocks), probes)
 
 
 def random_biased_model(
@@ -372,11 +366,4 @@ def random_biased_model(
     (a0, q0), (a1, q1) = outs[0], outs[1]
     outs[0] = (a0, q1)
     outs[1] = (a1, q0)
-    return MeasurementModel(
-        dim_s=model.dim_s,
-        dim_a=model.dim_a,
-        observable=model.observable,
-        apparatus_state=model.apparatus_state,
-        unitary=model.unitary,
-        probe=DiscreteObservable(tuple(outs)),
-    )
+    return replace(model, probe=DiscreteObservable(tuple(outs)))

@@ -12,7 +12,6 @@ from .errors import NumericalConsistencyError
 from .matcore import DEGENERACY_TOL, ROUNDOFF_TOL, UNIT_TOL
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
@@ -54,7 +53,7 @@ class DensityOperator:
     def _built(cls, m: np.ndarray, not_psd=None) -> "DensityOperator":
         """The state of a d x d complex matrix that the library computed as
         exactly Hermitian: x + x^dag over its real trace in
-        ``instrument._reduce_image`` and ``instrument.nonselective``, the
+        ``instrument._normalised``, for ``reduce`` and ``nonselective``, the
         identity over d in ``maximally_mixed``.  Such a matrix is its own
         Hermitian part, so only the Hermitian test is skipped: the finite
         scan runs, then ``_check_spectrum`` on the matrix itself, with the
@@ -126,14 +125,17 @@ class DiscreteObservable:
     """Eigenvalue list with the associated spectral projection family.
 
     ``outcomes`` is a tuple of ``(eigenvalue, projector)`` pairs.  The
-    eigenvalues must be finite and pairwise distinct, the projectors
-    mutually orthogonal and sum to the identity; a value that is not in the
-    eigenvalue list carries the zero projector.  The n^2 products P_k P_l
-    that the projector and orthogonality tests read are the blocks of one
-    (n d x n d) GEMM.
+    eigenvalues must be finite and pairwise distinct, the projectors of one
+    dimension, mutually orthogonal and sum to the identity; a value that is
+    not in the eigenvalue list carries the zero projector.  ``projectors``
+    is the read-only (n, d, d) stack of the projectors in the order of
+    ``outcomes``, built once here and read by every caller that needs them
+    together.  The n^2 products P_k P_l that the projector and
+    orthogonality tests read are the blocks of one (n d x n d) GEMM.
     """
 
     outcomes: tuple = field()
+    projectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         outs = tuple((float(a), matcore.as_complex_matrix(p)) for a, p in self.outcomes)
@@ -147,9 +149,11 @@ class DiscreteObservable:
                 raise ValueError(f"eigenvalue {a} is not finite")
         if len(set(eigvals)) != len(eigvals):
             raise ValueError("eigenvalues must be pairwise distinct")
-        # the projectors before the first of another dimension, as one stack
-        n = next((k for k, (_, p) in enumerate(outs) if p.shape[0] != d), len(outs))
-        ps = np.stack([p for _, p in outs[:n]])
+        if any(p.shape[0] != d for _, p in outs):
+            raise ValueError("projector dimensions disagree")
+        ps, n = np.stack([p for _, p in outs]), len(outs)
+        ps.flags.writeable = False
+        object.__setattr__(self, "projectors", ps)
         # the projectors stacked as (n d x d) rows times the same side by
         # side (d x n d): prods[k, :, l] is p_k p_l
         prods = ps.reshape(n * d, d) @ ps.transpose(1, 0, 2).reshape(d, n * d)
@@ -158,8 +162,6 @@ class DiscreteObservable:
         bad = ~(matcore.hermitian_stack(ps)[0] & idempotent)
         if bad.any():
             raise ValueError(f"outcome {outs[bad.argmax()][0]}: not an orthogonal projector")
-        if n < len(outs):
-            raise ValueError("projector dimensions disagree")
         prods[at, :, at] = 0
         if not matcore.max_abs(prods) <= ROUNDOFF_TOL:
             raise ValueError("projectors are not mutually orthogonal")

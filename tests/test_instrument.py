@@ -32,6 +32,7 @@ from reduction_lab.models import (
     random_faithful_model,
 )
 from reduction_lab.quantum import (
+    PAULI_X,
     PAULI_Z,
     DensityOperator,
     DiscreteObservable,
@@ -829,6 +830,35 @@ def test_validate_refuses_each_corruption_class():
         r"\(Choi min eigenvalue -1.000e\+00\)",
     ):
         not_cp.validate()
+
+
+def test_validate_refuses_a_choi_matrix_that_is_not_hermitian(z_obs):
+    # eps (N X - X N) added to T_{+1} and taken from T_{-1}: the sum is the
+    # Lueders total, the commutator is traceless and its dual maps 1 to 0,
+    # so completeness, trace preservation and T_a*(1) = E_a all hold, but
+    # the map no longer preserves Hermiticity: the Choi matrix of T_{+1}
+    # fails the Hermitian test, and that test names the refusal
+    e_up, e_down = z_obs.projector(1.0), z_obs.projector(-1.0)
+
+    def shifted(e, eps):
+        return Superoperator.from_function(
+            2, lambda x: e @ x @ e + eps * (PAULI_X @ x - x @ PAULI_X)
+        )
+
+    skewed = Instrument(
+        z_obs, {1.0: shifted(e_up, 1e-2), -1.0: shifted(e_down, -1e-2)},
+        validate_invariants=False,
+    )
+    assert superop.is_trace_preserving(skewed.total)
+    assert matcore.max_abs(skewed.total.rep - luders_instrument(z_obs).total.rep) <= 1e-17
+    for a, t in skewed.components.items():
+        assert matcore.max_abs(superop.unit_image(t) - z_obs.projector(a)) <= 1e-17
+    with pytest.raises(
+        ValueError,
+        match=r"^component at outcome 1.0 is not completely positive "
+        r"\(Choi matrix not Hermitian: \|\|C - C\^dag\|\| = 5.657e-02\)$",
+    ):
+        skewed.validate()
 
 
 def test_an_unresolved_conditional_state_is_a_numerical_error():

@@ -122,11 +122,9 @@ def test_hermitian_part_does_not_overflow():
     with np.errstate(over="ignore"):
         ok, h, _ = matcore.hermitian_stack(np.stack([HUGE_DIAGONAL, np.eye(2)]))
         w, _ = matcore.hermitian_eig(HUGE_DIAGONAL)
-        lowest = matcore.min_eigenvalue(HUGE_DIAGONAL)
     assert ok.all()
     assert np.array_equal(h, [HUGE_DIAGONAL, np.eye(2)])
     assert w.tolist() == [-1e308, 1e308]
-    assert lowest == -1e308
 
 
 def test_max_abs(rng):
@@ -213,22 +211,31 @@ def test_tolerances_live_in_the_matcore_table():
 
 def test_positivity_is_decided_only_in_matcore():
     # np.linalg.eigvalsh and np.linalg.cholesky decide positivity; only
-    # matcore may name them, so every PSD verdict is psd_refusal's
-    paths = sorted(Path(matcore.__file__).parent.glob("*.py"))
+    # matcore.psd_refusal may name them, so every PSD verdict is its own
     kernels = {"eigvalsh", "cholesky"}
-    named = {}
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
+
+    def named(tree):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in kernels:
-                named.setdefault(path.name, []).append(f"{node.lineno}: {node.attr}")
+                yield node.lineno, node.attr
             elif isinstance(node, ast.ImportFrom):
-                named.setdefault(path.name, []).extend(
-                    f"{node.lineno}: import {alias.name}"
+                yield from (
+                    (node.lineno, f"import {alias.name}")
                     for alias in node.names if alias.name in kernels
                 )
-    assert {k.split()[-1] for k in named.pop("matcore.py")} == kernels
-    stray = [f"{name}:{line}" for name, lines in named.items() for line in lines]
-    assert not stray, "PSD kernels outside matcore:\n" + "\n".join(stray)
+
+    stray, refusal = [], set()
+    for path in sorted(Path(matcore.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found = set(named(tree))
+        if path.name == "matcore.py":
+            (fn,) = [n for n in tree.body
+                     if isinstance(n, ast.FunctionDef) and n.name == "psd_refusal"]
+            refusal = set(named(fn))
+            found -= refusal
+        stray += [f"{path.name}:{line}: {name}" for line, name in sorted(found)]
+    assert {name for _, name in refusal} == kernels
+    assert not stray, "PSD kernels outside psd_refusal:\n" + "\n".join(stray)
 
 
 @pytest.mark.parametrize("re, im", [(np.nan, 0), (np.inf, 0), (-np.inf, 1), (0, np.nan),

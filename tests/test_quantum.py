@@ -220,6 +220,34 @@ def test_observable_invariants_rejected():
                 route()
 
 
+def test_observable_refuses_projectors_of_two_dimensions():
+    p2, p3 = projector_onto(ket(2, 0)), projector_onto(ket(3, 1))
+    with pytest.raises(ValueError, match="^projector dimensions disagree$"):
+        DiscreteObservable(((1.0, p2), (0.0, p3)))
+    with pytest.raises(ser.ParseError, match="^observable: projector dimensions disagree$"):
+        ser.observable_from_json({
+            "eigenvalues": [1.0, 0.0],
+            "projectors": [ser.matrix_to_json(p2), ser.matrix_to_json(p3)],
+        })
+    # the dimensions are checked before any projector, so a non-projector
+    # beside a projector of another dimension is refused by its dimension
+    with pytest.raises(ValueError, match="^projector dimensions disagree$"):
+        DiscreteObservable(((1.0, 2 * p2), (0.0, p3)))
+
+
+def test_observable_keeps_its_projectors_as_one_read_only_stack():
+    p0, p1 = projector_onto(ket(2, 0)), projector_onto(ket(2, 1))
+    obs = DiscreteObservable(((1.0, p1), (-1.0, p0)))
+    assert obs.projectors.shape == (2, 2, 2)
+    # in the order of ``outcomes``, not of the eigenvalues
+    assert np.array_equal(obs.projectors, [p1, p0])
+    for k, (_, p) in enumerate(obs.outcomes):
+        assert np.array_equal(obs.projectors[k], p)
+    assert not obs.projectors.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        obs.projectors[0, 0, 0] = 0
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_observable_refuses_a_non_finite_eigenvalue(value):
     p0, p1 = projector_onto(ket(2, 0)), projector_onto(ket(2, 1))
