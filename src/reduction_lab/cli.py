@@ -58,11 +58,17 @@ def _outcome(text: str) -> float:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as f:
-            f.write(text)
-    else:
+    """Write a report to ``out_path``, or to stdout when it is None.  A path
+    that cannot be written is a usage error: a ``ValueError`` naming it,
+    which exits 2."""
+    if not out_path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as exc:
+        raise ValueError(f"{out_path}: {exc.strerror or exc}") from None
 
 
 def _emit_records(records, args) -> None:

@@ -261,9 +261,11 @@ def dumps(obj) -> str:
 
 def load_file(path: str):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return json.load(f)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}")

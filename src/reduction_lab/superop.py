@@ -26,10 +26,14 @@ The d^4 entries of a rep are written only when something reads them, if
 4n <= d): such a map holds only the stack when those five builders make
 it, and its rep is computed on the first read of ``rep``, as
 sum_k conj(K_k) kron K_k (the ``from_kraus`` formula, in ``_rep_of``),
-and then kept.  Every other map gets its rep at construction:
-``from_kraus`` by the same formula, ``sandwich`` as conj(A) kron A,
-``zero`` as zeros, ``sum_of`` and ``+`` (the sum of two) as the reps
-added to zeros in order; the constructor,
+and then kept.  ``_rep_of`` writes that sum in one of two forms: below
+d = ``_BLOCK_REP_MIN_DIM`` as one (d^2 x n)(n x d^2) GEMM regrouped by a
+copy of its four axes, and from there straight into its own layout, block
+(i, k) being the (d x n)(n x d) product conj(K[:, i, :])^T K[:, k, :] of
+one broadcast matmul, so no second d^4 array is made.  Every other map
+gets its rep at construction: ``from_kraus`` by the same formula,
+``sandwich`` as conj(A) kron A, ``zero`` as zeros, ``sum_of`` and ``+``
+(the sum of two) as the reps added to zeros in order; the constructor,
 ``identity``, ``compose``, ``dual`` and ``from_function`` always hold one.
 ``compose``, ``dual`` and ``choi`` read ``rep``, so they build it on
 demand; the ``apply*`` functions on the stack route and ``unit_image``
@@ -194,19 +198,33 @@ class Superoperator:
         return Superoperator._built(self.dim, self.rep @ other.rep)
 
 
-def _rep_of(ks: np.ndarray) -> np.ndarray:
-    """sum_k conj(K_k) kron K_k, the rep of an (n, d, d) Kraus stack: one
-    (d^2 x n)(n x d^2) product and a regroup of its four axes."""
-    n, dim = ks.shape[:2]
-    flat = ks.reshape(n, dim * dim)
-    rep = (flat.conj().T @ flat).reshape((dim,) * 4).transpose(0, 2, 1, 3)
-    return rep.reshape(dim * dim, dim * dim)
-
-
 # Below d = 9 per-call overhead outweighs the stack's flop saving: inside
 # 4n <= d the rep is faster there in every cell of the stack-against-rep
 # table in ROADMAP but (8,1) at 21 and 51 matrices.
 KRAUS_ROUTE_MIN_DIM = 9
+
+# From d = 12 writing the rep in place, with no second d^4 array and no
+# strided copy, wins at every n of the per-call table in ROADMAP in warm
+# loops and wins or ties (within 2%) in fresh processes; at d = 9-11 warm
+# loops favour the one GEMM by 1.3-2.4x from n = 2 up.
+_BLOCK_REP_MIN_DIM = 12
+
+
+def _rep_of(ks: np.ndarray) -> np.ndarray:
+    """sum_m conj(K_m) kron K_m, the rep of an (n, d, d) Kraus stack, whose
+    entry (i d + k, j d + l) is sum_m conj(K_m[i, j]) K_m[k, l].  From
+    d = ``_BLOCK_REP_MIN_DIM`` it is written in its own layout by one
+    broadcast matmul: block (i, k) is conj(K[:, i, :])^T K[:, k, :], a
+    (d x n)(n x d) product, so no second d^4 array is made.  Below, it is one
+    (d^2 x n)(n x d^2) product in the order (i, j, k, l), regrouped by a
+    copy of its four axes."""
+    n, d = ks.shape[:2]
+    if d >= _BLOCK_REP_MIN_DIM:
+        blocks = ks.conj().transpose(1, 2, 0)[:, None] @ ks.transpose(1, 0, 2)[None]
+        return blocks.reshape(d * d, d * d)
+    flat = ks.reshape(n, d * d)
+    rep = (flat.conj().T @ flat).reshape((d,) * 4).transpose(0, 2, 1, 3)
+    return rep.reshape(d * d, d * d)
 
 
 def _on_stack(s: Superoperator) -> bool:

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -651,3 +652,44 @@ def test_unresolved_conditional_state_exits_one(tmp_path, capsys):
             "error: outcome 0.0 has probability 1.000e-09, too small to resolve "
             "its conditional state: T_a(rho)/p has min eigenvalue -"
         ), argv[0]
+
+
+def test_out_path_that_cannot_be_written_exits_two(tmp_path, z_obs, capsys):
+    # every command computes its report, then fails to open --out inside a
+    # missing directory: a usage error naming the path, with no traceback
+    opath = write(tmp_path, "obs.json", ser.observable_to_json(z_obs))
+    mpath = write_model(tmp_path, random_faithful_model(z_obs, 4, seed=2))
+    spath = write(tmp_path, "state.json", {"vector": [[0.6, 0.0], [0.0, 0.8]]})
+    xpath = write(tmp_path, "x.json", ser.observable_to_json(observable_from_hermitian(PAULI_X)))
+    out = tmp_path / "missing" / "report.json"
+    for argv in (
+        ["check-model", mpath],
+        ["check-model", mpath, "--format", "csv"],
+        ["instrument", mpath],
+        ["reduce", mpath, "--state", spath, "--outcome", "1"],
+        ["joint", mpath, "--second", xpath, "--state", spath],
+        ["demo-nonunique"],
+        ["random-model", "--obs", opath, "--dim-a", "2", "--seed", "1"],
+    ):
+        assert main(argv + ["--out", str(out)]) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out}: No such file or directory\n", argv[0]
+        assert captured.out == ""
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("which", ["model", "state", "second"])
+def test_input_file_that_is_not_utf8_exits_two_naming_it(tmp_path, z_obs, capsys, which):
+    paths = {
+        "model": write_model(tmp_path, von_neumann_model(z_obs, 2)),
+        "state": write(tmp_path, "state.json", {"vector": [[1.0, 0.0], [0.0, 0.0]]}),
+        "second": write(tmp_path, "x.json", ser.observable_to_json(observable_from_hermitian(PAULI_X))),
+    }
+    Path(paths[which]).write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ser.ParseError, match="^" + re.escape(f"{paths[which]}: not UTF-8 text: ")):
+        ser.load_file(paths[which])
+    argv = ["joint", paths["model"], "--second", paths["second"], "--state", paths["state"]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[which]}: not UTF-8 text: "), err
+    assert "byte 0xff in position 0" in err

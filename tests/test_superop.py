@@ -406,6 +406,20 @@ def test_from_kraus_rep_matches_the_tensordot_form(rng, d, n):
     assert "rep" in vars(s)
 
 
+@pytest.mark.parametrize("d", [8, 9, 10, 11, 12, 13, 17, 20])
+def test_from_kraus_rep_is_the_kron_sum_on_both_sides_of_the_block_floor(rng, d):
+    # below superop._BLOCK_REP_MIN_DIM the rep is one GEMM regrouped, from it
+    # d^2 block products written in place; the kron sum adds in another
+    # order, so the entries agree to roundoff
+    for n in sorted({1, 2, max(1, d // 4), d, 4 * d}):
+        ks = np.stack([random_matrix(rng, d) for _ in range(n)])
+        want = sum(np.kron(k.conj(), k) for k in ks)
+        rep = Superoperator.from_kraus(ks).rep
+        assert rep.shape == (d * d, d * d) and rep.dtype == np.complex128
+        assert rep.flags.c_contiguous
+        assert matcore.max_abs(rep - want) <= 1e-14 * matcore.max_abs(want), n
+
+
 def test_choi_is_the_block_matrix_of_unit_images(rng):
     s = Superoperator(3, random_matrix(rng, 9))
     blocks = [[apply(s, matrix_unit(3, i, j)) for j in range(3)] for i in range(3)]
