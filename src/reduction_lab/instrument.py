@@ -241,7 +241,7 @@ def _normalised(x: np.ndarray, not_psd=None) -> DensityOperator:
     the finite scan and the PSD and trace tests, and takes ``not_psd``."""
     # clip eigenvalue roundoff before the strict DensityOperator checks
     out = x + x.conj().T
-    out /= out.trace().real
+    out /= matcore.trace(out).real
     return DensityOperator._built(out, not_psd)
 
 
@@ -252,7 +252,7 @@ def _reduce_image(a: float, image: np.ndarray) -> DensityOperator:
     test: that raises ``NumericalConsistencyError`` naming the outcome, p
     and the min eigenvalue, since no conditional state can be resolved
     there."""
-    p = clamp_probability(float(image.trace().real))
+    p = clamp_probability(float(matcore.trace(image).real))
     if not p > PROBABILITY_FLOOR:
         raise ZeroProbabilityOutcomeError(a, p, PROBABILITY_FLOOR)
 

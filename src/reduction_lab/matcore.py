@@ -28,6 +28,8 @@ tolerance parameter only where a caller sets its own value: the CLI's
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 ROUNDOFF_TOL = 1e-10  # far above the roundoff of one product or eigh at unit scale
@@ -50,6 +52,13 @@ def as_complex_matrix(m) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
+
+
+def trace(m: np.ndarray):
+    """The trace of a square matrix as a numpy scalar: one ``np.add.reduce``
+    over the diagonal view, the reduction ``ndarray.trace`` runs, so the
+    same bits without that method's wrapper."""
+    return np.add.reduce(m.diagonal())
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -130,6 +139,15 @@ def trace_norm(m) -> float:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
+@functools.lru_cache(maxsize=8)
+def _psd_shift(d: int) -> np.ndarray:
+    """The read-only complex d x d matrix (ROUNDOFF_TOL/2) 1, made once per
+    dimension for the 8 most recent ones."""
+    shift = np.eye(d, dtype=complex) * (ROUNDOFF_TOL / 2)
+    shift.flags.writeable = False
+    return shift
+
+
 def psd_refusal(h) -> float | None:
     """None when the exactly Hermitian d x d matrix ``h`` is PSD within
     ``ROUNDOFF_TOL``; else its lowest eigenvalue, for the refusal's message.
@@ -140,17 +158,16 @@ def psd_refusal(h) -> float | None:
     d eps ||h||, orders below the other half of the bound for a unit-trace
     state or a Choi matrix, and the lowest eigenvalue of h is then above
     -ROUNDOFF_TOL.  The full bound as the shift would accept matrices just
-    below -ROUNDOFF_TOL.  Only when the factor fails does it take one
+    below -ROUNDOFF_TOL.  The shifted matrix is one sum, h plus the
+    read-only (ROUNDOFF_TOL/2) 1 that ``_psd_shift`` keeps per dimension,
+    so ``h`` is not written.  Only when the factor fails does it take one
     ``eigvalsh``, whose lowest eigenvalue decides against -ROUNDOFF_TOL as
     a Python number, fail-closed, so a NaN eigenvalue is refused.  The
     factor reads only the lower triangle of ``h``."""
-    d = h.shape[0]
-    shifted = h.copy()
-    shifted.reshape(-1)[:: d + 1] += ROUNDOFF_TOL / 2
     try:
         # numpy's factor does not stop at a NaN pivot, and a NaN anywhere
         # in the factor reaches its last pivot
-        if np.linalg.cholesky(shifted)[-1, -1].real > 0:
+        if np.linalg.cholesky(h + _psd_shift(h.shape[0]))[-1, -1].real > 0:
             return None
     except np.linalg.LinAlgError:
         pass

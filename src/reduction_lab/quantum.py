@@ -87,7 +87,7 @@ def _check_spectrum(m: np.ndarray, h: np.ndarray, not_psd=None) -> None:
         if not_psd is not None:
             raise not_psd(lo)
         raise ValueError(f"density operator not PSD (min eigenvalue {lo:.3e})")
-    tr = complex(m.trace())
+    tr = complex(matcore.trace(m))
     if not abs(tr - 1.0) <= UNIT_TOL:
         raise ValueError(f"density operator trace {tr} != 1")
 

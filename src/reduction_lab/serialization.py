@@ -40,8 +40,10 @@ class ParseError(ValueError):
 def as_tolerance(value) -> float:
     """A tolerance from a flag, the environment or a file: a number >= 0,
     which NaN is not.  Raises ``TypeError`` for a value that is not a
-    float, such as an integer too large for one, and ``ValueError`` for any
-    other number."""
+    float, such as a boolean or an integer too large for one, and
+    ``ValueError`` for any other number."""
+    if isinstance(value, bool):
+        raise TypeError(f"not a number: {value!r}")
     try:
         tol = float(value)
     except (TypeError, ValueError, OverflowError):

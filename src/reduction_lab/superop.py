@@ -37,7 +37,9 @@ gets its rep at construction: ``from_kraus`` by the same formula,
 ``identity``, ``compose``, ``dual`` and ``from_function`` always hold one.
 ``compose``, ``dual`` and ``choi`` read ``rep``, so they build it on
 demand; the ``apply*`` functions on the stack route and ``unit_image``
-never do.
+never do.  A stack-route map also keeps the adjoints K_k^dagger as
+read-only (n d x d) rows, computed by ``_adjoint_rows`` on the first apply
+and read by every later one; computing them builds no rep.
 
 A rep is scanned for finite entries once, where it enters the library: in
 the constructor, which ``from_function`` calls.  The other builders compute
@@ -54,7 +56,9 @@ rule in ``_on_stack``) is applied through that stack, as
 sum_k K_k X K_k^dagger in 2n d^3 flops per matrix; any other map, and
 every map without a stack, through its rep in d^4.  Both routes give the
 same images to roundoff.  ``apply_dual_stack`` applies s* through s's own
-stack (the adjoints K_k^dagger) or rep, so the verifiers build no dual map;
+stack or rep, so the verifiers build no dual map: on the stack route its
+left operand is the kept adjoint rows and its right one the stack's own
+rows, a view;
 ``dual`` copies the rep with its four axes reversed.
 ``decompose_trace_class`` splits one matrix into four weighted density
 operators, the paper's linear extension of a map from states to
@@ -105,12 +109,13 @@ class Superoperator:
 
     def __getattr__(self, name):
         # reached only when the usual lookup fails: the unbuilt rep of a
-        # stack-route map, computed once and kept
+        # stack-route map, or the adjoint rows of a map with a stack,
+        # computed once and kept
         ks = vars(self).get("kraus")
-        if name != "rep" or ks is None:
+        if ks is None or name not in ("rep", "_kraus_adjoint"):
             raise AttributeError(f"'Superoperator' object has no attribute {name!r}")
-        rep = vars(self)["rep"] = _rep_of(ks)
-        return rep
+        value = vars(self)[name] = _rep_of(ks) if name == "rep" else _adjoint_rows(ks)
+        return value
 
     @classmethod
     def _built(cls, dim: int, rep: np.ndarray):
@@ -234,17 +239,27 @@ def _on_stack(s: Superoperator) -> bool:
     return s.kraus is not None and s.dim >= KRAUS_ROUTE_MIN_DIM and 4 * len(s.kraus) <= s.dim
 
 
-def _kraus_sum(ks: np.ndarray, ms: np.ndarray) -> np.ndarray:
+def _adjoint_rows(ks: np.ndarray) -> np.ndarray:
+    """The adjoints K_k^dagger of an (n, d, d) stack as read-only (n d x d)
+    rows, the right operand of ``_kraus_sum``."""
+    n, d = ks.shape[:2]
+    rows = ks.conj().transpose(0, 2, 1).reshape(n * d, d)
+    rows.flags.writeable = False
+    return rows
+
+
+def _kraus_sum(ks: np.ndarray, ms: np.ndarray, adj=None) -> np.ndarray:
     """sum_k K_k X K_k^dagger for every X of an (m, d, d) stack, from an
     (n, d, d) stack K in two GEMMs: K stacked as (n d x d) times the X side
     by side (d x m d) gives every K_k X_j; regrouped so that row block j
-    holds [K_1 X_j ... K_n X_j], that times K^dagger stacked as (n d x d)
-    is the sum over k for every j."""
+    holds [K_1 X_j ... K_n X_j], that times ``adj``, the K_k^dagger as
+    (n d x d) rows (``_adjoint_rows(ks)`` when None), is the sum over k for
+    every j."""
     n, d = ks.shape[:2]
     m = len(ms)
     y = ks.reshape(n * d, d) @ ms.transpose(1, 0, 2).reshape(d, m * d)
     z = y.reshape(n, d, m, d).transpose(2, 1, 0, 3).reshape(m * d, n * d)
-    return (z @ ks.conj().transpose(0, 2, 1).reshape(n * d, d)).reshape(m, d, d)
+    return (z @ (_adjoint_rows(ks) if adj is None else adj)).reshape(m, d, d)
 
 
 def apply(s: Superoperator, m) -> np.ndarray:
@@ -256,7 +271,7 @@ def apply(s: Superoperator, m) -> np.ndarray:
     if m.shape[0] != s.dim:
         raise ValueError(f"dimension mismatch: map dim {s.dim}, matrix dim {m.shape[0]}")
     if _on_stack(s):
-        return _kraus_sum(s.kraus, m[None])[0]
+        return _kraus_sum(s.kraus, m[None], s._kraus_adjoint)[0]
     return (s.rep @ m.reshape(-1, order="F")).reshape(s.dim, s.dim, order="F")
 
 
@@ -274,7 +289,7 @@ def apply_stack(s: Superoperator, ms) -> np.ndarray:
     rows of the stack's vecs times rep^T being the vecs of the images."""
     ms = _stack_for(s, ms)
     if _on_stack(s):
-        return _kraus_sum(s.kraus, ms)
+        return _kraus_sum(s.kraus, ms, s._kraus_adjoint)
     n, d = ms.shape[0], s.dim
     rows = ms.transpose(0, 2, 1).reshape(n, d * d)
     return (rows @ s.rep.T).reshape(n, d, d).transpose(0, 2, 1)
@@ -290,14 +305,15 @@ def apply_dual_stack(s: Superoperator, ms) -> np.ndarray:
     order."""
     ms = _stack_for(s, ms)
     if _on_stack(s):
-        return _kraus_sum(s.kraus.conj().transpose(0, 2, 1), ms)
+        n, d = s.kraus.shape[:2]
+        return _kraus_sum(s._kraus_adjoint.reshape(n, d, d), ms, s.kraus.reshape(n * d, d))
     n, d = ms.shape[0], s.dim
     return (ms.reshape(n, d * d) @ s.rep).reshape(n, d, d)
 
 
 def trace_of_map(s: Superoperator, rho) -> complex:
     """Tr[s(rho)], for a matrix or a ``DensityOperator`` as in ``apply``."""
-    return complex(apply(s, rho).trace())
+    return complex(matcore.trace(apply(s, rho)))
 
 
 def dual(s: Superoperator) -> Superoperator:

@@ -447,12 +447,16 @@ def test_reduce_resolves_outcome_to_nearest_eigenvalue(tmp_path, capsys):
          "degeneracy_tol"),
         ({"hermitian": ser.matrix_to_json(PAULI_Z), "degeneracy_tol": 10**400},
          "degeneracy_tol"),
+        # true would load as 1.0 and merge the outcomes 1.0 and 1.5 into 1.25
+        ({"hermitian": ser.matrix_to_json(np.diag([1, 1.5])), "degeneracy_tol": True},
+         "degeneracy_tol"),
         # both forms: Z's spectral family beside X must not load as either
         (dict(ser.observable_to_json(observable_from_hermitian(PAULI_Z)),
               hermitian=ser.matrix_to_json(PAULI_X)), "eigenvalues"),
     ],
     ids=["eigenvalues", "projectors", "degeneracy_tol", "degeneracy_tol_nan",
-         "degeneracy_tol_negative", "degeneracy_tol_past_float", "both_forms"],
+         "degeneracy_tol_negative", "degeneracy_tol_past_float", "degeneracy_tol_true",
+         "both_forms"],
 )
 def test_malformed_observable_file_exits_two(tmp_path, z_obs, capsys, obs, field):
     opath = write(tmp_path, "obs.json", obs)

@@ -1,5 +1,5 @@
 """Every name a module imports is used in it: the library (re-exports in
-``__init__.py`` are its API), the tests and the demos."""
+``__init__.py`` are its API), the tests, the demos and the benchmark."""
 
 import ast
 from pathlib import Path
@@ -25,7 +25,8 @@ def _unused_imports(path: Path) -> list:
 def test_no_module_imports_a_name_it_does_not_use():
     paths = [
         p for p in sorted((ROOT / "src").rglob("*.py")) if p.name != "__init__.py"
-    ] + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
-    assert len(paths) > 20
+    ] + [p for folder in ("tests", "demos", "benchmarks")
+         for p in sorted((ROOT / folder).glob("*.py"))]
+    assert len(paths) > 20 and any(p.parent.name == "benchmarks" for p in paths)
     unused = [entry for path in paths for entry in _unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from reduction_lab import matcore
 from reduction_lab.quantum import PAULI_X, PAULI_Z, DensityOperator
+from reduction_lab.superop import Superoperator, apply
 
 from conftest import random_density, random_hermitian
 
@@ -187,6 +188,36 @@ def test_psd_refusal_refuses_a_factor_that_overflows():
         assert lo is not None and lo < -1e307
         with np.errstate(over="ignore"):  # ||h||^2 overflows in the Hermitian test
             assert not matcore.is_psd(h)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 16])
+def test_psd_refusal_leaves_its_matrix_and_its_shift_unchanged(rng, d):
+    v = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    for w in (np.linspace(0.0, 1.0, d), np.linspace(-1e-6, 1.0, d)):
+        h = (v * w) @ v.conj().T
+        h = (h + h.conj().T) / 2
+        before = h.copy()
+        matcore.psd_refusal(h)  # accepted, or refused through the eigvalsh
+        assert np.array_equal(h, before)
+    shift = matcore._psd_shift(d)
+    assert matcore._psd_shift(d) is shift and not shift.flags.writeable
+    assert np.array_equal(shift, np.eye(d) * (matcore.ROUNDOFF_TOL / 2))
+    with pytest.raises(ValueError):
+        shift[0, 0] = 1
+
+
+def test_trace_has_the_bits_of_ndarray_trace(rng):
+    for d in range(1, 17):
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        # the images apply returns: F-ordered on the rep route, C-ordered
+        # on the stack route (from d = 9 for one Kraus operator)
+        s = Superoperator.from_kraus([m])
+        images = [apply(Superoperator(d, s.rep), m), apply(s, m)]
+        assert images[0].flags.f_contiguous
+        for x in [m, np.asfortranarray(m), m.real.copy(), *images]:
+            got, want = matcore.trace(x), x.trace()
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_tolerances_live_in_the_matcore_table():

@@ -176,6 +176,47 @@ def test_an_empty_stack_and_a_sandwich_take_the_route_rule(rng, d):
     assert _close(apply_dual_stack(sandwich, ms), apply_dual_stack(plain, ms))
 
 
+@pytest.mark.parametrize("d", [9, 12, 16])
+def test_a_stack_route_map_keeps_read_only_adjoint_rows_and_no_rep(rng, d):
+    n = d // 4
+    s = Superoperator.from_kraus([random_matrix(rng, d) for _ in range(n)])
+    assert superop._on_stack(s) and not {"rep", "_kraus_adjoint"} & set(vars(s))
+    apply(s, random_matrix(rng, d))
+    rows = vars(s)["_kraus_adjoint"]
+    # the per-call form the applies used to compute, bit for bit
+    assert np.array_equal(rows, s.kraus.conj().transpose(0, 2, 1).reshape(n * d, d))
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0
+    # later applies read the same array, and none of them wrote a rep
+    apply_stack(s, random_matrix(rng, d)[None])
+    apply_dual_stack(s, random_matrix(rng, d)[None])
+    assert s._kraus_adjoint is rows and "rep" not in vars(s)
+
+
+@pytest.mark.parametrize("d, n", [(8, 2), (9, 1), (9, 2), (12, 3), (16, 4), (16, 5)])
+def test_applies_give_the_same_bits_on_a_cold_and_a_warm_cache(rng, d, n):
+    # both sides of KRAUS_ROUTE_MIN_DIM and of 4n <= d
+    ks = np.stack([random_matrix(rng, d) for _ in range(n)])
+    ms = np.stack([random_matrix(rng, d) for _ in range(5)])
+    on_stack = d >= KRAUS_ROUTE_MIN_DIM and 4 * n <= d
+    # each function with its input and the form that rebuilt the adjoints
+    # on every call
+    calls = [
+        (apply, ms[0], lambda: superop._kraus_sum(ks, ms[:1])[0]),
+        (apply_stack, ms, lambda: superop._kraus_sum(ks, ms)),
+        (apply_dual_stack, ms, lambda: superop._kraus_sum(ks.conj().transpose(0, 2, 1), ms)),
+    ]
+    for f, x, per_call in calls:
+        s = Superoperator.from_kraus(ks)  # a cold cache for each function
+        assert superop._on_stack(s) == on_stack
+        cold = f(s, x)
+        assert ("_kraus_adjoint" in vars(s)) == on_stack
+        assert np.array_equal(f(s, x), cold)
+        if on_stack:
+            assert np.array_equal(cold, per_call())
+
+
 @pytest.mark.parametrize("d", [3, 12])
 def test_a_sum_of_maps_holds_their_stacks_and_the_sum_of_their_reps(rng, d):
     stacked = [Superoperator.from_kraus([random_matrix(rng, d) for _ in range(n)]) for n in (1, 2, 3)]
@@ -207,10 +248,10 @@ def test_a_faithful_model_applies_through_its_stack_when_the_rule_says(
     calls = 0
     original = superop._kraus_sum
 
-    def counted(ks, ms):
+    def counted(*args):
         nonlocal calls
         calls += 1
-        return original(ks, ms)
+        return original(*args)
 
     g = random_matrix(rng, ds)[:, 0]
     rho = PureState(g / np.linalg.norm(g)).to_density()
