@@ -15,7 +15,10 @@ The probe route need not obey the projection postulate either.  For the
 last model we detect the probe with Kraus operators L_{a,k} = sqrt(p_k) W_k
 Q_a (Haar-random unitaries W_k, weights p_k), whose effects are still the
 Q_a but which leave the apparatus in another state than Q_a does, and
-print how far that instrument is from the operation formula's.
+print how far that instrument is from the operation formula's.  Its Kraus
+stack is each L_k applied to the apparatus index m of the model's stack
+K_{m,j} (Ozawa's measuring process), the product the library's probe route
+runs with Q_a.  Both differences must stay within ``VERIFY_TOL``.
 """
 
 import numpy as np
@@ -23,15 +26,13 @@ import numpy as np
 from reduction_lab import (
     Superoperator,
     instrument_of,
-    partial_trace_apparatus,
     probe_consistency,
     probe_instrument_of,
     random_faithful_model,
-    tensor,
     verify_dual_lemma,
     verify_theorem1,
 )
-from reduction_lab.matcore import dagger, max_abs
+from reduction_lab.matcore import VERIFY_TOL, max_abs
 from reduction_lab.models import haar_unitary
 from reduction_lab.quantum import observable_from_hermitian
 
@@ -51,6 +52,7 @@ for trial in range(6):
         max_abs(via_operation.component(a).rep - via_probe.component(a).rep)
         for a in obs.eigenvalues
     )
+    assert diff <= VERIFY_TOL, diff
     th1 = verify_theorem1(via_operation, seed=trial)
     lemma = verify_dual_lemma(via_operation, seed=trial)
     print(
@@ -61,25 +63,16 @@ for trial in range(6):
     )
 
 # a non-Lueders detection of the probe on the last model
-u, sigma = model.unitary, model.apparatus_state.matrix
-one_s = np.eye(model.dim_s, dtype=complex)
-
-
-def detected(x, ls):
-    """sum_k Tr_A[(1 x L_k) U (x x sigma) U+ (1 x L_k)+]"""
-    out = u @ tensor(x, sigma) @ dagger(u)
-    return sum(
-        partial_trace_apparatus(
-            tensor(one_s, l) @ out @ dagger(tensor(one_s, l)), model.dim_s, model.dim_a
-        )
-        for l in ls
-    )
-
+ds, da = model.dim_s, model.dim_a
+kraus_rows = model.kraus.reshape(da, -1)  # row m holds every K_{m,j}
 
 worst = 0.0
 for a, q in model.probe.outcomes:
     p = rng.random(3)
-    ls = [np.sqrt(pk / p.sum()) * haar_unitary(model.dim_a, rng) @ q for pk in p]
-    t_a = Superoperator.from_function(model.dim_s, lambda x: detected(x, ls))
+    ls = [np.sqrt(pk / p.sum()) * haar_unitary(da, rng) @ q for pk in p]
+    t_a = Superoperator.from_kraus(
+        np.concatenate([(l @ kraus_rows).reshape(-1, ds, ds) for l in ls])
+    )
     worst = max(worst, max_abs(t_a.rep - via_operation.component(a).rep))
+assert worst <= VERIFY_TOL, worst
 print(f"non-Lueders detection of the probe on model {trial}: probe-route diff={worst:.2e}")

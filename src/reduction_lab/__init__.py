@@ -63,10 +63,8 @@ from .scenarios import (
 from .superop import (
     ChoiMatrix,
     Superoperator,
-    TraceClassDecomposition,
     apply,
     choi,
-    decompose_trace_class,
     dual,
     kraus_from_choi,
     trace_of_map,

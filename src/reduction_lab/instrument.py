@@ -146,9 +146,9 @@ class Instrument:
         in place, so no input rep is written.  T*(1) is taken by
         ``superop.unit_image``, from the stack on the stack route, not off
         a dual map.  A component with a Kraus stack is completely positive
-        by construction, so only one without (a user rep, Choi input, a
-        ``from_function`` map or a corrupted component) takes the Choi PSD
-        test: the Hermitian test of its d^2 x d^2 Choi matrix, then
+        by construction, so only one without (a user rep, Choi input or a
+        corrupted component) takes the Choi PSD test: the Hermitian test of
+        its d^2 x d^2 Choi matrix, then
         ``matcore.psd_refusal`` of its Hermitian part, one Cholesky factor,
         whose ``eigvalsh`` fallback gives a refusal its min eigenvalue.  A
         Choi matrix C that fails the Hermitian test is refused by that test,

@@ -14,8 +14,7 @@ unitary, trace preserving, completely positive, probability in [0, 1]);
 ``DEGENERACY_TOL`` merges eigenvalues into one outcome; ``UNIT_TOL`` bounds
 the unit trace of a state and the unit norm of a vector;
 ``PROBABILITY_FLOOR`` is the probability at or below which an outcome has
-no conditional state; ``ZERO_WEIGHT`` is the weight at or below which a
-decomposition slot is empty.  The bounds are absolute, except that the one
+no conditional state.  The bounds are absolute, except that the one
 Hermitian test, ``hermitian_stack``, scales with the Frobenius norm of m, or
 of m over its largest part where ||m||^2 overflows.  The one PSD test,
 ``psd_refusal``, accepts by a Cholesky factor shifted by half of
@@ -39,7 +38,6 @@ UNIT_TOL = 1e-12  # a normalised state or vector is off 1 by a few ulps
 # at or below the floor an outcome has no conditional state; between it and
 # about 1e-7, T_a(rho)/p of rank below d_s can fail the PSD test by its roundoff
 PROBABILITY_FLOOR = 1e-12
-ZERO_WEIGHT = 1e-14  # the trace of an empty eigenspace part is roundoff, below this
 
 
 def as_complex_matrix(m) -> np.ndarray:

@@ -4,22 +4,21 @@ Column-stacking convention: ``vec(X)[i + j*d] = X[i, j]``, so that
 ``vec(A X B) = (B^T kron A) vec(X)``.  All maps here act on the d*d
 matrices over a single d-dimensional space.
 
-Maps are built from Kraus operators (``Superoperator.from_kraus``) or
-closed forms, not by probing with matrix units.  The rep and the Choi
-matrix [s(E_ij)]_ij hold the same entries in a different order, so
-``choi`` is one reshuffle of indices.  ``Superoperator.from_function``
-probes a user callable with the d^2 matrix units and is kept for callables
-and tests.
+A map has two ways in: through Kraus operators (``Superoperator.from_kraus``,
+``sandwich``, ``zero``, ``sum_of`` and ``+``), or through a rep that the
+constructor scans; ``identity``, ``compose`` and ``dual`` compute theirs from
+reps already held.  No map is built by probing with matrix units.  The rep
+and the Choi matrix [s(E_ij)]_ij hold the same entries in a different order,
+so ``choi`` is one reshuffle of indices.
 
 A map built from Kraus operators keeps them as its read-only ``kraus``
 stack, an (n, d, d) array that certifies complete positivity without an
 eigendecomposition of the Choi matrix.  Only the builders that compute the
 rep from the stack set it: ``from_kraus``, ``sandwich`` (the stack
 [a]), ``zero`` (an empty stack), ``sum_of`` and ``+`` (the stacks
-concatenated, when every operand has one).  The
-constructor, ``identity``, ``compose``, ``dual`` and ``from_function``
-leave it ``None``.  ``choi`` passes the stack on to the ``ChoiMatrix``, and
-``kraus_from_choi`` reads the operators off it.
+concatenated, when every operand has one).  The constructor, ``identity``,
+``compose`` and ``dual`` leave it ``None``.  ``choi`` passes the stack on to
+the ``ChoiMatrix``, and ``kraus_from_choi`` reads the operators off it.
 
 The d^4 entries of a rep are written only when something reads them, if
 ``_on_stack`` takes the map through its stack (n operators, d >= 9,
@@ -34,7 +33,7 @@ one broadcast matmul, so no second d^4 array is made.  Every other map
 gets its rep at construction: ``from_kraus`` by the same formula,
 ``sandwich`` as conj(A) kron A, ``zero`` as zeros, ``sum_of`` and ``+``
 (the sum of two) as the reps added to zeros in order; the constructor,
-``identity``, ``compose``, ``dual`` and ``from_function`` always hold one.
+``identity``, ``compose`` and ``dual`` always hold one.
 ``compose``, ``dual`` and ``choi`` read ``rep``, so they build it on
 demand; the ``apply*`` functions on the stack route and ``unit_image``
 never do.  A stack-route map also keeps the adjoints K_k^dagger as
@@ -42,10 +41,10 @@ read-only (n d x d) rows, computed by ``_adjoint_rows`` on the first apply
 and read by every later one; computing them builds no rep.
 
 A rep is scanned for finite entries once, where it enters the library: in
-the constructor, which ``from_function`` calls.  The other builders compute
-it from checked arrays and skip the scan.  ``unit_image`` gives T*(1)
-without a dual map: on the stack route as sum_k K_k^dagger K_k, one
-(d x nd)(nd x d) product, else read off the rep.
+the constructor.  The other builders compute it from checked arrays and skip
+the scan.  ``unit_image`` gives T*(1) without a dual map: on the stack route
+as sum_k K_k^dagger K_k, one (d x nd)(nd x d) product, else read off the
+rep.
 
 ``apply_stack`` and ``apply_dual_stack`` apply a map or its dual to an
 (m, d, d) stack of matrices at once, so that a check over many samples
@@ -60,9 +59,6 @@ stack or rep, so the verifiers build no dual map: on the stack route its
 left operand is the kept adjoint rows and its right one the stack's own
 rows, a view;
 ``dual`` copies the rep with its four axes reversed.
-``decompose_trace_class`` splits one matrix into four weighted density
-operators, the paper's linear extension of a map from states to
-trace-class operators.
 """
 
 from __future__ import annotations
@@ -73,18 +69,12 @@ import numpy as np
 
 from . import matcore
 from .errors import NotCompletelyPositiveError
-from .matcore import ROUNDOFF_TOL, ZERO_WEIGHT
+from .matcore import ROUNDOFF_TOL
 from .quantum import DensityOperator
 
 
 def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).reshape(-1, order="F")
-
-
-def matrix_unit(dim: int, i: int, j: int) -> np.ndarray:
-    e = np.zeros((dim, dim), dtype=complex)
-    e[i, j] = 1.0
-    return e
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,15 +142,6 @@ class Superoperator:
         """The map X -> A X A^dagger, with the Kraus stack [A]."""
         a = matcore.as_complex_matrix(a)
         return cls._from_stack(a[None].copy(), lambda: np.kron(a.conj(), a))
-
-    @classmethod
-    def from_function(cls, dim: int, f) -> "Superoperator":
-        """Build the rep of a linear map by applying it to matrix units."""
-        rep = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for j in range(dim):
-            for i in range(dim):
-                rep[:, i + j * dim] = vec(f(matrix_unit(dim, i, j)))
-        return cls(dim, rep)
 
     @classmethod
     def from_kraus(cls, kraus) -> "Superoperator":
@@ -401,49 +382,3 @@ def kraus_from_choi(c: ChoiMatrix) -> list:
     flat[rows, at] = np.abs(pivots)
     return list(flat.reshape(-1, d, d))
 
-
-@dataclass(frozen=True)
-class TraceClassDecomposition:
-    """Four nonnegative weights and four density operators with
-    ``m = l1 s1 - l2 s2 + i l3 s3 - i l4 s4``.  Zero-weight slots carry the
-    maximally mixed state as a placeholder."""
-
-    lambdas: tuple
-    parts: tuple
-
-    def reassemble(self) -> np.ndarray:
-        l1, l2, l3, l4 = self.lambdas
-        s1, s2, s3, s4 = (p.matrix for p in self.parts)
-        return l1 * s1 - l2 * s2 + 1j * l3 * s3 - 1j * l4 * s4
-
-
-def _split(ms: np.ndarray):
-    """Weights (n, 4) and unchecked parts (n, 4, d, d) of an (n, d, d) stack,
-    slots ordered as in ``TraceClassDecomposition``."""
-    n, d = ms.shape[0], ms.shape[1]
-    adj = ms.conj().transpose(0, 2, 1)
-    # both halves are Hermitian to the last bit, so eigh needs no check
-    w, v = np.linalg.eigh(np.stack([(ms + adj) / 2, (ms - adj) / (2j)], axis=1))
-    vh = v.conj().swapaxes(-1, -2)
-    pos = (v * np.clip(w, 0.0, None)[..., None, :]) @ vh
-    neg = (v * np.clip(-w, 0.0, None)[..., None, :]) @ vh
-    pieces = np.stack([pos, neg], axis=2).reshape(n, 4, d, d)
-    lambdas = np.real(np.trace(pieces, axis1=-2, axis2=-1))
-    nonzero = lambdas > ZERO_WEIGHT
-    lambdas = np.where(nonzero, lambdas, 0.0)
-    scaled = pieces / np.where(nonzero, lambdas, 1.0)[..., None, None]
-    parts = np.where(nonzero[..., None, None], scaled, np.eye(d) / d)
-    return lambdas, parts
-
-
-def decompose_trace_class(m) -> TraceClassDecomposition:
-    """Split an arbitrary matrix into four weighted density operators with
-    ``m = l1 s1 - l2 s2 + i l3 s3 - i l4 s4``; zero-weight slots carry the
-    maximally mixed state, and every part is checked as a
-    ``DensityOperator``."""
-    m = matcore.as_complex_matrix(m)
-    lambdas, parts = _split(m[None])
-    return TraceClassDecomposition(
-        tuple(float(lam) for lam in lambdas[0]),
-        tuple(DensityOperator(p) for p in parts[0]),
-    )

@@ -42,9 +42,9 @@ from reduction_lab.quantum import (
     projector_onto,
 )
 from reduction_lab.scenarios import joint_distribution, nonuniqueness_exhibit
-from reduction_lab.superop import apply, choi, matrix_unit
+from reduction_lab.superop import apply, choi
 
-from conftest import plus_state, random_density, random_hermitian
+from conftest import matrix_unit, plus_state, random_density, random_hermitian
 
 
 def report(criterion: str, ok: bool):

@@ -1,5 +1,7 @@
 """Every name a module imports is used in it: the library (re-exports in
-``__init__.py`` are its API), the tests, the demos and the benchmark."""
+``__init__.py`` are its API), the tests, the demos and the benchmark.  Every
+helper and fixture that ``tests/conftest.py`` defines is used by a test
+module."""
 
 import ast
 from pathlib import Path
@@ -30,3 +32,22 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert len(paths) > 20 and any(p.parent.name == "benchmarks" for p in paths)
     unused = [entry for path in paths for entry in _unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_every_conftest_helper_has_a_test_that_uses_it():
+    # a reference helper that lost its last user should go, not linger;
+    # a fixture is used by naming it as a parameter
+    defined = [
+        node.name for node in ast.parse((ROOT / "tests" / "conftest.py").read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    used = set()
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.arg):
+                used.add(node.arg)
+    assert len(defined) > 5
+    unused = [name for name in defined if name not in used]
+    assert not unused, "conftest helpers no test uses: " + ", ".join(unused)

@@ -44,12 +44,15 @@ from reduction_lab.quantum import (
     projector_onto,
 )
 from reduction_lab.scenarios import joint_distribution
-from reduction_lab.superop import Superoperator, apply, decompose_trace_class, dual
+from reduction_lab.superop import Superoperator, apply, dual
 
 from conftest import (
+    four_state_split,
     half_split,
     plus_state,
+    probed,
     random_density,
+    recombine,
     small_probability_case,
     without_stacks,
 )
@@ -262,7 +265,7 @@ def test_instrument_invariants_enforced(z_obs, z_luders):
 
 def _loop_theorem1(ins, trials, seed, tol):
     """Per-sample reference for verify_theorem1: every (outcome, sample)
-    pair through the public decompose_trace_class and apply."""
+    pair through the four-state split and apply."""
     rng = np.random.default_rng(seed)
     d = ins.dim
     samples = [
@@ -274,13 +277,8 @@ def _loop_theorem1(ins, trials, seed, tol):
         t_a = ins.component(a)
         res = {"left": 0.0, "right": 0.0, "both": 0.0}
         for x in samples:
-            dec = decompose_trace_class(x)
-            l1, l2, l3, l4 = dec.lambdas
-            s1, s2, s3, s4 = (q.matrix for q in dec.parts)
-            lhs = (
-                l1 * apply(t_a, s1) - l2 * apply(t_a, s2)
-                + 1j * l3 * apply(t_a, s3) - 1j * l4 * apply(t_a, s4)
-            )
+            lambdas, parts = four_state_split(x)
+            lhs = recombine(lambdas, [apply(t_a, q.matrix) for q in parts])
             for form, y in (("left", p @ x), ("right", x @ p), ("both", p @ x @ p)):
                 res[form] = max(res[form], matcore.max_abs(lhs - apply(ins.total, y)))
         for form in ("left", "right", "both"):
@@ -727,19 +725,14 @@ def test_cached_samples_are_read_only_and_bounded(fresh_samples):
     assert fresh_samples.cache_info().maxsize == 16
 
 
-def test_verifiers_split_no_sample(z_luders, fresh_samples, monkeypatch):
+def test_verifiers_split_no_sample(z_luders, fresh_samples):
     # T_a is linear, so it maps each sample directly: the four-density-
-    # operator split of ``decompose_trace_class`` is the tests' reference only
-    def refuse(ms):
-        raise AssertionError("a verifier split its samples")
-
-    monkeypatch.setattr(superop, "_split", refuse)
-    with pytest.raises(AssertionError, match="split"):
-        decompose_trace_class(np.eye(2))
+    # operator split is the tests' reference only, in conftest
+    for name in ("_split", "decompose_trace_class", "decompose_stack"):
+        assert not hasattr(superop, name), name
     for seed in (0, None):
         assert verify_theorem1(z_luders, seed=seed).passed
         assert verify_dual_lemma(z_luders, seed=seed).passed
-    assert not hasattr(superop, "decompose_stack")
 
 
 def test_a_non_integer_seed_draws_afresh(z_luders, fresh_samples):
@@ -818,7 +811,7 @@ def test_validate_refuses_each_corruption_class():
 
     # E X^T E on the eigenspace: the sum is the total, the total is trace
     # preserving and T_a*(1) = E_a, yet the map is not completely positive
-    transposed = Superoperator.from_function(3, lambda x: e_up @ x.T @ e_up)
+    transposed = probed(3, lambda x: e_up @ x.T @ e_up)
     not_cp = Instrument(
         obs, {1.0: transposed, -1.0: t_down}, validate_invariants=False
     )
@@ -841,7 +834,7 @@ def test_validate_refuses_a_choi_matrix_that_is_not_hermitian(z_obs):
     e_up, e_down = z_obs.projector(1.0), z_obs.projector(-1.0)
 
     def shifted(e, eps):
-        return Superoperator.from_function(
+        return probed(
             2, lambda x: e @ x @ e + eps * (PAULI_X @ x - x @ PAULI_X)
         )
 

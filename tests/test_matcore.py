@@ -282,7 +282,7 @@ def test_as_complex_matrix_rejects_non_finite_in_either_part(re, im):
 
 BOUND_NAMES = {
     "ROUNDOFF_TOL", "VERIFY_TOL", "DEGENERACY_TOL", "UNIT_TOL",
-    "PROBABILITY_FLOOR", "ZERO_WEIGHT", "tol",
+    "PROBABILITY_FLOOR", "tol",
 }
 
 

@@ -12,6 +12,7 @@ from reduction_lab.instrument import (
     Instrument,
     instrument_from_operation,
     luders_instrument,
+    operation_instrument,
     reduce,
 )
 from reduction_lab.matcore import dagger, partial_trace_apparatus, tensor
@@ -36,7 +37,7 @@ from reduction_lab.quantum import (
 )
 from reduction_lab.superop import Superoperator, apply, choi, kraus_from_choi
 
-from conftest import plus_state, random_density
+from conftest import plus_state, probed, random_density
 
 
 @pytest.fixture
@@ -434,15 +435,15 @@ def _dilation_reference(model):
     def dilated(x):
         return u @ tensor(x, sigma) @ dagger(u)
 
-    total = Superoperator.from_function(ds, lambda x: tr_a(dilated(x)))
+    total = probed(ds, lambda x: tr_a(dilated(x)))
     components = {
-        a: Superoperator.from_function(ds, lambda x, p=p: tr_a(dilated(p @ x @ p)))
+        a: probed(ds, lambda x, p=p: tr_a(dilated(p @ x @ p)))
         for a, p in model.observable.outcomes
     }
     probe_components, residuals = {}, {}
     for a, p in model.observable.outcomes:
         q = tensor(one_s, model.probe.projector(a))
-        probe_components[a] = Superoperator.from_function(
+        probe_components[a] = probed(
             ds, lambda x, q=q: tr_a(q @ dilated(x) @ q)
         )
         f = tr_a(dagger(u) @ q @ u @ tensor(one_s, sigma))
@@ -511,7 +512,7 @@ def _detected_instrument(model, detections):
         )
 
     return {
-        a: Superoperator.from_function(ds, lambda x, ls=ls: detected(x, ls))
+        a: probed(ds, lambda x, ls=ls: detected(x, ls))
         for a, ls in detections.items()
     }
 
@@ -580,3 +581,34 @@ def test_kraus_maps_match_dilation_reference_biased():
     ins = instrument_of(stripped)
     for a in model.observable.eigenvalues:
         assert matcore.max_abs(ins.component(a).rep - components[a].rep) <= 1e-12
+
+
+@pytest.mark.parametrize("q", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_route_gap_is_of_order_the_root_of_the_probe_residual(z_obs, q):
+    # a qubit measured by a qubit, sigma = |0><0|, A = M = Z, with
+    # K_+ = sqrt(1-q) E_+ + sqrt(q) E_- and K_- = sqrt(q) E_+ - sqrt(1-q) E_-:
+    # U|i>|0> = K_+|i>|0> + K_-|i>|1>.  F_+ = K_+^dag K_+ is off E_+ by q,
+    # while T'_+(X) = K_+ X K_+^dag differs from T(E_+ X E_+) = E_+ X E_+ by
+    # sqrt(q(1-q)) (E_+ X E_- + E_- X E_+) - q E_+ X E_+ + q E_- X E_-
+    e_up, e_down = z_obs.projector(1.0), z_obs.projector(-1.0)
+    k_up = np.sqrt(1 - q) * e_up + np.sqrt(q) * e_down
+    k_down = np.sqrt(q) * e_up - np.sqrt(1 - q) * e_down
+    zero, one = ket(2, 0), ket(2, 1)
+    in_cols = np.kron(np.eye(2), zero[:, None])
+    out_cols = np.kron(k_up, zero[:, None]) + np.kron(k_down, one[:, None])
+    sigma = np.outer(zero, zero.conj())
+    model = models._model(z_obs, sigma, in_cols, out_cols, list(z_obs.projectors))
+    assert matcore.max_abs(model.unitary @ in_cols - out_cols) <= 1e-15
+
+    residuals = probe_consistency(model).residuals
+    assert all(abs(r - q) <= 1e-15 for r in residuals.values()), residuals
+    ins = operation_instrument(operation_of(model), z_obs)
+    stacks = model.probe_route[0]
+    gaps = [
+        matcore.max_abs(Superoperator.from_kraus(stacks[k]).rep - ins.component(a).rep)
+        for k, a in enumerate(z_obs.eigenvalues)
+    ]
+    gap = np.sqrt(q * (1 - q))
+    assert all(abs(g - gap) <= 1e-9 * gap for g in gaps), gaps
+    # no bound linear in the residual: gap / q grows as 1 / sqrt(q)
+    assert max(gaps) / q >= 0.99 / np.sqrt(q)

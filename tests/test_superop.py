@@ -27,21 +27,23 @@ from reduction_lab.superop import (
     apply_dual_stack,
     apply_stack,
     choi,
-    decompose_trace_class,
     dual,
     is_trace_preserving,
     kraus_from_choi,
-    matrix_unit,
     trace_of_map,
     unit_image,
     vec,
 )
 
 from conftest import (
+    four_state_split,
     half_split,
+    matrix_unit,
+    probed,
     random_density,
     random_hermitian,
     random_matrix,
+    recombine,
     without_stacks,
 )
 
@@ -71,13 +73,8 @@ def test_apply_identity_and_conjugation(rng):
 def test_apply_linear_on_decomposition(rng):
     s = Superoperator.sandwich(haar(rng, 3))
     m = random_matrix(rng, 3)
-    dec = decompose_trace_class(m)
-    l1, l2, l3, l4 = dec.lambdas
-    p1, p2, p3, p4 = (p.matrix for p in dec.parts)
-    combo = (
-        l1 * apply(s, p1) - l2 * apply(s, p2)
-        + 1j * l3 * apply(s, p3) - 1j * l4 * apply(s, p4)
-    )
+    lambdas, parts = four_state_split(m)
+    combo = recombine(lambdas, [apply(s, p.matrix) for p in parts])
     assert np.allclose(apply(s, m), combo, atol=1e-10)
 
 
@@ -101,7 +98,7 @@ def test_apply_dual_stack_matches_the_dual_map(rng, d, n):
     maps = {
         "kraus": Superoperator.from_kraus([random_matrix(rng, d) for _ in range(3)]),
         "a x b": Superoperator(d, np.kron(b.T, a)),
-        "transpose": Superoperator.from_function(d, lambda x: x.T),
+        "transpose": probed(d, lambda x: x.T),
         "generic": Superoperator(d, random_matrix(rng, d * d)),
     }
     ms = np.stack([random_matrix(rng, d) for _ in range(n)])
@@ -336,14 +333,14 @@ def test_maps_compare_and_hash_by_identity(rng):
 
 def test_decompose_density_is_first_slot(rng):
     rho = random_density(rng, 3)
-    dec = decompose_trace_class(rho.matrix)
-    assert np.isclose(dec.lambdas[0], 1.0, atol=1e-12)
-    assert np.allclose(dec.parts[0].matrix, rho.matrix, atol=1e-10)
-    assert dec.lambdas[1:] == (0.0, 0.0, 0.0)
+    lambdas, parts = four_state_split(rho.matrix)
+    assert np.isclose(lambdas[0], 1.0, atol=1e-12)
+    assert np.allclose(parts[0].matrix, rho.matrix, atol=1e-10)
+    assert lambdas[1:] == (0.0, 0.0, 0.0)
 
-    neg = decompose_trace_class(-rho.matrix)
-    assert np.isclose(neg.lambdas[1], 1.0, atol=1e-12)
-    assert neg.lambdas[0] == 0.0
+    neg, _ = four_state_split(-rho.matrix)
+    assert np.isclose(neg[1], 1.0, atol=1e-12)
+    assert neg[0] == 0.0
 
 
 def test_decompose_empty_slots_hold_the_maximally_mixed_state(rng):
@@ -356,22 +353,27 @@ def test_decompose_empty_slots_hold_the_maximally_mixed_state(rng):
         "general": (random_matrix(rng, 3), set()),
     }
     for name, (m, empty) in inputs.items():
-        dec = decompose_trace_class(m)
-        assert {i for i in range(4) if dec.lambdas[i] == 0.0} == empty, name
+        lambdas, parts = four_state_split(m)
+        assert {i for i in range(4) if lambdas[i] == 0.0} == empty, name
         for i in empty:
-            assert np.array_equal(dec.parts[i].matrix, np.eye(3) / 3), name
-        assert matcore.max_abs(dec.reassemble() - m) <= 1e-12, name
+            assert np.array_equal(parts[i].matrix, np.eye(3) / 3), name
+        reassembled = recombine(lambdas, [p.matrix for p in parts])
+        assert matcore.max_abs(reassembled - m) <= 1e-12, name
+
+
+def _reassembled(m):
+    lambdas, parts = four_state_split(m)
+    return recombine(lambdas, [p.matrix for p in parts])
 
 
 def test_decompose_reassembles(rng):
     m = np.zeros((2, 2), dtype=complex)
     m[0, 1] = 1.0
-    assert matcore.max_abs(decompose_trace_class(m).reassemble() - m) <= 1e-12
+    assert matcore.max_abs(_reassembled(m) - m) <= 1e-12
     for _ in range(1000):
         dim = int(rng.integers(2, 9))
         x = random_matrix(rng, dim)
-        dec = decompose_trace_class(x)
-        assert matcore.max_abs(dec.reassemble() - x) <= 1e-10 * max(
+        assert matcore.max_abs(_reassembled(x) - x) <= 1e-10 * max(
             matcore.max_abs(x), 1
         )
 
@@ -415,7 +417,7 @@ def test_choi_identity_map():
 
 def test_choi_depolarizing():
     d = 3
-    s = Superoperator.from_function(d, lambda x: np.trace(x) * np.eye(d) / d)
+    s = probed(d, lambda x: np.trace(x) * np.eye(d) / d)
     assert np.allclose(choi(s).matrix, np.eye(d * d) / d, atol=1e-12)
 
 
@@ -570,7 +572,7 @@ def test_kraus_stack_provenance(rng):
         Superoperator(3, s.rep),
         Superoperator.identity(3),
         dual(s),
-        Superoperator.from_function(3, lambda x: x),
+        probed(3, lambda x: x),
         s + Superoperator(3, s.rep),
     ):
         assert m.kraus is None and choi(m).kraus is None
@@ -597,7 +599,7 @@ def test_kraus_stack_provenance(rng):
 
 def test_kraus_from_choi_rejects_non_cp():
     # the transpose map is positive but not completely positive
-    transpose = Superoperator.from_function(2, lambda x: x.T)
+    transpose = probed(2, lambda x: x.T)
     with pytest.raises(NotCompletelyPositiveError) as err:
         kraus_from_choi(choi(transpose))
     assert err.value.most_negative_eigenvalue < -0.5
@@ -619,7 +621,7 @@ def test_unit_image_is_the_dual_applied_to_the_identity(rng, d):
         Superoperator.from_kraus([random_matrix(rng, d) for _ in range(3)]),
         Superoperator.zero(d),
         Superoperator(d, random_matrix(rng, d * d)),
-        Superoperator.from_function(d, lambda x: a @ x.T),
+        probed(d, lambda x: a @ x.T),
     ]
     one = np.eye(d, dtype=complex)
     for s in maps:
@@ -634,4 +636,4 @@ def test_the_boundary_still_rejects_bad_maps(rng):
     with pytest.raises(ValueError, match="non-finite"):
         Superoperator(2, rep)
     with pytest.raises(ValueError, match="non-finite"):
-        Superoperator.from_function(2, lambda x: x + np.inf)
+        probed(2, lambda x: x + np.inf)
