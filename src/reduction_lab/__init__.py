@@ -27,13 +27,7 @@ from .instrument import (
     verify_dual_lemma,
     verify_theorem1,
 )
-from .matcore import (
-    hermitian_eig,
-    is_psd,
-    partial_trace_apparatus,
-    tensor,
-    trace_norm,
-)
+from .matcore import hermitian_eig
 from .models import (
     ConsistencyReport,
     MeasurementModel,
@@ -65,7 +59,6 @@ from .superop import (
     Superoperator,
     apply,
     choi,
-    dual,
     kraus_from_choi,
     trace_of_map,
 )

@@ -57,6 +57,18 @@ def _outcome(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """``--seed``: an integer >= 0, refused while the arguments are read,
+    before any input file is."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _emit(text: str, out_path: str | None) -> None:
     """Write a report to ``out_path``, or to stdout when it is None.  A path
     that cannot be written is a usage error: a ``ValueError`` naming it,
@@ -241,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     common(p)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_check_model)
 
     p = sub.add_parser("reduce", help="conditional post-measurement state")
@@ -273,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random-model", help="generate a random measurement model file")
     p.add_argument("--obs", required=True)
     p.add_argument("--dim-a", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--biased", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_random_model)

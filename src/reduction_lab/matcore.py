@@ -97,24 +97,6 @@ def hermitian_stack(ms: np.ndarray):
     return ok, h, skew_sq
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product, object space first."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
-def partial_trace_apparatus(m, dim_s: int, dim_a: int) -> np.ndarray:
-    """Trace out the second (apparatus) tensor factor of a composite matrix."""
-    m = as_complex_matrix(m)
-    if dim_s < 1 or dim_a < 1:
-        raise ValueError("dimensions must be positive")
-    if m.shape[0] != dim_s * dim_a:
-        raise ValueError(
-            f"matrix dim {m.shape[0]} != dim_s * dim_a = {dim_s * dim_a}"
-        )
-    m4 = m.reshape(dim_s, dim_a, dim_s, dim_a)
-    return np.einsum("ikjk->ij", m4)
-
-
 def hermitian_eig(m):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -129,12 +111,6 @@ def hermitian_eig(m):
             f"(||m - m^dag|| = {np.sqrt(skew_sq[0]):.3e})"
         )
     return np.linalg.eigh(h[0])
-
-
-def trace_norm(m) -> float:
-    """Sum of singular values."""
-    m = as_complex_matrix(m)
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -171,10 +147,3 @@ def psd_refusal(h) -> float | None:
         pass
     lo = float(np.linalg.eigvalsh(h)[0])
     return None if lo >= -ROUNDOFF_TOL else lo
-
-
-def is_psd(m) -> bool:
-    """True iff ``m`` passes ``hermitian_stack`` and ``psd_refusal`` accepts
-    its Hermitian part: one Hermitian test, one Cholesky factor."""
-    ok, h, _ = hermitian_stack(as_complex_matrix(m)[None])
-    return bool(ok[0]) and psd_refusal(h[0]) is None

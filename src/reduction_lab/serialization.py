@@ -9,7 +9,10 @@ Matrices and vectors cross the JSON boundary as whole arrays: a complex
 array is written as its float64 view, and a well-formed nested list is read
 with one ``np.array`` call and viewed back as complex128.  Input that is not
 a nested list of ``[re, im]`` number pairs of the right shape falls back to
-an entry-by-entry scan, whose ``ParseError`` names the offending field.
+an entry-by-entry scan, whose ``ParseError`` names the offending field.  On
+both paths the first entry that is not finite (the literals ``NaN`` and
+``Infinity``, which Python's ``json`` reads, or a number past float's
+range) is refused by its index.
 
 ``dumps`` writes a top-level object or array one item per line, each item
 in the compact form of the C JSON encoder; a model file is a few lines of
@@ -18,6 +21,7 @@ long text, not one line per number.
 
 from __future__ import annotations
 
+import cmath
 import json
 
 import numpy as np
@@ -66,9 +70,14 @@ def _entry_from_json(e, where: str) -> complex:
     if not isinstance(e, (list, tuple)) or len(e) != 2:
         raise ParseError(f"{where}: complex entries must be [re, im] pairs")
     try:
-        return complex(float(e[0]), float(e[1]))
+        z = complex(float(e[0]), float(e[1]))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: non-numeric entry {e!r}") from exc
+    except OverflowError:  # an integer past float's range
+        raise ParseError(f"{where}: non-finite entry {e!r}") from None
+    if not cmath.isfinite(z):
+        raise ParseError(f"{where}: non-finite entry {e!r}")
+    return z
 
 
 def _complex_array(j, ndim: int) -> np.ndarray | None:
@@ -84,13 +93,27 @@ def _complex_array(j, ndim: int) -> np.ndarray | None:
     return np.ascontiguousarray(a, dtype=np.float64).view(complex)[..., 0]
 
 
+def _finite(z: np.ndarray, j, where: str) -> np.ndarray:
+    """``z``, read from the nested list ``j``, when every entry is finite;
+    else a ``ParseError`` naming the first entry that is not, in row-major
+    order, as the entry-by-entry scan would."""
+    finite = np.isfinite(z)
+    if finite.all():
+        return z
+    index = np.unravel_index(np.argmin(finite), z.shape)
+    entry = j
+    for i in index:
+        entry = entry[i]
+    raise ParseError(f"{where}{''.join(f'[{i}]' for i in index)}: non-finite entry {entry!r}")
+
+
 def matrix_from_json(j, where: str = "matrix") -> np.ndarray:
     if not isinstance(j, list) or not j:
         raise ParseError(f"{where}: expected a non-empty nested array")
     if all(type(row) is list for row in j):
         m = _complex_array(j, 2)
         if m is not None and m.shape[0] == m.shape[1]:
-            return m
+            return _finite(m, j, where)
     rows = []
     for i, row in enumerate(j):
         if not isinstance(row, list) or len(row) != len(j):
@@ -104,7 +127,7 @@ def vector_from_json(j, where: str = "vector") -> np.ndarray:
         raise ParseError(f"{where}: expected a non-empty array")
     v = _complex_array(j, 1)
     if v is not None:
-        return v
+        return _finite(v, j, where)
     return np.array([_entry_from_json(e, f"{where}[{k}]") for k, e in enumerate(j)])
 
 
@@ -152,6 +175,8 @@ def observable_from_json(j, where: str = "observable") -> DiscreteObservable:
                 for k, (a, p) in enumerate(zip(eigvals, projs))
             )
         )
+    except ParseError:
+        raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -170,6 +195,8 @@ def density_from_json(j, where: str = "state") -> DensityOperator:
             return PureState(vector_from_json(j["vector"], f"{where}.vector")).to_density()
         if "density" in j:
             return DensityOperator(matrix_from_json(j["density"], f"{where}.density"))
+    except ParseError:
+        raise
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from exc
     raise ParseError(f"{where}: needs either 'density' or 'vector'")

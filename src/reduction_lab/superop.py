@@ -5,24 +5,24 @@ Column-stacking convention: ``vec(X)[i + j*d] = X[i, j]``, so that
 matrices over a single d-dimensional space.
 
 A map has two ways in: through Kraus operators (``Superoperator.from_kraus``,
-``sandwich``, ``zero``, ``sum_of`` and ``+``), or through a rep that the
-constructor scans; ``identity``, ``compose`` and ``dual`` compute theirs from
-reps already held.  No map is built by probing with matrix units.  The rep
-and the Choi matrix [s(E_ij)]_ij hold the same entries in a different order,
-so ``choi`` is one reshuffle of indices.
+``sandwich``, ``zero`` and ``sum_of``), or through a rep that the constructor
+scans; ``compose`` computes its rep from reps already held.  No map is
+built by probing with matrix units.  The rep and the Choi matrix
+[s(E_ij)]_ij hold the same entries in a different order, so ``choi`` is
+one reshuffle of indices.
 
 A map built from Kraus operators keeps them as its read-only ``kraus``
 stack, an (n, d, d) array that certifies complete positivity without an
 eigendecomposition of the Choi matrix.  Only the builders that compute the
-rep from the stack set it: ``from_kraus``, ``sandwich`` (the stack
-[a]), ``zero`` (an empty stack), ``sum_of`` and ``+`` (the stacks
-concatenated, when every operand has one).  The constructor, ``identity``,
-``compose`` and ``dual`` leave it ``None``.  ``choi`` passes the stack on to
-the ``ChoiMatrix``, and ``kraus_from_choi`` reads the operators off it.
+rep from the stack set it: ``from_kraus``, ``sandwich`` (the stack [a]),
+``zero`` (an empty stack) and ``sum_of`` (the stacks concatenated, when
+every operand has one).  The constructor and ``compose`` leave it
+``None``.  ``choi`` passes the stack on to the ``ChoiMatrix``, and
+``kraus_from_choi`` reads the operators off it.
 
 The d^4 entries of a rep are written only when something reads them, if
 ``_on_stack`` takes the map through its stack (n operators, d >= 9,
-4n <= d): such a map holds only the stack when those five builders make
+4n <= d): such a map holds only the stack when those four builders make
 it, and its rep is computed on the first read of ``rep``, as
 sum_k conj(K_k) kron K_k (the ``from_kraus`` formula, in ``_rep_of``),
 and then kept.  ``_rep_of`` writes that sum in one of two forms: below
@@ -31,14 +31,13 @@ copy of its four axes, and from there straight into its own layout, block
 (i, k) being the (d x n)(n x d) product conj(K[:, i, :])^T K[:, k, :] of
 one broadcast matmul, so no second d^4 array is made.  Every other map
 gets its rep at construction: ``from_kraus`` by the same formula,
-``sandwich`` as conj(A) kron A, ``zero`` as zeros, ``sum_of`` and ``+``
-(the sum of two) as the reps added to zeros in order; the constructor,
-``identity``, ``compose`` and ``dual`` always hold one.
-``compose``, ``dual`` and ``choi`` read ``rep``, so they build it on
-demand; the ``apply*`` functions on the stack route and ``unit_image``
-never do.  A stack-route map also keeps the adjoints K_k^dagger as
-read-only (n d x d) rows, computed by ``_adjoint_rows`` on the first apply
-and read by every later one; computing them builds no rep.
+``sandwich`` as conj(A) kron A, ``zero`` as zeros, ``sum_of`` as the reps
+added to zeros in order; the constructor and ``compose`` always hold one.
+``compose`` and ``choi`` read ``rep``, so they build it on demand; the
+``apply*`` functions on the stack route and ``unit_image`` never do.  A
+stack-route map also keeps the adjoints K_k^dagger as read-only (n d x d)
+rows, computed by ``_adjoint_rows`` on the first apply and read by every
+later one; computing them builds no rep.
 
 A rep is scanned for finite entries once, where it enters the library: in
 the constructor.  The other builders compute it from checked arrays and skip
@@ -57,8 +56,7 @@ every map without a stack, through its rep in d^4.  Both routes give the
 same images to roundoff.  ``apply_dual_stack`` applies s* through s's own
 stack or rep, so the verifiers build no dual map: on the stack route its
 left operand is the kept adjoint rows and its right one the stack's own
-rows, a view;
-``dual`` copies the rep with its four axes reversed.
+rows, a view.
 """
 
 from __future__ import annotations
@@ -71,10 +69,6 @@ from . import matcore
 from .errors import NotCompletelyPositiveError
 from .matcore import ROUNDOFF_TOL
 from .quantum import DensityOperator
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m, dtype=complex).reshape(-1, order="F")
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,10 +123,6 @@ class Superoperator:
         return s
 
     @classmethod
-    def identity(cls, dim: int) -> "Superoperator":
-        return cls._built(dim, np.eye(dim * dim, dtype=complex))
-
-    @classmethod
     def zero(cls, dim: int) -> "Superoperator":
         empty = np.zeros((0, dim, dim), dtype=complex)
         return cls._from_stack(empty, lambda: np.zeros((dim * dim,) * 2, dtype=complex))
@@ -153,9 +143,6 @@ class Superoperator:
         if not np.all(np.isfinite(ks)):
             raise ValueError("Kraus operators have non-finite entries")
         return cls._from_stack(ks)
-
-    def __add__(self, other: "Superoperator") -> "Superoperator":
-        return Superoperator.sum_of(self.dim, [self, other])
 
     @classmethod
     def sum_of(cls, dim: int, maps: list) -> "Superoperator":
@@ -297,16 +284,6 @@ def trace_of_map(s: Superoperator, rho) -> complex:
     return complex(matcore.trace(apply(s, rho)))
 
 
-def dual(s: Superoperator) -> Superoperator:
-    """The dual map s* with Tr[X s(rho)] = Tr[s*(X) rho] for all X, rho."""
-    d = s.dim
-    # Derived entrywise from the defining relation applied to matrix units:
-    # s*(E_ij)[l, k] = s(E_kl)[j, i].
-    sr = s.rep.reshape(d, d, d, d)
-    dr = sr.transpose(3, 2, 1, 0)
-    return Superoperator._built(d, np.ascontiguousarray(dr.reshape(d * d, d * d)))
-
-
 def unit_image(s: Superoperator) -> np.ndarray:
     """s*(1), the dual map applied to the identity.  On the stack route it
     is sum_k K_k^dagger K_k, the stack as (n d x d) rows times their
@@ -332,9 +309,6 @@ class ChoiMatrix:
     dim: int
     matrix: np.ndarray
     kraus: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    def is_psd(self) -> bool:
-        return matcore.is_psd(self.matrix)
 
 
 def choi(s: Superoperator) -> ChoiMatrix:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reduction_lab import matcore
 from reduction_lab.instrument import Instrument
 from reduction_lab.models import haar_unitary, random_faithful_model
 from reduction_lab.quantum import DensityOperator, DiscreteObservable, PureState, projector_onto
@@ -46,6 +47,42 @@ def probed(dim, f):
         for i in range(dim):
             rep[:, i + j * dim] = f(matrix_unit(dim, i, j)).reshape(-1, order="F")
     return Superoperator(dim, rep)
+
+
+def identity_map(dim):
+    """The identity map on d x d matrices, from its rep."""
+    return Superoperator(dim, np.eye(dim * dim))
+
+
+def dual(s):
+    """The dual map s* with Tr[X s(rho)] = Tr[s*(X) rho] for all X, rho.
+    From the defining relation on matrix units, s*(E_ij)[l, k] =
+    s(E_kl)[j, i]: its rep is s's with the four axes reversed."""
+    d = s.dim
+    rep = s.rep.reshape((d,) * 4).transpose(3, 2, 1, 0).reshape(d * d, d * d)
+    return Superoperator(d, rep)
+
+
+def is_psd(m):
+    """The PSD verdict of a matrix: the Hermitian test, then the PSD test
+    on its Hermitian part."""
+    ok, h, _ = matcore.hermitian_stack(matcore.as_complex_matrix(m)[None])
+    return bool(ok[0]) and matcore.psd_refusal(h[0]) is None
+
+
+def tensor(a, b):
+    """The Kronecker product, object space first."""
+    return np.kron(a, b)
+
+
+def partial_trace_apparatus(m, dim_s, dim_a):
+    """Trace out the second (apparatus) factor of a composite matrix."""
+    return np.einsum("ikjk->ij", np.asarray(m).reshape(dim_s, dim_a, dim_s, dim_a))
+
+
+def trace_norm(m):
+    """The sum of the singular values."""
+    return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
 def four_state_split(m):

@@ -239,11 +239,31 @@ def test_tol_env_override(tmp_path, z_obs, monkeypatch):
     ([[{"re": 1, "im": 0}]], "m[0][0]: complex entries must be [re, im] pairs"),
     ([[["a", 0]]], "m[0][0]: non-numeric entry ['a', 0]"),
     ([], "m: expected a non-empty nested array"),
+    # the literals NaN, Infinity and -Infinity, which Python's json reads;
+    # the first non-finite entry in row-major order is named
+    (json.loads("[[[1, 0], [NaN, 0.0]], [[0, 0], [1, 0]]]"), "m[0][1]: non-finite entry [nan, 0.0]"),
+    (json.loads("[[[1, 0], [0, 0]], [[0, Infinity], [1, NaN]]]"), "m[1][0]: non-finite entry [0, inf]"),
+    (json.loads("[[[-Infinity, 0]]]"), "m[0][0]: non-finite entry [-inf, 0]"),
+    # the entry-by-entry scan names them alike, and a number past float's range
+    (json.loads('[[["1", 0], [0, NaN]], [[0, 0], [1, 0]]]'), "m[0][1]: non-finite entry [0, nan]"),
+    ([[["inf", 0]]], "m[0][0]: non-finite entry ['inf', 0]"),
+    pytest.param([[[10**400, 0]]], f"m[0][0]: non-finite entry [{10**400}, 0]",
+                 id="int_past_float"),
 ])
 def test_matrix_from_json_malformed_messages(matrix, message):
     with pytest.raises(ser.ParseError) as err:
         ser.matrix_from_json(matrix, "m")
     assert str(err.value) == message
+
+
+def test_vector_from_json_names_a_non_finite_entry():
+    for text, message in (
+        ("[[1, 0], [0, NaN]]", "v[1]: non-finite entry [0, nan]"),
+        ('[["1", 0], [-Infinity, 0]]', "v[1]: non-finite entry [-inf, 0]"),
+    ):
+        with pytest.raises(ser.ParseError) as err:
+            ser.vector_from_json(json.loads(text), "v")
+        assert str(err.value) == message
 
 
 def test_model_parse_error_names_the_field(z_obs):
@@ -489,6 +509,28 @@ def test_observable_file_with_a_nan_eigenvalue_exits_two(tmp_path, z_obs, capsys
         assert err.startswith("error: observable: ") and "not finite" in err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_literal_in_an_input_file_exits_two_naming_its_entry(
+    tmp_path, z_obs, capsys, literal
+):
+    value = float(literal.replace("Infinity", "inf"))
+    for field in ("unitary", "apparatus_state"):
+        j = ser.model_to_json(von_neumann_model(z_obs, 2))
+        j[field][0][1] = [value, 0.0]
+        path = write(tmp_path, "model.json", j)
+        assert f"[{literal}, 0.0]" in Path(path).read_text()
+        assert main(["check-model", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: model.{field}[0][1]: non-finite entry [{value!r}, 0.0]\n"
+        )
+    spath = write(tmp_path, "state.json", {"vector": [[1.0, 0.0], [value, 0.0]]})
+    for argv in _state_commands(tmp_path, spath):
+        assert main(argv) == 2, argv[0]
+        assert capsys.readouterr().err == (
+            f"error: state.vector[1]: non-finite entry [{value!r}, 0.0]\n"
+        ), argv[0]
+
+
 def _assert_one_error_line(err):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
@@ -537,6 +579,26 @@ def test_bad_tol_exits_two(capsys, monkeypatch, value, source):
         captured = capsys.readouterr()
         assert "error: argument --tol:" in captured.err
         assert "Traceback" not in captured.err
+
+
+def test_negative_seed_exits_two_naming_the_flag(tmp_path, z_obs, capsys):
+    # refused while the arguments are read, before any file is: neither
+    # path below exists
+    for argv, value in (
+        (["check-model", "missing.json", "--seed", "-1"], "-1"),
+        (["random-model", "--obs", "missing.json", "--dim-a", "2", "--seed", "-3"], "-3"),
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.err.endswith(
+            f"error: argument --seed: must be an integer >= 0, got '{value}'\n"
+        ), argv[0]
+    opath = write(tmp_path, "obs.json", ser.observable_to_json(z_obs))
+    assert main(["random-model", "--obs", opath, "--dim-a", "2", "--seed", "0"]) == 0
+    assert main(["check-model", write_model(tmp_path, von_neumann_model(z_obs, 2)),
+                 "--seed", "0"]) == 0
 
 
 @pytest.mark.parametrize("key", ["dim_s", "dim_a"])

@@ -1,8 +1,11 @@
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,3 +27,20 @@ def test_demo_runs(script):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_tour_runs():
+    # README's one python block, statement by statement, keeping the value
+    # of each bare expression: the reduced state and the two verdicts
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+    assert len(blocks) == 1
+    namespace, values = {}, []
+    for node in ast.parse(blocks[0]).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            values.append(eval(code, namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    reduced, theorem1, dual_lemma = values
+    assert np.abs(reduced.matrix - np.diag([1.0, 0.0])).max() <= 1e-12
+    assert theorem1 is True and dual_lemma is True

@@ -15,7 +15,7 @@ from reduction_lab.instrument import (
     operation_instrument,
     reduce,
 )
-from reduction_lab.matcore import dagger, partial_trace_apparatus, tensor
+from reduction_lab.matcore import dagger
 from reduction_lab.models import (
     MeasurementModel,
     haar_unitary,
@@ -37,7 +37,7 @@ from reduction_lab.quantum import (
 )
 from reduction_lab.superop import Superoperator, apply, choi, kraus_from_choi
 
-from conftest import plus_state, probed, random_density
+from conftest import partial_trace_apparatus, plus_state, probed, random_density, tensor
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from reduction_lab.scenarios import (
 )
 from reduction_lab.superop import Superoperator, apply
 
-from conftest import plus_state, random_density, random_hermitian
+from conftest import plus_state, random_density, random_hermitian, trace_norm
 
 
 @pytest.fixture
@@ -171,7 +171,7 @@ def test_nonuniqueness_exhibit_qubit():
     # the two pure-state families are genuinely different
     (w1, phi), (w2, eta) = ex.decompositions
     dist = min(
-        0.5 * matcore.trace_norm(projector_onto(p.vector) - projector_onto(e.vector))
+        0.5 * trace_norm(projector_onto(p.vector) - projector_onto(e.vector))
         for p in phi
         for e in eta
     )
@@ -194,7 +194,7 @@ def test_nonuniqueness_exhibit_dim3():
         )
         assert matcore.max_abs(reassembled - ex.mixed_state.matrix) <= 1e-12
     (w1, phi), (w2, eta) = ex.decompositions
-    assert 0.5 * matcore.trace_norm(
+    assert 0.5 * trace_norm(
         projector_onto(phi[0].vector) - projector_onto(eta[0].vector)
     ) >= 0.5
 

@@ -27,17 +27,17 @@ from reduction_lab.superop import (
     apply_dual_stack,
     apply_stack,
     choi,
-    dual,
     is_trace_preserving,
     kraus_from_choi,
     trace_of_map,
     unit_image,
-    vec,
 )
 
 from conftest import (
+    dual,
     four_state_split,
     half_split,
+    identity_map,
     matrix_unit,
     probed,
     random_density,
@@ -55,15 +55,18 @@ def haar(rng, n):
 
 
 def test_vec_convention(rng):
-    # column stacking: vec(AXB) = (B^T kron A) vec(X)
+    # column stacking, vec(X)[i + j d] = X[i, j]: vec(AXB) = (B^T kron A) vec(X),
+    # so the map with that rep is X -> A X B
     a, x, b = (random_matrix(rng, 3) for _ in range(3))
-    assert np.allclose(np.kron(b.T, a) @ vec(x), vec(a @ x @ b), atol=1e-12)
-    assert np.allclose(vec(x).reshape(3, 3, order="F"), x)
+    vec_x = x.reshape(-1, order="F")
+    assert all(vec_x[i + 3 * j] == x[i, j] for i in range(3) for j in range(3))
+    assert np.allclose(np.kron(b.T, a) @ vec_x, (a @ x @ b).reshape(-1, order="F"), atol=1e-12)
+    assert np.allclose(apply(Superoperator(3, np.kron(b.T, a)), x), a @ x @ b, atol=1e-12)
 
 
 def test_apply_identity_and_conjugation(rng):
     m = random_matrix(rng, 3)
-    assert np.allclose(apply(Superoperator.identity(3), m), m)
+    assert np.allclose(apply(identity_map(3), m), m)
     u = haar(rng, 3)
     conj = Superoperator.sandwich(u)
     assert np.allclose(apply(conj, np.eye(3)), np.eye(3), atol=1e-12)
@@ -232,7 +235,7 @@ def test_a_sum_of_maps_holds_their_stacks_and_the_sum_of_their_reps(rng, d):
             assert np.array_equal(total.kraus, stacks)
             assert superop._on_stack(total) == (d >= KRAUS_ROUTE_MIN_DIM and 4 * len(stacks) <= d)
     with pytest.raises(ValueError, match="^dimension mismatch$"):
-        Superoperator.sum_of(d, [*stacked, Superoperator.identity(d + 1)])
+        Superoperator.sum_of(d, [*stacked, identity_map(d + 1)])
 
 
 @pytest.mark.parametrize("ds, da, kernel_calls", [(12, 2, 14), (8, 16, 0)])
@@ -379,7 +382,7 @@ def test_decompose_reassembles(rng):
 
 
 def test_dual_examples(rng):
-    one = Superoperator.identity(3)
+    one = identity_map(3)
     assert matcore.max_abs(dual(one).rep - one.rep) <= 1e-12
     u = haar(rng, 3)
     want = Superoperator.sandwich(u.conj().T)
@@ -396,20 +399,15 @@ def test_dual_defining_relation(rng):
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1)
 
 
-def test_double_dual(rng):
-    s = Superoperator(4, random_matrix(rng, 16))
-    assert matcore.max_abs(dual(dual(s)).rep - s.rep) <= 1e-12
-
-
 def test_dual_linear_over_sums(rng):
     parts = [Superoperator(2, random_matrix(rng, 4)) for _ in range(3)]
-    total = parts[0] + parts[1] + parts[2]
-    summed = dual(parts[0]) + dual(parts[1]) + dual(parts[2])
+    total = Superoperator.sum_of(2, parts)
+    summed = Superoperator.sum_of(2, [dual(t) for t in parts])
     assert matcore.max_abs(dual(total).rep - summed.rep) == 0.0
 
 
 def test_choi_identity_map():
-    c = choi(Superoperator.identity(2))
+    c = choi(identity_map(2))
     w = np.linalg.eigvalsh(c.matrix)
     assert np.isclose(np.trace(c.matrix).real, 2.0)
     assert np.isclose(w[-1], 2.0) and np.allclose(w[:-1], 0, atol=1e-12)
@@ -570,17 +568,17 @@ def test_kraus_stack_provenance(rng):
     # maps that are not built as a Kraus sum carry no stack
     for m in (
         Superoperator(3, s.rep),
-        Superoperator.identity(3),
+        identity_map(3),
         dual(s),
         probed(3, lambda x: x),
-        s + Superoperator(3, s.rep),
+        Superoperator.sum_of(3, [s, Superoperator(3, s.rep)]),
     ):
         assert m.kraus is None and choi(m).kraus is None
-    # + concatenates: the stack reassembles to the rep
+    # sum_of concatenates: the stack reassembles to the rep
     big = Superoperator.from_kraus([random_matrix(rng, 3) for _ in range(4)])
     for m, n in (
-        (s + Superoperator.sandwich(p), 3),
-        (Superoperator.zero(3) + s, 2),
+        (Superoperator.sum_of(3, [s, Superoperator.sandwich(p)]), 3),
+        (Superoperator.sum_of(3, [Superoperator.zero(3), s]), 2),
     ):
         assert len(m.kraus) == n
         assert choi(m).kraus is m.kraus
