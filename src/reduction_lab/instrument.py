@@ -137,18 +137,13 @@ class Instrument:
         positive; return the completeness residual, the largest entry of
         the sum of the component reps minus the total's rep.
 
-        When the total and every component are on the stack route
-        (``superop._on_stack``), no rep is read: with V the component
-        stacks and W the total's stack, flattened to rows of d^2 entries,
-        the one product [V; W]^dagger [V; -W] holds the entries of that
-        difference in another order.  Otherwise the difference is summed
-        in one fresh accumulator, -T's rep with each component rep added
-        in place, so no input rep is written.  T*(1) is taken by
-        ``superop.unit_image``, from the stack on the stack route, not off
-        a dual map.  A component with a Kraus stack is completely positive
-        by construction, so only one without (a user rep, Choi input or a
-        corrupted component) takes the Choi PSD test: the Hermitian test of
-        its d^2 x d^2 Choi matrix, then
+        ``superop`` decides how each map is read, by its one route rule:
+        the completeness residual is ``superop.sum_residual``, which reads
+        no rep when every map is on the stack route, and T*(1) is
+        ``superop.unit_image``, not taken off a dual map.  A component with
+        a Kraus stack is completely positive by construction, so only one
+        without (a user rep, Choi input or a corrupted component) takes the
+        Choi PSD test: the Hermitian test of its d^2 x d^2 Choi matrix, then
         ``matcore.psd_refusal`` of its Hermitian part, one Cholesky factor,
         whose ``eigvalsh`` fallback gives a refusal its min eigenvalue.  A
         Choi matrix C that fails the Hermitian test is refused by that test,
@@ -164,15 +159,7 @@ class Instrument:
         maps = list(self.components.values())
         if any(t.dim != d for t in maps):
             raise ValueError("component dimension mismatch")
-        if all(map(superop._on_stack, [self.total, *maps])):
-            v = np.concatenate([t.kraus for t in maps]).reshape(-1, d * d)
-            w = self.total.kraus.reshape(-1, d * d)
-            diff = np.concatenate([v, w]).conj().T @ np.concatenate([v, -w])
-        else:
-            diff = -self.total.rep
-            for t in maps:
-                diff += t.rep
-        completeness_resid = matcore.max_abs(diff)
+        completeness_resid = superop.sum_residual(self.total, maps)
         # written so that a NaN ``tol`` fails the check
         if not completeness_resid <= tol:
             # the claimed total cannot be the operation of an apparatus

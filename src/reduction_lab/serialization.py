@@ -296,5 +296,11 @@ def load_file(path: str):
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}")
+    except ValueError as exc:
+        # a number json cannot convert, such as an integer of more digits
+        # than Python's int_max_str_digits
+        raise ParseError(f"{path}: {exc}")
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply to read")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}")

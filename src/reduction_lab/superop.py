@@ -13,31 +13,28 @@ one reshuffle of indices.
 
 A map built from Kraus operators keeps them as its read-only ``kraus``
 stack, an (n, d, d) array that certifies complete positivity without an
-eigendecomposition of the Choi matrix.  Only the builders that compute the
-rep from the stack set it: ``from_kraus``, ``sandwich`` (the stack [a]),
-``zero`` (an empty stack) and ``sum_of`` (the stacks concatenated, when
-every operand has one).  The constructor and ``compose`` leave it
-``None``.  ``choi`` passes the stack on to the ``ChoiMatrix``, and
-``kraus_from_choi`` reads the operators off it.
+eigendecomposition of the Choi matrix.  The builders that take a stack set
+it: ``from_kraus``, ``sandwich`` (the stack [a]), ``zero`` (an empty stack)
+and ``sum_of`` (the stacks concatenated, when every operand has one).  The
+constructor and ``compose`` leave it ``None``.  ``choi`` passes the stack
+on to the ``ChoiMatrix``, and ``kraus_from_choi`` reads the operators off
+it.
 
-The d^4 entries of a rep are written only when something reads them, if
-``_on_stack`` takes the map through its stack (n operators, d >= 9,
-4n <= d): such a map holds only the stack when those four builders make
-it, and its rep is computed on the first read of ``rep``, as
-sum_k conj(K_k) kron K_k (the ``from_kraus`` formula, in ``_rep_of``),
-and then kept.  ``_rep_of`` writes that sum in one of two forms: below
-d = ``_BLOCK_REP_MIN_DIM`` as one (d^2 x n)(n x d^2) GEMM regrouped by a
-copy of its four axes, and from there straight into its own layout, block
-(i, k) being the (d x n)(n x d) product conj(K[:, i, :])^T K[:, k, :] of
-one broadcast matmul, so no second d^4 array is made.  Every other map
-gets its rep at construction: ``from_kraus`` by the same formula,
-``sandwich`` as conj(A) kron A, ``zero`` as zeros, ``sum_of`` as the reps
-added to zeros in order; the constructor and ``compose`` always hold one.
-``compose`` and ``choi`` read ``rep``, so they build it on demand; the
-``apply*`` functions on the stack route and ``unit_image`` never do.  A
-stack-route map also keeps the adjoints K_k^dagger as read-only (n d x d)
-rows, computed by ``_adjoint_rows`` on the first apply and read by every
-later one; computing them builds no rep.
+A map has one schedule and one rule.  The schedule: a map built from a
+stack holds only ``dim`` and ``kraus``, and its rep and the adjoints
+K_k^dagger as read-only (n d x d) rows are each computed on first read
+(``functools.cached_property``) and then kept; a map built from a rep
+holds it from construction.  The rep of a stack is
+sum_k conj(K_k) kron K_k, written by ``_rep_of`` in one of two forms:
+below d = ``_BLOCK_REP_MIN_DIM`` as one (d^2 x n)(n x d^2) GEMM regrouped
+by a copy of its four axes, and from there straight into its own layout,
+block (i, k) being the (d x n)(n x d) product conj(K[:, i, :])^T
+K[:, k, :] of one broadcast matmul, so no second d^4 array is made.  The
+rule, ``_on_stack``: a map with a stack of n operators and 4n <= d is
+applied through that stack, so the ``apply*`` functions, ``unit_image``
+and ``sum_residual`` build no rep for it; every other map is applied
+through its rep, which a stack map then computes on that first apply.
+``compose`` and ``choi`` always read ``rep``.
 
 A rep is scanned for finite entries once, where it enters the library: in
 the constructor.  The other builders compute it from checked arrays and skip
@@ -61,6 +58,7 @@ rows, a view.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,35 +69,32 @@ from .matcore import ROUNDOFF_TOL
 from .quantum import DensityOperator
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Superoperator:
     """A linear transformation of d x d matrices, stored as its d^2 x d^2
-    matrix over column-vectorized operators, with the (n, d, d) stack of
-    Kraus operators it was built from when there is one (see the module
-    docstring).  A stack-route map computes its rep on first read.
-    Equality is identity, so maps hash by identity too."""
+    matrix over column-vectorized operators, or as the (n, d, d) stack of
+    Kraus operators it was built from, whose rep is computed on first read
+    (see the module docstring).  Equality is identity, so maps hash by
+    identity too."""
 
     dim: int
-    rep: np.ndarray = field(repr=False)
-    kraus: np.ndarray | None = field(default=None, init=False, repr=False)
+    kraus: np.ndarray | None = field(repr=False)
 
-    def __post_init__(self):
-        rep = matcore.as_complex_matrix(self.rep)
-        if rep.shape[0] != self.dim * self.dim:
-            raise ValueError(
-                f"rep shape {rep.shape} does not match dim {self.dim}"
-            )
-        object.__setattr__(self, "rep", rep)
+    def __init__(self, dim: int, rep):
+        rep = matcore.as_complex_matrix(rep)
+        if rep.shape[0] != dim * dim:
+            raise ValueError(f"rep shape {rep.shape} does not match dim {dim}")
+        vars(self).update(dim=dim, kraus=None, rep=rep)
 
-    def __getattr__(self, name):
-        # reached only when the usual lookup fails: the unbuilt rep of a
-        # stack-route map, or the adjoint rows of a map with a stack,
-        # computed once and kept
-        ks = vars(self).get("kraus")
-        if ks is None or name not in ("rep", "_kraus_adjoint"):
-            raise AttributeError(f"'Superoperator' object has no attribute {name!r}")
-        value = vars(self)[name] = _rep_of(ks) if name == "rep" else _adjoint_rows(ks)
-        return value
+    @functools.cached_property
+    def rep(self) -> np.ndarray:
+        """The d^2 x d^2 matrix; read only when the map was built from a
+        Kraus stack, since every other map holds it from construction."""
+        return _rep_of(self.kraus)
+
+    @functools.cached_property
+    def _kraus_adjoint(self) -> np.ndarray:
+        return _adjoint_rows(self.kraus)
 
     @classmethod
     def _built(cls, dim: int, rep: np.ndarray):
@@ -110,28 +105,22 @@ class Superoperator:
         return s
 
     @classmethod
-    def _from_stack(cls, ks: np.ndarray, rep=None):
+    def _from_stack(cls, ks: np.ndarray):
         """The map with the (n, d, d) Kraus stack ``ks``, made read-only to
-        keep matching the rep.  On the stack route it holds no rep until
-        one is read; any other map gets ``rep()`` now, or ``_rep_of(ks)``
-        when ``rep`` is None."""
+        keep matching the rep, which is computed on first read."""
         ks.flags.writeable = False
         s = object.__new__(cls)
         vars(s).update(dim=ks.shape[1], kraus=ks)
-        if not _on_stack(s):
-            vars(s)["rep"] = _rep_of(ks) if rep is None else rep()
         return s
 
     @classmethod
     def zero(cls, dim: int) -> "Superoperator":
-        empty = np.zeros((0, dim, dim), dtype=complex)
-        return cls._from_stack(empty, lambda: np.zeros((dim * dim,) * 2, dtype=complex))
+        return cls._from_stack(np.zeros((0, dim, dim), dtype=complex))
 
     @classmethod
     def sandwich(cls, a: np.ndarray) -> "Superoperator":
         """The map X -> A X A^dagger, with the Kraus stack [A]."""
-        a = matcore.as_complex_matrix(a)
-        return cls._from_stack(a[None].copy(), lambda: np.kron(a.conj(), a))
+        return cls._from_stack(matcore.as_complex_matrix(a)[None].copy())
 
     @classmethod
     def from_kraus(cls, kraus) -> "Superoperator":
@@ -147,22 +136,18 @@ class Superoperator:
     @classmethod
     def sum_of(cls, dim: int, maps: list) -> "Superoperator":
         """The sum of ``maps``, all of dimension ``dim``.  When every map has
-        a Kraus stack the sum holds their concatenation, and only the sum is
-        put on or off the stack route; its rep, when one is built, is the
-        maps' reps added to zeros in order, with no rep of a partial sum."""
+        a Kraus stack the sum is the map of their concatenation; otherwise
+        it holds their reps added to zeros in order, with no rep of a
+        partial sum."""
         if any(t.dim != dim for t in maps):
             raise ValueError("dimension mismatch")
-
-        def rep():
-            out = np.zeros((dim * dim,) * 2, dtype=complex)
-            for t in maps:
-                out += t.rep
-            return out
-
-        if any(t.kraus is None for t in maps):
-            return cls._built(dim, rep())
-        empty = np.zeros((0, dim, dim), dtype=complex)
-        return cls._from_stack(np.concatenate([empty, *(t.kraus for t in maps)]), rep)
+        if all(t.kraus is not None for t in maps):
+            empty = np.zeros((0, dim, dim), dtype=complex)
+            return cls._from_stack(np.concatenate([empty, *(t.kraus for t in maps)]))
+        out = np.zeros((dim * dim,) * 2, dtype=complex)
+        for t in maps:
+            out += t.rep
+        return cls._built(dim, out)
 
     def compose(self, other: "Superoperator") -> "Superoperator":
         """self after other: X -> self(other(X)), with rep ``rep @ rep``."""
@@ -170,11 +155,6 @@ class Superoperator:
             raise ValueError("dimension mismatch")
         return Superoperator._built(self.dim, self.rep @ other.rep)
 
-
-# Below d = 9 per-call overhead outweighs the stack's flop saving: inside
-# 4n <= d the rep is faster there in every cell of the stack-against-rep
-# table in ROADMAP but (8,1) at 21 and 51 matrices.
-KRAUS_ROUTE_MIN_DIM = 9
 
 # From d = 12 writing the rep in place, with no second d^4 array and no
 # strided copy, wins at every n of the per-call table in ROADMAP in warm
@@ -201,10 +181,10 @@ def _rep_of(ks: np.ndarray) -> np.ndarray:
 
 
 def _on_stack(s: Superoperator) -> bool:
-    """Whether ``apply*`` take s through its Kraus stack of n operators:
-    when d >= ``KRAUS_ROUTE_MIN_DIM`` and 4n <= d, where the stack's 2n d^3
-    flops per matrix are at most half the rep's d^4."""
-    return s.kraus is not None and s.dim >= KRAUS_ROUTE_MIN_DIM and 4 * len(s.kraus) <= s.dim
+    """Whether s is taken through its Kraus stack of n operators: when
+    4n <= d, where the stack's 2n d^3 flops per matrix are at most half the
+    rep's d^4."""
+    return s.kraus is not None and 4 * len(s.kraus) <= s.dim
 
 
 def _adjoint_rows(ks: np.ndarray) -> np.ndarray:
@@ -216,18 +196,17 @@ def _adjoint_rows(ks: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _kraus_sum(ks: np.ndarray, ms: np.ndarray, adj=None) -> np.ndarray:
+def _kraus_sum(ks: np.ndarray, ms: np.ndarray, adj: np.ndarray) -> np.ndarray:
     """sum_k K_k X K_k^dagger for every X of an (m, d, d) stack, from an
     (n, d, d) stack K in two GEMMs: K stacked as (n d x d) times the X side
     by side (d x m d) gives every K_k X_j; regrouped so that row block j
     holds [K_1 X_j ... K_n X_j], that times ``adj``, the K_k^dagger as
-    (n d x d) rows (``_adjoint_rows(ks)`` when None), is the sum over k for
-    every j."""
+    (n d x d) rows (``_adjoint_rows(ks)``), is the sum over k for every j."""
     n, d = ks.shape[:2]
     m = len(ms)
     y = ks.reshape(n * d, d) @ ms.transpose(1, 0, 2).reshape(d, m * d)
     z = y.reshape(n, d, m, d).transpose(2, 1, 0, 3).reshape(m * d, n * d)
-    return (z @ (_adjoint_rows(ks) if adj is None else adj)).reshape(m, d, d)
+    return (z @ adj).reshape(m, d, d)
 
 
 def apply(s: Superoperator, m) -> np.ndarray:
@@ -295,6 +274,26 @@ def unit_image(s: Superoperator) -> np.ndarray:
     return s.rep[:: s.dim + 1].sum(axis=0).reshape(s.dim, s.dim)
 
 
+def sum_residual(total: Superoperator, parts: list) -> float:
+    """The largest entry modulus of rep(sum of ``parts``) - rep(``total``).
+    When ``total`` and every part are on the stack route no rep is read:
+    with V the parts' stacks and W the total's, flattened to rows of d^2
+    entries, the one product [V; W]^dagger [V; -W] holds the entries of
+    that difference in another order.  Otherwise the difference is summed
+    in one fresh accumulator, -rep(total) with each part's rep added in
+    place, so no input rep is written."""
+    d = total.dim
+    if all(map(_on_stack, [total, *parts])):
+        v = np.concatenate([t.kraus for t in parts]).reshape(-1, d * d)
+        w = total.kraus.reshape(-1, d * d)
+        diff = np.concatenate([v, w]).conj().T @ np.concatenate([v, -w])
+    else:
+        diff = -total.rep
+        for t in parts:
+            diff += t.rep
+    return matcore.max_abs(diff)
+
+
 def is_trace_preserving(s: Superoperator) -> bool:
     """Tr[s(X)] = Tr[X] on all matrix units, i.e. the dual fixes the identity."""
     return matcore.max_abs(unit_image(s) - np.eye(s.dim)) <= ROUNDOFF_TOL
@@ -303,21 +302,19 @@ def is_trace_preserving(s: Superoperator) -> bool:
 @dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """Block matrix [s(E_ij)]_ij; PSD exactly when the map is completely
-    positive.  ``kraus`` is the Kraus stack of the map it came from, set
-    only by ``choi``.  Equality is identity, as for ``Superoperator``."""
+    positive.  ``kraus`` is the Kraus stack of the map it came from, passed
+    on by ``choi``.  Equality is identity, as for ``Superoperator``."""
 
     dim: int
     matrix: np.ndarray
-    kraus: np.ndarray | None = field(default=None, init=False, repr=False)
+    kraus: np.ndarray | None = field(default=None, repr=False)
 
 
 def choi(s: Superoperator) -> ChoiMatrix:
     d = s.dim
     # rep[k + l*d, i + j*d] = s(E_ij)[k, l] = choi[i*d + k, j*d + l]
     m = s.rep.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
-    c = ChoiMatrix(d, m)
-    object.__setattr__(c, "kraus", s.kraus)
-    return c
+    return ChoiMatrix(d, m, s.kraus)
 
 
 def kraus_from_choi(c: ChoiMatrix) -> list:

@@ -759,3 +759,23 @@ def test_input_file_that_is_not_utf8_exits_two_naming_it(tmp_path, z_obs, capsys
     err = capsys.readouterr().err
     assert err.startswith(f"error: {paths[which]}: not UTF-8 text: "), err
     assert "byte 0xff in position 0" in err
+
+
+@pytest.mark.parametrize("case", ["long integer", "deep nesting"])
+def test_input_json_that_python_cannot_hold_exits_two_naming_the_file(tmp_path, z_obs, capsys, case):
+    # an integer past Python's 4,300-digit conversion limit, or arrays
+    # nested past the recursion limit
+    mpath = write_model(tmp_path, von_neumann_model(z_obs, 2))
+    bad = tmp_path / "bad.json"
+    if case == "long integer":
+        bad.write_text('{"vector": [[1' + "0" * 5000 + ', 0], [0, 0]]}')
+        argv, why = ["reduce", mpath, "--state", str(bad), "--outcome", "1"], "Exceeds the limit"
+    else:
+        bad.write_text("[" * 200_000)
+        argv, why = ["check-model", str(bad)], "nested too deeply"
+    with pytest.raises(ser.ParseError, match="^" + re.escape(f"{bad}: ")):
+        ser.load_file(str(bad))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: ") and why in captured.err, captured.err
+    assert captured.out == ""

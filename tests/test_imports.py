@@ -4,7 +4,8 @@ helper and fixture that ``tests/conftest.py`` defines is used by a test
 module.  Every public function of the kernel modules, ``matcore`` and
 ``superop``, and every public method of their map classes, is named by
 another library module, a demo or the benchmark: an API that only tests
-call belongs in ``tests/conftest.py``."""
+call belongs in ``tests/conftest.py``.  The route rule and the kernels it
+picks between are named only inside ``superop``."""
 
 import ast
 from pathlib import Path
@@ -90,3 +91,15 @@ def test_every_public_kernel_function_has_a_caller_outside_the_tests():
     assert len(public) > 15
     unused = [f"{module}.{qual}" for module, qual, name in public if name not in callers[module]]
     assert not unused, "kernel API with no caller outside the tests: " + ", ".join(unused)
+
+
+def test_the_route_rule_stays_in_superop():
+    # how a map is stored and applied is decided in one module: another
+    # library module asks ``superop`` (``apply*``, ``unit_image``,
+    # ``sum_residual``) instead of naming the rule or its kernels
+    private = {"_on_stack", "_rep_of", "_kraus_sum", "_adjoint_rows"}
+    src = ROOT / "src" / "reduction_lab"
+    assert private <= _names(src / "superop.py")
+    named = [f"{p.name}: {', '.join(sorted(private & _names(p)))}"
+             for p in sorted(src.glob("*.py")) if p.name != "superop.py" and private & _names(p)]
+    assert not named, "route rule named outside superop:\n" + "\n".join(named)

@@ -20,7 +20,6 @@ from reduction_lab.quantum import (
     projector_onto,
 )
 from reduction_lab.superop import (
-    KRAUS_ROUTE_MIN_DIM,
     ChoiMatrix,
     Superoperator,
     apply,
@@ -29,6 +28,7 @@ from reduction_lab.superop import (
     choi,
     is_trace_preserving,
     kraus_from_choi,
+    sum_residual,
     trace_of_map,
     unit_image,
 )
@@ -128,33 +128,50 @@ def _close(got: np.ndarray, want: np.ndarray) -> bool:
 
 @st.composite
 def route_cases(draw):
-    """``(d, n, m, stack)``: a d x d map with n Kraus operators applied to m
-    matrices, drawn on the stack side of the route rule (d >= 9, 4n <= d)
-    when ``stack`` is true and on the rep side otherwise."""
-    stack = draw(st.booleans())
-    if stack:
-        d = draw(st.integers(KRAUS_ROUTE_MIN_DIM, 20))
-        n = draw(st.integers(1, d // 4))
+    """``(d, n, m)``: a d x d map with n Kraus operators applied to m
+    matrices, with d >= 2 and n from 0 (``zero``) and 1 (``sandwich``) up
+    to d + 1, so that both sides of the route rule 4n <= d are drawn; the
+    edge 4n = d is drawn on its own."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        d = 4 * n
     else:
-        d = draw(st.integers(1, 20))
-        n = draw(st.integers(d // 4 + 1 if d >= KRAUS_ROUTE_MIN_DIM else 1, d + 1))
-    return d, n, draw(st.integers(1, 21)), stack
+        d = draw(st.integers(2, 20))
+        n = draw(st.integers(0, d + 1))
+    return d, n, draw(st.integers(1, 21))
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+def _built_from(rng, d, n):
+    """A map with a stack of n random operators, through the builder that
+    makes it: ``zero`` for n = 0, ``sandwich`` for n = 1, else
+    ``from_kraus``."""
+    if n == 0:
+        return Superoperator.zero(d)
+    if n == 1:
+        return Superoperator.sandwich(random_matrix(rng, d))
+    return Superoperator.from_kraus([random_matrix(rng, d) for _ in range(n)])
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(route_cases(), st.integers(0, 2**32 - 1))
 def test_both_routes_give_the_same_images(case, seed):
-    d, n, m, stack = case
+    d, n, m = case
     rng = np.random.default_rng(seed)
-    s = Superoperator.from_kraus([random_matrix(rng, d) for _ in range(n)])
-    plain = Superoperator(d, s.rep)  # no stack: always the rep route
-    assert superop._on_stack(s) == stack and not superop._on_stack(plain)
+    s = _built_from(rng, d, n)
+    stack = 4 * n <= d
+    assert superop._on_stack(s) == stack and set(vars(s)) == {"dim", "kraus"}
     ms = np.stack([random_matrix(rng, d) for _ in range(m)])
-    assert _close(apply(s, ms[0]), apply(plain, ms[0]))
-    assert _close(apply_stack(s, ms), apply_stack(plain, ms))
-    assert _close(apply_dual_stack(s, ms), apply_dual_stack(plain, ms))
+    got = (apply(s, ms[0]), apply_stack(s, ms), apply_dual_stack(s, ms))
+    # the rep route computed the rep on its first apply, the stack route never
+    assert ("rep" in vars(s)) != stack
+    plain = Superoperator(d, s.rep)  # no stack: always the rep route
+    assert not superop._on_stack(plain)
+    assert _close(got[0], apply(plain, ms[0]))
+    assert _close(got[1], apply_stack(plain, ms))
+    assert _close(got[2], apply_dual_stack(plain, ms))
     # the kernel itself, also where the rule keeps the rep route
-    assert _close(superop._kraus_sum(s.kraus, ms), apply_stack(plain, ms))
+    adj = superop._adjoint_rows(s.kraus)
+    assert _close(superop._kraus_sum(s.kraus, ms, adj), apply_stack(plain, ms))
 
 
 @pytest.mark.parametrize("d", [3, 8, 9, 16])
@@ -162,8 +179,9 @@ def test_an_empty_stack_and_a_sandwich_take_the_route_rule(rng, d):
     a = random_matrix(rng, d)
     ms = np.stack([random_matrix(rng, d) for _ in range(3)])
     zero, sandwich = Superoperator.zero(d), Superoperator.sandwich(a)
-    # 4n <= d holds for n = 0 and 1 from d = 4, so only the floor decides
-    assert superop._on_stack(zero) == superop._on_stack(sandwich) == (d >= KRAUS_ROUTE_MIN_DIM)
+    # 4n <= d holds for n = 0 at every d and for n = 1 from d = 4
+    assert superop._on_stack(zero) and superop._on_stack(sandwich) == (d >= 4)
+    assert set(vars(zero)) == set(vars(sandwich)) == {"dim", "kraus"}
     for f in (apply_stack, apply_dual_stack):
         assert np.array_equal(f(zero, ms), np.zeros_like(ms))
     assert np.array_equal(apply(zero, ms[0]), np.zeros((d, d)))
@@ -196,16 +214,18 @@ def test_a_stack_route_map_keeps_read_only_adjoint_rows_and_no_rep(rng, d):
 
 @pytest.mark.parametrize("d, n", [(8, 2), (9, 1), (9, 2), (12, 3), (16, 4), (16, 5)])
 def test_applies_give_the_same_bits_on_a_cold_and_a_warm_cache(rng, d, n):
-    # both sides of KRAUS_ROUTE_MIN_DIM and of 4n <= d
+    # both sides of 4n <= d
     ks = np.stack([random_matrix(rng, d) for _ in range(n)])
     ms = np.stack([random_matrix(rng, d) for _ in range(5)])
-    on_stack = d >= KRAUS_ROUTE_MIN_DIM and 4 * n <= d
+    on_stack = 4 * n <= d
     # each function with its input and the form that rebuilt the adjoints
     # on every call
+    adj, dual_ks = superop._adjoint_rows(ks), ks.conj().transpose(0, 2, 1)
     calls = [
-        (apply, ms[0], lambda: superop._kraus_sum(ks, ms[:1])[0]),
-        (apply_stack, ms, lambda: superop._kraus_sum(ks, ms)),
-        (apply_dual_stack, ms, lambda: superop._kraus_sum(ks.conj().transpose(0, 2, 1), ms)),
+        (apply, ms[0], lambda: superop._kraus_sum(ks, ms[:1], adj)[0]),
+        (apply_stack, ms, lambda: superop._kraus_sum(ks, ms, adj)),
+        (apply_dual_stack, ms,
+         lambda: superop._kraus_sum(dual_ks, ms, superop._adjoint_rows(dual_ks))),
     ]
     for f, x, per_call in calls:
         s = Superoperator.from_kraus(ks)  # a cold cache for each function
@@ -223,19 +243,42 @@ def test_a_sum_of_maps_holds_their_stacks_and_the_sum_of_their_reps(rng, d):
     plain = Superoperator(d, random_matrix(rng, d * d))
     for maps in (stacked, [*stacked, plain], []):
         total = Superoperator.sum_of(d, maps)
-        # the component reps added to zeros in order, whichever route
         want = np.zeros((d * d, d * d), dtype=complex)
         for t in maps:
             want = want + t.rep
-        assert np.array_equal(total.rep, want)
         if plain in maps:
-            assert total.kraus is None
+            # the component reps added to zeros in order
+            assert total.kraus is None and np.array_equal(total.rep, want)
         else:
+            # the map of the concatenated stacks, its rep unbuilt until read
             stacks = np.concatenate([np.zeros((0, d, d)), *(t.kraus for t in maps)])
             assert np.array_equal(total.kraus, stacks)
-            assert superop._on_stack(total) == (d >= KRAUS_ROUTE_MIN_DIM and 4 * len(stacks) <= d)
+            assert set(vars(total)) == {"dim", "kraus"}
+            assert superop._on_stack(total) == (4 * len(stacks) <= d)
+            assert np.array_equal(total.rep, superop._rep_of(stacks))
+            assert matcore.max_abs(total.rep - want) <= 1e-14 * max(1.0, matcore.max_abs(want))
     with pytest.raises(ValueError, match="^dimension mismatch$"):
         Superoperator.sum_of(d, [*stacked, identity_map(d + 1)])
+
+
+@pytest.mark.parametrize("d, plain_part", [(3, False), (12, False), (12, True)])
+def test_sum_residual_is_the_largest_entry_of_the_rep_difference(rng, d, plain_part):
+    # at d = 12 with stacks only, every map holds 4n <= d and the residual
+    # comes from the stacks; at d = 3, or with a part that has no stack,
+    # from the reps
+    parts = [Superoperator.zero(d), Superoperator.sandwich(random_matrix(rng, d)),
+             Superoperator.from_kraus([random_matrix(rng, d) for _ in range(2)])]
+    if plain_part:
+        parts.append(Superoperator(d, random_matrix(rng, d * d)))
+    total = Superoperator.from_kraus([random_matrix(rng, d) for _ in range(3)])
+    on_stack = all(map(superop._on_stack, [total, *parts]))
+    assert on_stack == (d == 12 and not plain_part)
+    got = sum_residual(total, parts)
+    assert all(("rep" in vars(t)) != on_stack for t in [total, *parts] if t.kraus is not None)
+    want = matcore.max_abs(sum(t.rep for t in parts) - total.rep)
+    assert want > 1.0 and abs(got - want) <= 1e-13 * want
+    # a total that is the sum of the parts leaves only roundoff
+    assert sum_residual(Superoperator.sum_of(d, parts), parts) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("ds, da, kernel_calls", [(12, 2, 14), (8, 16, 0)])
@@ -279,8 +322,8 @@ def test_a_faithful_model_applies_through_its_stack_when_the_rule_says(
 @pytest.mark.parametrize("ds, da", [(12, 2), (8, 16)])
 def test_only_a_map_off_the_stack_route_builds_its_rep(rng, monkeypatch, ds, da):
     # (12,2): every map of the operation route holds 2 Kraus operators and
-    # none writes its rep; (8,16): 16 operators under the floor, and every
-    # map writes its rep when it is built, as from_kraus always did
+    # none writes its rep; (8,16): 16 operators, 4n > d, and every map
+    # writes its rep when validation first reads it
     model = random_faithful_model(half_split(ds, 3), da, seed=3, sigma_rank=1)
     g = random_matrix(rng, ds)[:, 0]
     rho = PureState(g / np.linalg.norm(g)).to_density()
@@ -289,17 +332,18 @@ def test_only_a_map_off_the_stack_route_builds_its_rep(rng, monkeypatch, ds, da)
     monkeypatch.setattr(superop, "_rep_of", lambda ks: builds.append(ks) or original(ks))
     operation = instrument_of(model), instrument_from_operation(operation_of(model), model.observable)
     maps = [t for ins in operation for t in (ins.total, *ins.components.values())]
-    on_stack = ds >= KRAUS_ROUTE_MIN_DIM
+    on_stack = 4 * len(maps[0].kraus) <= ds
+    assert on_stack == (ds == 12)
     assert all(superop._on_stack(t) == on_stack for t in maps)
     assert all(("rep" in vars(t)) != on_stack for t in maps)
     assert len(builds) == (0 if on_stack else len(maps))
     # the probe route's total holds all 4 of its components' operators:
-    # off the route at d = 12, so building and validating it read reps,
-    # one per component and none of a partial sum
+    # off the route at d = 12, so validating it reads reps, its own from
+    # its concatenated stack and one per component, none of a partial sum
     built = len(builds)
     probe = probe_instrument_of(model)
     assert not superop._on_stack(probe.total) and "rep" in vars(probe.total)
-    assert len(builds) == built + 2
+    assert len(builds) == built + 3
     built = len(builds)
     for ins in (*operation, probe):
         instrument.verify_theorem1(ins)
@@ -440,11 +484,10 @@ def test_from_kraus_rep_matches_the_tensordot_form(rng, d, n):
     ks = np.stack([random_matrix(rng, d) for _ in range(n)])
     rep = np.tensordot(ks.conj(), ks, axes=(0, 0)).transpose(0, 2, 1, 3)
     s = Superoperator.from_kraus(ks)
-    # on the stack route ((12,3), (16,4), (20,1)) the rep is computed when
-    # first read, with the same bits
-    assert ("rep" in vars(s)) != superop._on_stack(s)
+    # on either route the rep is computed when first read, then kept
+    assert set(vars(s)) == {"dim", "kraus"}
     assert np.array_equal(s.rep, rep.reshape(d * d, d * d))
-    assert "rep" in vars(s)
+    assert "rep" in vars(s) and s.rep is vars(s)["rep"]
 
 
 @pytest.mark.parametrize("d", [8, 9, 10, 11, 12, 13, 17, 20])
@@ -455,7 +498,9 @@ def test_from_kraus_rep_is_the_kron_sum_on_both_sides_of_the_block_floor(rng, d)
     for n in sorted({1, 2, max(1, d // 4), d, 4 * d}):
         ks = np.stack([random_matrix(rng, d) for _ in range(n)])
         want = sum(np.kron(k.conj(), k) for k in ks)
-        rep = Superoperator.from_kraus(ks).rep
+        s = Superoperator.from_kraus(ks)
+        assert set(vars(s)) == {"dim", "kraus"}, n
+        rep = s.rep
         assert rep.shape == (d * d, d * d) and rep.dtype == np.complex128
         assert rep.flags.c_contiguous
         assert matcore.max_abs(rep - want) <= 1e-14 * matcore.max_abs(want), n
