@@ -53,52 +53,32 @@ class VerificationReport:
         return max((r.residual for r in self.records), default=0.0)
 
 
-def _random_stack(rng: np.random.Generator, trials: int, dim: int) -> np.ndarray:
-    """A (trials, dim, dim) stack of complex Ginibre samples in one draw.
-    The stream order is one matrix at a time, real part then imaginary
-    part, so the samples are those of a per-matrix loop."""
-    g = rng.standard_normal((trials, 2, dim, dim))
-    return g[:, 0] + 1j * g[:, 1]
-
-
-def _draw(seed, trials: int, dim: int) -> np.ndarray:
-    """The read-only (trials + 1, dim, dim) stack of the identity followed
-    by ``trials`` Ginibre samples drawn from ``np.random.default_rng(seed)``."""
-    xs = _random_stack(np.random.default_rng(seed), trials, dim)
-    unit_xs = np.concatenate([np.eye(dim, dtype=complex)[None], xs])
-    unit_xs.flags.writeable = False
-    return unit_xs
+# The verifiers' sample counts, fixed rather than parameters: fewer samples
+# would probe fewer directions and so loosen both checks.
+THEOREM1_SAMPLES = 20
+DUAL_SAMPLES = 50
 
 
 @functools.lru_cache(maxsize=16)
-def _sample_set(seed: int, trials: int, dim: int) -> np.ndarray:
-    """The samples of one integer ``(seed, trials, dim)``, drawn once per
-    process and held for the 16 most recent keys: the identity, then the
-    Ginibre stack.  ``verify_theorem1`` reads ``[1:]``, ``verify_dual_lemma``
-    all of it.
+def _samples(seed: int, dim: int) -> np.ndarray:
+    """The verifiers' read-only (``DUAL_SAMPLES`` + 1, dim, dim) stack: the
+    identity, then ``DUAL_SAMPLES`` complex Ginibre samples drawn in one
+    call from ``np.random.default_rng(seed)``.  The stream order is one
+    matrix at a time, real part then imaginary part, so row k is the k-th
+    sample of a per-matrix loop, and ``verify_theorem1``'s rows 1 to
+    ``THEOREM1_SAMPLES`` are the first samples ``verify_dual_lemma`` reads.
 
-    The samples depend on nothing else, so only a process that verifies
-    several instruments of one dimension at one seed and trial count reuses
-    them: a loop over models at the verifiers' defaults, such as the
-    benchmark's ``ladder``, ``wide_object`` and ``cli_small`` passes or
-    repeated in-process ``cli.main`` calls.  A one-shot CLI process, the
-    demo and the property and acceptance tests, which change the seed per
-    model, never reuse an entry.  No instrument data is held, so no record
-    can come from the cache.  An entry holds 16 * (trials + 1) * d^2 bytes:
-    470,016 bytes at d = 24 and 50 trials, so 16 such entries hold at most
-    7,520,256 bytes."""
-    return _draw(seed, trials, dim)
-
-
-def _samples(seed, trials, dim: int) -> np.ndarray:
-    """The verifiers' samples: cached for an integer seed, drawn afresh on
-    every call for any other seed ``np.random.default_rng`` takes (``None``,
-    a ``Generator``, a sequence of integers)."""
-    try:
-        key = operator.index(seed)
-    except TypeError:
-        return _draw(seed, trials, dim)
-    return _sample_set(key, operator.index(trials), dim)
+    The verifiers pass ``operator.index(seed)``, so a seed that is not an
+    integer raises ``TypeError`` before it can meet the entry of an equal
+    integer: 2.0 would otherwise be served the entry of 2.  Entries are
+    held for the 16 most recent ``(seed, dim)`` keys and hold no instrument
+    data, so no record can come from the cache.  An entry holds
+    51 * d^2 * 16 bytes: 470,016 bytes at d = 24, so 16 entries hold at most
+    7,520,256 bytes there."""
+    g = np.random.default_rng(seed).standard_normal((DUAL_SAMPLES, 2, dim, dim))
+    unit_xs = np.concatenate([np.eye(dim, dtype=complex)[None], g[:, 0] + 1j * g[:, 1]])
+    unit_xs.flags.writeable = False
+    return unit_xs
 
 
 @dataclass(frozen=True)
@@ -206,7 +186,7 @@ def outcome_probability(ins: Instrument, a: float, rho: DensityOperator) -> floa
     """Tr[T_a(rho)], clamped to [0, 1] within the roundoff band; a value
     outside the band raises ``NumericalConsistencyError``."""
     if ins.dim != rho.dim:
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"dimension mismatch: state dim {rho.dim}, instrument dim {ins.dim}")
     return clamp_probability(superop.trace_of_map(ins.component(a), rho).real)
 
 
@@ -215,7 +195,7 @@ def reduce(ins: Instrument, a: float, rho: DensityOperator) -> DensityOperator:
     T_a(rho) / Tr[T_a(rho)], with the probability band-checked as in
     ``outcome_probability``."""
     if ins.dim != rho.dim:
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"dimension mismatch: state dim {rho.dim}, instrument dim {ins.dim}")
     return _reduce_image(a, apply(ins.component(a), rho))
 
 
@@ -266,7 +246,7 @@ def nonselective(ins: Instrument, rho: DensityOperator) -> DensityOperator:
     """Outcome-averaged state change: ``_normalised`` of the total
     operation applied to rho."""
     if ins.dim != rho.dim:
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"dimension mismatch: state dim {rho.dim}, instrument dim {ins.dim}")
     return _normalised(apply(ins.total, rho))
 
 
@@ -282,7 +262,7 @@ def instrument_from_operation(t: Superoperator, obs: DiscreteObservable) -> Inst
     worst outcome above ``VERIFY_TOL`` raises ``NotAMeasurementOfAError``.
     """
     if t.dim != obs.dim:
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"dimension mismatch: operation dim {t.dim}, observable dim {obs.dim}")
     heis_one = superop.unit_image(t)
     resid = {a: matcore.spectral_norm(p @ heis_one @ p - p) for a, p in obs.outcomes}
     worst = max(resid, key=resid.get)
@@ -368,30 +348,25 @@ def _max_abs_each(ms: np.ndarray) -> list:
 
 
 def verify_theorem1(
-    ins: Instrument, trials: int = 20, seed: int = 0, tol: float = VERIFY_TOL
+    ins: Instrument, seed: int = 0, tol: float = VERIFY_TOL
 ) -> VerificationReport:
     """Check the three equal forms T_a(X) = T(E X) = T(X E) = T(E X E) on
     random trace-class operators, including non-Hermitian ones.
 
-    The samples are one (trials, d, d) stack.  Each T_a maps it in one call
-    of ``superop.apply_stack``.  The projected samples E X, X E and (E X) E
-    are formed by ``_projected`` as 2-D GEMMs on the stack laid out once
-    per call, and T maps each form in one call over the outcomes of a
-    group (``_outcome_groups``): two GEMMs through the map's Kraus stack
-    when that stack is small against d, else one matmul on its rep.  A
-    record's residual is the largest entry of a difference over all
-    samples, taken for a whole group in one reduction; it passes at
-    ``tol``.
-
-    ``seed`` is anything ``np.random.default_rng`` takes.  For an integer
-    seed the samples depend only on ``(seed, trials, d)``; they come
-    read-only from a per-process cache of the 16 most recent keys
-    (``_sample_set``), so they are drawn once per key in a process.  Any
-    other seed draws afresh.  The images, residuals and verdicts are
-    computed on every call.
+    The samples are rows 1 to ``THEOREM1_SAMPLES`` of the integer seed's
+    ``_samples`` stack, the first samples ``verify_dual_lemma`` reads at
+    that seed.  Each T_a maps them in one call of ``superop.apply_stack``.
+    The projected samples E X, X E and (E X) E are formed by ``_projected``
+    as 2-D GEMMs on the samples laid out once per call, and T maps each form
+    in one call over the outcomes of a group (``_outcome_groups``): two
+    GEMMs through the map's Kraus stack when that stack is small against d,
+    else one matmul on its rep.  A record's residual is the largest entry of
+    a difference over all samples, taken for a whole group in one
+    reduction; it passes at ``tol``.  The images, residuals and verdicts
+    are computed on every call.
     """
     d = ins.dim
-    xs = _samples(seed, trials, d)[1:]
+    xs = _samples(operator.index(seed), d)[1 : THEOREM1_SAMPLES + 1]
     layouts = _layouts(xs)
     records = []
     for values, ps in _outcome_groups(ins.observable):
@@ -410,7 +385,7 @@ def verify_theorem1(
 
 
 def verify_dual_lemma(
-    ins: Instrument, trials: int = 50, seed: int = 0, tol: float = VERIFY_TOL
+    ins: Instrument, seed: int = 0, tol: float = VERIFY_TOL
 ) -> VerificationReport:
     """Check the dual-map hypotheses and conclusion:
 
@@ -418,23 +393,19 @@ def verify_dual_lemma(
     - each component's dual maps the identity to the outcome projector,
     - T_a*(X) equals E T*(X), T*(X) E, and E T*(X) E on random bounded X.
 
-    The samples are one (trials, d, d) stack with the identity in front.
-    T* and each T_a* are applied to it in one call each of
-    ``superop.apply_dual_stack``, through the adjoints of the map's own
-    Kraus stack when that stack is small against d, else with one matmul on
-    its rep, so no dual map is built; row 0 of an image stack is T*(1) or
-    T_a*(1).  E T*(X), T*(X) E and (E T*(X)) E are formed by ``_projected``
-    as 2-D GEMMs on the images laid out once per call, for the outcomes of
-    a group (``_outcome_groups``) at once, and each family's residuals of
-    a group come from one reduction.  Every record passes at ``tol``.
-
-    ``seed`` is anything ``np.random.default_rng`` takes.  For an integer
-    seed the stack depends only on ``(seed, trials, d)`` and comes
-    read-only from the per-process cache that ``verify_theorem1`` shares
-    (``_sample_set``, 16 keys), so it is drawn once per key in a process.
-    Any other seed draws afresh.
+    The samples are the integer seed's whole ``_samples`` stack, the
+    identity in front of ``DUAL_SAMPLES`` Ginibre samples, so a sample's
+    row means the same sample here and in ``verify_theorem1``.  T* and each
+    T_a* are applied to it in one call each of ``superop.apply_dual_stack``,
+    through the adjoints of the map's own Kraus stack when that stack is
+    small against d, else with one matmul on its rep, so no dual map is
+    built; row 0 of an image stack is T*(1) or T_a*(1).  E T*(X), T*(X) E
+    and (E T*(X)) E are formed by ``_projected`` as 2-D GEMMs on the images
+    laid out once per call, for the outcomes of a group
+    (``_outcome_groups``) at once, and each family's residuals of a group
+    come from one reduction.  Every record passes at ``tol``.
     """
-    unit_xs = _samples(seed, trials, ins.dim)
+    unit_xs = _samples(operator.index(seed), ins.dim)
     images = superop.apply_dual_stack(ins.total, unit_xs)
     layouts = _layouts(images[1:])
     records = [

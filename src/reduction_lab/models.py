@@ -196,11 +196,13 @@ def instrument_of(model: MeasurementModel, tol: float = VERIFY_TOL) -> Instrumen
 def probe_instrument_of(model: MeasurementModel) -> Instrument:
     """The conventional probe-route instrument (projection postulate applied
     to the probe detection), built from the Kraus stacks its consistency
-    check reads."""
+    check reads, over the model's operation as its total.  Sum_a Q_a = 1
+    makes sum_a T'_a = T exactly, so the completeness check compares the
+    probe route with the operation route."""
     _require_consistent(probe_consistency(model))
     stacks = zip(model.observable.eigenvalues, model.probe_route[0])
     components = {a: Superoperator.from_kraus(k) for a, k in stacks}
-    return Instrument(model.observable, components)
+    return Instrument(model.observable, components, total=operation_of(model))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +231,7 @@ def _complete_unitary(in_cols: np.ndarray, out_cols: np.ndarray) -> np.ndarray:
 def _projector_range(p: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the range of an orthogonal projector."""
     w, v = np.linalg.eigh((p + dagger(p)) / 2)
-    rank = int(round(np.real(np.trace(p))))
+    rank = int(round(matcore.trace(p).real))
     return v[:, ::-1][:, :rank]
 
 
@@ -268,7 +270,7 @@ def von_neumann_model(
     """
     n = len(observable.outcomes)
     for a, p in observable.outcomes:
-        if int(round(np.real(np.trace(p)))) != 1:
+        if int(round(matcore.trace(p).real)) != 1:
             raise DegenerateObservableError(
                 f"outcome {a} has a degenerate (rank > 1) eigenspace"
             )

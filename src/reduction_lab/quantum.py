@@ -220,7 +220,7 @@ def born_probability(obs: DiscreteObservable, a: float, rho: DensityOperator) ->
     """
     if obs.dim != rho.dim:
         raise ValueError(f"dimension mismatch: {obs.dim} vs {rho.dim}")
-    return clamp_probability(float(np.real(np.trace(obs.projector(a) @ rho.matrix))))
+    return clamp_probability(float(matcore.trace(obs.projector(a) @ rho.matrix).real))
 
 
 def clamp_probability(p: float) -> float:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import matcore
 from .errors import NumericalConsistencyError, ZeroProbabilityOutcomeError
 from .instrument import Instrument, _reduce_image, instrument_from_operation, luders_instrument
 from .matcore import PROBABILITY_FLOOR, ROUNDOFF_TOL, VERIFY_TOL
@@ -53,8 +54,9 @@ def joint_distribution(
     ``ROUNDOFF_TOL`` raises ``NumericalConsistencyError``.  Each T_a is
     applied once: rho_a is reduced from the image the table uses.
     """
-    if second.dim != model.dim_s or rho.dim != model.dim_s:
-        raise ValueError("dimension mismatch")
+    for name, dim in (("second observable", second.dim), ("state", rho.dim)):
+        if dim != model.dim_s:
+            raise ValueError(f"dimension mismatch: {name} dim {dim}, model dim_s {model.dim_s}")
     ins = instrument_of(model, tol)
     table = {}
     for a in model.observable.eigenvalues:
@@ -62,11 +64,11 @@ def joint_distribution(
         born = born_probability(model.observable, a, rho)
         reduced = _reduce_image(a, image) if born > PROBABILITY_FLOOR else None
         for x in second.eigenvalues:
-            p = float(np.real(np.trace(second.projector(x) @ image)))
+            p = float(matcore.trace(second.projector(x) @ image).real)
             table[(a, x)] = clamp_probability(p)
             if reduced is not None:
                 product = born * float(
-                    np.real(np.trace(second.projector(x) @ reduced.matrix))
+                    matcore.trace(second.projector(x) @ reduced.matrix).real
                 )
                 if not abs(p - product) <= ROUNDOFF_TOL:
                     raise NumericalConsistencyError(

@@ -146,7 +146,7 @@ def test_criterion_2_cross_route_equivalence(model_corpus):
         i_probe = probe_instrument_of(model)
         worst_diff = max(worst_diff, instrument_diff(i_dilation, i_probe))
         worst_th1 = max(
-            worst_th1, verify_theorem1(i_dilation, trials=10, seed=k).max_residual
+            worst_th1, verify_theorem1(i_dilation, seed=k).max_residual
         )
     elapsed = time.perf_counter() - start
     report(
@@ -191,7 +191,7 @@ def test_criterion_3_davies_lewis_axioms(instrument_corpus):
 def test_criterion_4_dual_lemma(instrument_corpus):
     worst = 0.0
     for k, (model, ins) in enumerate(instrument_corpus):
-        rep = verify_dual_lemma(ins, trials=50, seed=k)
+        rep = verify_dual_lemma(ins, seed=k)
         worst = max(worst, rep.max_residual)
     report(
         f"criterion 4: dual-map lemma (worst residual {worst:.2e})",

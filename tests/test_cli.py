@@ -189,6 +189,26 @@ def test_joint_command(tmp_path, z_obs, capsys):
         assert row["probability"] == pytest.approx(0.25, abs=1e-10)
 
 
+def test_reduce_and_joint_name_both_dimensions_of_a_mismatch(tmp_path, z_obs, capsys):
+    mpath = write_model(tmp_path, random_faithful_model(z_obs, 4, seed=1))
+    state2 = write(tmp_path, "state2.json", {"vector": [[1.0, 0.0], [0.0, 0.0]]})
+    state3 = write(tmp_path, "state3.json", {"vector": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]})
+    second3 = write(
+        tmp_path, "obs3.json",
+        ser.observable_to_json(observable_from_hermitian(np.diag([1.0, 0.0, -1.0]))),
+    )
+    for argv, message in (
+        (["reduce", mpath, "--state", state3, "--outcome", "1"],
+         "dimension mismatch: state dim 3, instrument dim 2"),
+        (["joint", mpath, "--second", second3, "--state", state2],
+         "dimension mismatch: second observable dim 3, model dim_s 2"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_demo_nonunique_command(capsys):
     assert main(["demo-nonunique"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -5,7 +5,8 @@ module.  Every public function of the kernel modules, ``matcore`` and
 ``superop``, and every public method of their map classes, is named by
 another library module, a demo or the benchmark: an API that only tests
 call belongs in ``tests/conftest.py``.  The route rule and the kernels it
-picks between are named only inside ``superop``."""
+picks between are named only inside ``superop``.  Every trace the library
+takes is ``matcore.trace``."""
 
 import ast
 from pathlib import Path
@@ -103,3 +104,24 @@ def test_the_route_rule_stays_in_superop():
     named = [f"{p.name}: {', '.join(sorted(private & _names(p)))}"
              for p in sorted(src.glob("*.py")) if p.name != "superop.py" and private & _names(p)]
     assert not named, "route rule named outside superop:\n" + "\n".join(named)
+
+
+def _foreign_traces(path: Path) -> list:
+    """The lines of a module that import numpy's ``trace`` or read a
+    ``trace`` attribute of anything but ``matcore``: ``np.trace`` or an
+    array's ``.trace()``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [node.lineno for alias in node.names if alias.name == "trace"]
+        elif isinstance(node, ast.Attribute) and node.attr == "trace":
+            if not (isinstance(node.value, ast.Name) and node.value.id == "matcore"):
+                found.append(node.lineno)
+    return [f"{path.relative_to(ROOT)}:{line}" for line in found]
+
+
+def test_every_library_trace_is_matcore_trace():
+    # one trace function: numpy's runs the same reduction behind a wrapper
+    paths = sorted((ROOT / "src").rglob("*.py"))
+    found = [entry for path in paths for entry in _foreign_traces(path)]
+    assert not found, "traces not taken by matcore.trace:\n" + "\n".join(found)

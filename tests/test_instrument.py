@@ -12,7 +12,6 @@ from reduction_lab.instrument import (
     CheckRecord,
     Instrument,
     VerificationReport,
-    _random_stack,
     instrument_from_operation,
     luders_instrument,
     nonselective,
@@ -218,7 +217,7 @@ def test_uniqueness_of_decomposition(z_obs, z_luders):
 
 
 def test_verify_theorem1_passes_luders(z_luders):
-    report = verify_theorem1(z_luders, trials=20, seed=3)
+    report = verify_theorem1(z_luders, seed=3)
     assert report.passed
     assert report.max_residual <= 1e-12
 
@@ -236,14 +235,14 @@ def test_verify_theorem1_detects_corruption(z_obs, z_luders):
     broken = Instrument(
         z_obs, corrupted, total=z_luders.total, validate_invariants=False
     )
-    report = verify_theorem1(broken, trials=10, seed=0)
+    report = verify_theorem1(broken, seed=0)
     assert not report.passed
     # residual scales with eps times the sample magnitude
     assert eps / 2 < report.max_residual < 20 * eps
 
 
 def test_verify_dual_lemma_passes_luders(z_luders):
-    report = verify_dual_lemma(z_luders, trials=50, seed=0)
+    report = verify_dual_lemma(z_luders, seed=0)
     assert report.passed
     assert report.max_residual <= 1e-12
 
@@ -265,15 +264,20 @@ def test_instrument_invariants_enforced(z_obs, z_luders):
         Instrument(z_obs, _scaled(z_luders, 0.5))
 
 
-def _loop_theorem1(ins, trials, seed, tol):
-    """Per-sample reference for verify_theorem1: every (outcome, sample)
-    pair through the four-state split and apply."""
+def _loop_samples(seed, d, count):
+    """The first ``count`` Ginibre samples of ``seed``, one matrix at a time."""
     rng = np.random.default_rng(seed)
-    d = ins.dim
-    samples = [
+    return [
         rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        for _ in range(trials)
+        for _ in range(count)
     ]
+
+
+def _loop_theorem1(ins, seed, tol):
+    """Per-sample reference for verify_theorem1: every (outcome, sample)
+    pair through the four-state split and apply, over the first 20
+    samples of the seed."""
+    samples = _loop_samples(seed, ins.dim, 20)
     records = []
     for a, p in ins.observable.outcomes:
         t_a = ins.component(a)
@@ -288,19 +292,15 @@ def _loop_theorem1(ins, trials, seed, tol):
     return records
 
 
-def _loop_dual_lemma(ins, trials, seed, tol):
-    """Per-sample reference for verify_dual_lemma."""
-    rng = np.random.default_rng(seed)
-    d = ins.dim
-    one = np.eye(d, dtype=complex)
+def _loop_dual_lemma(ins, seed, tol):
+    """Per-sample reference for verify_dual_lemma, over the first 50
+    samples of the seed."""
+    one = np.eye(ins.dim, dtype=complex)
     total_dual = dual(ins.total)
     records = [CheckRecord(
         "dual.total_unital", None, matcore.max_abs(apply(total_dual, one) - one), tol
     )]
-    samples = [
-        rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        for _ in range(trials)
-    ]
+    samples = _loop_samples(seed, ins.dim, 50)
     for a, p in ins.observable.outcomes:
         comp_dual = dual(ins.component(a))
         records.append(CheckRecord(
@@ -351,14 +351,15 @@ def _reference_instruments():
 def test_verifiers_match_per_sample_reference(name):
     ins = _reference_instruments()[name]
     cases = [
-        (verify_theorem1, _loop_theorem1, 20, 0, VERIFY_TOL),
-        (verify_theorem1, _loop_theorem1, 7, 11, 1e-6),
-        (verify_dual_lemma, _loop_dual_lemma, 50, 0, VERIFY_TOL),
-        (verify_dual_lemma, _loop_dual_lemma, 9, 5, 1e-6),
+        (verifier, reference, seed, tol)
+        for verifier, reference in (
+            (verify_theorem1, _loop_theorem1), (verify_dual_lemma, _loop_dual_lemma)
+        )
+        for seed, tol in ((0, VERIFY_TOL), (5, 1e-6), (11, 1e-6))
     ]
-    for verifier, reference, trials, seed, tol in cases:
-        got = verifier(ins, trials=trials, seed=seed, tol=tol).records
-        want = reference(ins, trials, seed, tol)
+    for verifier, reference, seed, tol in cases:
+        got = verifier(ins, seed=seed, tol=tol).records
+        want = reference(ins, seed, tol)
         assert [(r.check, r.outcome, r.tolerance, r.passed) for r in got] == [
             (r.check, r.outcome, r.tolerance, r.passed) for r in want
         ]
@@ -453,7 +454,7 @@ def _stacked_theorem1(ins):
     """``verify_theorem1`` at its defaults with the projected samples formed
     one outcome at a time by numpy's stacked ``@``, (P X) P associated as
     in ``p @ xs @ p``: the arithmetic the verifier's GEMMs must keep."""
-    xs = instrument._samples(0, 20, ins.dim)[1:]
+    xs = instrument._samples(0, ins.dim)[1:21]
     records = []
     for a, p in ins.observable.outcomes:
         lhs = superop.apply_stack(ins.component(a), xs)
@@ -466,7 +467,7 @@ def _stacked_theorem1(ins):
 def _stacked_dual_lemma(ins):
     """``verify_dual_lemma`` at its defaults with the sandwiches of T*(X)
     formed one outcome at a time by numpy's stacked ``@``."""
-    unit_xs = instrument._samples(0, 50, ins.dim)
+    unit_xs = instrument._samples(0, ins.dim)
     images = superop.apply_dual_stack(ins.total, unit_xs)
     txs = images[1:]
     records = [CheckRecord(
@@ -602,22 +603,20 @@ def test_each_form_detects_corruption(z_obs, z_luders, check):
     assert by_outcome[-1.0].passed
 
 
-@pytest.mark.parametrize("dim, trials", [(2, 20), (8, 50), (20, 3)])
-def test_random_stack_matches_per_matrix_loop(dim, trials):
-    rng = np.random.default_rng(11)
-    loop = np.array([
+@pytest.mark.parametrize("dim, seed", [(2, 20), (8, 50), (20, 3)])
+def test_random_stack_matches_per_matrix_loop(dim, seed, fresh_samples, drawn):
+    stack = fresh_samples(seed, dim)
+    # default_rng(seed) is this generator; made directly, it is not recorded
+    rng = np.random.Generator(np.random.PCG64(seed))
+    loop = np.array([np.eye(dim)] + [
         rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        for _ in range(trials)
+        for _ in range(50)
     ])
-    rng = np.random.default_rng(11)
-    stack = _random_stack(rng, trials, dim)
-    assert stack.shape == (trials, dim, dim) and stack.dtype == complex
+    assert stack.shape == (51, dim, dim) and stack.dtype == complex
     assert stack.tobytes() == loop.tobytes()
     # the stream continues where the loop left it
-    after = rng.standard_normal(3)
-    rng = np.random.default_rng(11)
-    rng.standard_normal(2 * trials * dim * dim)
-    assert np.array_equal(after, rng.standard_normal(3))
+    assert [key for key, _ in drawn] == [seed]
+    assert np.array_equal(drawn[0][1].standard_normal(3), rng.standard_normal(3))
 
 
 def test_building_an_instrument_builds_no_dual_and_rescans_no_rep(monkeypatch):
@@ -675,47 +674,54 @@ def test_validate_writes_no_rep():
 
 @pytest.fixture
 def fresh_samples():
-    instrument._sample_set.cache_clear()
-    yield instrument._sample_set
-    instrument._sample_set.cache_clear()
+    instrument._samples.cache_clear()
+    yield instrument._samples
+    instrument._samples.cache_clear()
 
 
-def test_verifier_samples_are_drawn_once_per_key(z_luders, fresh_samples, monkeypatch):
-    draws = []
+@pytest.fixture
+def drawn(monkeypatch):
+    """The ``(seed, generator)`` pairs of every ``np.random.default_rng``
+    call during a test, in order: one per draw of verifier samples."""
+    original, calls = np.random.default_rng, []
 
-    def counted(rng, trials, dim):
-        draws.append((trials, dim))
-        return _random_stack(rng, trials, dim)
+    def recorded(seed=None):
+        calls.append((seed, original(seed)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(instrument, "_random_stack", counted)
-    first = verify_theorem1(z_luders, trials=6, seed=2)
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    return calls
+
+
+def test_verifier_samples_are_drawn_once_per_key(z_luders, fresh_samples, drawn):
+    first = verify_theorem1(z_luders, seed=2)
     for _ in range(3):
-        assert verify_theorem1(z_luders, trials=6, seed=2) == first
-        verify_dual_lemma(z_luders, trials=6, seed=2)
+        assert verify_theorem1(z_luders, seed=2) == first
+        verify_dual_lemma(z_luders, seed=2)
     # both verifiers read the one entry of a key
-    assert draws == [(6, 2)]
+    assert [key for key, _ in drawn] == [2]
     assert fresh_samples.cache_info().currsize == 1
-    # a new seed, trial count or dimension is a new entry
+    # a new seed or dimension is a new entry
     three = luders_instrument(observable_from_hermitian(np.diag([1.0, 0.0, -1.0])))
-    verify_theorem1(z_luders, trials=6, seed=3)
-    verify_theorem1(z_luders, trials=7, seed=2)
-    verify_theorem1(three, trials=6, seed=2)
-    assert draws == [(6, 2), (6, 2), (7, 2), (6, 3)]
-    assert fresh_samples.cache_info().currsize == 4
-    verify_dual_lemma(z_luders, trials=8, seed=2)
-    assert len(draws) == 5 and fresh_samples.cache_info().currsize == 5
-    # an integer seed or trial count of another type is the same key
-    verify_theorem1(z_luders, trials=np.int64(6), seed=np.int64(2))
-    verify_dual_lemma(z_luders, trials=np.int64(6), seed=np.int64(2))
-    assert len(draws) == 5 and fresh_samples.cache_info().currsize == 5
+    verify_theorem1(z_luders, seed=3)
+    verify_dual_lemma(three, seed=2)
+    assert [key for key, _ in drawn] == [2, 3, 2]
+    assert fresh_samples.cache_info().currsize == 3
+    # an integer seed of another type is the same key
+    for seed in (np.int64(2), np.int64(3)):
+        verify_theorem1(z_luders, seed=seed)
+        verify_dual_lemma(z_luders, seed=seed)
+    verify_theorem1(three, seed=np.int64(2))
+    assert len(drawn) == 3 and fresh_samples.cache_info().currsize == 3
 
 
 def test_cached_samples_are_read_only_and_bounded(fresh_samples):
-    samples = fresh_samples(0, 4, 3)
+    # the counts are fixed: fewer samples would loosen both checks
+    assert (instrument.THEOREM1_SAMPLES, instrument.DUAL_SAMPLES) == (20, 50)
+    samples = fresh_samples(0, 3)
     # the identity, then the samples of the seed
-    assert samples.shape == (5, 3, 3)
+    assert samples.shape == (51, 3, 3)
     assert np.array_equal(samples[0], np.eye(3))
-    assert np.array_equal(samples[1:], _random_stack(np.random.default_rng(0), 4, 3))
     for a in (samples, samples[1:]):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -723,27 +729,44 @@ def test_cached_samples_are_read_only_and_bounded(fresh_samples):
     assert fresh_samples.cache_info().maxsize == 16
 
 
-def test_verifiers_split_no_sample(z_luders, fresh_samples):
+def test_verifiers_split_no_sample(z_luders, fresh_samples, monkeypatch):
     # T_a is linear, so it maps each sample directly: the four-density-
     # operator split is the tests' reference only, in conftest
     for name in ("_split", "decompose_trace_class", "decompose_stack"):
         assert not hasattr(superop, name), name
-    for seed in (0, None):
-        assert verify_theorem1(z_luders, seed=seed).passed
-        assert verify_dual_lemma(z_luders, seed=seed).passed
+    read = []
+    for name in ("apply_stack", "apply_dual_stack"):
+        original = getattr(superop, name)
+
+        def recorded(s, ms, original=original):
+            read.append(ms)
+            return original(s, ms)
+
+        monkeypatch.setattr(superop, name, recorded)
+    assert verify_theorem1(z_luders, seed=4).passed
+    theorem1 = read[0]
+    read.clear()
+    assert verify_dual_lemma(z_luders, seed=4).passed
+    # Theorem 1 maps rows 1-20 of the very stack the dual lemma maps
+    stack = read[0]
+    assert stack is fresh_samples(4, 2) and stack.shape == (51, 2, 2)
+    assert theorem1.base is stack and theorem1.tobytes() == stack[1:21].tobytes()
 
 
-def test_a_non_integer_seed_draws_afresh(z_luders, fresh_samples):
-    # None, a Generator or a sequence does not name one cache entry
+def test_a_non_integer_seed_is_refused_before_the_cache(z_luders, fresh_samples):
+    seeds = (None, 2.0, np.random.default_rng(2), [2])
     for verify in (verify_theorem1, verify_dual_lemma):
-        assert verify(z_luders, trials=3, seed=None).passed
-        by_generator = verify(z_luders, trials=3, seed=np.random.default_rng(2))
-        by_sequence = verify(z_luders, trials=3, seed=[2])
-        with pytest.raises(TypeError):
-            verify(z_luders, trials=3, seed=2.0)
-        assert fresh_samples.cache_info().currsize == 0
-        assert by_generator == by_sequence == verify(z_luders, trials=3, seed=2)
-        fresh_samples.cache_clear()
+        for seed in seeds:
+            with pytest.raises(TypeError):
+                verify(z_luders, seed=seed)
+    assert fresh_samples.cache_info().currsize == 0
+    # 2.0 == 2 as a cache key: a warm entry of 2 must not serve it
+    verify_theorem1(z_luders, seed=2)
+    for verify in (verify_theorem1, verify_dual_lemma):
+        for seed in seeds:
+            with pytest.raises(TypeError):
+                verify(z_luders, seed=seed)
+    assert fresh_samples.cache_info().currsize == 1
 
 
 def test_a_warm_sample_cache_still_fails_a_corrupted_instrument(z_obs, z_luders, fresh_samples):
@@ -760,6 +783,29 @@ def test_a_warm_sample_cache_still_fails_a_corrupted_instrument(z_obs, z_luders,
     cold = records()
     assert warm == cold
     assert not VerificationReport(warm).passed
+
+
+def test_a_dimension_mismatch_names_both_dimensions(z_obs, z_luders):
+    rho = maximally_mixed(3)
+    for call in (
+        lambda: outcome_probability(z_luders, 1.0, rho),
+        lambda: reduce(z_luders, 1.0, rho),
+        lambda: nonselective(z_luders, rho),
+    ):
+        with pytest.raises(ValueError, match="^dimension mismatch: state dim 3, instrument dim 2$"):
+            call()
+    with pytest.raises(
+        ValueError, match="^dimension mismatch: operation dim 3, observable dim 2$"
+    ):
+        instrument_from_operation(identity_map(3), z_obs)
+    model = random_faithful_model(z_obs, 4, seed=1)
+    for second, state, message in (
+        (observable_from_hermitian(np.diag([1.0, 0.0, -1.0])), maximally_mixed(2),
+         "second observable dim 3"),
+        (z_obs, rho, "state dim 3"),
+    ):
+        with pytest.raises(ValueError, match=f"^dimension mismatch: {message}, model dim_s 2$"):
+            joint_distribution(model, second, state)
 
 
 def test_validate_refuses_a_total_or_component_of_another_dimension(z_obs, z_luders):

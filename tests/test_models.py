@@ -324,13 +324,25 @@ def test_stacked_maps_skip_the_choi_eigendecomposition(model, monkeypatch):
 
 
 def test_compose_drops_a_stack_of_more_than_d_squared():
-    total = probe_instrument_of(_wide_model(8, 16, False, 2)).total
+    probe = probe_instrument_of(_wide_model(8, 16, False, 2))
+    total = Superoperator.sum_of(8, list(probe.components.values()))
     # 8 outcomes x 16 apparatus vectors x sigma rank 2
     assert len(total.kraus) == 256
     # 65,536 products against d^2 = 64: the product keeps its rep only
     product = total.compose(total)
     assert product.kraus is None
     assert matcore.max_abs(product.rep - total.rep @ total.rep) == 0.0
+
+
+@pytest.mark.parametrize("ds", [2, 4, 8])
+def test_probe_instrument_is_complete_against_the_operation(ds):
+    model = _wide_model(ds, 2 * ds, False, 2)
+    probe = probe_instrument_of(model)
+    # the total is the operation route's, not the sum of the probe route's
+    # own components: completeness compares the two routes
+    assert np.array_equal(probe.total.kraus, model.kraus)
+    assert len(probe.total.kraus) == 2 * (2 * ds)
+    assert probe.validate() <= 1e-14
 
 
 def test_probe_instrument_requires_probe(z_obs):

@@ -337,13 +337,16 @@ def test_only_a_map_off_the_stack_route_builds_its_rep(rng, monkeypatch, ds, da)
     assert all(superop._on_stack(t) == on_stack for t in maps)
     assert all(("rep" in vars(t)) != on_stack for t in maps)
     assert len(builds) == (0 if on_stack else len(maps))
-    # the probe route's total holds all 4 of its components' operators:
-    # off the route at d = 12, so validating it reads reps, its own from
-    # its concatenated stack and one per component, none of a partial sum
+    # the probe route's total is the operation, and each component holds as
+    # many operators: its maps take the operation's route, and validating
+    # them reads a rep only off the route, one per map
     built = len(builds)
     probe = probe_instrument_of(model)
-    assert not superop._on_stack(probe.total) and "rep" in vars(probe.total)
-    assert len(builds) == built + 3
+    probe_maps = [probe.total, *probe.components.values()]
+    assert all(len(t.kraus) == len(maps[0].kraus) for t in probe_maps)
+    assert all(superop._on_stack(t) == on_stack for t in probe_maps)
+    assert all(("rep" in vars(t)) != on_stack for t in probe_maps)
+    assert len(builds) == built + (0 if on_stack else len(probe_maps))
     built = len(builds)
     for ins in (*operation, probe):
         instrument.verify_theorem1(ins)
