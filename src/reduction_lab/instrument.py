@@ -3,8 +3,8 @@
 An ``Instrument`` pairs a discrete observable with one linear map per
 outcome plus their sum (the total operation).  Construction validates the
 Davies-Lewis style invariants: completeness, trace preservation of the
-total, the outcome-trace condition, and complete positivity of each
-component (read off its Kraus stack when it has one).
+total and the outcome-trace condition.  Every map is built from a Kraus
+stack, so each component is completely positive by type.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
 )
 from .matcore import PROBABILITY_FLOOR, ROUNDOFF_TOL, VERIFY_TOL
 from .quantum import DensityOperator, DiscreteObservable, clamp_probability, maximally_mixed
-from .superop import Superoperator, apply, choi
+from .superop import Superoperator, apply
 
 
 @dataclass(frozen=True)
@@ -113,22 +113,15 @@ class Instrument:
     def validate(self, tol: float = VERIFY_TOL) -> float:
         """Raise unless the components sum to the total within ``tol`` and,
         within ``ROUNDOFF_TOL``, the total is trace preserving and each
-        component meets the outcome-trace condition and is completely
-        positive; return the completeness residual, the largest entry of
-        the sum of the component reps minus the total's rep.
+        component meets the outcome-trace condition; return the
+        completeness residual, the largest entry of the sum of the
+        component reps minus the total's rep.  Complete positivity needs no
+        test: every map is built from a Kraus stack.
 
         ``superop`` decides how each map is read, by its one route rule:
         the completeness residual is ``superop.sum_residual``, which reads
         no rep when every map is on the stack route, and T*(1) is
-        ``superop.unit_image``, not taken off a dual map.  A component with
-        a Kraus stack is completely positive by construction, so only one
-        without (a user rep, Choi input or a corrupted component) takes the
-        Choi PSD test: the Hermitian test of its d^2 x d^2 Choi matrix, then
-        ``matcore.psd_refusal`` of its Hermitian part, one Cholesky factor,
-        whose ``eigvalsh`` fallback gives a refusal its min eigenvalue.  A
-        Choi matrix C that fails the Hermitian test is refused by that test,
-        with ||C - C^dag|| from the test's own sums, and takes no
-        eigendecomposition."""
+        ``superop.unit_image``, not taken off a dual map."""
         d = self.dim
         if set(self.components) != set(self.observable.eigenvalues):
             raise ValueError("component outcomes must match observable eigenvalues")
@@ -136,9 +129,12 @@ class Instrument:
             raise ValueError(
                 f"total operation dimension {self.total.dim} != observable dimension {d}"
             )
+        for a, t in self.components.items():
+            if t.dim != d:
+                raise ValueError(
+                    f"component dimension mismatch: outcome {a} dim {t.dim}, observable dim {d}"
+                )
         maps = list(self.components.values())
-        if any(t.dim != d for t in maps):
-            raise ValueError("component dimension mismatch")
         completeness_resid = superop.sum_residual(self.total, maps)
         # written so that a NaN ``tol`` fails the check
         if not completeness_resid <= tol:
@@ -157,20 +153,6 @@ class Instrument:
             resid = matcore.max_abs(superop.unit_image(t) - self.observable.projector(a))
             if not resid <= ROUNDOFF_TOL:
                 raise NotAMeasurementOfAError(a, resid)
-            if t.kraus is not None:
-                continue
-            ok, h, skew_sq = matcore.hermitian_stack(choi(t).matrix[None])
-            if not ok[0]:
-                raise ValueError(
-                    f"component at outcome {a} is not completely positive "
-                    f"(Choi matrix not Hermitian: ||C - C^dag|| = {np.sqrt(skew_sq[0]):.3e})"
-                )
-            lo = matcore.psd_refusal(h[0])
-            if lo is not None:
-                raise ValueError(
-                    f"component at outcome {a} is not completely positive "
-                    f"(Choi min eigenvalue {lo:.3e})"
-                )
         return completeness_resid
 
 
@@ -277,19 +259,16 @@ def operation_instrument(t: Superoperator, obs: DiscreteObservable) -> Instrumen
     """The components T_a(X) = T(E^A(a) X E^A(a)) of the operation ``t``,
     as an instrument with total ``t`` that is not yet validated.
 
-    When ``t`` carries a Kraus stack K, T_a is ``from_kraus`` of the stack
-    K E^A(a) (Ozawa, J. Math. Phys. 25, 79 (1984)), formed in one 2-D GEMM
-    per outcome: K stacked as (N d x d) rows times E^A(a).  Otherwise T_a is
-    ``t`` composed with the sandwich by E^A(a).  ``Instrument.validate``
-    accepts the result only when the components sum to ``t``."""
-    if t.kraus is not None:
-        d = t.dim
-        rows = t.kraus.reshape(-1, d)
-        components = {
-            a: Superoperator.from_kraus((rows @ p).reshape(-1, d, d)) for a, p in obs.outcomes
-        }
-    else:
-        components = {a: t.compose(Superoperator.sandwich(p)) for a, p in obs.outcomes}
+    T_a is ``from_kraus`` of the stack K E^A(a), for K the Kraus stack of
+    ``t`` (Ozawa, J. Math. Phys. 25, 79 (1984)), formed in one 2-D GEMM per
+    outcome: K stacked as (N d x d) rows times E^A(a).
+    ``Instrument.validate`` accepts the result only when the components
+    sum to ``t``."""
+    d = t.dim
+    rows = t.kraus.reshape(-1, d)
+    components = {
+        a: Superoperator.from_kraus((rows @ p).reshape(-1, d, d)) for a, p in obs.outcomes
+    }
     return Instrument(obs, components, total=t, validate_invariants=False)
 
 

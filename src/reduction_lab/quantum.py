@@ -219,7 +219,7 @@ def born_probability(obs: DiscreteObservable, a: float, rho: DensityOperator) ->
     in-band values are clamped.
     """
     if obs.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: {obs.dim} vs {rho.dim}")
+        raise ValueError(f"dimension mismatch: observable dim {obs.dim}, state dim {rho.dim}")
     return clamp_probability(float(matcore.trace(obs.projector(a) @ rho.matrix).real))
 
 

@@ -20,7 +20,7 @@ from .quantum import (
     ket,
     projector_onto,
 )
-from .superop import apply
+from .superop import Superoperator, apply
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,12 @@ def joint_distribution(
     """Joint probabilities P(a, x) = Tr[E_X(x) T_a(rho)], band-checked and
     clamped like every probability.
 
-    The instrument comes from ``instrument_of(model, tol)``.  Wherever the
+    The instrument comes from ``instrument_of(model, tol)``.  For a model
+    with a probe, every P(a, x) is compared with the probe route's
+    P'(a, x) = Tr[E_X(x) T'_a(rho)], T'_a the map of the outcome's
+    probe-route Kraus stack (``model.probe_route``); a difference beyond
+    ``tol`` raises ``NumericalConsistencyError`` naming (a, x) and both
+    values.  A probeless model has no second route.  Wherever the
     first-outcome probability clears ``PROBABILITY_FLOOR``, the product
     form P(a) * Tr[E_X(x) rho_a] is cross-checked; disagreement beyond
     ``ROUNDOFF_TOL`` raises ``NumericalConsistencyError``.  Each T_a is
@@ -59,13 +64,23 @@ def joint_distribution(
             raise ValueError(f"dimension mismatch: {name} dim {dim}, model dim_s {model.dim_s}")
     ins = instrument_of(model, tol)
     table = {}
-    for a in model.observable.eigenvalues:
+    for k, a in enumerate(model.observable.eigenvalues):
         image = apply(ins.component(a), rho)
+        probe_image = None
+        if model.probe is not None:
+            probe_image = apply(Superoperator.from_kraus(model.probe_route[0][k]), rho)
         born = born_probability(model.observable, a, rho)
         reduced = _reduce_image(a, image) if born > PROBABILITY_FLOOR else None
         for x in second.eigenvalues:
             p = float(matcore.trace(second.projector(x) @ image).real)
             table[(a, x)] = clamp_probability(p)
+            if probe_image is not None:
+                p_probe = float(matcore.trace(second.projector(x) @ probe_image).real)
+                if not abs(p - p_probe) <= tol:
+                    raise NumericalConsistencyError(
+                        f"joint table entry ({a}, {x}) is {p:.9e} by T_a but "
+                        f"{p_probe:.9e} by the probe route, {abs(p - p_probe):.3e} apart"
+                    )
             if reduced is not None:
                 product = born * float(
                     matcore.trace(second.projector(x) @ reduced.matrix).real

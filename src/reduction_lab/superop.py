@@ -4,43 +4,33 @@ Column-stacking convention: ``vec(X)[i + j*d] = X[i, j]``, so that
 ``vec(A X B) = (B^T kron A) vec(X)``.  All maps here act on the d*d
 matrices over a single d-dimensional space.
 
-A map has two ways in: through Kraus operators (``Superoperator.from_kraus``,
-``sandwich``, ``zero`` and ``sum_of``), or through a rep that the constructor
-scans; ``compose`` computes its rep from reps already held.  No map is
-built by probing with matrix units.  The rep and the Choi matrix
-[s(E_ij)]_ij hold the same entries in a different order, so ``choi`` is
-one reshuffle of indices.
+A map is its Kraus stack: every builder (``Superoperator.from_kraus``,
+``sandwich``, ``zero`` and ``sum_of``) takes Kraus operators, so every map
+is completely positive by type, and ``kraus``, a read-only (n, d, d)
+array, is never ``None``.  There is no rep constructor and no map is built
+by probing with matrix units.  A map given by its Choi matrix C comes in
+through ``kraus_from_choi(ChoiMatrix(d, C))``, which refuses a C that is
+not completely positive, and then ``from_kraus``.  The rep and the Choi
+matrix [s(E_ij)]_ij hold the same entries in a different order, so
+``choi`` is one reshuffle of indices; it passes the stack on to the
+``ChoiMatrix``, and ``kraus_from_choi`` reads the operators off it.
 
-A map built from Kraus operators keeps them as its read-only ``kraus``
-stack, an (n, d, d) array that certifies complete positivity without an
-eigendecomposition of the Choi matrix.  The builders that take a stack set
-it: ``from_kraus``, ``sandwich`` (the stack [a]), ``zero`` (an empty stack)
-and ``sum_of`` (the stacks concatenated, when every operand has one).  The
-constructor and ``compose`` leave it ``None``.  ``choi`` passes the stack
-on to the ``ChoiMatrix``, and ``kraus_from_choi`` reads the operators off
-it.
-
-A map has one schedule and one rule.  The schedule: a map built from a
-stack holds only ``dim`` and ``kraus``, and its rep and the adjoints
-K_k^dagger as read-only (n d x d) rows are each computed on first read
-(``functools.cached_property``) and then kept; a map built from a rep
-holds it from construction.  The rep of a stack is
+A map has one schedule and one rule.  The schedule: a map holds only
+``dim`` and ``kraus``, and its rep and the adjoints K_k^dagger as
+read-only (n d x d) rows are each computed on first read
+(``functools.cached_property``) and then kept.  The rep is
 sum_k conj(K_k) kron K_k, written by ``_rep_of`` in one of two forms:
 below d = ``_BLOCK_REP_MIN_DIM`` as one (d^2 x n)(n x d^2) GEMM regrouped
 by a copy of its four axes, and from there straight into its own layout,
 block (i, k) being the (d x n)(n x d) product conj(K[:, i, :])^T
 K[:, k, :] of one broadcast matmul, so no second d^4 array is made.  The
-rule, ``_on_stack``: a map with a stack of n operators and 4n <= d is
-applied through that stack, so the ``apply*`` functions, ``unit_image``
-and ``sum_residual`` build no rep for it; every other map is applied
-through its rep, which a stack map then computes on that first apply.
-``compose`` and ``choi`` always read ``rep``.
-
-A rep is scanned for finite entries once, where it enters the library: in
-the constructor.  The other builders compute it from checked arrays and skip
-the scan.  ``unit_image`` gives T*(1) without a dual map: on the stack route
-as sum_k K_k^dagger K_k, one (d x nd)(nd x d) product, else read off the
-rep.
+rule, ``_on_stack``: a map of n operators with 4n <= d is applied through
+its stack, so the ``apply*`` functions, ``unit_image`` and
+``sum_residual`` build no rep for it; every other map is applied through
+its rep, which it computes on that first apply.  ``choi`` always reads
+``rep``.  ``unit_image`` gives T*(1) without a dual map: on the stack
+route as sum_k K_k^dagger K_k, one (d x nd)(nd x d) product, else read
+off the rep.
 
 ``apply_stack`` and ``apply_dual_stack`` apply a map or its dual to an
 (m, d, d) stack of matrices at once, so that a check over many samples
@@ -48,12 +38,11 @@ costs two GEMMs or one instead of a Python loop; ``apply`` is the
 one-matrix form, and reads a ``DensityOperator``'s checked matrix without a
 rescan.  A map whose Kraus stack of n operators is small against d (the
 rule in ``_on_stack``) is applied through that stack, as
-sum_k K_k X K_k^dagger in 2n d^3 flops per matrix; any other map, and
-every map without a stack, through its rep in d^4.  Both routes give the
-same images to roundoff.  ``apply_dual_stack`` applies s* through s's own
-stack or rep, so the verifiers build no dual map: on the stack route its
-left operand is the kept adjoint rows and its right one the stack's own
-rows, a view.
+sum_k K_k X K_k^dagger in 2n d^3 flops per matrix; any other map through
+its rep in d^4.  Both routes give the same images to roundoff.
+``apply_dual_stack`` applies s* through s's own stack or rep, so the
+verifiers build no dual map: on the stack route its left operand is the
+kept adjoint rows and its right one the stack's own rows, a view.
 """
 
 from __future__ import annotations
@@ -71,38 +60,24 @@ from .quantum import DensityOperator
 
 @dataclass(frozen=True, eq=False, init=False)
 class Superoperator:
-    """A linear transformation of d x d matrices, stored as its d^2 x d^2
-    matrix over column-vectorized operators, or as the (n, d, d) stack of
-    Kraus operators it was built from, whose rep is computed on first read
-    (see the module docstring).  Equality is identity, so maps hash by
-    identity too."""
+    """A linear transformation of d x d matrices, held as the (n, d, d)
+    stack of Kraus operators it was built from; its d^2 x d^2 matrix over
+    column-vectorized operators is computed on first read (see the module
+    docstring).  There is no public constructor: a map comes from
+    ``from_kraus``, ``sandwich``, ``zero`` or ``sum_of``.  Equality is
+    identity, so maps hash by identity too."""
 
     dim: int
-    kraus: np.ndarray | None = field(repr=False)
-
-    def __init__(self, dim: int, rep):
-        rep = matcore.as_complex_matrix(rep)
-        if rep.shape[0] != dim * dim:
-            raise ValueError(f"rep shape {rep.shape} does not match dim {dim}")
-        vars(self).update(dim=dim, kraus=None, rep=rep)
+    kraus: np.ndarray = field(repr=False)
 
     @functools.cached_property
     def rep(self) -> np.ndarray:
-        """The d^2 x d^2 matrix; read only when the map was built from a
-        Kraus stack, since every other map holds it from construction."""
+        """The d^2 x d^2 matrix, sum_k conj(K_k) kron K_k."""
         return _rep_of(self.kraus)
 
     @functools.cached_property
     def _kraus_adjoint(self) -> np.ndarray:
         return _adjoint_rows(self.kraus)
-
-    @classmethod
-    def _built(cls, dim: int, rep: np.ndarray):
-        """A map with no stack whose rep was computed from checked arrays:
-        no rescan."""
-        s = object.__new__(cls)
-        vars(s).update(dim=dim, rep=rep, kraus=None)
-        return s
 
     @classmethod
     def _from_stack(cls, ks: np.ndarray):
@@ -135,25 +110,13 @@ class Superoperator:
 
     @classmethod
     def sum_of(cls, dim: int, maps: list) -> "Superoperator":
-        """The sum of ``maps``, all of dimension ``dim``.  When every map has
-        a Kraus stack the sum is the map of their concatenation; otherwise
-        it holds their reps added to zeros in order, with no rep of a
-        partial sum."""
-        if any(t.dim != dim for t in maps):
-            raise ValueError("dimension mismatch")
-        if all(t.kraus is not None for t in maps):
-            empty = np.zeros((0, dim, dim), dtype=complex)
-            return cls._from_stack(np.concatenate([empty, *(t.kraus for t in maps)]))
-        out = np.zeros((dim * dim,) * 2, dtype=complex)
+        """The sum of ``maps``, all of dimension ``dim``: the map of their
+        Kraus stacks concatenated."""
         for t in maps:
-            out += t.rep
-        return cls._built(dim, out)
-
-    def compose(self, other: "Superoperator") -> "Superoperator":
-        """self after other: X -> self(other(X)), with rep ``rep @ rep``."""
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return Superoperator._built(self.dim, self.rep @ other.rep)
+            if t.dim != dim:
+                raise ValueError(f"dimension mismatch: sum dim {dim}, map dim {t.dim}")
+        empty = np.zeros((0, dim, dim), dtype=complex)
+        return cls._from_stack(np.concatenate([empty, *(t.kraus for t in maps)]))
 
 
 # From d = 12 writing the rep in place, with no second d^4 array and no
@@ -184,7 +147,7 @@ def _on_stack(s: Superoperator) -> bool:
     """Whether s is taken through its Kraus stack of n operators: when
     4n <= d, where the stack's 2n d^3 flops per matrix are at most half the
     rep's d^4."""
-    return s.kraus is not None and 4 * len(s.kraus) <= s.dim
+    return 4 * len(s.kraus) <= s.dim
 
 
 def _adjoint_rows(ks: np.ndarray) -> np.ndarray:
@@ -303,7 +266,9 @@ def is_trace_preserving(s: Superoperator) -> bool:
 class ChoiMatrix:
     """Block matrix [s(E_ij)]_ij; PSD exactly when the map is completely
     positive.  ``kraus`` is the Kraus stack of the map it came from, passed
-    on by ``choi``.  Equality is identity, as for ``Superoperator``."""
+    on by ``choi``; a Choi matrix given as a matrix alone has none, and
+    ``kraus_from_choi`` is its way into a map.  Equality is identity, as for
+    ``Superoperator``."""
 
     dim: int
     matrix: np.ndarray
@@ -325,8 +290,10 @@ def kraus_from_choi(c: ChoiMatrix) -> list:
     d^2 operators, they come from one thin SVD of V, whose columns are the
     vec(K^T) in the Choi index order: C = V V^dagger, so the pairs are
     (s^2, u).  Otherwise (no stack, or a larger one, where the ``eigh`` is
-    cheaper) they come from an ``eigh`` of C, and a negative eigenvalue below
-    ``-ROUNDOFF_TOL`` raises ``NotCompletelyPositiveError``.  On both
+    cheaper) they come from an ``eigh`` of C: a C that fails the Hermitian
+    test raises ``ValueError`` with ||C - C^dag||, and a negative eigenvalue
+    below ``-ROUNDOFF_TOL`` raises ``NotCompletelyPositiveError``, so a
+    matrix that is not completely positive gives no operators.  On both
     routes weights at or below ``ROUNDOFF_TOL`` are dropped, the operators
     come in ascending weight order, and each is scaled so that its
     largest-modulus entry (the first one in C order) is real and positive.

@@ -1,10 +1,19 @@
+import contextlib
+
 import numpy as np
 import pytest
 
-from reduction_lab import matcore
-from reduction_lab.instrument import Instrument
+from reduction_lab import matcore, models, superop
 from reduction_lab.models import haar_unitary, random_faithful_model
-from reduction_lab.quantum import DensityOperator, DiscreteObservable, PureState, projector_onto
+from reduction_lab.quantum import (
+    PAULI_Z,
+    DensityOperator,
+    DiscreteObservable,
+    PureState,
+    ket,
+    observable_from_hermitian,
+    projector_onto,
+)
 from reduction_lab.superop import Superoperator
 
 
@@ -39,28 +48,41 @@ def matrix_unit(dim, i, j):
 
 
 def probed(dim, f):
-    """The map of a linear callable ``f`` on d x d matrices, probed with the
-    d^2 matrix units: column i + j d of its rep is vec f(E_ij).  Built by the
-    constructor, so the rep takes its finite scan."""
+    """The reference rep of a linear callable ``f`` on d x d matrices,
+    probed with the d^2 matrix units: column i + j d is vec f(E_ij).  An
+    array, not a map: the library builds maps from Kraus operators only."""
     rep = np.zeros((dim * dim, dim * dim), dtype=complex)
     for j in range(dim):
         for i in range(dim):
             rep[:, i + j * dim] = f(matrix_unit(dim, i, j)).reshape(-1, order="F")
-    return Superoperator(dim, rep)
+    return rep
+
+
+def choi_blocks(dim, f):
+    """The Choi matrix [f(E_ij)]_ij of a linear callable ``f``, block by
+    block from its definition."""
+    return np.block([[f(matrix_unit(dim, i, j)) for j in range(dim)] for i in range(dim)])
 
 
 def identity_map(dim):
-    """The identity map on d x d matrices, from its rep."""
-    return Superoperator(dim, np.eye(dim * dim))
+    """The identity map on d x d matrices, the sandwich by the identity."""
+    return Superoperator.sandwich(np.eye(dim))
 
 
 def dual(s):
-    """The dual map s* with Tr[X s(rho)] = Tr[s*(X) rho] for all X, rho.
-    From the defining relation on matrix units, s*(E_ij)[l, k] =
-    s(E_kl)[j, i]: its rep is s's with the four axes reversed."""
+    """The reference rep of the dual map s*, with Tr[X s(rho)] =
+    Tr[s*(X) rho] for all X, rho.  From the defining relation on matrix
+    units, s*(E_ij)[l, k] = s(E_kl)[j, i]: its rep is s's with the four
+    axes reversed."""
     d = s.dim
-    rep = s.rep.reshape((d,) * 4).transpose(3, 2, 1, 0).reshape(d * d, d * d)
-    return Superoperator(d, rep)
+    return s.rep.reshape((d,) * 4).transpose(3, 2, 1, 0).reshape(d * d, d * d)
+
+
+def rep_images(rep, ms):
+    """The images of an (m, d, d) stack under the map with the reference
+    rep ``rep``, by the column-stacking convention vec(s(X)) = rep vec(X)."""
+    d = ms.shape[-1]
+    return np.stack([(rep @ m.reshape(-1, order="F")).reshape(d, d, order="F") for m in ms])
 
 
 def is_psd(m):
@@ -124,15 +146,39 @@ def half_split(d, seed):
     return DiscreteObservable(((1.0, p), (-1.0, np.eye(d) - p)))
 
 
-def without_stacks(ins):
-    """``ins`` with every map's Kraus stack dropped, not validated: every
-    apply takes the rep route."""
-    return Instrument(
-        ins.observable,
-        {a: Superoperator(ins.dim, t.rep) for a, t in ins.components.items()},
-        total=Superoperator(ins.dim, ins.total.rep),
-        validate_invariants=False,
-    )
+@pytest.fixture
+def rep_route(monkeypatch):
+    """A context manager under which every map is taken through its rep:
+    ``superop._on_stack`` reads False inside it, so a route-parity test
+    runs both routes on the same maps."""
+
+    @contextlib.contextmanager
+    def forced():
+        with monkeypatch.context() as m:
+            m.setattr(superop, "_on_stack", lambda s: False)
+            yield
+
+    return forced
+
+
+def route_gap_exhibit(q):
+    """A qubit measured by a qubit, sigma = |0><0|, A = M = Z, with
+    K_+ = sqrt(1-q) E_+ + sqrt(q) E_- and K_- = sqrt(q) E_+ - sqrt(1-q) E_-:
+    U|i>|0> = K_+|i>|0> + K_-|i>|1>, completed to a unitary by
+    ``models._complete_unitary``.  F_+ = K_+^dag K_+ is off E_+ by q, while
+    T'_+(X) = K_+ X K_+^dag differs from T(E_+ X E_+) = E_+ X E_+ by
+    sqrt(q(1-q)) (E_+ X E_- + E_- X E_+) - q E_+ X E_+ + q E_- X E_-."""
+    z_obs = observable_from_hermitian(PAULI_Z)
+    e_up, e_down = z_obs.projector(1.0), z_obs.projector(-1.0)
+    k_up = np.sqrt(1 - q) * e_up + np.sqrt(q) * e_down
+    k_down = np.sqrt(q) * e_up - np.sqrt(1 - q) * e_down
+    zero, one = ket(2, 0), ket(2, 1)
+    in_cols = np.kron(np.eye(2), zero[:, None])
+    out_cols = np.kron(k_up, zero[:, None]) + np.kron(k_down, one[:, None])
+    sigma = np.outer(zero, zero.conj())
+    model = models._model(z_obs, sigma, in_cols, out_cols, list(z_obs.projectors))
+    assert matcore.max_abs(model.unitary @ in_cols - out_cols) <= 1e-15
+    return model
 
 
 def small_probability_case(p, sigma_rank=1):

@@ -19,7 +19,7 @@ from reduction_lab.quantum import (
     PAULI_X, PAULI_Z, PureState, maximally_mixed, observable_from_hermitian,
 )
 
-from conftest import small_probability_case
+from conftest import route_gap_exhibit, small_probability_case
 
 
 @pytest.fixture
@@ -187,6 +187,33 @@ def test_joint_command(tmp_path, z_obs, capsys):
     assert len(out["table"]) == 4
     for row in out["table"]:
         assert row["probability"] == pytest.approx(0.25, abs=1e-10)
+
+
+def test_joint_exits_one_where_the_probe_route_disagrees(tmp_path, capsys):
+    # the route-gap exhibit at q = 1e-10 passes check-model, but its probe
+    # route is off the table by 5e-6 on |+> and X
+    mpath = write_model(tmp_path, route_gap_exhibit(1e-10))
+    opath = write(
+        tmp_path, "obs.json",
+        ser.observable_to_json(observable_from_hermitian(PAULI_X)),
+    )
+    s = 1 / np.sqrt(2)
+    spath = write(tmp_path, "state.json", {"vector": [[s, 0.0], [s, 0.0]]})
+    assert main(["check-model", mpath]) == 0
+    capsys.readouterr()
+    assert main(["joint", mpath, "--second", opath, "--state", spath]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"error: joint table entry \(-1.0, -1.0\) is 2.500000000e-01 by T_a but "
+        r"2.50005\d*e-01 by the probe route, 5.000e-06 apart\n",
+        captured.err,
+    )
+    # at a tolerance above the gap every cell reads 0.25
+    assert main(["joint", mpath, "--second", opath, "--state", spath, "--tol", "1e-4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["table"]) == 4
+    assert all(abs(row["probability"] - 0.25) <= 1e-15 for row in out["table"])
 
 
 def test_reduce_and_joint_name_both_dimensions_of_a_mismatch(tmp_path, z_obs, capsys):

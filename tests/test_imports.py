@@ -6,9 +6,11 @@ module.  Every public function of the kernel modules, ``matcore`` and
 another library module, a demo or the benchmark: an API that only tests
 call belongs in ``tests/conftest.py``.  The route rule and the kernels it
 picks between are named only inside ``superop``.  Every trace the library
-takes is ``matcore.trace``."""
+takes is ``matcore.trace``.  Every library name that the demos and the
+benchmark read exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -125,3 +127,61 @@ def test_every_library_trace_is_matcore_trace():
     paths = sorted((ROOT / "src").rglob("*.py"))
     found = [entry for path in paths for entry in _foreign_traces(path)]
     assert not found, "traces not taken by matcore.trace:\n" + "\n".join(found)
+
+
+def _library_reads(path: Path) -> list:
+    """``(line, dotted name)`` for every library name a module reads: each
+    ``from reduction_lab[.m] import X``, and each attribute chain of up to
+    two links, ``a.X`` or ``a.X.Y``, on a name ``a`` bound by an import from
+    ``reduction_lab``."""
+    tree = ast.parse(path.read_text())
+    bound, reads = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "reduction_lab":
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound[name] = alias.name if alias.asname else "reduction_lab"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "reduction_lab":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                reads.append((node.lineno, f"{node.module}.{alias.name}"))
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in bound and chain:
+            reads.append((node.lineno, ".".join([bound[node.id], *chain[:2]])))
+    return reads
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute chain on the
+    longest module prefix of it."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for part in parts[cut:]:
+            if not hasattr(obj, part):
+                return False
+            obj = getattr(obj, part)
+        return True
+    return False
+
+
+def test_every_library_name_the_benchmark_and_demos_read_exists():
+    # a removal that breaks ``rl.choi`` or ``rl.Superoperator.from_kraus``
+    # in the benchmark or a demo fails here, not only when they run
+    reads = [(path, line, name) for folder in ("benchmarks", "demos")
+             for path in sorted((ROOT / folder).glob("*.py"))
+             for line, name in _library_reads(path)]
+    names = {name for _, _, name in reads}
+    assert {"reduction_lab.choi", "reduction_lab.Superoperator.from_kraus",
+            "reduction_lab.kraus_from_choi"} <= names
+    missing = [f"{path.relative_to(ROOT)}:{line}: {name}"
+               for path, line, name in reads if not _resolves(name)]
+    assert not missing, "library names that do not exist:\n" + "\n".join(missing)

@@ -1,9 +1,12 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from reduction_lab import instrument, matcore, superop
 from reduction_lab.errors import (
     NotAMeasurementOfAError,
+    NotCompletelyPositiveError,
     NumericalConsistencyError,
     ZeroProbabilityOutcomeError,
 )
@@ -43,19 +46,19 @@ from reduction_lab.quantum import (
     projector_onto,
 )
 from reduction_lab.scenarios import joint_distribution
-from reduction_lab.superop import Superoperator, apply
+from reduction_lab.superop import ChoiMatrix, Superoperator, apply, choi, kraus_from_choi
 
 from conftest import (
+    choi_blocks,
     dual,
     four_state_split,
     half_split,
     identity_map,
     plus_state,
-    probed,
     random_density,
     recombine,
+    rep_images,
     small_probability_case,
-    without_stacks,
 )
 
 
@@ -70,8 +73,15 @@ def z_luders(z_obs):
 
 
 def _scaled(ins, c):
-    """The components of ``ins``, each with its rep times ``c`` and no stack."""
-    return {a: Superoperator(t.dim, c * t.rep) for a, t in ins.components.items()}
+    """The components of ``ins``, each with its rep times ``c``: its Kraus
+    stack times sqrt(c)."""
+    return {a: Superoperator.from_kraus(np.sqrt(c) * t.kraus) for a, t in ins.components.items()}
+
+
+def _plus_eps_identity(t, eps):
+    """``t`` plus eps times the identity map, the map of ``t``'s stack and
+    sqrt(eps) 1: its rep gains eps 1."""
+    return Superoperator.sum_of(t.dim, [t, Superoperator.sandwich(np.sqrt(eps) * np.eye(t.dim))])
 
 
 def test_outcome_probability_matches_born(z_luders, z_obs, rng):
@@ -99,12 +109,13 @@ def test_outcome_probability_band(z_obs, z_luders):
 
 
 def test_outcome_probability_rejects_a_nan_trace(z_obs, z_luders):
-    # rows 0 and 3 of the rep give the diagonal of the image, so on a state
-    # with all entries 1/2 its trace is +inf plus -inf
-    rep = z_luders.components[1.0].rep.copy()
-    rep[0], rep[3] = 1.7e308, -1.7e308
+    # the sandwich by K = [[c, -c], [0, 0]] with c = 1e200: row 0 of its
+    # rep, which gives the image's (0, 0) entry, is c^2 [1, -1, -1, 1] and
+    # overflows to [inf, -inf, -inf, inf], so on a state with all entries
+    # 1/2 that entry, and the trace, is +inf plus -inf
+    k = np.array([[1e200, -1e200], [0.0, 0.0]])
     overflowing = Instrument(
-        z_obs, {1.0: Superoperator(2, rep), -1.0: z_luders.components[-1.0]},
+        z_obs, {1.0: Superoperator.sandwich(k), -1.0: z_luders.components[-1.0]},
         validate_invariants=False,
     )
     with np.errstate(over="ignore", invalid="ignore"):
@@ -200,7 +211,7 @@ def test_instrument_from_operation_refuses_non_measurement(z_obs):
     with pytest.raises(NotAMeasurementOfAError):
         instrument_from_operation(identity_map(2), z_obs)
     # a trace-halving map fails the outcome-trace condition at an outcome
-    halved = Superoperator(2, 0.5 * luders_instrument(z_obs).total.rep)
+    halved = Superoperator.from_kraus(np.sqrt(0.5) * luders_instrument(z_obs).total.kraus)
     with pytest.raises(NotAMeasurementOfAError) as err:
         instrument_from_operation(halved, z_obs)
     assert err.value.outcome in z_obs.eigenvalues
@@ -231,7 +242,7 @@ def test_verify_theorem1_trivial_observable():
 def test_verify_theorem1_detects_corruption(z_obs, z_luders):
     eps = 1e-3
     corrupted = dict(z_luders.components)
-    corrupted[1.0] = Superoperator.sum_of(2, [corrupted[1.0], Superoperator(2, eps * np.eye(4))])
+    corrupted[1.0] = _plus_eps_identity(corrupted[1.0], eps)
     broken = Instrument(
         z_obs, corrupted, total=z_luders.total, validate_invariants=False
     )
@@ -296,21 +307,24 @@ def _loop_dual_lemma(ins, seed, tol):
     """Per-sample reference for verify_dual_lemma, over the first 50
     samples of the seed."""
     one = np.eye(ins.dim, dtype=complex)
-    total_dual = dual(ins.total)
+
+    def dual_apply(s, x):
+        return rep_images(dual(s), x[None])[0]
+
     records = [CheckRecord(
-        "dual.total_unital", None, matcore.max_abs(apply(total_dual, one) - one), tol
+        "dual.total_unital", None, matcore.max_abs(dual_apply(ins.total, one) - one), tol
     )]
     samples = _loop_samples(seed, ins.dim, 50)
     for a, p in ins.observable.outcomes:
-        comp_dual = dual(ins.component(a))
+        t_a = ins.component(a)
         records.append(CheckRecord(
             "dual.component_unit_to_projector", a,
-            matcore.max_abs(apply(comp_dual, one) - p), tol,
+            matcore.max_abs(dual_apply(t_a, one) - p), tol,
         ))
         res = {"left": 0.0, "right": 0.0, "both": 0.0}
         for x in samples:
-            lhs = apply(comp_dual, x)
-            tx = apply(total_dual, x)
+            lhs = dual_apply(t_a, x)
+            tx = dual_apply(ins.total, x)
             for form, y in (("left", p @ tx), ("right", tx @ p), ("both", p @ tx @ p)):
                 res[form] = max(res[form], matcore.max_abs(lhs - y))
         for form in ("left", "right", "both"):
@@ -331,7 +345,7 @@ def _reference_instruments():
     assert superop._on_stack(wide.total)
     luders_z = luders_instrument(z)
     corrupted = dict(luders_z.components)
-    corrupted[1.0] = Superoperator.sum_of(2, [corrupted[1.0], Superoperator(2, 1e-3 * np.eye(4))])
+    corrupted[1.0] = _plus_eps_identity(corrupted[1.0], 1e-3)
     return {
         "luders": luders_z,
         "luders_three": luders_instrument(three),
@@ -390,12 +404,15 @@ def _corrupted_stack_control(control):
 
 
 @pytest.mark.parametrize("control", ["swapped projectors", "biased probe route"])
-def test_corrupted_kraus_stacks_fail_on_the_stack_route(control):
+def test_corrupted_kraus_stacks_fail_on_the_stack_route(control, rep_route):
     broken = _corrupted_stack_control(control)
     for verify in (verify_theorem1, verify_dual_lemma):
         report = verify(broken)
         assert not report.passed
-        got, want = report.records, verify(without_stacks(broken)).records
+        # the same maps through their reps
+        with rep_route():
+            want = verify(broken).records
+        got = report.records
         assert [(r.check, r.outcome, r.passed) for r in got] == [
             (r.check, r.outcome, r.passed) for r in want
         ]
@@ -404,7 +421,7 @@ def test_corrupted_kraus_stacks_fail_on_the_stack_route(control):
 
 
 @pytest.mark.parametrize("ds", [12, 16, 20])
-def test_validation_on_the_stack_route_gives_the_rep_route_residuals(ds):
+def test_validation_on_the_stack_route_gives_the_rep_route_residuals(ds, rep_route):
     ins = instrument_of(random_faithful_model(half_split(ds, 9), 2, seed=9, sigma_rank=1))
     maps = [ins.total, *ins.components.values()]
     assert all(superop._on_stack(t) for t in maps)
@@ -412,27 +429,28 @@ def test_validation_on_the_stack_route_gives_the_rep_route_residuals(ds):
     images = [superop.unit_image(t) for t in maps]
     # completeness and T*(1) came from the stacks: no rep was written
     assert not any("rep" in vars(t) for t in maps)
-    plain = without_stacks(ins)
-    assert abs(resid - plain.validate()) <= 1e-15
-    for image, t in zip(images, [plain.total, *plain.components.values()]):
-        assert matcore.max_abs(image - superop.unit_image(t)) <= 1e-15
+    with rep_route():
+        assert abs(resid - ins.validate()) <= 1e-15
+        for image, t in zip(images, maps):
+            assert matcore.max_abs(image - superop.unit_image(t)) <= 1e-15
+    assert all("rep" in vars(t) for t in maps)
 
 
 @pytest.mark.parametrize("control", ["swapped projectors", "biased probe route"])
-def test_both_validation_routes_refuse_a_corrupted_stack_at_one_outcome(control):
+def test_both_validation_routes_refuse_a_corrupted_stack_at_one_outcome(control, rep_route):
     broken = _corrupted_stack_control(control)
     errors = []
-    for case in (broken, without_stacks(broken)):
+    for route in (contextlib.nullcontext, rep_route):
         # the components still sum to the total: the outcome-trace check fails
-        with pytest.raises(NotAMeasurementOfAError, match="outcome-trace") as err:
-            case.validate()
+        with route(), pytest.raises(NotAMeasurementOfAError, match="outcome-trace") as err:
+            broken.validate()
         errors.append(err.value)
     assert errors[0].outcome is not None
     assert errors[0].outcome == errors[1].outcome
     assert abs(errors[0].residual - errors[1].residual) <= 1e-12
 
 
-def test_both_validation_routes_refuse_a_probeless_haar_model():
+def test_both_validation_routes_refuse_a_probeless_haar_model(rep_route):
     # a Haar-random U measures no observable: its components T(E_a . E_a)
     # do not sum to T
     obs = half_split(12, 13)
@@ -441,9 +459,9 @@ def test_both_validation_routes_refuse_a_probeless_haar_model():
     ins = operation_instrument(operation_of(model), obs)
     assert all(superop._on_stack(t) for t in (ins.total, *ins.components.values()))
     residuals = []
-    for case in (ins, without_stacks(ins)):
-        with pytest.raises(NotAMeasurementOfAError, match="do not sum") as err:
-            case.validate()
+    for route in (contextlib.nullcontext, rep_route):
+        with route(), pytest.raises(NotAMeasurementOfAError, match="do not sum") as err:
+            ins.validate()
         assert err.value.outcome is None
         residuals.append(err.value.residual)
     assert residuals[0] > 1e-3
@@ -499,7 +517,8 @@ def _pinned_instruments(ds, da):
     """The faithful instrument of a (ds, da) model and the three negative
     controls on the same observable: the biased model's probe-route stacks
     over the true operation, the components of a Haar-random U that does
-    not measure A, and one component corrupted by 1e-3 X with no stack."""
+    not measure A, and one component corrupted by 1e-3 X, the map of its
+    stack and sqrt(1e-3) 1."""
     obs = _haar_observable((1,) * ds if ds <= 8 else (ds // 2, ds - ds // 2), ds)
     faithful = instrument_of(random_faithful_model(obs, da, seed=ds, sigma_rank=1))
     biased = random_biased_model(obs, da, seed=ds)
@@ -507,7 +526,7 @@ def _pinned_instruments(ds, da):
     u = haar_unitary(ds * da, np.random.default_rng(ds))
     haar = MeasurementModel(ds, da, obs, PureState(ket(da, 0)).to_density(), u)
     corrupted = dict(faithful.components)
-    corrupted[0.0] = Superoperator(ds, faithful.component(0.0).rep + 1e-3 * np.eye(ds * ds))
+    corrupted[0.0] = _plus_eps_identity(faithful.component(0.0), 1e-3)
     return {
         "faithful": faithful,
         "biased probe": Instrument(obs, stacks, total=operation_of(biased), validate_invariants=False),
@@ -547,10 +566,11 @@ def test_verifiers_keep_the_stacked_product_arithmetic(ds, da, on_stack):
 @pytest.mark.parametrize("ds, da", [(2, 4), (4, 8), (12, 2)])
 def test_a_nan_in_a_component_fails_its_records_only(ds, da):
     ins = _pinned_instruments(ds, da)["faithful"]
-    rep = ins.component(0.0).rep.copy()
-    rep[0, 0] = np.nan
+    ks = ins.component(0.0).kraus.copy()
+    ks[0, 0, 0] = np.nan
     components = dict(ins.components)
-    components[0.0] = Superoperator._built(ds, rep)
+    # past from_kraus's finite scan, as a computed stack would be
+    components[0.0] = Superoperator._from_stack(ks)
     broken = Instrument(ins.observable, components, total=ins.total, validate_invariants=False)
     for verify in (verify_theorem1, verify_dual_lemma):
         records = verify(broken).records
@@ -591,7 +611,7 @@ def test_the_verifiers_apply_each_map_a_fixed_number_of_times(
 def test_each_form_detects_corruption(z_obs, z_luders, check):
     eps = 1e-3
     corrupted = dict(z_luders.components)
-    corrupted[1.0] = Superoperator.sum_of(2, [corrupted[1.0], Superoperator(2, eps * np.eye(4))])
+    corrupted[1.0] = _plus_eps_identity(corrupted[1.0], eps)
     broken = Instrument(
         z_obs, corrupted, total=z_luders.total, validate_invariants=False
     )
@@ -637,15 +657,9 @@ def test_building_an_instrument_builds_no_dual_and_rescans_no_rep(monkeypatch):
     instrument_of(model)
     assert scans == 0
     ins = instrument_from_operation(operation_of(model), obs)
-    # a stacked T gives its components by from_kraus: nothing to rescan
+    # T gives its components by from_kraus: nothing to rescan
     assert scans == 0
     assert len(ins.components) == 3
-    bare = Superoperator(model.dim_s, operation_of(model).rep)
-    scans = 0
-    instrument_from_operation(bare, obs)
-    # per outcome: one check in sandwich(E_a), where a caller's projector
-    # enters; the Choi PSD test reads the Choi matrix of a checked rep as is
-    assert scans == 3
     assert verify_dual_lemma(ins).passed and verify_theorem1(ins).passed
 
 
@@ -655,9 +669,9 @@ def test_validate_writes_no_rep():
     # the library's reps are writeable: a write would show in the bytes;
     # a write to read-only copies would raise
     def read_only(t):
-        rep = t.rep.copy()
-        rep.flags.writeable = False
-        return Superoperator(3, rep)
+        s = Superoperator.from_kraus(t.kraus)
+        s.rep.flags.writeable = False
+        return s
 
     frozen = Instrument(
         obs,
@@ -771,7 +785,7 @@ def test_a_non_integer_seed_is_refused_before_the_cache(z_luders, fresh_samples)
 
 def test_a_warm_sample_cache_still_fails_a_corrupted_instrument(z_obs, z_luders, fresh_samples):
     corrupted = dict(z_luders.components)
-    corrupted[1.0] = Superoperator.sum_of(2, [corrupted[1.0], Superoperator(2, 1e-3 * np.eye(4))])
+    corrupted[1.0] = _plus_eps_identity(corrupted[1.0], 1e-3)
     broken = Instrument(z_obs, corrupted, total=z_luders.total, validate_invariants=False)
 
     def records():
@@ -798,6 +812,10 @@ def test_a_dimension_mismatch_names_both_dimensions(z_obs, z_luders):
         ValueError, match="^dimension mismatch: operation dim 3, observable dim 2$"
     ):
         instrument_from_operation(identity_map(3), z_obs)
+    with pytest.raises(
+        ValueError, match="^dimension mismatch: observable dim 2, state dim 3$"
+    ):
+        born_probability(z_obs, 1.0, rho)
     model = random_faithful_model(z_obs, 4, seed=1)
     for second, state, message in (
         (observable_from_hermitian(np.diag([1.0, 0.0, -1.0])), maximally_mixed(2),
@@ -817,7 +835,9 @@ def test_validate_refuses_a_total_or_component_of_another_dimension(z_obs, z_lud
         Instrument(z_obs, z_luders.components, total=identity_map(3))
     wrong = dict(z_luders.components)
     wrong[1.0] = identity_map(3)
-    with pytest.raises(ValueError, match="component dimension mismatch"):
+    with pytest.raises(
+        ValueError, match="^component dimension mismatch: outcome 1.0 dim 3, observable dim 2$"
+    ):
         Instrument(z_obs, wrong, total=z_luders.total)
 
 
@@ -833,8 +853,8 @@ def test_validate_refuses_each_corruption_class():
     # that the components still sum to a trace-preserving total
     scaled = Instrument(
         obs,
-        {1.0: Superoperator(3, 0.9 * t_up.rep),
-         -1.0: Superoperator.sum_of(3, [t_down, Superoperator(3, 0.1 * t_up.rep)])},
+        {1.0: Superoperator.from_kraus(np.sqrt(0.9) * t_up.kraus),
+         -1.0: Superoperator.sum_of(3, [t_down, Superoperator.from_kraus(np.sqrt(0.1) * t_up.kraus)])},
         total=good.total, validate_invariants=False,
     )
     with pytest.raises(NotAMeasurementOfAError, match="at outcome 1.0 ") as err:
@@ -853,49 +873,38 @@ def test_validate_refuses_each_corruption_class():
     with pytest.raises(ValueError, match="total operation is not trace preserving"):
         Instrument(obs, _scaled(good, 0.9))
 
-    # E X^T E on the eigenspace: the sum is the total, the total is trace
-    # preserving and T_a*(1) = E_a, yet the map is not completely positive
-    transposed = probed(3, lambda x: e_up @ x.T @ e_up)
-    not_cp = Instrument(
-        obs, {1.0: transposed, -1.0: t_down}, validate_invariants=False
-    )
-    assert superop.is_trace_preserving(not_cp.total)
-    assert matcore.max_abs(superop.unit_image(transposed) - e_up) == 0.0
+    # E X^T E on the eigenspace would keep completeness, trace preservation
+    # and T_a*(1) = E_a, yet it is not completely positive: no map can be
+    # built from it, and its Choi matrix is refused where it would come in
+    choi_up = choi_blocks(3, lambda x: e_up @ x.T @ e_up)
     with pytest.raises(
-        ValueError,
-        match=r"component at outcome 1.0 is not completely positive "
-        r"\(Choi min eigenvalue -1.000e\+00\)",
+        NotCompletelyPositiveError,
+        match=r"^Choi matrix is not positive semidefinite "
+        r"\(most negative eigenvalue -1.000e\+00\)$",
     ):
-        not_cp.validate()
+        kraus_from_choi(ChoiMatrix(3, choi_up))
 
 
-def test_validate_refuses_a_choi_matrix_that_is_not_hermitian(z_obs):
-    # eps (N X - X N) added to T_{+1} and taken from T_{-1}: the sum is the
-    # Lueders total, the commutator is traceless and its dual maps 1 to 0,
-    # so completeness, trace preservation and T_a*(1) = E_a all hold, but
-    # the map no longer preserves Hermiticity: the Choi matrix of T_{+1}
-    # fails the Hermitian test, and that test names the refusal
+def test_a_choi_matrix_that_is_not_hermitian_is_refused(z_obs):
+    # eps (N X - X N) added to T_{+1} and taken from T_{-1} would keep the
+    # Lueders total, and the commutator is traceless with a dual that maps
+    # 1 to 0, so completeness, trace preservation and T_a*(1) = E_a would
+    # all hold, but the map no longer preserves Hermiticity: the Choi
+    # matrix of T_{+1} fails the Hermitian test, and that test names the
+    # refusal where the Choi matrix would come in
     e_up, e_down = z_obs.projector(1.0), z_obs.projector(-1.0)
 
     def shifted(e, eps):
-        return probed(
-            2, lambda x: e @ x @ e + eps * (PAULI_X @ x - x @ PAULI_X)
-        )
+        return choi_blocks(2, lambda x: e @ x @ e + eps * (PAULI_X @ x - x @ PAULI_X))
 
-    skewed = Instrument(
-        z_obs, {1.0: shifted(e_up, 1e-2), -1.0: shifted(e_down, -1e-2)},
-        validate_invariants=False,
-    )
-    assert superop.is_trace_preserving(skewed.total)
-    assert matcore.max_abs(skewed.total.rep - luders_instrument(z_obs).total.rep) <= 1e-17
-    for a, t in skewed.components.items():
-        assert matcore.max_abs(superop.unit_image(t) - z_obs.projector(a)) <= 1e-17
+    up, down = shifted(e_up, 1e-2), shifted(e_down, -1e-2)
+    assert matcore.max_abs(up + down - choi(luders_instrument(z_obs).total).matrix) <= 1e-17
     with pytest.raises(
         ValueError,
-        match=r"^component at outcome 1.0 is not completely positive "
-        r"\(Choi matrix not Hermitian: \|\|C - C\^dag\|\| = 5.657e-02\)$",
+        match=r"^matrix is not Hermitian within tolerance "
+        r"\(\|\|m - m\^dag\|\| = 5.657e-02\)$",
     ):
-        skewed.validate()
+        kraus_from_choi(ChoiMatrix(2, up))
 
 
 def test_an_unresolved_conditional_state_is_a_numerical_error():
@@ -946,24 +955,21 @@ def test_the_apparatus_rank_decides_which_small_p_resolves():
 
 
 def test_a_non_finite_image_is_still_refused(z_obs, z_luders):
-    # row 2 of a rep gives the image's (0, 1) entry; on a state with all
-    # entries 1/2 it sums to 2 * 1.7e308, while the trace stays finite
-    component, total = z_luders.components[1.0].rep.copy(), np.eye(4, dtype=complex)
-    component[2] = total[2] = 1.7e308
+    # the sandwich by 1e200 1 overflows its rep, and every entry of the
+    # image is non-finite.  A Kraus-form image is PSD, |X_01|^2 <= X_00 X_11,
+    # so no finite trace comes with a non-finite entry: the band check
+    # refuses the probability, and the finite scan the nonselective state
+    huge = Superoperator.sandwich(1e200 * np.eye(2))
     corrupted = Instrument(
-        z_obs,
-        {1.0: Superoperator(2, component), -1.0: z_luders.components[-1.0]},
-        total=Superoperator(2, total),
+        z_obs, {1.0: huge, -1.0: z_luders.components[-1.0]}, total=huge,
         validate_invariants=False,
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        assert outcome_probability(corrupted, 1.0, plus_state()) == pytest.approx(0.5)
-        for call in (
-            lambda: reduce(corrupted, 1.0, plus_state()),
-            lambda: nonselective(corrupted, plus_state()),
-        ):
-            with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
-                call()
+        for call in (outcome_probability, reduce):
+            with pytest.raises(NumericalConsistencyError, match=r"^probability (inf|nan) outside"):
+                call(corrupted, 1.0, plus_state())
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            nonselective(corrupted, plus_state())
 
 
 def test_built_states_skip_only_the_hermitian_test(z_luders, rng, monkeypatch):

@@ -193,13 +193,15 @@ def test_psd_refusal_leaves_its_matrix_and_its_shift_unchanged(rng, d):
         shift[0, 0] = 1
 
 
-def test_trace_has_the_bits_of_ndarray_trace(rng):
+def test_trace_has_the_bits_of_ndarray_trace(rng, rep_route):
     for d in range(1, 17):
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         # the images apply returns: F-ordered on the rep route, C-ordered
-        # on the stack route (from d = 9 for one Kraus operator)
+        # on the stack route (from d = 4 for one Kraus operator)
         s = Superoperator.from_kraus([m])
-        images = [apply(Superoperator(d, s.rep), m), apply(s, m)]
+        with rep_route():
+            images = [apply(s, m)]
+        images.append(apply(s, m))
         assert images[0].flags.f_contiguous
         for x in [m, np.asfortranarray(m), m.real.copy(), *images]:
             got, want = matcore.trace(x), x.trace()

@@ -9,7 +9,6 @@ from reduction_lab.errors import (
     NotAMeasurementOfAError,
 )
 from reduction_lab.instrument import (
-    Instrument,
     instrument_from_operation,
     luders_instrument,
     operation_instrument,
@@ -35,9 +34,16 @@ from reduction_lab.quantum import (
     observable_from_hermitian,
     projector_onto,
 )
-from reduction_lab.superop import Superoperator, apply, choi, kraus_from_choi
+from reduction_lab.superop import ChoiMatrix, Superoperator, apply, choi, kraus_from_choi
 
-from conftest import partial_trace_apparatus, plus_state, probed, random_density, tensor
+from conftest import (
+    partial_trace_apparatus,
+    plus_state,
+    probed,
+    random_density,
+    route_gap_exhibit,
+    tensor,
+)
 
 
 @pytest.fixture
@@ -311,27 +317,15 @@ def test_stacked_maps_skip_the_choi_eigendecomposition(model, monkeypatch):
     # every map carries its Kraus stack: no Choi PSD test to validate, no
     # Choi eigh to extract
     assert calls == {"psd_refusal": 0, "hermitian_eig": 0}
-    # the same maps as bare reps take one Choi PSD test per component to
-    # validate and one eigh to extract
+    # the same Choi matrices without their stacks take one eigh each to
+    # extract; validation never takes a Choi PSD test
     n, d = len(model.observable.outcomes), model.dim_s
     for ins in built:
-        bare = {a: Superoperator(d, t.rep) for a, t in ins.components.items()}
         calls.update(psd_refusal=0, hermitian_eig=0)
-        Instrument(model.observable, bare, total=Superoperator(d, ins.total.rep))
-        for t in bare.values():
-            kraus_from_choi(choi(t))
-        assert calls == {"psd_refusal": n, "hermitian_eig": n}
-
-
-def test_compose_drops_a_stack_of_more_than_d_squared():
-    probe = probe_instrument_of(_wide_model(8, 16, False, 2))
-    total = Superoperator.sum_of(8, list(probe.components.values()))
-    # 8 outcomes x 16 apparatus vectors x sigma rank 2
-    assert len(total.kraus) == 256
-    # 65,536 products against d^2 = 64: the product keeps its rep only
-    product = total.compose(total)
-    assert product.kraus is None
-    assert matcore.max_abs(product.rep - total.rep @ total.rep) == 0.0
+        ins.validate()
+        for t in ins.components.values():
+            kraus_from_choi(ChoiMatrix(d, choi(t).matrix))
+        assert calls == {"psd_refusal": 0, "hermitian_eig": n}
 
 
 @pytest.mark.parametrize("ds", [2, 4, 8])
@@ -491,14 +485,14 @@ def test_kraus_maps_match_dilation_reference(model):
     total, components, probe_components, residuals = _dilation_reference(model)
     assert np.linalg.matrix_rank(model.apparatus_state.matrix) == 2
     assert len(model.observable.outcomes) >= 3
-    assert matcore.max_abs(operation_of(model).rep - total.rep) <= 1e-12
+    assert matcore.max_abs(operation_of(model).rep - total) <= 1e-12
     ins = instrument_of(model)
     probe_ins = probe_instrument_of(model)
-    assert matcore.max_abs(ins.total.rep - total.rep) <= 1e-12
+    assert matcore.max_abs(ins.total.rep - total) <= 1e-12
     for a in model.observable.eigenvalues:
-        assert matcore.max_abs(ins.component(a).rep - components[a].rep) <= 1e-12
+        assert matcore.max_abs(ins.component(a).rep - components[a]) <= 1e-12
         assert matcore.max_abs(
-            probe_ins.component(a).rep - probe_components[a].rep
+            probe_ins.component(a).rep - probe_components[a]
         ) <= 1e-12
     report = probe_consistency(model)
     assert report.residuals.keys() == residuals.keys()
@@ -560,7 +554,7 @@ def test_reduction_does_not_depend_on_the_detection_of_the_probe(model):
         detected = _detected_instrument(model, detection)
         for a in outcomes:
             assert matcore.max_abs(
-                detected[a].rep - ins.component(a).rep
+                detected[a] - ins.component(a).rep
             ) <= 1e-12, (name, a)
     # negative control: blurred effects 0.9 Q_a + 0.1 Q_b read the wrong
     # outcome a tenth of the time
@@ -570,7 +564,7 @@ def test_reduction_does_not_depend_on_the_detection_of_the_probe(model):
     }
     detected = _detected_instrument(model, blurred)
     assert max(
-        matcore.max_abs(detected[a].rep - ins.component(a).rep) for a in outcomes
+        matcore.max_abs(detected[a] - ins.component(a).rep) for a in outcomes
     ) > 1e-3
 
 
@@ -578,7 +572,7 @@ def test_kraus_maps_match_dilation_reference_biased():
     three = observable_from_hermitian(np.diag([1.0, 0.0, -1.0]).astype(complex))
     model = random_biased_model(three, 7, seed=5)
     total, components, _, residuals = _dilation_reference(model)
-    assert matcore.max_abs(operation_of(model).rep - total.rep) <= 1e-12
+    assert matcore.max_abs(operation_of(model).rep - total) <= 1e-12
     report = probe_consistency(model)
     assert not report.passed
     for a, r in residuals.items():
@@ -592,25 +586,13 @@ def test_kraus_maps_match_dilation_reference_biased():
     )
     ins = instrument_of(stripped)
     for a in model.observable.eigenvalues:
-        assert matcore.max_abs(ins.component(a).rep - components[a].rep) <= 1e-12
+        assert matcore.max_abs(ins.component(a).rep - components[a]) <= 1e-12
 
 
 @pytest.mark.parametrize("q", [1e-2, 1e-4, 1e-6, 1e-8])
 def test_route_gap_is_of_order_the_root_of_the_probe_residual(z_obs, q):
-    # a qubit measured by a qubit, sigma = |0><0|, A = M = Z, with
-    # K_+ = sqrt(1-q) E_+ + sqrt(q) E_- and K_- = sqrt(q) E_+ - sqrt(1-q) E_-:
-    # U|i>|0> = K_+|i>|0> + K_-|i>|1>.  F_+ = K_+^dag K_+ is off E_+ by q,
-    # while T'_+(X) = K_+ X K_+^dag differs from T(E_+ X E_+) = E_+ X E_+ by
-    # sqrt(q(1-q)) (E_+ X E_- + E_- X E_+) - q E_+ X E_+ + q E_- X E_-
-    e_up, e_down = z_obs.projector(1.0), z_obs.projector(-1.0)
-    k_up = np.sqrt(1 - q) * e_up + np.sqrt(q) * e_down
-    k_down = np.sqrt(q) * e_up - np.sqrt(1 - q) * e_down
-    zero, one = ket(2, 0), ket(2, 1)
-    in_cols = np.kron(np.eye(2), zero[:, None])
-    out_cols = np.kron(k_up, zero[:, None]) + np.kron(k_down, one[:, None])
-    sigma = np.outer(zero, zero.conj())
-    model = models._model(z_obs, sigma, in_cols, out_cols, list(z_obs.projectors))
-    assert matcore.max_abs(model.unitary @ in_cols - out_cols) <= 1e-15
+    # the exhibit's T'_a is off T(E_a . E_a) by sqrt(q(1-q)) in its rep
+    model = route_gap_exhibit(q)
 
     residuals = probe_consistency(model).residuals
     assert all(abs(r - q) <= 1e-15 for r in residuals.values()), residuals

@@ -1,10 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from reduction_lab import instrument, matcore, scenarios, superop
 from reduction_lab.errors import NumericalConsistencyError, ZeroProbabilityOutcomeError
 from reduction_lab.instrument import Instrument
-from reduction_lab.models import instrument_of, random_faithful_model, von_neumann_model
+from reduction_lab.models import (
+    instrument_of,
+    probe_consistency,
+    random_faithful_model,
+    von_neumann_model,
+)
 from reduction_lab.quantum import (
     PAULI_X,
     PAULI_Z,
@@ -22,7 +29,7 @@ from reduction_lab.scenarios import (
 )
 from reduction_lab.superop import Superoperator, apply
 
-from conftest import plus_state, random_density, random_hermitian, trace_norm
+from conftest import plus_state, random_density, random_hermitian, route_gap_exhibit, trace_norm
 
 
 @pytest.fixture
@@ -136,8 +143,11 @@ def test_joint_distribution_applies_each_component_once(z_model, monkeypatch):
     for module in (superop, instrument, scenarios):
         monkeypatch.setattr(module, "apply", counted)
     jd = joint_distribution(z_model, x_obs, rho)
-    # one image per outcome serves the table and the product-form check
-    assert len(calls) == 2
+    # one image per outcome serves the table and the product-form check,
+    # and one probe-route image per outcome the route check
+    assert len(calls) == 4
+    for s, ks in zip(calls[1::2], z_model.probe_route[0]):
+        assert np.array_equal(s.kraus, ks)
     assert jd.table == want
 
 
@@ -148,13 +158,34 @@ def test_joint_entry_outside_band_raises(z_model, monkeypatch):
     broken = Instrument(
         z_obs,
         {1.0: Superoperator.sandwich(z_obs.projector(1.0)),
-         -1.0: Superoperator(2, 2.0 * np.eye(4))},
+         -1.0: Superoperator.sandwich(np.sqrt(2.0) * np.eye(2))},
         validate_invariants=False,
     )
     monkeypatch.setattr(scenarios, "instrument_of", lambda *args: broken)
     up = DensityOperator(projector_onto(ket(2, 0)))
     with pytest.raises(NumericalConsistencyError):
         joint_distribution(z_model, z_obs, up)
+
+
+@pytest.mark.parametrize("q", [1e-10, 1e-12])
+def test_joint_compares_the_probe_route_with_t_a(q):
+    # the exhibit passes probe consistency at VERIFY_TOL, yet its probe
+    # route gives P'(a, x) off P(a, x) by sqrt(q(1-q)) / 2 on |+> and X
+    model = route_gap_exhibit(q)
+    x_obs = observable_from_hermitian(PAULI_X)
+    assert probe_consistency(model).passed
+    gap = np.sqrt(q * (1 - q)) / 2
+    message = (
+        r"^joint table entry \(-1.0, -1.0\) is 2.500000000e-01 by T_a but "
+        rf"\S+ by the probe route, {gap:.3e} apart$"
+    )
+    with pytest.raises(NumericalConsistencyError, match=message):
+        joint_distribution(model, x_obs, plus_state())
+    # at a tolerance above the gap, and without a probe, the table stands
+    loose = joint_distribution(model, x_obs, plus_state(), tol=1e-4)
+    probeless = replace(model, probe=None)
+    for jd in (loose, joint_distribution(probeless, x_obs, plus_state())):
+        assert all(abs(p - 0.25) <= 1e-15 for p in jd.table.values())
 
 
 def test_nonuniqueness_exhibit_qubit():

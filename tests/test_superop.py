@@ -34,6 +34,7 @@ from reduction_lab.superop import (
 )
 
 from conftest import (
+    choi_blocks,
     dual,
     four_state_split,
     half_split,
@@ -44,7 +45,7 @@ from conftest import (
     random_hermitian,
     random_matrix,
     recombine,
-    without_stacks,
+    rep_images,
 )
 
 
@@ -61,7 +62,10 @@ def test_vec_convention(rng):
     vec_x = x.reshape(-1, order="F")
     assert all(vec_x[i + 3 * j] == x[i, j] for i in range(3) for j in range(3))
     assert np.allclose(np.kron(b.T, a) @ vec_x, (a @ x @ b).reshape(-1, order="F"), atol=1e-12)
-    assert np.allclose(apply(Superoperator(3, np.kron(b.T, a)), x), a @ x @ b, atol=1e-12)
+    # the sandwich by A is the case B = A^dagger: its rep is conj(A) kron A
+    s = Superoperator.sandwich(a)
+    assert matcore.max_abs(s.rep - np.kron(a.conj(), a)) <= 1e-14 * matcore.max_abs(s.rep)
+    assert np.allclose(apply(s, x), a @ x @ a.conj().T, atol=1e-12)
 
 
 def test_apply_identity_and_conjugation(rng):
@@ -82,7 +86,7 @@ def test_apply_linear_on_decomposition(rng):
 
 
 def test_apply_stack_matches_apply(rng):
-    s = Superoperator(3, random_matrix(rng, 9))
+    s = Superoperator.from_kraus([random_matrix(rng, 3) for _ in range(2)])
     ms = np.stack([random_matrix(rng, 3) for _ in range(5)])
     out = apply_stack(s, ms)
     assert out.shape == ms.shape
@@ -97,21 +101,19 @@ def test_apply_stack_matches_apply(rng):
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 @pytest.mark.parametrize("n", [1, 7])
 def test_apply_dual_stack_matches_the_dual_map(rng, d, n):
-    a, b = random_matrix(rng, d), random_matrix(rng, d)
     maps = {
         "kraus": Superoperator.from_kraus([random_matrix(rng, d) for _ in range(3)]),
-        "a x b": Superoperator(d, np.kron(b.T, a)),
-        "transpose": probed(d, lambda x: x.T),
-        "generic": Superoperator(d, random_matrix(rng, d * d)),
+        "sandwich": Superoperator.sandwich(random_matrix(rng, d)),
+        "zero": Superoperator.zero(d),
+        "wide": Superoperator.from_kraus([random_matrix(rng, d) for _ in range(d * d + 1)]),
     }
     ms = np.stack([random_matrix(rng, d) for _ in range(n)])
     for name, s in maps.items():
         out = apply_dual_stack(s, ms)
         assert out.shape == ms.shape, name
-        sd = dual(s)
-        for want in (apply_stack(sd, ms), np.stack([apply(sd, m) for m in ms])):
-            bound = 1e-13 * max(1.0, matcore.max_abs(want))
-            assert matcore.max_abs(out - want) <= bound, name
+        want = rep_images(dual(s), ms)
+        bound = 1e-13 * max(1.0, matcore.max_abs(want))
+        assert matcore.max_abs(out - want) <= bound, name
     s = maps["kraus"]
     with pytest.raises(ValueError):
         apply_dual_stack(s, ms[0])
@@ -164,18 +166,18 @@ def test_both_routes_give_the_same_images(case, seed):
     got = (apply(s, ms[0]), apply_stack(s, ms), apply_dual_stack(s, ms))
     # the rep route computed the rep on its first apply, the stack route never
     assert ("rep" in vars(s)) != stack
-    plain = Superoperator(d, s.rep)  # no stack: always the rep route
-    assert not superop._on_stack(plain)
-    assert _close(got[0], apply(plain, ms[0]))
-    assert _close(got[1], apply_stack(plain, ms))
-    assert _close(got[2], apply_dual_stack(plain, ms))
+    # against the images by the reference reps of s and of its dual
+    images = rep_images(s.rep, ms)
+    assert _close(got[0], images[0])
+    assert _close(got[1], images)
+    assert _close(got[2], rep_images(dual(s), ms))
     # the kernel itself, also where the rule keeps the rep route
     adj = superop._adjoint_rows(s.kraus)
-    assert _close(superop._kraus_sum(s.kraus, ms, adj), apply_stack(plain, ms))
+    assert _close(superop._kraus_sum(s.kraus, ms, adj), images)
 
 
 @pytest.mark.parametrize("d", [3, 8, 9, 16])
-def test_an_empty_stack_and_a_sandwich_take_the_route_rule(rng, d):
+def test_an_empty_stack_and_a_sandwich_take_the_route_rule(rng, rep_route, d):
     a = random_matrix(rng, d)
     ms = np.stack([random_matrix(rng, d) for _ in range(3)])
     zero, sandwich = Superoperator.zero(d), Superoperator.sandwich(a)
@@ -185,13 +187,16 @@ def test_an_empty_stack_and_a_sandwich_take_the_route_rule(rng, d):
     for f in (apply_stack, apply_dual_stack):
         assert np.array_equal(f(zero, ms), np.zeros_like(ms))
     assert np.array_equal(apply(zero, ms[0]), np.zeros((d, d)))
-    plain = Superoperator(d, sandwich.rep)
     want = a @ ms @ a.conj().T
-    assert _close(apply_stack(sandwich, ms), want)
-    assert _close(apply_stack(sandwich, ms), apply_stack(plain, ms))
+    images = apply_stack(sandwich, ms), apply_dual_stack(sandwich, ms)
+    assert _close(images[0], want)
     assert _close(apply(sandwich, ms[1]), want[1])
-    assert _close(apply_dual_stack(sandwich, ms), a.conj().T @ ms @ a)
-    assert _close(apply_dual_stack(sandwich, ms), apply_dual_stack(plain, ms))
+    assert _close(images[1], a.conj().T @ ms @ a)
+    # the same maps through their reps
+    with rep_route():
+        assert _close(images[0], apply_stack(sandwich, ms))
+        assert _close(images[1], apply_dual_stack(sandwich, ms))
+        assert np.array_equal(apply_stack(zero, ms), np.zeros_like(ms))
 
 
 @pytest.mark.parametrize("d", [9, 12, 16])
@@ -240,41 +245,36 @@ def test_applies_give_the_same_bits_on_a_cold_and_a_warm_cache(rng, d, n):
 @pytest.mark.parametrize("d", [3, 12])
 def test_a_sum_of_maps_holds_their_stacks_and_the_sum_of_their_reps(rng, d):
     stacked = [Superoperator.from_kraus([random_matrix(rng, d) for _ in range(n)]) for n in (1, 2, 3)]
-    plain = Superoperator(d, random_matrix(rng, d * d))
-    for maps in (stacked, [*stacked, plain], []):
+    for maps in (stacked, []):
         total = Superoperator.sum_of(d, maps)
         want = np.zeros((d * d, d * d), dtype=complex)
         for t in maps:
             want = want + t.rep
-        if plain in maps:
-            # the component reps added to zeros in order
-            assert total.kraus is None and np.array_equal(total.rep, want)
-        else:
-            # the map of the concatenated stacks, its rep unbuilt until read
-            stacks = np.concatenate([np.zeros((0, d, d)), *(t.kraus for t in maps)])
-            assert np.array_equal(total.kraus, stacks)
-            assert set(vars(total)) == {"dim", "kraus"}
-            assert superop._on_stack(total) == (4 * len(stacks) <= d)
-            assert np.array_equal(total.rep, superop._rep_of(stacks))
-            assert matcore.max_abs(total.rep - want) <= 1e-14 * max(1.0, matcore.max_abs(want))
-    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        # the map of the concatenated stacks, its rep unbuilt until read
+        stacks = np.concatenate([np.zeros((0, d, d)), *(t.kraus for t in maps)])
+        assert np.array_equal(total.kraus, stacks)
+        assert set(vars(total)) == {"dim", "kraus"}
+        assert superop._on_stack(total) == (4 * len(stacks) <= d)
+        assert np.array_equal(total.rep, superop._rep_of(stacks))
+        assert matcore.max_abs(total.rep - want) <= 1e-14 * max(1.0, matcore.max_abs(want))
+    with pytest.raises(ValueError, match=f"^dimension mismatch: sum dim {d}, map dim {d + 1}$"):
         Superoperator.sum_of(d, [*stacked, identity_map(d + 1)])
 
 
-@pytest.mark.parametrize("d, plain_part", [(3, False), (12, False), (12, True)])
-def test_sum_residual_is_the_largest_entry_of_the_rep_difference(rng, d, plain_part):
-    # at d = 12 with stacks only, every map holds 4n <= d and the residual
-    # comes from the stacks; at d = 3, or with a part that has no stack,
-    # from the reps
+@pytest.mark.parametrize("d, wide_part", [(3, False), (12, False), (12, True)])
+def test_sum_residual_is_the_largest_entry_of_the_rep_difference(rng, d, wide_part):
+    # at d = 12 with small stacks only, every map holds 4n <= d and the
+    # residual comes from the stacks; at d = 3, or with a part of d
+    # operators, off the stack route, from the reps
     parts = [Superoperator.zero(d), Superoperator.sandwich(random_matrix(rng, d)),
              Superoperator.from_kraus([random_matrix(rng, d) for _ in range(2)])]
-    if plain_part:
-        parts.append(Superoperator(d, random_matrix(rng, d * d)))
+    if wide_part:
+        parts.append(Superoperator.from_kraus([random_matrix(rng, d) for _ in range(d)]))
     total = Superoperator.from_kraus([random_matrix(rng, d) for _ in range(3)])
     on_stack = all(map(superop._on_stack, [total, *parts]))
-    assert on_stack == (d == 12 and not plain_part)
+    assert on_stack == (d == 12 and not wide_part)
     got = sum_residual(total, parts)
-    assert all(("rep" in vars(t)) != on_stack for t in [total, *parts] if t.kraus is not None)
+    assert all(("rep" in vars(t)) != on_stack for t in [total, *parts])
     want = matcore.max_abs(sum(t.rep for t in parts) - total.rep)
     assert want > 1.0 and abs(got - want) <= 1e-13 * want
     # a total that is the sum of the parts leaves only roundoff
@@ -283,7 +283,7 @@ def test_sum_residual_is_the_largest_entry_of_the_rep_difference(rng, d, plain_p
 
 @pytest.mark.parametrize("ds, da, kernel_calls", [(12, 2, 14), (8, 16, 0)])
 def test_a_faithful_model_applies_through_its_stack_when_the_rule_says(
-    rng, monkeypatch, ds, da, kernel_calls
+    rng, monkeypatch, rep_route, ds, da, kernel_calls
 ):
     # (12,2): 2 Kraus operators per map, the stack route; (8,16): 16, the rep
     model = random_faithful_model(half_split(ds, 3), da, seed=3, sigma_rank=1)
@@ -312,8 +312,9 @@ def test_a_faithful_model_applies_through_its_stack_when_the_rule_says(
     monkeypatch.setattr(superop, "_kraus_sum", counted)
     got = outputs(ins)
     assert calls == kernel_calls
-    # the same maps without their stacks: the rep route gives the same outputs
-    want = outputs(without_stacks(ins))
+    # the same maps through their reps give the same outputs
+    with rep_route():
+        want = outputs(ins)
     assert calls == kernel_calls
     for x, y in zip(got, want):
         assert matcore.max_abs(np.asarray(x) - np.asarray(y)) <= 1e-13
@@ -370,7 +371,7 @@ def test_a_stack_route_instrument_holds_no_rep_until_one_is_read():
 
 
 def test_maps_compare_and_hash_by_identity(rng):
-    a, b = Superoperator(2, np.eye(4)), Superoperator(2, np.eye(4))
+    a, b = identity_map(2), identity_map(2)
     assert a == a and a != b and len({a, b, a}) == 2
     c = choi(a)
     assert c == c and c != choi(a) and hash(c) == hash(c)
@@ -430,27 +431,33 @@ def test_decompose_reassembles(rng):
 
 def test_dual_examples(rng):
     one = identity_map(3)
-    assert matcore.max_abs(dual(one).rep - one.rep) <= 1e-12
+    assert matcore.max_abs(dual(one) - one.rep) <= 1e-12
     u = haar(rng, 3)
     want = Superoperator.sandwich(u.conj().T)
-    assert matcore.max_abs(dual(Superoperator.sandwich(u)).rep - want.rep) <= 1e-12
+    assert matcore.max_abs(dual(Superoperator.sandwich(u)) - want.rep) <= 1e-12
 
 
 def test_dual_defining_relation(rng):
-    s = Superoperator(3, random_matrix(rng, 9))
+    s = Superoperator.from_kraus([random_matrix(rng, 3) for _ in range(9)])
     sd = dual(s)
     for _ in range(100):
         x, rho = random_matrix(rng, 3), random_matrix(rng, 3)
         lhs = np.trace(x @ apply(s, rho))
-        rhs = np.trace(apply(sd, x) @ rho)
+        rhs = np.trace(rep_images(sd, x[None])[0] @ rho)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1)
 
 
 def test_dual_linear_over_sums(rng):
-    parts = [Superoperator(2, random_matrix(rng, 4)) for _ in range(3)]
+    # Gaussian-integer Kraus operators: every rep entry is exact, so the
+    # total's rep, one product over the concatenated stack, equals the sum
+    # of the parts' reps bit for bit
+    def integer_matrix():
+        return rng.integers(-3, 4, (2, 2)) + 1j * rng.integers(-3, 4, (2, 2))
+
+    parts = [Superoperator.from_kraus([integer_matrix() for _ in range(n)]) for n in (1, 2, 4)]
     total = Superoperator.sum_of(2, parts)
-    summed = Superoperator.sum_of(2, [dual(t) for t in parts])
-    assert matcore.max_abs(dual(total).rep - summed.rep) == 0.0
+    summed = sum(dual(t) for t in parts)
+    assert matcore.max_abs(dual(total) - summed) == 0.0
 
 
 def test_choi_identity_map():
@@ -462,7 +469,11 @@ def test_choi_identity_map():
 
 def test_choi_depolarizing():
     d = 3
-    s = probed(d, lambda x: np.trace(x) * np.eye(d) / d)
+    # Kraus operators E_ij / sqrt(d)
+    s = Superoperator.from_kraus(
+        [matrix_unit(d, i, j) / np.sqrt(d) for i in range(d) for j in range(d)]
+    )
+    assert matcore.max_abs(s.rep - probed(d, lambda x: np.trace(x) * np.eye(d) / d)) <= 1e-15
     assert np.allclose(choi(s).matrix, np.eye(d * d) / d, atol=1e-12)
 
 
@@ -510,7 +521,7 @@ def test_from_kraus_rep_is_the_kron_sum_on_both_sides_of_the_block_floor(rng, d)
 
 
 def test_choi_is_the_block_matrix_of_unit_images(rng):
-    s = Superoperator(3, random_matrix(rng, 9))
+    s = Superoperator.from_kraus([random_matrix(rng, 3) for _ in range(9)])
     blocks = [[apply(s, matrix_unit(3, i, j)) for j in range(3)] for i in range(3)]
     assert np.array_equal(choi(s).matrix, np.block(blocks))
 
@@ -555,9 +566,8 @@ def test_kraus_from_choi_reconstruction(rng):
         )
         for t in (t for ins in built for t in ins.components.values()):
             c = choi(t)
-            # every route keeps its stack, the operation route's too: a
-            # product with the one-operator sandwich(E_a) is always kept
-            assert c.kraus is not None, (ds, degenerate, rank)
+            # every map keeps its stack, and choi passes it on
+            assert c.kraus is t.kraus, (ds, degenerate, rank)
             compared += 1
             stacked = kraus_from_choi(c)
             unstacked = kraus_from_choi(ChoiMatrix(ds, c.matrix))
@@ -613,17 +623,8 @@ def test_kraus_stack_provenance(rng):
     assert matcore.max_abs(Superoperator.from_kraus(s.kraus).rep - s.rep) == 0.0
     with pytest.raises(ValueError):
         s.kraus[0, 0, 0] = 1.0
-    # maps that are not built as a Kraus sum carry no stack
-    for m in (
-        Superoperator(3, s.rep),
-        identity_map(3),
-        dual(s),
-        probed(3, lambda x: x),
-        Superoperator.sum_of(3, [s, Superoperator(3, s.rep)]),
-    ):
-        assert m.kraus is None and choi(m).kraus is None
+    assert identity_map(3).kraus.shape == (1, 3, 3)
     # sum_of concatenates: the stack reassembles to the rep
-    big = Superoperator.from_kraus([random_matrix(rng, 3) for _ in range(4)])
     for m, n in (
         (Superoperator.sum_of(3, [s, Superoperator.sandwich(p)]), 3),
         (Superoperator.sum_of(3, [Superoperator.zero(3), s]), 2),
@@ -631,24 +632,27 @@ def test_kraus_stack_provenance(rng):
         assert len(m.kraus) == n
         assert choi(m).kraus is m.kraus
         assert matcore.max_abs(Superoperator.from_kraus(m.kraus).rep - m.rep) <= 1e-12
-    # compose is rep @ rep and keeps no stack, whatever its factors carry
-    wide = Superoperator.from_kraus([random_matrix(rng, 3) for _ in range(12)])
-    for m, n in (
-        (s, Superoperator(3, s.rep)), (s, Superoperator.sandwich(p)), (s, s), (big, s),
-        (wide, Superoperator.sandwich(p)), (Superoperator.sandwich(p), wide),
-        (big, big), (wide, s), (Superoperator.zero(3), s),
-    ):
-        product = m.compose(n)
-        assert product.kraus is None and choi(product).kraus is None
-        assert matcore.max_abs(product.rep - m.rep @ n.rep) == 0.0
 
 
 def test_kraus_from_choi_rejects_non_cp():
     # the transpose map is positive but not completely positive
-    transpose = probed(2, lambda x: x.T)
     with pytest.raises(NotCompletelyPositiveError) as err:
-        kraus_from_choi(choi(transpose))
+        kraus_from_choi(ChoiMatrix(2, choi_blocks(2, lambda x: x.T)))
     assert err.value.most_negative_eigenvalue < -0.5
+
+
+def test_a_map_comes_only_from_kraus_operators(rng):
+    # no rep constructor: a map given by a rep has no way in
+    with pytest.raises(TypeError):
+        Superoperator(2, np.eye(4))
+    for s in (Superoperator.zero(2), identity_map(2),
+              Superoperator.sum_of(2, [identity_map(2), Superoperator.zero(2)])):
+        assert s.kraus is not None
+    # a map given by a CP Choi matrix comes in through kraus_from_choi
+    ks = [random_matrix(rng, 3) * 0.3 for _ in range(4)]
+    c = choi_blocks(3, lambda x: sum(k @ x @ k.conj().T for k in ks))
+    s = Superoperator.from_kraus(kraus_from_choi(ChoiMatrix(3, c)))
+    assert matcore.max_abs(choi(s).matrix - c) <= 1e-14
 
 
 def test_trace_of_map(rng):
@@ -662,24 +666,23 @@ def test_trace_of_map(rng):
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 12])
 def test_unit_image_is_the_dual_applied_to_the_identity(rng, d):
     # at d = 12 the stack maps take the stack route: sum_k K_k^dagger K_k
-    a = random_matrix(rng, d)
     maps = [
         Superoperator.from_kraus([random_matrix(rng, d) for _ in range(3)]),
         Superoperator.zero(d),
-        Superoperator(d, random_matrix(rng, d * d)),
-        probed(d, lambda x: a @ x.T),
+        Superoperator.from_kraus([random_matrix(rng, d) for _ in range(d * d + 1)]),
+        Superoperator.sandwich(random_matrix(rng, d)),
     ]
     one = np.eye(d, dtype=complex)
     for s in maps:
-        expected = apply(dual(s), one)
+        expected = rep_images(dual(s), one[None])[0]
         bound = 1e-15 * max(1.0, matcore.max_abs(expected))
         assert matcore.max_abs(unit_image(s) - expected) <= bound
 
 
 def test_the_boundary_still_rejects_bad_maps(rng):
-    rep = random_matrix(rng, 4)
-    rep[1, 2] = np.nan
+    ks = random_matrix(rng, 2)[None]
+    ks[0, 1, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        Superoperator(2, rep)
+        Superoperator.from_kraus(ks)
     with pytest.raises(ValueError, match="non-finite"):
-        probed(2, lambda x: x + np.inf)
+        Superoperator.sandwich(np.full((2, 2), np.inf))
