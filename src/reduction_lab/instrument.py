@@ -175,28 +175,16 @@ def outcome_probability(ins: Instrument, a: float, rho: DensityOperator) -> floa
 def reduce(ins: Instrument, a: float, rho: DensityOperator) -> DensityOperator:
     """Post-measurement state conditional on outcome ``a``:
     T_a(rho) / Tr[T_a(rho)], with the probability band-checked as in
-    ``outcome_probability``."""
+    ``outcome_probability``, made by ``_reduce_image``."""
     if ins.dim != rho.dim:
         raise ValueError(f"dimension mismatch: state dim {rho.dim}, instrument dim {ins.dim}")
     return _reduce_image(a, apply(ins.component(a), rho))
 
 
-def _normalised(x: np.ndarray, not_psd=None) -> DensityOperator:
-    """The state of a computed image x, made exactly Hermitian and
-    renormalised in two array operations, x + x^dag and one in-place
-    division by its real trace: the bits of (x + x^dag)/2 over its trace,
-    since both halvings are exact and numpy divides a complex array by a
-    real number through its reciprocal.  ``DensityOperator._built`` keeps
-    the finite scan and the PSD and trace tests, and takes ``not_psd``."""
-    # clip eigenvalue roundoff before the strict DensityOperator checks
-    out = x + x.conj().T
-    out /= matcore.trace(out).real
-    return DensityOperator._built(out, not_psd)
-
-
 def _reduce_image(a: float, image: np.ndarray) -> DensityOperator:
     """The state ``reduce`` makes of the image T_a(rho), for a caller that
-    already holds the image: ``_normalised`` of T_a(rho)/p.  The roundoff
+    already holds the image: ``DensityOperator._normalised`` of T_a(rho)/p,
+    the one constructor of the states the library computes.  The roundoff
     of T_a(rho) grows by 1/p, so at a small p the result can fail the PSD
     test: that raises ``NumericalConsistencyError`` naming the outcome, p
     and the min eigenvalue, since no conditional state can be resolved
@@ -211,7 +199,7 @@ def _reduce_image(a: float, image: np.ndarray) -> DensityOperator:
             f"conditional state: T_a(rho)/p has min eigenvalue {lowest:.3e}"
         )
 
-    return _normalised(image / p, unresolved)
+    return DensityOperator._normalised(image / p, unresolved)
 
 
 def reduce_or_maximally_mixed(ins: Instrument, a: float, rho: DensityOperator):
@@ -225,11 +213,11 @@ def reduce_or_maximally_mixed(ins: Instrument, a: float, rho: DensityOperator):
 
 
 def nonselective(ins: Instrument, rho: DensityOperator) -> DensityOperator:
-    """Outcome-averaged state change: ``_normalised`` of the total
-    operation applied to rho."""
+    """Outcome-averaged state change: ``DensityOperator._normalised`` of
+    the total operation applied to rho."""
     if ins.dim != rho.dim:
         raise ValueError(f"dimension mismatch: state dim {rho.dim}, instrument dim {ins.dim}")
-    return _normalised(apply(ins.total, rho))
+    return DensityOperator._normalised(apply(ins.total, rho))
 
 
 def instrument_from_operation(t: Superoperator, obs: DiscreteObservable) -> Instrument:

@@ -29,15 +29,15 @@ def projector_onto(vector: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class DensityOperator:
     """Positive unit-trace matrix, checked by the Hermitian test of
-    ``matcore.hermitian_stack`` on a stack of one and by ``_check_spectrum``
-    on its Hermitian part: the PSD test of ``matcore.psd_refusal``, one
-    Cholesky factor, and the trace test.
+    ``matcore.hermitian_stack`` on a stack of one, the PSD test of
+    ``matcore.psd_refusal`` on its Hermitian part (one Cholesky factor), and
+    the trace test.
 
     The constructor scans its input with ``matcore.as_complex_matrix`` and
     then checks it.  Library code reads ``matrix`` as checked: ``superop.apply``
     takes the state itself and does not rescan it, so the matrix must not be
-    changed in place.  ``_built`` is the package-private constructor for
-    matrices the library computes as exactly Hermitian."""
+    changed in place.  Every state the library computes comes from one
+    package-private constructor, ``_normalised``."""
 
     matrix: np.ndarray
 
@@ -46,28 +46,40 @@ class DensityOperator:
         hermitian, h, _ = matcore.hermitian_stack(m[None])
         if not hermitian[0]:
             raise ValueError("density operator must be Hermitian")
-        _check_spectrum(m, h[0])
+        _check_psd(h[0])
+        tr = complex(matcore.trace(m))
+        # written so that a NaN trace fails the check
+        if not abs(tr - 1.0) <= UNIT_TOL:
+            raise ValueError(f"density operator trace {tr} != 1")
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def _built(cls, m: np.ndarray, not_psd=None) -> "DensityOperator":
-        """The state of a d x d complex matrix that the library computed as
-        exactly Hermitian: x + x^dag over its real trace in
-        ``instrument._normalised``, for ``reduce`` and ``nonselective``, the
-        identity over d in ``maximally_mixed``.  Such a matrix is its own
-        Hermitian part, so only the Hermitian test is skipped: the finite
-        scan runs, then ``_check_spectrum`` on the matrix itself, with the
-        constructor's PSD test and messages.
+    def _normalised(cls, x: np.ndarray, not_psd=None) -> "DensityOperator":
+        """The state of a d x d complex matrix x that the library computed:
+        T_a(rho)/p for ``reduce``, T(rho) for ``nonselective``, the identity
+        for ``maximally_mixed``.  x + x^dag is divided in place by its real
+        trace, which gives the bits of (x + x^dag)/2 over its trace, since
+        both halvings are exact and numpy divides a complex array by a real
+        number through its reciprocal.  Then the finite scan runs, and the
+        PSD test of the constructor, with its message; ``not_psd``, when
+        given, makes the PSD test's exception from the min eigenvalue.
 
-        The PSD test stays: T_a(rho)/p is PSD only to its roundoff over p,
-        and below p of about 1e-6 it refuses most states whose conditional
-        state has low rank.  ``not_psd``, when given, makes the PSD test's
-        exception from the min eigenvalue."""
-        if not np.isfinite(m).all():
+        The result is exactly Hermitian, so the Hermitian test is skipped.
+        So is the trace test: the diagonal of x + x^dag is real, and a
+        finite matrix over its own real trace that passes the PSD test is
+        off unit trace by a few ulps.  A zero, infinite or NaN trace leaves
+        a non-finite matrix, which the finite scan refuses ahead of the
+        PSD test: ``eigvalsh`` can give finite eigenvalues for a matrix
+        with a NaN entry.  The PSD test stays:
+        T_a(rho)/p is PSD only to its roundoff over p, and below p of about
+        1e-6 it refuses most states whose conditional state has low rank."""
+        out = x + x.conj().T
+        out /= matcore.trace(out).real
+        if not np.isfinite(out).all():
             raise ValueError("matrix has non-finite entries")
-        _check_spectrum(m, m, not_psd)
+        _check_psd(out, not_psd)
         rho = object.__new__(cls)
-        vars(rho)["matrix"] = m
+        vars(rho)["matrix"] = out
         return rho
 
     @property
@@ -75,21 +87,16 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
-def _check_spectrum(m: np.ndarray, h: np.ndarray, not_psd=None) -> None:
-    """The PSD and trace tests of one d x d matrix ``m`` with exactly
-    Hermitian part ``h``: ``matcore.psd_refusal`` of ``h`` (one Cholesky
-    factor; one ``eigvalsh`` only when the factor fails), then the trace of
-    ``m`` within ``UNIT_TOL`` of 1, compared as a Python number and
-    fail-closed, so a NaN fails it.  A PSD failure raises
-    ``not_psd(min eigenvalue)`` when that is given."""
+def _check_psd(h: np.ndarray, not_psd=None) -> None:
+    """The PSD test of an exactly Hermitian d x d matrix ``h``:
+    ``matcore.psd_refusal`` (one Cholesky factor; one ``eigvalsh`` only
+    when the factor fails).  A failure raises ``not_psd(min eigenvalue)``
+    when that is given."""
     lo = matcore.psd_refusal(h)
     if lo is not None:
         if not_psd is not None:
             raise not_psd(lo)
         raise ValueError(f"density operator not PSD (min eigenvalue {lo:.3e})")
-    tr = complex(matcore.trace(m))
-    if not abs(tr - 1.0) <= UNIT_TOL:
-        raise ValueError(f"density operator trace {tr} != 1")
 
 
 @dataclass(frozen=True)
@@ -115,9 +122,11 @@ class PureState:
 
 
 def maximally_mixed(dim: int) -> DensityOperator:
+    """The identity over ``dim``, made by ``DensityOperator._normalised``:
+    the bits of ``np.eye(dim) / dim``, since 2 over 2 dim is 1 over dim."""
     if dim < 1:
         raise ValueError("matrix dimension must be >= 1")
-    return DensityOperator._built(np.eye(dim, dtype=complex) / dim)
+    return DensityOperator._normalised(np.eye(dim, dtype=complex))
 
 
 @dataclass(frozen=True)

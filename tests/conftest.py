@@ -41,6 +41,31 @@ def plus_state():
     return DensityOperator(np.full((2, 2), 0.5, dtype=complex))
 
 
+def normalised_reference(m):
+    """m + m^dag over its real trace, in the arithmetic of
+    ``DensityOperator._normalised``."""
+    out = m + m.conj().T
+    out /= np.trace(out).real
+    return out
+
+
+def computed_state_verdict(m):
+    """None, or the refusal's message: ``DensityOperator._normalised`` of m
+    gives the state that the public constructor gives on the same
+    normalised matrix, bit for bit, or the same refusal, word for word."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        normed = normalised_reference(m)
+        try:
+            want = DensityOperator(normed)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                DensityOperator._normalised(m)
+            assert str(got.value) == str(err) and type(got.value) is ValueError
+            return str(err)
+        assert DensityOperator._normalised(m).matrix.tobytes() == want.matrix.tobytes()
+    return None
+
+
 def matrix_unit(dim, i, j):
     e = np.zeros((dim, dim), dtype=complex)
     e[i, j] = 1.0

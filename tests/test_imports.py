@@ -1,12 +1,12 @@
 """Every name a module imports is used in it: the library (re-exports in
 ``__init__.py`` are its API), the tests, the demos and the benchmark.  Every
 helper and fixture that ``tests/conftest.py`` defines is used by a test
-module.  Every public function of the kernel modules, ``matcore`` and
-``superop``, and every public method of their map classes, is named by
-another library module, a demo or the benchmark: an API that only tests
-call belongs in ``tests/conftest.py``.  The route rule and the kernels it
-picks between are named only inside ``superop``.  Every trace the library
-takes is ``matcore.trace``.  Every library name that the demos and the
+module.  Every public function of the kernel and state modules,
+``matcore``, ``superop``, ``quantum`` and ``instrument``, and every public
+method of their classes, is named by another library module, a demo or the
+benchmark: an API that only tests call belongs in ``tests/conftest.py``.
+The route rule and the kernels it picks between are named only inside
+``superop``.  Every trace the library takes is ``matcore.trace``.  Every library name that the demos and the
 benchmark read exists."""
 
 import ast
@@ -76,12 +76,13 @@ def _names(path: Path) -> set:
 
 def test_every_public_kernel_function_has_a_caller_outside_the_tests():
     src = ROOT / "src" / "reduction_lab"
+    modules = ("matcore", "superop", "quantum", "instrument")
     public = []  # (module, qualified name, name)
-    for module, classes in (("matcore", ()), ("superop", ("Superoperator", "ChoiMatrix"))):
+    for module in modules:
         for node in ast.parse((src / f"{module}.py").read_text()).body:
             if isinstance(node, ast.FunctionDef):
                 public.append((module, node.name, node.name))
-            elif isinstance(node, ast.ClassDef) and node.name in classes:
+            elif isinstance(node, ast.ClassDef):
                 public += [(module, f"{node.name}.{item.name}", item.name)
                            for item in node.body if isinstance(item, ast.FunctionDef)]
     public = [entry for entry in public if not entry[2].startswith("_")]
@@ -90,10 +91,10 @@ def test_every_public_kernel_function_has_a_caller_outside_the_tests():
     outside = set().union(*(_names(p) for folder in ("demos", "benchmarks")
                             for p in (ROOT / folder).glob("*.py")))
     callers = {module: outside.union(*(names for stem, names in library.items() if stem != module))
-               for module in ("matcore", "superop")}
-    assert len(public) > 15
+               for module in modules}
+    assert len(public) > 40
     unused = [f"{module}.{qual}" for module, qual, name in public if name not in callers[module]]
-    assert not unused, "kernel API with no caller outside the tests: " + ", ".join(unused)
+    assert not unused, "public API with no caller outside the tests: " + ", ".join(unused)
 
 
 def test_the_route_rule_stays_in_superop():

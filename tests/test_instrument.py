@@ -974,9 +974,9 @@ def test_a_non_finite_image_is_still_refused(z_obs, z_luders):
 
 def test_built_states_skip_only_the_hermitian_test(z_luders, rng, monkeypatch):
     rho = random_density(rng, 2)
-    scans, hermitian, psd_tests, spectra = [], [], [], []
+    scans, hermitian, psd_tests, spectra, traces = [], [], [], [], []
     as_complex_matrix, hermitian_stack = matcore.as_complex_matrix, matcore.hermitian_stack
-    psd_refusal, eigvalsh = matcore.psd_refusal, np.linalg.eigvalsh
+    psd_refusal, eigvalsh, trace = matcore.psd_refusal, np.linalg.eigvalsh, matcore.trace
 
     def counted_scan(m):
         scans.append(m)
@@ -990,23 +990,28 @@ def test_built_states_skip_only_the_hermitian_test(z_luders, rng, monkeypatch):
     monkeypatch.setattr(matcore, "hermitian_stack", counted_hermitian)
     monkeypatch.setattr(matcore, "psd_refusal", lambda h: psd_tests.append(h) or psd_refusal(h))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: spectra.append(h) or eigvalsh(h))
+    monkeypatch.setattr(matcore, "trace", lambda m: traces.append(m) or trace(m))
     states = []
-    for build in (
-        lambda: reduce(z_luders, 1.0, rho),
-        lambda: nonselective(z_luders, rho),
-        lambda: maximally_mixed(3),
+    for build, image_traces in (
+        (lambda: reduce(z_luders, 1.0, rho), 1),
+        (lambda: nonselective(z_luders, rho), 0),
+        (lambda: maximally_mixed(3), 0),
     ):
         # one PSD test per built state, on the state's own matrix, and an
         # accepted state takes no eigendecomposition
         psd_tests.clear()
+        traces.clear()
         states.append(build())
         assert len(psd_tests) == 1 and psd_tests[0] is states[-1].matrix
         assert spectra == []
+        # the state's trace is read once, to divide by it, and not tested
+        # after: reduce reads the image's trace for p before that
+        assert len(traces) == image_traces + 1 and traces[-1] is states[-1].matrix
     psd_tests.clear()
     assert outcome_probability(z_luders, 1.0, rho) > 0
     assert psd_tests == []
     # the checked input is not rescanned, and no built state re-tests
-    # its Hermitian part
+    # its Hermitian part or its trace
     assert scans == [] and hermitian == []
     monkeypatch.undo()
     for state in states:

@@ -1,4 +1,5 @@
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reduction_lab import matcore
-from reduction_lab.quantum import PAULI_X, PAULI_Z, DensityOperator
+from reduction_lab.models import random_faithful_model
+from reduction_lab.quantum import (
+    PAULI_X,
+    PAULI_Z,
+    DensityOperator,
+    DiscreteObservable,
+    observable_from_hermitian,
+)
 from reduction_lab.superop import Superoperator, apply
 
 from conftest import (
@@ -361,3 +369,28 @@ def test_hermitian_verdict_is_scale_invariant(case, s):
         with pytest.raises(ValueError) as err:
             DensityOperator(s * m)
     assert ("Hermitian" in str(err.value)) == (not herm)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_observable_and_model_verdicts_are_scale_invariant(seed):
+    # a Hermitian matrix far above unit scale keeps its spectral
+    # projectors; a projector or a unitary far above it is refused
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, int(rng.integers(1, 7)))
+    obs = observable_from_hermitian(h)
+    levels = np.array(obs.eigenvalues)
+    for s in (1e150, 1e300):
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = observable_from_hermitian(s * h)
+        assert len(scaled.outcomes) == len(obs.outcomes)
+        assert matcore.max_abs(scaled.projectors - obs.projectors) <= 1.8e-13
+        off = np.abs(np.array(scaled.eigenvalues) / s - levels).max()
+        assert off <= 1e-13 * np.abs(levels).max()
+    model = random_faithful_model(obs, 2 * len(obs.outcomes), seed)
+    p = obs.projectors[0]
+    for s in (1e150, 1e200, 1e300):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"^outcome \S+: not an orthogonal projector$"):
+                DiscreteObservable(((1.0, s * p), (-1.0, np.eye(len(p)) - p)))
+            with pytest.raises(ValueError, match="^interaction matrix is not unitary$"):
+                replace(model, unitary=s * model.unitary)

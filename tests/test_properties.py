@@ -14,6 +14,7 @@ profile is derandomised and keeps no database, so every run checks the
 same examples.
 """
 
+import contextlib
 import functools
 
 import numpy as np
@@ -22,12 +23,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reduction_lab import matcore
-from reduction_lab.errors import NotAMeasurementOfAError, NumericalConsistencyError
+from reduction_lab.errors import (
+    NotAMeasurementOfAError,
+    NumericalConsistencyError,
+    ZeroProbabilityOutcomeError,
+)
 from reduction_lab.instrument import (
     instrument_from_operation,
     nonselective,
     outcome_probability,
     reduce,
+    reduce_or_maximally_mixed,
     verify_dual_lemma,
     verify_theorem1,
 )
@@ -51,7 +57,7 @@ from reduction_lab.quantum import (
 )
 from reduction_lab.superop import apply
 
-from conftest import is_psd, small_probability_case
+from conftest import computed_state_verdict, is_psd, normalised_reference, small_probability_case
 
 profile = settings(max_examples=25, derandomize=True, database=None, deadline=None)
 
@@ -272,18 +278,30 @@ def test_psd_refusal_keeps_the_eigenvalue_verdicts_and_messages(case):
         message = f"density operator trace {tr} != 1"
     else:
         message = None
-    for build in (DensityOperator, DensityOperator._built):
-        if message is None:
-            assert np.array_equal(build(h).matrix, h)
-        else:
-            with pytest.raises(ValueError) as err:
-                build(h)
-            assert str(err.value) == message
+    if message is None:
+        assert np.array_equal(DensityOperator(h).matrix, h)
+    else:
+        with pytest.raises(ValueError) as err:
+            DensityOperator(h)
+        assert str(err.value) == message
+    # the one constructor of computed states takes h over its own trace,
+    # and gives the public constructor's state or refusal on that matrix;
+    # a refusal's exception is made from the min eigenvalue when asked
+    verdict = computed_state_verdict(h)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        normed = normalised_reference(h)
     lowest = []
-    if not psd:
+    if not np.isfinite(normed).all():
+        # a zero trace: refused by the finite scan, before the PSD test
+        assert verdict == "matrix has non-finite entries"
+    elif verdict is not None:
+        normed_lo = float(np.linalg.eigvalsh(normed)[0])
+        assert verdict == f"density operator not PSD (min eigenvalue {normed_lo:.3e})"
         with pytest.raises(NumericalConsistencyError):
-            DensityOperator._built(h, lambda x: lowest.append(x) or NumericalConsistencyError())
-    assert lowest == ([] if psd else [lo])
+            DensityOperator._normalised(
+                h, lambda x: lowest.append(x) or NumericalConsistencyError()
+            )
+        assert lowest == [normed_lo]
     if source == "conditional":
         ins, a, rho = _conditional_case(p)
         if psd:
@@ -292,3 +310,54 @@ def test_psd_refusal_keeps_the_eigenvalue_verdicts_and_messages(case):
             with pytest.raises(NumericalConsistencyError) as err:
                 reduce(ins, a, rho)
             assert str(err.value).endswith(f"T_a(rho)/p has min eigenvalue {lo:.3e}")
+
+
+@st.composite
+def computed_state_cases(draw):
+    """``(instrument, states)``: an instrument from a faithful model and
+    the states to reduce with it.  A ``"faithful"`` case draws d_s of
+    2-16, an observable of 1-3 outcomes with the levels dealt round the
+    computational basis of a Haar eigenbasis, sigma of rank 1 or 2, and
+    one random state each of rank 1, 2, d_s/2 and d_s.  A ``"small"`` case
+    is ``small_probability_case`` at p of 1e-8 to 1e-3, sigma of rank 1
+    or 2, with its pure state."""
+    rank = draw(st.integers(1, 2))
+    if draw(st.sampled_from(["faithful", "small"])) == "small":
+        p = draw(st.sampled_from([1e-8, 1e-7, 1e-6, 1e-3]))
+        model, _, psi = small_probability_case(p, rank)
+        return instrument_of(model), [psi.to_density()]
+    ds = draw(st.integers(2, 16))
+    n = draw(st.integers(1, min(3, ds)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    v = haar_unitary(ds, rng)
+    obs = observable_from_hermitian((v * (np.arange(ds) % n)) @ v.conj().T)
+    ins = instrument_of(random_faithful_model(obs, n * rank, seed, sigma_rank=rank))
+    states = []
+    for r in sorted({1, 2, ds // 2, ds}):
+        g = rng.standard_normal((ds, r)) + 1j * rng.standard_normal((ds, r))
+        m = g @ g.conj().T
+        states.append(DensityOperator(m / np.trace(m).real))
+    return ins, states
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(computed_state_cases())
+def test_computed_states_have_a_real_unit_trace(case):
+    # the one constructor of computed states takes no trace test: its
+    # result has the trace it divided by, Im 0 and off 1 by a few ulps
+    ins, states = case
+    bound = 4 * ins.dim * np.finfo(float).eps
+    computed = []
+    for rho in states:
+        computed.append(nonselective(ins, rho))
+        for a in ins.observable.eigenvalues:
+            # a sub-floor outcome has no state; a tiny p can be unresolved
+            with contextlib.suppress(ZeroProbabilityOutcomeError, NumericalConsistencyError):
+                computed.append(reduce(ins, a, rho))
+            with contextlib.suppress(NumericalConsistencyError):
+                computed.append(reduce_or_maximally_mixed(ins, a, rho)[0])
+    assert len(computed) > len(states)
+    for state in computed:
+        tr = np.trace(state.matrix)
+        assert tr.imag == 0.0 and abs(tr.real - 1.0) <= bound

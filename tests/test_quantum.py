@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from reduction_lab.quantum import (
     projector_onto,
 )
 
-from conftest import plus_state, random_density
+from conftest import computed_state_verdict, normalised_reference, plus_state, random_density
 
 
 def test_density_operator_validation(rng):
@@ -45,31 +47,35 @@ def test_density_operator_validation(rng):
             DensityOperator(m)
 
 
-@pytest.mark.parametrize("m", [
-    np.diag([1.5, -0.5]),
-    np.eye(2),
-    np.diag([0.5, 0.5 + 1e-9]),
-    np.array([[0.5, 0.5j], [-0.5j, 0.5]]),
-    np.array([[0.5, np.inf], [np.inf, 0.5]]),
-    np.array([[np.nan, 0], [0, 1]]),
-], ids=["not_psd", "trace_2", "trace_off", "pure", "inf", "nan"])
-def test_built_states_keep_the_constructor_verdicts(m):
-    # exactly Hermitian input, as the library builds it: the same state or
-    # the same refusal, bit for bit and word for word
+@pytest.mark.parametrize("m, trace_refusal", [
+    (np.diag([1.5, -0.5]), None),
+    (np.eye(2), "trace (2+0j) != 1"),
+    (np.diag([0.5, 0.5 + 1e-9]), "trace (1.000000001+0j) != 1"),
+    (np.array([[0.5, 0.5j], [-0.5j, 0.5]]), None),
+    (np.array([[0.5, np.inf], [np.inf, 0.5]]), None),
+    (np.array([[np.nan, 0], [0, 1]]), None),
+    # a finite trace keeps the NaN off the diagonal: the finite scan
+    # refuses it ahead of the PSD test, with its own message
+    (np.array([[0.5, np.nan], [np.nan, 0.5]]), None),
+], ids=["not_psd", "trace_2", "trace_off", "pure", "inf", "nan", "nan_off_diagonal"])
+def test_built_states_keep_the_constructor_verdicts(m, trace_refusal):
+    # exactly Hermitian input: the one constructor of computed states gives
+    # the public constructor's state or refusal on the normalised matrix
     m = m.astype(complex)
-    try:
-        want = DensityOperator(m)
-    except ValueError as err:
-        with pytest.raises(ValueError) as got:
-            DensityOperator._built(m)
-        assert str(got.value) == str(err) and type(got.value) is ValueError
-    else:
-        assert DensityOperator._built(m).matrix.tobytes() == want.matrix.tobytes()
+    if trace_refusal is not None:
+        # the trace refusal stays with the public constructor
+        with pytest.raises(ValueError, match=f"^density operator {re.escape(trace_refusal)}$"):
+            DensityOperator(m)
+    verdict = computed_state_verdict(m)
+    if not np.isfinite(m).all():
+        assert verdict == "matrix has non-finite entries"
 
 
 def test_maximally_mixed():
-    for d in (1, 2, 5):
-        assert np.array_equal(maximally_mixed(d).matrix, np.eye(d) / d)
+    for d in range(1, 9):
+        # 2 over 2 d has the bits of 1 over d, and the imaginary parts are +0
+        want = (np.eye(d) / d).astype(complex)
+        assert maximally_mixed(d).matrix.tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="^matrix dimension must be >= 1$"):
         maximally_mixed(0)
 
@@ -132,12 +138,14 @@ def _verdict(check, ms):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(near_bound_stacks())
 def test_density_check_keeps_the_norm_form_verdicts(ms):
-    # one matrix at a time: the constructor on each, and the built-state
-    # check on each exactly Hermitian part
+    # one matrix at a time: the constructor on each, and the one
+    # constructor of computed states on each, against the public
+    # constructor on the same normalised matrix
     for m in ms:
         assert _verdict(DensityOperator, m) == _verdict(_norm_form_check, m[None])
-        h = (m + m.conj().T) / 2
-        assert _verdict(DensityOperator._built, h) == _verdict(_norm_form_check, h[None])
+        normed = normalised_reference(m)
+        verdict = _verdict(_norm_form_check, normed[None])
+        assert computed_state_verdict(m) == verdict
 
 
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)

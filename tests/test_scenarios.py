@@ -7,6 +7,7 @@ from reduction_lab import instrument, matcore, scenarios, superop
 from reduction_lab.errors import NumericalConsistencyError, ZeroProbabilityOutcomeError
 from reduction_lab.instrument import Instrument
 from reduction_lab.models import (
+    haar_unitary,
     instrument_of,
     probe_consistency,
     random_faithful_model,
@@ -186,6 +187,47 @@ def test_joint_compares_the_probe_route_with_t_a(q):
     probeless = replace(model, probe=None)
     for jd in (loose, joint_distribution(probeless, x_obs, plus_state())):
         assert all(abs(p - 0.25) <= 1e-15 for p in jd.table.values())
+
+
+def _composite_joint(model, second, rho):
+    """P(a, x) = Tr[(E_X(x) x Q_a) U (rho x sigma) U^dag] on the composite
+    space, from the model's unitary and apparatus state in plain numpy:
+    the reference for ``joint_distribution`` that reads no Kraus stack."""
+    u = model.unitary
+    evolved = u @ np.kron(rho.matrix, model.apparatus_state.matrix) @ u.conj().T
+    return {
+        (a, x): float(np.trace(np.kron(second.projector(x), q) @ evolved).real)
+        for a, q in model.probe.outcomes
+        for x in second.eigenvalues
+    }
+
+
+@pytest.mark.parametrize(
+    "ds, da, seed", [(2, 2, 0), (2, 4, 1), (3, 6, 2), (4, 8, 3), (2, 16, 4), (8, 4, 5)]
+)
+def test_joint_matches_the_composite_route(ds, da, seed):
+    rng = np.random.default_rng(seed)
+    v = haar_unitary(ds, rng)
+    obs = observable_from_hermitian((v * (np.arange(ds) % 2)) @ v.conj().T)
+    model = random_faithful_model(obs, da, seed)
+    second = observable_from_hermitian(random_hermitian(rng, ds))
+    rho = random_density(rng, ds)
+    want = _composite_joint(model, second, rho)
+    table = joint_distribution(model, second, rho).table
+    assert table.keys() == want.keys()
+    assert max(abs(table[k] - want[k]) for k in want) <= 1e-12
+
+
+def test_the_composite_route_sees_the_gap_that_joint_refuses():
+    # the route-gap exhibit at q = 1e-10 on |+> and X: the composite route
+    # is the probe route, off the T_a table by sqrt(q(1-q))/2 = 5.0e-6
+    model, x_obs = route_gap_exhibit(1e-10), observable_from_hermitian(PAULI_X)
+    want = _composite_joint(model, x_obs, plus_state())
+    with pytest.raises(NumericalConsistencyError, match="5.000e-06 apart$"):
+        joint_distribution(model, x_obs, plus_state())
+    table = joint_distribution(model, x_obs, plus_state(), tol=1e-4).table
+    gap = max(abs(table[k] - want[k]) for k in want)
+    assert f"{gap:.1e}" == "5.0e-06"
 
 
 def test_nonuniqueness_exhibit_qubit():
