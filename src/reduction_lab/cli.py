@@ -28,7 +28,6 @@ from .instrument import (
 from .matcore import DEGENERACY_TOL, VERIFY_TOL
 from .models import (
     instrument_of,
-    operation_of,
     probe_consistency,
     random_biased_model,
     random_faithful_model,
@@ -103,7 +102,7 @@ def _cmd_check_model(args) -> int:
         consistent = report.passed
     if consistent:
         # the probe is already checked above: build from the operation alone
-        ins = operation_instrument(operation_of(model), model.observable)
+        ins = operation_instrument(model.operation, model.observable)
         try:
             residual = ins.validate(tol)
         except NotAMeasurementOfAError as exc:

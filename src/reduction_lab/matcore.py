@@ -68,10 +68,6 @@ def max_abs(m: np.ndarray) -> float:
     return float(a.max()) if a.size else 0.0
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2))
-
-
 def hermitian_stack(ms: np.ndarray):
     """``(ok, h, skew_sq)`` for a complex (n, d, d) stack: the verdicts of
     the one Hermitian test (see above; a NaN fails it, an overflow is no

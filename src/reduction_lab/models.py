@@ -23,12 +23,14 @@ probe route acts with Q_a on the apparatus index alone (Ozawa, J. Math.
 Phys. 25, 79 (1984)): sum_n (Q_a)_{mn} K_{n,j}, one GEMM over all the
 outcomes.
 
-A model derives both once and keeps them: ``MeasurementModel.kraus`` is the
-stack, built by one contraction of ``U.reshape(d_s, d_a, d_s, d_a)``, and
+A model derives each once and keeps it: ``MeasurementModel.kraus`` is the
+stack, built by one contraction of ``U.reshape(d_s, d_a, d_s, d_a)``,
+``MeasurementModel.operation`` the model's one T, its map, and
 ``MeasurementModel.probe_route`` the probe-route stacks with the residuals
-of F_a against E_a.  Both are lazy, so building a model costs nothing
-extra, and read-only.  Every function below reads them, and each check
-still compares the stored residuals against its own caller's tolerance.
+of F_a against E_a.  All are lazy, so building a model costs nothing
+extra, and read-only.  Every function below reads them, so both
+instrument routes share T and its rep, and each check still compares the
+stored residuals against its own caller's tolerance.
 Like every frozen value in the library, a model's arrays must not be
 changed in place: its derived values would no longer match them.
 Eigenvectors of sigma with weight w_j <= 0 are dropped: a zero weight
@@ -92,6 +94,11 @@ class MeasurementModel:
         return k
 
     @cached_property
+    def operation(self) -> Superoperator:
+        """The model's operation T, ``from_kraus`` of its stack."""
+        return Superoperator.from_kraus(self.kraus)
+
+    @cached_property
     def probe_route(self) -> tuple:
         """``(stacks, residuals)``: the read-only (n, d_a * r, d_s, d_s)
         probe-route Kraus stacks and the (n,) spectral-norm residuals of
@@ -134,8 +141,8 @@ def _kraus(model: MeasurementModel) -> np.ndarray:
 
 
 def operation_of(model: MeasurementModel) -> Superoperator:
-    """The nonselective state change of the model as a map on the object."""
-    return Superoperator.from_kraus(model.kraus)
+    """The model's nonselective state change, its kept ``operation``."""
+    return model.operation
 
 
 def _probe_route(model: MeasurementModel) -> tuple:
@@ -188,7 +195,7 @@ def instrument_of(model: MeasurementModel, tol: float = VERIFY_TOL) -> Instrumen
     """
     if model.probe is not None:
         _require_consistent(probe_consistency(model, tol))
-    ins = operation_instrument(operation_of(model), model.observable)
+    ins = operation_instrument(model.operation, model.observable)
     ins.validate(tol)
     return ins
 
@@ -202,7 +209,7 @@ def probe_instrument_of(model: MeasurementModel) -> Instrument:
     _require_consistent(probe_consistency(model))
     stacks = zip(model.observable.eigenvalues, model.probe_route[0])
     components = {a: Superoperator.from_kraus(k) for a, k in stacks}
-    return Instrument(model.observable, components, total=operation_of(model))
+    return Instrument(model.observable, components, total=model.operation)
 
 
 # ---------------------------------------------------------------------------

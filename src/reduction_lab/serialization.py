@@ -8,11 +8,11 @@ serialize is a fixed point.
 Matrices and vectors cross the JSON boundary as whole arrays: a complex
 array is written as its float64 view, and a well-formed nested list is read
 with one ``np.array`` call and viewed back as complex128.  Input that is not
-a nested list of ``[re, im]`` number pairs of the right shape falls back to
-an entry-by-entry scan, whose ``ParseError`` names the offending field.  On
-both paths the first entry that is not finite (the literals ``NaN`` and
+a nested list of finite ``[re, im]`` number pairs of the right shape falls
+back to an entry-by-entry scan, whose ``ParseError`` names the offending
+field, so the first entry that is not finite (the literals ``NaN`` and
 ``Infinity``, which Python's ``json`` reads, or a number past float's
-range) is refused by its index.
+range) is refused by its index on the scan's one path.
 
 ``dumps`` writes a top-level object or array one item per line, each item
 in the compact form of the C JSON encoder; a model file is a few lines of
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 
 import numpy as np
 
@@ -81,8 +82,8 @@ def _entry_from_json(e, where: str) -> complex:
 
 
 def _complex_array(j, ndim: int) -> np.ndarray | None:
-    """``j`` as a complex128 array when it is a nested list of ``[re, im]``
-    number pairs with ``ndim`` complex axes; None for anything else."""
+    """``j`` as a complex128 array when it is a nested list of finite
+    ``[re, im]`` number pairs with ``ndim`` complex axes; else None."""
     try:
         a = np.array(j)
     except (ValueError, TypeError, OverflowError):
@@ -90,21 +91,8 @@ def _complex_array(j, ndim: int) -> np.ndarray | None:
     if a.ndim != ndim + 1 or a.shape[-1] != 2 or a.dtype.kind not in "fiu":
         return None
     # the view keeps the exact bits of every float, -0.0 included
-    return np.ascontiguousarray(a, dtype=np.float64).view(complex)[..., 0]
-
-
-def _finite(z: np.ndarray, j, where: str) -> np.ndarray:
-    """``z``, read from the nested list ``j``, when every entry is finite;
-    else a ``ParseError`` naming the first entry that is not, in row-major
-    order, as the entry-by-entry scan would."""
-    finite = np.isfinite(z)
-    if finite.all():
-        return z
-    index = np.unravel_index(np.argmin(finite), z.shape)
-    entry = j
-    for i in index:
-        entry = entry[i]
-    raise ParseError(f"{where}{''.join(f'[{i}]' for i in index)}: non-finite entry {entry!r}")
+    z = np.ascontiguousarray(a, dtype=np.float64).view(complex)[..., 0]
+    return z if np.isfinite(z).all() else None
 
 
 def matrix_from_json(j, where: str = "matrix") -> np.ndarray:
@@ -113,7 +101,7 @@ def matrix_from_json(j, where: str = "matrix") -> np.ndarray:
     if all(type(row) is list for row in j):
         m = _complex_array(j, 2)
         if m is not None and m.shape[0] == m.shape[1]:
-            return _finite(m, j, where)
+            return m
     rows = []
     for i, row in enumerate(j):
         if not isinstance(row, list) or len(row) != len(j):
@@ -127,7 +115,7 @@ def vector_from_json(j, where: str = "vector") -> np.ndarray:
         raise ParseError(f"{where}: expected a non-empty array")
     v = _complex_array(j, 1)
     if v is not None:
-        return _finite(v, j, where)
+        return v
     return np.array([_entry_from_json(e, f"{where}[{k}]") for k, e in enumerate(j)])
 
 
@@ -168,6 +156,12 @@ def observable_from_json(j, where: str = "observable") -> DiscreteObservable:
         # a string, a boolean or null is refused, not converted
         if type(a) not in (int, float):
             raise ParseError(f"{where}.eigenvalues[{k}]: expected a number, got {a!r}")
+        try:
+            finite = math.isfinite(a)
+        except OverflowError:  # an integer past float's range
+            finite = False
+        if not finite:
+            raise ParseError(f"{where}.eigenvalues[{k}]: non-finite entry {a!r}")
     try:
         return DiscreteObservable(
             tuple(
@@ -177,7 +171,7 @@ def observable_from_json(j, where: str = "observable") -> DiscreteObservable:
         )
     except ParseError:
         raise
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 

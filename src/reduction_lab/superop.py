@@ -258,8 +258,9 @@ def sum_residual(total: Superoperator, parts: list) -> float:
 
 
 def is_trace_preserving(s: Superoperator) -> bool:
-    """Tr[s(X)] = Tr[X] on all matrix units, i.e. the dual fixes the identity."""
-    return matcore.max_abs(unit_image(s) - np.eye(s.dim)) <= ROUNDOFF_TOL
+    """||s*(1) - 1|| <= ``ROUNDOFF_TOL`` in Frobenius norm, which bounds
+    |Tr s(X) - Tr X| for every X of unit trace norm at every d."""
+    return float(np.linalg.norm(unit_image(s) - np.eye(s.dim))) <= ROUNDOFF_TOL
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,12 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reduction_lab import cli, matcore, models
+from reduction_lab import cli, matcore, models, superop
 from reduction_lab import serialization as ser
 from reduction_lab.cli import main
+from reduction_lab.instrument import Instrument, verify_dual_lemma, verify_theorem1
 from reduction_lab.models import (
     MeasurementModel,
     haar_unitary,
+    instrument_of,
+    probe_consistency,
+    probe_instrument_of,
     random_biased_model,
     random_faithful_model,
     von_neumann_model,
@@ -18,6 +22,7 @@ from reduction_lab.models import (
 from reduction_lab.quantum import (
     PAULI_X, PAULI_Z, PureState, maximally_mixed, observable_from_hermitian,
 )
+from reduction_lab.superop import Superoperator
 
 from conftest import route_gap_exhibit, small_probability_case
 
@@ -85,6 +90,59 @@ def test_check_model_runs_probe_consistency_once(tmp_path, z_obs, monkeypatch):
     path = write_model(tmp_path, random_faithful_model(z_obs, 4, seed=2))
     assert main(["check-model", path, "--out", str(tmp_path / "r.json")]) == 0
     assert len(calls) == 1
+
+
+def test_each_job_runs_once_per_command(tmp_path, monkeypatch):
+    # a (4,8) faithful model with sigma of rank 2: 16 Kraus operators, so
+    # every map reads its rep.  Each command builds the operation T and its
+    # four components once, validates once and takes each unit image once;
+    # joint also builds a map of each probe-route stack for its cross-check
+    obs = observable_from_hermitian(np.diag([1.0, 2.0, 3.0, 4.0]))
+    mpath = write_model(tmp_path, random_faithful_model(obs, 8, seed=4, sigma_rank=2))
+    spath = write(tmp_path, "state.json", ser.density_to_json(maximally_mixed(4)))
+    second = observable_from_hermitian(np.kron(PAULI_X, np.eye(2)))
+    xpath = write(tmp_path, "x.json", ser.observable_to_json(second))
+    # each job is counted through every binding the library calls it by
+    counts = dict.fromkeys(
+        ["_kraus", "_probe_route", "from_kraus", "_rep_of", "unit_image", "validate"], 0
+    )
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module, name in [(models, "_kraus"), (models, "_probe_route"),
+                         (superop, "_rep_of"), (superop, "unit_image")]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    from_kraus = counted("from_kraus", Superoperator.from_kraus)
+    monkeypatch.setattr(Superoperator, "from_kraus", classmethod(lambda cls, ks: from_kraus(ks)))
+    monkeypatch.setattr(Instrument, "validate", counted("validate", Instrument.validate))
+    once = {"_kraus": 1, "_probe_route": 1, "validate": 1, "unit_image": 5}
+    out = str(tmp_path / "out.json")
+    for argv, maps in [
+        (["check-model", mpath], 5),
+        (["instrument", mpath], 5),
+        (["reduce", mpath, "--state", spath, "--outcome", "2"], 5),
+        (["joint", mpath, "--second", xpath, "--state", spath], 9),
+    ]:
+        counts.update(dict.fromkeys(counts, 0))
+        assert main(argv + ["--out", out]) == 0, argv[0]
+        assert counts == {**once, "from_kraus": maps, "_rep_of": maps}, argv[0]
+    # the benchmark ladder's two-route check of an (8,16) model with sigma
+    # of rank 2 writes one rep per distinct map: T, its eight components
+    # and the eight probe-route components
+    u = haar_unitary(8, np.random.default_rng(3))
+    obs = observable_from_hermitian((u * np.arange(8.0)) @ u.conj().T)
+    model = random_faithful_model(obs, 16, seed=3, sigma_rank=2)
+    counts["_rep_of"] = 0
+    assert probe_consistency(model).passed
+    ins, probe = instrument_of(model), probe_instrument_of(model)
+    for a in obs.eigenvalues:
+        assert matcore.max_abs(ins.component(a).rep - probe.component(a).rep) <= 1e-9
+    assert verify_theorem1(ins).passed and verify_dual_lemma(ins).passed
+    assert counts["_rep_of"] == 17
 
 
 def test_check_model_deterministic_output(tmp_path, z_obs):
@@ -552,8 +610,7 @@ def test_observable_file_with_a_nan_eigenvalue_exits_two(tmp_path, z_obs, capsys
         ["random-model", "--obs", str(opath), "--dim-a", "2", "--seed", "1"],
     ):
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: observable: ") and "not finite" in err
+        assert capsys.readouterr().err == "error: observable.eigenvalues[0]: non-finite entry nan\n"
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
@@ -740,12 +797,26 @@ def test_observable_eigenvalue_must_be_a_json_number(tmp_path, z_obs, capsys, va
         )
 
 
-def test_observable_eigenvalue_past_float_exits_two(tmp_path, capsys):
-    obs = ser.observable_to_json(observable_from_hermitian(PAULI_Z))
-    obs["eigenvalues"][0] = 10**400
-    opath = write(tmp_path, "obs.json", obs)
-    assert main(["random-model", "--obs", opath, "--dim-a", "2", "--seed", "1"]) == 2
-    assert capsys.readouterr().err == "error: observable: int too large to convert to float\n"
+def test_observable_eigenvalue_past_float_exits_two(tmp_path, z_obs, capsys):
+    # an integer past float's range, a float literal that json reads as an
+    # infinity, and NaN are refused by their index, as in the matrices
+    mpath = write_model(tmp_path, von_neumann_model(z_obs, 2))
+    spath = write(tmp_path, "state.json", {"vector": [[1.0, 0.0], [0.0, 0.0]]})
+    obs = ser.observable_to_json(z_obs)
+    obs["eigenvalues"][0] = "EIGENVALUE"
+    opath = tmp_path / "obs.json"
+    for literal, shown in [
+        (str(10**400), str(10**400)), ("1e400", "inf"), ("-1e400", "-inf"), ("NaN", "nan"),
+    ]:
+        opath.write_text(json.dumps(obs).replace('"EIGENVALUE"', literal))
+        for argv in (
+            ["random-model", "--obs", str(opath), "--dim-a", "2", "--seed", "1"],
+            ["joint", mpath, "--second", str(opath), "--state", spath],
+        ):
+            assert main(argv) == 2, (literal, argv[0])
+            assert capsys.readouterr().err == (
+                f"error: observable.eigenvalues[0]: non-finite entry {shown}\n"
+            ), (literal, argv[0])
 
 
 def test_unresolved_conditional_state_exits_one(tmp_path, capsys):

@@ -210,12 +210,31 @@ def test_instrument_from_operation_refuses_non_measurement(z_obs):
     # measuring a sharp qubit observable
     with pytest.raises(NotAMeasurementOfAError):
         instrument_from_operation(identity_map(2), z_obs)
-    # a trace-halving map fails the outcome-trace condition at an outcome
+    # a trace-halving map is refused by validate's trace test, as every
+    # instrument whose total is not trace preserving is
     halved = Superoperator.from_kraus(np.sqrt(0.5) * luders_instrument(z_obs).total.kraus)
-    with pytest.raises(NotAMeasurementOfAError) as err:
+    with pytest.raises(ValueError, match="^total operation is not trace preserving$"):
         instrument_from_operation(halved, z_obs)
-    assert err.value.outcome in z_obs.eigenvalues
-    assert err.value.residual == pytest.approx(0.5, abs=1e-12)
+
+
+def test_trace_test_scales_with_the_dimension():
+    # T*(1) = 1 + 9e-11 J at d = 16, J the all-ones matrix: every entry is
+    # off by 9e-11, inside ROUNDOFF_TOL, yet the uniform pure state's trace
+    # moves by 16 x 9e-11 = 1.44e-9, above VERIFY_TOL; the Frobenius test
+    # refuses the map on both ways in
+    d = 16
+    w, v = np.linalg.eigh(np.eye(d) + 9e-11 * np.ones((d, d)))
+    t = Superoperator.from_kraus([(v * np.sqrt(w)) @ v.conj().T])
+    uniform = np.full((d, d), 1.0 / d)
+    assert abs(superop.trace_of_map(t, uniform) - 1) == pytest.approx(1.44e-9, rel=1e-6)
+    assert matcore.max_abs(superop.unit_image(t) - np.eye(d)) <= 1e-10
+    trivial = DiscreteObservable(((1.0, np.eye(d, dtype=complex)),))
+    for build in (
+        lambda: Instrument(trivial, {1.0: t}, total=t),
+        lambda: instrument_from_operation(t, trivial),
+    ):
+        with pytest.raises(ValueError, match="^total operation is not trace preserving$"):
+            build()
 
 
 def test_uniqueness_of_decomposition(z_obs, z_luders):
@@ -859,8 +878,9 @@ def test_validate_refuses_each_corruption_class():
     )
     with pytest.raises(NotAMeasurementOfAError, match="at outcome 1.0 ") as err:
         scaled.validate()
+    # ||T_a*(1) - E_a|| = 0.1 ||E_a|| in Frobenius norm, and E_a has rank 2
     assert err.value.outcome == 1.0
-    assert abs(err.value.residual - 0.1) <= 1e-15
+    assert abs(err.value.residual - 0.1 * np.sqrt(2)) <= 1e-15
 
     # components that do not sum to the claimed total
     with pytest.raises(

@@ -78,6 +78,15 @@ def test_operation_factorized_unitary(rng, z_obs):
     assert matcore.max_abs(operation_of(model).rep - want.rep) <= 1e-10
 
 
+def test_a_model_has_one_operation(z_obs):
+    # one T per model: both instrument routes and operation_of share it
+    model = random_faithful_model(z_obs, 4, seed=2, sigma_rank=2)
+    t = operation_of(model)
+    assert t is operation_of(model) is model.operation
+    assert np.array_equal(t.kraus, model.kraus)
+    assert instrument_of(model).total is probe_instrument_of(model).total is t
+
+
 def test_von_neumann_operation_is_dephasing(z_obs, rng):
     model = von_neumann_model(z_obs, 2)
     t = operation_of(model)
@@ -252,7 +261,7 @@ def _uncached(model):
         kq = (model.probe.projector(a) @ k).reshape(-1, ds, ds)
         f = np.tensordot(kq.conj(), kq, axes=([0, 1], [0, 1]))
         stacks.append(kq)
-        residuals.append(matcore.spectral_norm(f - p))
+        residuals.append(np.linalg.norm(f - p, 2))
     return kraus, np.stack(stacks), np.array(residuals)
 
 
@@ -453,7 +462,7 @@ def _dilation_reference(model):
             ds, lambda x, q=q: tr_a(q @ dilated(x) @ q)
         )
         f = tr_a(dagger(u) @ q @ u @ tensor(one_s, sigma))
-        residuals[a] = matcore.spectral_norm(f - p)
+        residuals[a] = np.linalg.norm(f - p, 2)
     return total, components, probe_components, residuals
 
 

@@ -324,7 +324,8 @@ def test_a_faithful_model_applies_through_its_stack_when_the_rule_says(
 def test_only_a_map_off_the_stack_route_builds_its_rep(rng, monkeypatch, ds, da):
     # (12,2): every map of the operation route holds 2 Kraus operators and
     # none writes its rep; (8,16): 16 operators, 4n > d, and every map
-    # writes its rep when validation first reads it
+    # writes its rep when validation first reads it, once per distinct map:
+    # both instruments and the probe route share the model's operation
     model = random_faithful_model(half_split(ds, 3), da, seed=3, sigma_rank=1)
     g = random_matrix(rng, ds)[:, 0]
     rho = PureState(g / np.linalg.norm(g)).to_density()
@@ -337,7 +338,8 @@ def test_only_a_map_off_the_stack_route_builds_its_rep(rng, monkeypatch, ds, da)
     assert on_stack == (ds == 12)
     assert all(superop._on_stack(t) == on_stack for t in maps)
     assert all(("rep" in vars(t)) != on_stack for t in maps)
-    assert len(builds) == (0 if on_stack else len(maps))
+    assert operation[0].total is operation[1].total
+    assert len(builds) == (0 if on_stack else len(set(maps)))
     # the probe route's total is the operation, and each component holds as
     # many operators: its maps take the operation's route, and validating
     # them reads a rep only off the route, one per map
@@ -347,7 +349,8 @@ def test_only_a_map_off_the_stack_route_builds_its_rep(rng, monkeypatch, ds, da)
     assert all(len(t.kraus) == len(maps[0].kraus) for t in probe_maps)
     assert all(superop._on_stack(t) == on_stack for t in probe_maps)
     assert all(("rep" in vars(t)) != on_stack for t in probe_maps)
-    assert len(builds) == built + (0 if on_stack else len(probe_maps))
+    assert probe.total is operation[0].total
+    assert len(builds) == built + (0 if on_stack else len(set(probe_maps) - set(maps)))
     built = len(builds)
     for ins in (*operation, probe):
         instrument.verify_theorem1(ins)
