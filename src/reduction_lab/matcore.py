@@ -18,11 +18,11 @@ no conditional state.  The bounds are absolute, except that the one
 Hermitian test, ``hermitian_stack``, scales with the Frobenius norm of m, or
 of m over its largest part where ||m||^2 overflows.  The one PSD test,
 ``psd_refusal``, accepts by a Cholesky factor shifted by half of
-``ROUNDOFF_TOL``, inside the bound, and decides a matrix whose factor
-fails by its lowest eigenvalue against the whole bound.  A function takes a
-tolerance parameter only where a caller sets its own value: the CLI's
-``--tol`` replaces ``VERIFY_TOL`` and a file's ``degeneracy_tol`` replaces
-``DEGENERACY_TOL``.
+``ROUNDOFF_TOL``, inside the bound; only a matrix whose factor fails is
+scanned for non-finite entries, and then decided by its lowest eigenvalue
+against the whole bound.  A function takes a tolerance parameter only
+where a caller sets its own value: the CLI's ``--tol`` replaces
+``VERIFY_TOL`` and a file's ``degeneracy_tol`` replaces ``DEGENERACY_TOL``.
 """
 
 from __future__ import annotations
@@ -121,25 +121,39 @@ def _psd_shift(d: int) -> np.ndarray:
 def psd_refusal(h) -> float | None:
     """None when the exactly Hermitian d x d matrix ``h`` is PSD within
     ``ROUNDOFF_TOL``; else its lowest eigenvalue, for the refusal's message.
+    Raises ``ValueError`` when the factor fails on a matrix with a
+    non-finite entry.
 
     The one positivity test.  It accepts when ``np.linalg.cholesky``
-    factors h + (ROUNDOFF_TOL/2) 1: Cholesky is backward stable, so the
-    factor is exact for h + (ROUNDOFF_TOL/2) 1 + E with ||E|| about
-    d eps ||h||, orders below the other half of the bound for a unit-trace
-    state or a Choi matrix, and the lowest eigenvalue of h is then above
-    -ROUNDOFF_TOL.  The full bound as the shift would accept matrices just
-    below -ROUNDOFF_TOL.  The shifted matrix is one sum, h plus the
-    read-only (ROUNDOFF_TOL/2) 1 that ``_psd_shift`` keeps per dimension,
-    so ``h`` is not written.  Only when the factor fails does it take one
-    ``eigvalsh``, whose lowest eigenvalue decides against -ROUNDOFF_TOL as
-    a Python number, fail-closed, so a NaN eigenvalue is refused.  The
-    factor reads only the lower triangle of ``h``."""
+    factors h + (ROUNDOFF_TOL/2) 1 with a positive last pivot: Cholesky is
+    backward stable, so the factor is exact for h + (ROUNDOFF_TOL/2) 1 + E
+    with ||E|| about d eps ||h||, orders below the other half of the bound
+    for a unit-trace state or a Choi matrix, and the lowest eigenvalue of
+    h is then above -ROUNDOFF_TOL.  The full bound as the shift would
+    accept matrices just below -ROUNDOFF_TOL.  The shifted matrix is one
+    sum, h plus the read-only (ROUNDOFF_TOL/2) 1 that ``_psd_shift`` keeps
+    per dimension, so ``h`` is not written.
+
+    The factor reads only the lower triangle of ``h`` and the real part
+    of its diagonal.  It fails, or ends on a NaN last pivot, on every h
+    whose non-finite entries come in Hermitian pairs and have non-finite
+    real parts on the diagonal, and whose real trace is finite: a NaN on
+    the diagonal, or a NaN or an infinity below it, leaves the pivot of
+    its row NaN or below zero, and a NaN pivot makes every later one NaN;
+    the one infinity the factor can carry to a positive last pivot, an
+    infinite real part on the diagonal, makes the real trace infinite.
+    ``DensityOperator._normalised`` passes only such matrices, and the
+    public constructor scans its input first.  So the finite scan runs
+    only when the factor fails, ahead of one ``eigvalsh``, which can give
+    finite eigenvalues for a matrix with a NaN entry; its lowest
+    eigenvalue decides against -ROUNDOFF_TOL as a Python number,
+    fail-closed, so a NaN eigenvalue is refused."""
     try:
-        # numpy's factor does not stop at a NaN pivot, and a NaN anywhere
-        # in the factor reaches its last pivot
         if np.linalg.cholesky(h + _psd_shift(h.shape[0]))[-1, -1].real > 0:
             return None
     except np.linalg.LinAlgError:
         pass
+    if not np.isfinite(h).all():
+        raise ValueError("matrix has non-finite entries")
     lo = float(np.linalg.eigvalsh(h)[0])
     return None if lo >= -ROUNDOFF_TOL else lo

@@ -37,7 +37,8 @@ class DensityOperator:
     then checks it.  Library code reads ``matrix`` as checked: ``superop.apply``
     takes the state itself and does not rescan it, so the matrix must not be
     changed in place.  Every state the library computes comes from one
-    package-private constructor, ``_normalised``."""
+    package-private constructor, ``_normalised``, which runs the PSD test
+    alone and scans for non-finite entries only when it refuses."""
 
     matrix: np.ndarray
 
@@ -60,23 +61,33 @@ class DensityOperator:
         for ``maximally_mixed``.  x + x^dag is divided in place by its real
         trace, which gives the bits of (x + x^dag)/2 over its trace, since
         both halvings are exact and numpy divides a complex array by a real
-        number through its reciprocal.  Then the finite scan runs, and the
-        PSD test of the constructor, with its message; ``not_psd``, when
-        given, makes the PSD test's exception from the min eigenvalue.
+        number through its reciprocal.  Then the PSD test of the
+        constructor runs, with its message; ``not_psd``, when given, makes
+        the PSD test's exception from the min eigenvalue.
 
         The result is exactly Hermitian, so the Hermitian test is skipped.
         So is the trace test: the diagonal of x + x^dag is real, and a
         finite matrix over its own real trace that passes the PSD test is
-        off unit trace by a few ulps.  A zero, infinite or NaN trace leaves
-        a non-finite matrix, which the finite scan refuses ahead of the
-        PSD test: ``eigvalsh`` can give finite eigenvalues for a matrix
-        with a NaN entry.  The PSD test stays:
-        T_a(rho)/p is PSD only to its roundoff over p, and below p of about
-        1e-6 it refuses most states whose conditional state has low rank."""
+        off unit trace by a few ulps.  So is the finite scan ahead of the
+        PSD test: at a finite trace, the Cholesky factor fails on every
+        non-finite matrix the division can leave (see
+        ``matcore.psd_refusal``), since x + x^dag keeps its non-finite
+        entries in Hermitian pairs, the division gives a diagonal entry
+        with a NaN imaginary part a NaN real part, and a diagonal entry
+        that it pushes past float's range comes with one far below zero.
+        The scan runs only when the factor fails.  A zero trace leaves a
+        NaN or an infinity in every entry.  An infinite or NaN trace
+        leaves entries of zero, which the factor would accept, or NaN, so
+        that matrix goes to the public constructor's checks, which refuse
+        it: a finite one by its trace of 0.  The PSD test stays:
+        T_a(rho)/p is PSD only to its roundoff over p, and below p of
+        about 1e-6 it refuses most states whose conditional state has low
+        rank."""
         out = x + x.conj().T
-        out /= matcore.trace(out).real
-        if not np.isfinite(out).all():
-            raise ValueError("matrix has non-finite entries")
+        tr = matcore.trace(out).real
+        out /= tr
+        if not math.isfinite(tr):
+            return cls(out)
         _check_psd(out, not_psd)
         rho = object.__new__(cls)
         vars(rho)["matrix"] = out

@@ -12,7 +12,9 @@ a nested list of finite ``[re, im]`` number pairs of the right shape falls
 back to an entry-by-entry scan, whose ``ParseError`` names the offending
 field, so the first entry that is not finite (the literals ``NaN`` and
 ``Infinity``, which Python's ``json`` reads, or a number past float's
-range) is refused by its index on the scan's one path.
+range) is refused by its index on the scan's one path.  An error line
+echoes an integer of 17 or more digits as its first 16 and its digit
+count.
 
 ``dumps`` writes a top-level object or array one item per line, each item
 in the compact form of the C JSON encoder; a model file is a few lines of
@@ -67,17 +69,32 @@ def matrix_to_json(m: np.ndarray) -> list:
     return a.view(np.float64).reshape(a.shape + (2,)).tolist()
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error line, but an integer of 17 or more
+    digits, which past float's range can run to thousands, as its sign,
+    its first 16 digits and its digit count: ``10**400`` shows as
+    ``1000000000000000...(401 digits)``."""
+    if type(value) is not int or abs(value) < 10**16:
+        return repr(value)
+    digits = str(abs(value))
+    return f"{'-' * (value < 0)}{digits[:16]}...({len(digits)} digits)"
+
+
+def _shown_pair(e) -> str:
+    return f"[{_shown(e[0])}, {_shown(e[1])}]"
+
+
 def _entry_from_json(e, where: str) -> complex:
     if not isinstance(e, (list, tuple)) or len(e) != 2:
         raise ParseError(f"{where}: complex entries must be [re, im] pairs")
     try:
         z = complex(float(e[0]), float(e[1]))
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: non-numeric entry {e!r}") from exc
+        raise ParseError(f"{where}: non-numeric entry {_shown_pair(e)}") from exc
     except OverflowError:  # an integer past float's range
-        raise ParseError(f"{where}: non-finite entry {e!r}") from None
+        raise ParseError(f"{where}: non-finite entry {_shown_pair(e)}") from None
     if not cmath.isfinite(z):
-        raise ParseError(f"{where}: non-finite entry {e!r}")
+        raise ParseError(f"{where}: non-finite entry {_shown_pair(e)}")
     return z
 
 
@@ -161,7 +178,7 @@ def observable_from_json(j, where: str = "observable") -> DiscreteObservable:
         except OverflowError:  # an integer past float's range
             finite = False
         if not finite:
-            raise ParseError(f"{where}.eigenvalues[{k}]: non-finite entry {a!r}")
+            raise ParseError(f"{where}.eigenvalues[{k}]: non-finite entry {_shown(a)}")
     try:
         return DiscreteObservable(
             tuple(

@@ -53,7 +53,7 @@ def computed_state_verdict(m):
     """None, or the refusal's message: ``DensityOperator._normalised`` of m
     gives the state that the public constructor gives on the same
     normalised matrix, bit for bit, or the same refusal, word for word."""
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         normed = normalised_reference(m)
         try:
             want = DensityOperator(normed)

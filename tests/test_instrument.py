@@ -978,7 +978,8 @@ def test_a_non_finite_image_is_still_refused(z_obs, z_luders):
     # the sandwich by 1e200 1 overflows its rep, and every entry of the
     # image is non-finite.  A Kraus-form image is PSD, |X_01|^2 <= X_00 X_11,
     # so no finite trace comes with a non-finite entry: the band check
-    # refuses the probability, and the finite scan the nonselective state
+    # refuses the probability, and the public constructor's finite scan
+    # the nonselective state, whose trace is not finite
     huge = Superoperator.sandwich(1e200 * np.eye(2))
     corrupted = Instrument(
         z_obs, {1.0: huge, -1.0: z_luders.components[-1.0]}, total=huge,
@@ -992,11 +993,26 @@ def test_a_non_finite_image_is_still_refused(z_obs, z_luders):
             nonselective(corrupted, plus_state())
 
 
+def test_an_overflowing_image_trace_is_refused(z_obs):
+    # every entry of T(rho) = 1e308 rho is finite, but the trace of
+    # T(rho) + T(rho)^dag overflows, and T(rho) over it is the zero matrix:
+    # the public constructor refuses it by its trace
+    big = Superoperator.sandwich(np.sqrt(1e308) * np.eye(2))
+    corrupted = Instrument(z_obs, {1.0: big, -1.0: big}, total=big, validate_invariants=False)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=r"^density operator trace 0j != 1$"):
+            nonselective(corrupted, DensityOperator(np.eye(2) / 2))
+
+
 def test_built_states_skip_only_the_hermitian_test(z_luders, rng, monkeypatch):
     rho = random_density(rng, 2)
+    model, a, psi = small_probability_case(1e-9)
+    unresolved, pure = instrument_of(model), psi.to_density()
     scans, hermitian, psd_tests, spectra, traces = [], [], [], [], []
+    finite_scans = []
     as_complex_matrix, hermitian_stack = matcore.as_complex_matrix, matcore.hermitian_stack
     psd_refusal, eigvalsh, trace = matcore.psd_refusal, np.linalg.eigvalsh, matcore.trace
+    isfinite = np.isfinite
 
     def counted_scan(m):
         scans.append(m)
@@ -1011,6 +1027,7 @@ def test_built_states_skip_only_the_hermitian_test(z_luders, rng, monkeypatch):
     monkeypatch.setattr(matcore, "psd_refusal", lambda h: psd_tests.append(h) or psd_refusal(h))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: spectra.append(h) or eigvalsh(h))
     monkeypatch.setattr(matcore, "trace", lambda m: traces.append(m) or trace(m))
+    monkeypatch.setattr(np, "isfinite", lambda m: finite_scans.append(m) or isfinite(m))
     states = []
     for build, image_traces in (
         (lambda: reduce(z_luders, 1.0, rho), 1),
@@ -1018,12 +1035,13 @@ def test_built_states_skip_only_the_hermitian_test(z_luders, rng, monkeypatch):
         (lambda: maximally_mixed(3), 0),
     ):
         # one PSD test per built state, on the state's own matrix, and an
-        # accepted state takes no eigendecomposition
+        # accepted state takes no eigendecomposition and no finite scan:
+        # the factor vouches for its entries
         psd_tests.clear()
         traces.clear()
         states.append(build())
         assert len(psd_tests) == 1 and psd_tests[0] is states[-1].matrix
-        assert spectra == []
+        assert spectra == [] and finite_scans == []
         # the state's trace is read once, to divide by it, and not tested
         # after: reduce reads the image's trace for p before that
         assert len(traces) == image_traces + 1 and traces[-1] is states[-1].matrix
@@ -1033,6 +1051,27 @@ def test_built_states_skip_only_the_hermitian_test(z_luders, rng, monkeypatch):
     # the checked input is not rescanned, and no built state re-tests
     # its Hermitian part or its trace
     assert scans == [] and hermitian == []
+    # a refused state is scanned once: after the factor fails and ahead of
+    # the eigvalsh that names the refusal, or by the public constructor
+    # when the trace of x + x^dag is not finite
+    nan = np.array([[0.5, np.nan], [np.nan, 0.5]], dtype=complex)
+    for refuse, error in (
+        (lambda: reduce(unresolved, a, pure), NumericalConsistencyError),
+        (lambda: DensityOperator._normalised(nan), ValueError),
+        (lambda: DensityOperator._normalised(0.5e308 * np.eye(2, dtype=complex)), ValueError),
+    ):
+        finite_scans.clear()
+        with np.errstate(over="ignore"), pytest.raises(error):
+            refuse()
+        assert len(finite_scans) == 1
+    # the public constructor keeps its one scan ahead of the Hermitian
+    # test; an input that fails the factor is scanned again ahead of eigvalsh
+    finite_scans.clear()
+    DensityOperator(rho.matrix)
+    assert len(finite_scans) == 1
+    with pytest.raises(ValueError, match="not PSD"):
+        DensityOperator(PAULI_Z)
+    assert len(finite_scans) == 3
     monkeypatch.undo()
     for state in states:
         DensityOperator(state.matrix)

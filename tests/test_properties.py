@@ -292,7 +292,8 @@ def test_psd_refusal_keeps_the_eigenvalue_verdicts_and_messages(case):
         normed = normalised_reference(h)
     lowest = []
     if not np.isfinite(normed).all():
-        # a zero trace: refused by the finite scan, before the PSD test
+        # a zero trace: the factor fails on the non-finite matrix, and the
+        # finite scan refuses it ahead of eigvalsh
         assert verdict == "matrix has non-finite entries"
     elif verdict is not None:
         normed_lo = float(np.linalg.eigvalsh(normed)[0])

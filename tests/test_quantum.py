@@ -54,21 +54,74 @@ def test_density_operator_validation(rng):
     (np.array([[0.5, 0.5j], [-0.5j, 0.5]]), None),
     (np.array([[0.5, np.inf], [np.inf, 0.5]]), None),
     (np.array([[np.nan, 0], [0, 1]]), None),
-    # a finite trace keeps the NaN off the diagonal: the finite scan
-    # refuses it ahead of the PSD test, with its own message
+    # a finite trace keeps the NaN off the diagonal: the factor fails on
+    # it, and the finite scan then refuses it with its own message
     (np.array([[0.5, np.nan], [np.nan, 0.5]]), None),
-], ids=["not_psd", "trace_2", "trace_off", "pure", "inf", "nan", "nan_off_diagonal"])
+    # every entry of x + x^dag is finite, but its trace overflows, and
+    # x/inf is the zero matrix, which the factor accepts
+    (0.5e308 * np.eye(2), "trace (1e+308+0j) != 1"),
+], ids=["not_psd", "trace_2", "trace_off", "pure", "inf", "nan", "nan_off_diagonal",
+        "trace_overflow"])
 def test_built_states_keep_the_constructor_verdicts(m, trace_refusal):
     # exactly Hermitian input: the one constructor of computed states gives
     # the public constructor's state or refusal on the normalised matrix
     m = m.astype(complex)
     if trace_refusal is not None:
         # the trace refusal stays with the public constructor
-        with pytest.raises(ValueError, match=f"^density operator {re.escape(trace_refusal)}$"):
+        match = f"^density operator {re.escape(trace_refusal)}$"
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=match):
             DensityOperator(m)
     verdict = computed_state_verdict(m)
     if not np.isfinite(m).all():
         assert verdict == "matrix has non-finite entries"
+    with np.errstate(over="ignore"):
+        if np.isinf(matcore.trace(m + m).real):
+            assert verdict == "density operator trace 0j != 1"
+
+
+# NaN, and a real, imaginary or complex infinity, planted at one entry of x
+PLANTED = [complex(np.nan, 0), complex(0, np.nan), complex(np.inf, 0), complex(-np.inf, 0),
+           complex(0, np.inf), complex(0, -np.inf), complex(np.inf, np.inf),
+           complex(-np.inf, np.inf)]
+
+
+def _planted(base, i, j):
+    """``(x, non_finite)`` pairs, where ``non_finite`` tells whether
+    x + x^dag has a non-finite entry: base with a non-finite entry at
+    (i, j); or finite, with v at (i, j) and conj(v) at (j, i), so that
+    x + x^dag is 2v there, past float's range or just below it."""
+    for v in PLANTED:
+        x = base.copy()
+        x[i, j] = v
+        yield x, True
+    # on the diagonal, x + x^dag keeps only the real part
+    for v in (1e308, 1e308j, 1e308 + 1e308j, 0.8e308, 0.8e308j) if i != j else (1e308, 0.8e308):
+        x = base.copy()
+        x[i, j], x[j, i] = v, np.conj(v)
+        yield x, abs(v) > 0.9e308
+
+
+@settings(max_examples=24, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
+def test_the_factor_fails_on_every_non_finite_computed_matrix(d, seed, psd):
+    # _normalised scans for non-finite entries only when the PSD factor
+    # fails: every x whose x + x^dag has a non-finite entry, at every
+    # (i, j), is refused with the finite scan's message, in parity with the
+    # public constructor, and no accepted state has a non-finite entry
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    base = g @ g.conj().T if psd else g
+    assert computed_state_verdict(base) is None or not psd
+    for i in range(d):
+        for j in range(d):
+            for x, non_finite in _planted(base, i, j):
+                verdict = computed_state_verdict(x)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert np.isfinite(x + x.conj().T).all() != non_finite
+                    if non_finite:
+                        assert verdict == "matrix has non-finite entries", (i, j)
+                    elif verdict is None:
+                        assert np.isfinite(DensityOperator._normalised(x).matrix).all()
 
 
 def test_maximally_mixed():
