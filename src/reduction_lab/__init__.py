@@ -60,7 +60,6 @@ from .superop import (
     apply,
     choi,
     kraus_from_choi,
-    trace_of_map,
 )
 
 __version__ = "0.1.0"

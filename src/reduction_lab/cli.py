@@ -1,12 +1,14 @@
 """Command-line interface emitting machine-readable reports.
 
 Exit codes: 0 success, 1 verification failure (a check failed or an outcome
-was refused), 2 usage or parse errors.  The verification tolerance comes
-from ``--tol``, falling back to the ``REDUCTION_LAB_TOL`` environment
-variable, then to ``matcore.VERIFY_TOL``; it must be a number >= 0.
-``check-model``, ``instrument``, ``reduce`` and ``joint`` apply it to probe
+was refused), 2 usage or parse errors.  ``check-model``, ``instrument``,
+``reduce`` and ``joint`` take a verification tolerance from ``--tol``,
+falling back to the ``REDUCTION_LAB_TOL`` environment variable, then to
+``matcore.VERIFY_TOL``; it must be a number >= 0.  They apply it to probe
 consistency and completeness, and ``check-model`` also to the two
-verifiers, so every record carries it.
+verifiers, so every record carries it.  ``demo-nonunique`` and
+``random-model`` check nothing, take no ``--tol`` and do not read the
+variable.
 """
 
 from __future__ import annotations
@@ -242,6 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="write output to this path instead of stdout")
+
+    def checked(p):
+        common(p)
         # argparse passes a string default through ``type`` too, so a bad
         # environment value exits 2 like a bad flag
         p.add_argument("--tol", type=_tolerance,
@@ -250,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-model", help="run all verification checks on a model file")
     p.add_argument("model")
-    common(p)
+    checked(p)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_check_model)
@@ -261,19 +266,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcome", type=_outcome, required=True,
                    help="eigenvalue to condition on; the nearest eigenvalue "
                    f"within a relative {DEGENERACY_TOL:g} is used")
-    common(p)
+    checked(p)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("instrument", help="Kraus decomposition of each outcome map")
     p.add_argument("model")
-    common(p)
+    checked(p)
     p.set_defaults(func=_cmd_instrument)
 
     p = sub.add_parser("joint", help="joint distribution with a second measurement")
     p.add_argument("model")
     p.add_argument("--second", required=True)
     p.add_argument("--state", required=True)
-    common(p)
+    checked(p)
     p.set_defaults(func=_cmd_joint)
 
     p = sub.add_parser("demo-nonunique", help="mixture non-uniqueness exhibit")

@@ -39,7 +39,8 @@ class NotCompletelyPositiveError(ReductionLabError):
 
 class NotAMeasurementOfAError(ReductionLabError):
     """The map (or model) is not the operation of an apparatus measuring
-    the given observable: the outcome-trace condition fails.
+    the given observable: the outcome-trace condition fails at an outcome,
+    or, with ``outcome`` None, the components do not sum to the total.
 
     Carries the worst-violating outcome and the residual there.
     """
@@ -48,9 +49,9 @@ class NotAMeasurementOfAError(ReductionLabError):
         self.outcome = outcome
         self.residual = residual
         msg = (
-            f"outcome-trace condition violated at outcome {outcome} "
-            f"(residual {residual:.3e})"
-        )
+            "completeness violated" if outcome is None
+            else f"outcome-trace condition violated at outcome {outcome}"
+        ) + f" (residual {residual:.3e})"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)

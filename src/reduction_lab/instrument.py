@@ -1,17 +1,18 @@
 """Outcome-indexed families of operations and state reduction.
 
 An ``Instrument`` pairs a discrete observable with one linear map per
-outcome plus their sum (the total operation).  Construction validates the
-Davies-Lewis style invariants: completeness, trace preservation of the
-total and the outcome-trace condition.  Every map is built from a Kraus
-stack, so each component is completely positive by type.
+outcome and the total operation its builder names; the components must sum
+to it.  Construction validates the Davies-Lewis style invariants:
+completeness, trace preservation of the total and the outcome-trace
+condition.  Every map is built from a Kraus stack, so each component is
+completely positive by type.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,22 +84,23 @@ def _samples(seed: int, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Instrument:
-    """Operational distribution {T_a} of an apparatus, with its total T."""
+    """Operational distribution {T_a} of an apparatus, with its total T.
+    The constructor validates at ``VERIFY_TOL``; ``_unchecked`` skips that
+    for a caller that validates at its own tolerance."""
 
     observable: DiscreteObservable
     components: dict
-    total: Superoperator = field(default=None)
-    # validation can be skipped to build deliberately broken instruments
-    # for the negative paths of the verifiers, or to validate at a caller's
-    # tolerance
-    validate_invariants: InitVar[bool] = True
+    total: Superoperator
 
-    def __post_init__(self, validate_invariants: bool):
-        if self.total is None:
-            maps = list(self.components.values())
-            object.__setattr__(self, "total", Superoperator.sum_of(self.observable.dim, maps))
-        if validate_invariants:
-            self.validate()
+    def __post_init__(self):
+        self.validate()
+
+    @classmethod
+    def _unchecked(cls, observable, components, total) -> "Instrument":
+        """The instrument with these fields, not validated."""
+        ins = object.__new__(cls)
+        vars(ins).update(observable=observable, components=components, total=total)
+        return ins
 
     @property
     def dim(self) -> int:
@@ -147,7 +149,8 @@ class Instrument:
                 completeness_resid,
                 "components do not sum to the total operation",
             )
-        if not superop.is_trace_preserving(self.total):
+        unital_resid = float(np.linalg.norm(superop.unit_image(self.total) - np.eye(d)))
+        if not unital_resid <= ROUNDOFF_TOL:
             raise ValueError("total operation is not trace preserving")
         for a, t in self.components.items():
             # T_a*(1) = E^A(a) is the operator form of the outcome-trace
@@ -159,11 +162,10 @@ class Instrument:
 
 
 def luders_instrument(obs: DiscreteObservable) -> Instrument:
-    """The projective instrument T_a(X) = E^A(a) X E^A(a)."""
-    components = {
-        a: Superoperator.sandwich(p) for a, p in obs.outcomes
-    }
-    return Instrument(obs, components)
+    """The projective instrument T_a(X) = E^A(a) X E^A(a), over the total
+    T(X) = sum_a E^A(a) X E^A(a), the map of the projector stack."""
+    components = {a: Superoperator.sandwich(p) for a, p in obs.outcomes}
+    return Instrument(obs, components, Superoperator.from_kraus(obs.projectors))
 
 
 def outcome_probability(ins: Instrument, a: float, rho: DensityOperator) -> float:
@@ -171,7 +173,7 @@ def outcome_probability(ins: Instrument, a: float, rho: DensityOperator) -> floa
     outside the band raises ``NumericalConsistencyError``."""
     if ins.dim != rho.dim:
         raise ValueError(f"dimension mismatch: state dim {rho.dim}, instrument dim {ins.dim}")
-    return clamp_probability(superop.trace_of_map(ins.component(a), rho).real)
+    return clamp_probability(float(matcore.trace(apply(ins.component(a), rho)).real))
 
 
 def reduce(ins: Instrument, a: float, rho: DensityOperator) -> DensityOperator:
@@ -254,7 +256,7 @@ def operation_instrument(t: Superoperator, obs: DiscreteObservable) -> Instrumen
     components = {
         a: Superoperator.from_kraus((rows @ p).reshape(-1, d, d)) for a, p in obs.outcomes
     }
-    return Instrument(obs, components, total=t, validate_invariants=False)
+    return Instrument._unchecked(obs, components, t)
 
 
 # Up to d = 4 per-call overhead decides, and the verifiers take all outcomes

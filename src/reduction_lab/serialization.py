@@ -10,11 +10,11 @@ array is written as its float64 view, and a well-formed nested list is read
 with one ``np.array`` call and viewed back as complex128.  Input that is not
 a nested list of finite ``[re, im]`` number pairs of the right shape falls
 back to an entry-by-entry scan, whose ``ParseError`` names the offending
-field, so the first entry that is not finite (the literals ``NaN`` and
-``Infinity``, which Python's ``json`` reads, or a number past float's
-range) is refused by its index on the scan's one path.  An error line
-echoes an integer of 17 or more digits as its first 16 and its digit
-count.
+field, so the first entry that is not a number (a string, a boolean or
+null) or not finite (the literals ``NaN`` and ``Infinity``, which Python's
+``json`` reads, or a number past float's range) is refused by its index on
+the scan's one path.  An error line echoes an integer of 17 or more digits
+as its first 16 and its digit count.
 
 ``dumps`` writes a top-level object or array one item per line, each item
 in the compact form of the C JSON encoder; a model file is a few lines of
@@ -73,11 +73,16 @@ def _shown(value) -> str:
     """``repr(value)`` for an error line, but an integer of 17 or more
     digits, which past float's range can run to thousands, as its sign,
     its first 16 digits and its digit count: ``10**400`` shows as
-    ``1000000000000000...(401 digits)``."""
+    ``1000000000000000...(401 digits)``.  The digits are counted from the
+    bit length, so no integer is converted to a string whole, and one past
+    Python's int_max_str_digits is echoed too."""
     if type(value) is not int or abs(value) < 10**16:
         return repr(value)
-    digits = str(abs(value))
-    return f"{'-' * (value < 0)}{digits[:16]}...({len(digits)} digits)"
+    v = abs(value)
+    # floor(log10 v) from the bit length is right or off by one either way
+    k = int((v.bit_length() - 1) * math.log10(2))
+    k += (v >= 10 ** (k + 1)) - (v < 10**k)
+    return f"{'-' * (value < 0)}{v // 10 ** (k - 15)}...({k + 1} digits)"
 
 
 def _shown_pair(e) -> str:
@@ -87,10 +92,11 @@ def _shown_pair(e) -> str:
 def _entry_from_json(e, where: str) -> complex:
     if not isinstance(e, (list, tuple)) or len(e) != 2:
         raise ParseError(f"{where}: complex entries must be [re, im] pairs")
+    # a string, a boolean or null is refused, not converted
+    if not all(type(x) in (int, float) for x in e):
+        raise ParseError(f"{where}: non-numeric entry {_shown_pair(e)}")
     try:
         z = complex(float(e[0]), float(e[1]))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: non-numeric entry {_shown_pair(e)}") from exc
     except OverflowError:  # an integer past float's range
         raise ParseError(f"{where}: non-finite entry {_shown_pair(e)}") from None
     if not cmath.isfinite(z):

@@ -5,7 +5,7 @@ Column-stacking convention: ``vec(X)[i + j*d] = X[i, j]``, so that
 matrices over a single d-dimensional space.
 
 A map is its Kraus stack: every builder (``Superoperator.from_kraus``,
-``sandwich``, ``zero`` and ``sum_of``) takes Kraus operators, so every map
+``sandwich`` and ``zero``) takes Kraus operators, so every map
 is completely positive by type, and ``kraus``, a read-only (n, d, d)
 array, is never ``None``.  There is no rep constructor and no map is built
 by probing with matrix units.  A map given by its Choi matrix C comes in
@@ -64,8 +64,8 @@ class Superoperator:
     stack of Kraus operators it was built from; its d^2 x d^2 matrix over
     column-vectorized operators is computed on first read (see the module
     docstring).  There is no public constructor: a map comes from
-    ``from_kraus``, ``sandwich``, ``zero`` or ``sum_of``.  Equality is
-    identity, so maps hash by identity too."""
+    ``from_kraus``, ``sandwich`` or ``zero``.  Equality is identity, so maps
+    hash by identity too."""
 
     dim: int
     kraus: np.ndarray = field(repr=False)
@@ -107,16 +107,6 @@ class Superoperator:
         if not np.all(np.isfinite(ks)):
             raise ValueError("Kraus operators have non-finite entries")
         return cls._from_stack(ks)
-
-    @classmethod
-    def sum_of(cls, dim: int, maps: list) -> "Superoperator":
-        """The sum of ``maps``, all of dimension ``dim``: the map of their
-        Kraus stacks concatenated."""
-        for t in maps:
-            if t.dim != dim:
-                raise ValueError(f"dimension mismatch: sum dim {dim}, map dim {t.dim}")
-        empty = np.zeros((0, dim, dim), dtype=complex)
-        return cls._from_stack(np.concatenate([empty, *(t.kraus for t in maps)]))
 
 
 # From d = 12 writing the rep in place, with no second d^4 array and no
@@ -221,11 +211,6 @@ def apply_dual_stack(s: Superoperator, ms) -> np.ndarray:
     return (ms.reshape(n, d * d) @ s.rep).reshape(n, d, d)
 
 
-def trace_of_map(s: Superoperator, rho) -> complex:
-    """Tr[s(rho)], for a matrix or a ``DensityOperator`` as in ``apply``."""
-    return complex(matcore.trace(apply(s, rho)))
-
-
 def unit_image(s: Superoperator) -> np.ndarray:
     """s*(1), the dual map applied to the identity.  On the stack route it
     is sum_k K_k^dagger K_k, the stack as (n d x d) rows times their
@@ -255,12 +240,6 @@ def sum_residual(total: Superoperator, parts: list) -> float:
         for t in parts:
             diff += t.rep
     return matcore.max_abs(diff)
-
-
-def is_trace_preserving(s: Superoperator) -> bool:
-    """||s*(1) - 1|| <= ``ROUNDOFF_TOL`` in Frobenius norm, which bounds
-    |Tr s(X) - Tr X| for every X of unit trace norm at every d."""
-    return float(np.linalg.norm(unit_image(s) - np.eye(s.dim))) <= ROUNDOFF_TOL
 
 
 @dataclass(frozen=True, eq=False)

@@ -94,6 +94,14 @@ def identity_map(dim):
     return Superoperator.sandwich(np.eye(dim))
 
 
+def sum_of(dim, maps):
+    """The sum of ``maps``, all of dimension ``dim``: the map of their Kraus
+    stacks concatenated, so its rep is the sum of theirs, and the sum of no
+    maps is the zero map."""
+    empty = np.zeros((0, dim, dim), dtype=complex)
+    return Superoperator._from_stack(np.concatenate([empty, *(t.kraus for t in maps)]))
+
+
 def dual(s):
     """The reference rep of the dual map s*, with Tr[X s(rho)] =
     Tr[s*(X) rho] for all X, rho.  From the defining relation on matrix

@@ -349,12 +349,20 @@ def test_tol_env_override(tmp_path, z_obs, monkeypatch):
     (json.loads("[[[1, 0], [NaN, 0.0]], [[0, 0], [1, 0]]]"), "m[0][1]: non-finite entry [nan, 0.0]"),
     (json.loads("[[[1, 0], [0, 0]], [[0, Infinity], [1, NaN]]]"), "m[1][0]: non-finite entry [0, inf]"),
     (json.loads("[[[-Infinity, 0]]]"), "m[0][0]: non-finite entry [-inf, 0]"),
-    # the entry-by-entry scan names them alike, and a number past float's range
-    (json.loads('[[["1", 0], [0, NaN]], [[0, 0], [1, 0]]]'), "m[0][1]: non-finite entry [0, nan]"),
-    ([[["inf", 0]]], "m[0][0]: non-finite entry ['inf', 0]"),
+    # the entry-by-entry scan, which a string sends them to, names them
+    # alike, and a number past float's range
+    (json.loads('[[[1, 0], [0, NaN]], [[0, 0], ["1", 0]]]'), "m[0][1]: non-finite entry [0, nan]"),
+    # a string or a boolean is not read as a number
+    pytest.param([[["inf", 0]]], "m[0][0]: non-numeric entry ['inf', 0]", id="string_inf"),
     # echoed as its first 16 digits and its digit count, not all 401
     pytest.param([[[10**400, 0]]], "m[0][0]: non-finite entry [1000000000000000...(401 digits), 0]",
                  id="int_past_float"),
+    pytest.param([[["1", 0]]], "m[0][0]: non-numeric entry ['1', 0]", id="string_one"),
+    pytest.param([[[True, False]]], "m[0][0]: non-numeric entry [True, False]", id="booleans"),
+    # past Python's int_max_str_digits the digits are counted, not printed
+    pytest.param([[[-(10**5000), 0]]],
+                 "m[0][0]: non-finite entry [-1000000000000000...(5001 digits), 0]",
+                 id="int_past_str_digits"),
 ])
 def test_matrix_from_json_malformed_messages(matrix, message):
     with pytest.raises(ser.ParseError) as err:
@@ -365,7 +373,7 @@ def test_matrix_from_json_malformed_messages(matrix, message):
 def test_vector_from_json_names_a_non_finite_entry():
     for text, message in (
         ("[[1, 0], [0, NaN]]", "v[1]: non-finite entry [0, nan]"),
-        ('[["1", 0], [-Infinity, 0]]', "v[1]: non-finite entry [-inf, 0]"),
+        ('[[1, 0], [-Infinity, 0], ["1", 0]]', "v[1]: non-finite entry [-inf, 0]"),
     ):
         with pytest.raises(ser.ParseError) as err:
             ser.vector_from_json(json.loads(text), "v")
@@ -380,10 +388,14 @@ def test_model_parse_error_names_the_field(z_obs):
     assert str(err.value) == "model.unitary[0][1]: non-numeric entry [0.0, None]"
 
 
-def test_string_and_bool_entries_parse():
-    m = ser.matrix_from_json([[["1.5", "-2"], [True, False]], [[0, 0], [1, 0]]])
-    assert m.tolist() == [[1.5 - 2j, 1 + 0j], [0j, 1 + 0j]]
-    assert ser.vector_from_json([["0.5", 0], [False, True]]).tolist() == [0.5, 1j]
+def test_string_and_bool_entries_are_refused():
+    # a string or a boolean is not read as a number, as for an eigenvalue
+    with pytest.raises(ser.ParseError) as err:
+        ser.matrix_from_json([[["1.5", "-2"], [1, 0]], [[0, 0], [1, 0]]])
+    assert str(err.value) == "matrix[0][0]: non-numeric entry ['1.5', '-2']"
+    with pytest.raises(ser.ParseError) as err:
+        ser.vector_from_json([[False, True]])
+    assert str(err.value) == "vector[0]: non-numeric entry [False, True]"
 
 
 def test_round_trip_bit_exact_extremes():
@@ -458,7 +470,7 @@ def test_failed_extraction_is_recorded_as_strict_json(tmp_path, z_obs, capsys):
     # the dilation components do not sum to U's operation: no single outcome
     assert record["outcome"] is None
     assert 1e-9 < record["residual"] < 10
-    assert captured.err.startswith("error: outcome-trace condition violated")
+    assert captured.err.startswith("error: completeness violated (residual ")
     assert "components do not sum to the total operation" in captured.err
 
 
@@ -684,6 +696,27 @@ def test_bad_tol_exits_two(capsys, monkeypatch, value, source):
         captured = capsys.readouterr()
         assert "error: argument --tol:" in captured.err
         assert "Traceback" not in captured.err
+
+
+def test_commands_that_check_nothing_take_no_tol(tmp_path, z_obs, capsys, monkeypatch):
+    # demo-nonunique and random-model verify nothing: a malformed
+    # environment tolerance leaves them unchanged, and --tol is no option
+    opath = write(tmp_path, "obs.json", ser.observable_to_json(z_obs))
+    monkeypatch.delenv("REDUCTION_LAB_TOL", raising=False)
+    for argv in (
+        ["demo-nonunique"],
+        ["random-model", "--obs", opath, "--dim-a", "2", "--seed", "1"],
+    ):
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        with monkeypatch.context() as m:
+            m.setenv("REDUCTION_LAB_TOL", "abc")
+            assert main(argv) == 0
+        assert capsys.readouterr().out == want
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--tol", "1e-6"])
+        assert err.value.code == 2, argv
+        assert "unrecognized arguments: --tol 1e-6" in capsys.readouterr().err
 
 
 def test_negative_seed_exits_two_naming_the_flag(tmp_path, z_obs, capsys):

@@ -6,8 +6,9 @@ module.  Every public function of the kernel and state modules,
 method of their classes, is named by another library module, a demo or the
 benchmark: an API that only tests call belongs in ``tests/conftest.py``.
 The route rule and the kernels it picks between are named only inside
-``superop``.  Every trace the library takes is ``matcore.trace``.  Every library name that the demos and the
-benchmark read exists."""
+``superop``, and ``Instrument._unchecked`` only inside ``instrument``.
+Every trace the library takes is ``matcore.trace``.  Every library name
+that the demos and the benchmark read exists."""
 
 import ast
 import importlib
@@ -107,6 +108,17 @@ def test_the_route_rule_stays_in_superop():
     named = [f"{p.name}: {', '.join(sorted(private & _names(p)))}"
              for p in sorted(src.glob("*.py")) if p.name != "superop.py" and private & _names(p)]
     assert not named, "route rule named outside superop:\n" + "\n".join(named)
+
+
+def test_only_instrument_builds_an_unchecked_instrument():
+    # every other library module gets an instrument through a constructor
+    # that validates it, or through ``operation_instrument``, the paper's
+    # T_a(X) = T(E_a X E_a) over the operation T
+    src = ROOT / "src" / "reduction_lab"
+    assert "_unchecked" in _names(src / "instrument.py")
+    named = [p.name for p in sorted(src.glob("*.py"))
+             if p.name != "instrument.py" and "_unchecked" in _names(p)]
+    assert not named, "Instrument._unchecked named outside instrument.py: " + ", ".join(named)
 
 
 def _foreign_traces(path: Path) -> list:

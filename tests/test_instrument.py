@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from reduction_lab.models import (
     operation_of,
     random_biased_model,
     random_faithful_model,
+    von_neumann_model,
 )
 from reduction_lab.quantum import (
     PAULI_X,
@@ -59,6 +61,7 @@ from conftest import (
     recombine,
     rep_images,
     small_probability_case,
+    sum_of,
 )
 
 
@@ -81,7 +84,12 @@ def _scaled(ins, c):
 def _plus_eps_identity(t, eps):
     """``t`` plus eps times the identity map, the map of ``t``'s stack and
     sqrt(eps) 1: its rep gains eps 1."""
-    return Superoperator.sum_of(t.dim, [t, Superoperator.sandwich(np.sqrt(eps) * np.eye(t.dim))])
+    return sum_of(t.dim, [t, Superoperator.sandwich(np.sqrt(eps) * np.eye(t.dim))])
+
+
+def _summed(obs, components):
+    """The instrument of ``components`` over their sum, not validated."""
+    return Instrument._unchecked(obs, components, sum_of(obs.dim, components.values()))
 
 
 def test_outcome_probability_matches_born(z_luders, z_obs, rng):
@@ -100,11 +108,11 @@ def test_outcome_probability_matches_born(z_luders, z_obs, rng):
 def test_outcome_probability_band(z_obs, z_luders):
     up = DensityOperator(projector_onto(ket(2, 0)))
     # a deliberately trace-increasing component: far out of band raises
-    doubled = Instrument(z_obs, _scaled(z_luders, 2.0), validate_invariants=False)
+    doubled = _summed(z_obs, _scaled(z_luders, 2.0))
     with pytest.raises(NumericalConsistencyError):
         outcome_probability(doubled, 1.0, up)
     # roundoff above 1 inside the band is clamped
-    nudged = Instrument(z_obs, _scaled(z_luders, 1.0 + 1e-12), validate_invariants=False)
+    nudged = _summed(z_obs, _scaled(z_luders, 1.0 + 1e-12))
     assert outcome_probability(nudged, 1.0, up) == 1.0
 
 
@@ -114,9 +122,8 @@ def test_outcome_probability_rejects_a_nan_trace(z_obs, z_luders):
     # overflows to [inf, -inf, -inf, inf], so on a state with all entries
     # 1/2 that entry, and the trace, is +inf plus -inf
     k = np.array([[1e200, -1e200], [0.0, 0.0]])
-    overflowing = Instrument(
-        z_obs, {1.0: Superoperator.sandwich(k), -1.0: z_luders.components[-1.0]},
-        validate_invariants=False,
+    overflowing = _summed(
+        z_obs, {1.0: Superoperator.sandwich(k), -1.0: z_luders.components[-1.0]}
     )
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalConsistencyError, match="nan"):
@@ -226,7 +233,7 @@ def test_trace_test_scales_with_the_dimension():
     w, v = np.linalg.eigh(np.eye(d) + 9e-11 * np.ones((d, d)))
     t = Superoperator.from_kraus([(v * np.sqrt(w)) @ v.conj().T])
     uniform = np.full((d, d), 1.0 / d)
-    assert abs(superop.trace_of_map(t, uniform) - 1) == pytest.approx(1.44e-9, rel=1e-6)
+    assert abs(matcore.trace(apply(t, uniform)) - 1) == pytest.approx(1.44e-9, rel=1e-6)
     assert matcore.max_abs(superop.unit_image(t) - np.eye(d)) <= 1e-10
     trivial = DiscreteObservable(((1.0, np.eye(d, dtype=complex)),))
     for build in (
@@ -262,9 +269,7 @@ def test_verify_theorem1_detects_corruption(z_obs, z_luders):
     eps = 1e-3
     corrupted = dict(z_luders.components)
     corrupted[1.0] = _plus_eps_identity(corrupted[1.0], eps)
-    broken = Instrument(
-        z_obs, corrupted, total=z_luders.total, validate_invariants=False
-    )
+    broken = Instrument._unchecked(z_obs, corrupted, z_luders.total)
     report = verify_theorem1(broken, seed=0)
     assert not report.passed
     # residual scales with eps times the sample magnitude
@@ -279,7 +284,7 @@ def test_verify_dual_lemma_passes_luders(z_luders):
 
 def test_verify_dual_lemma_detects_trace_decrease(z_obs, z_luders):
     shrunk = _scaled(z_luders, 0.9)
-    broken = Instrument(z_obs, shrunk, validate_invariants=False)
+    broken = _summed(z_obs, shrunk)
     report = verify_dual_lemma(broken)
     unital = [r for r in report.records if r.check == "dual.total_unital"]
     assert unital[0].residual > 0.05
@@ -289,9 +294,43 @@ def test_instrument_invariants_enforced(z_obs, z_luders):
     # wrong total is refused
     with pytest.raises(NotAMeasurementOfAError):
         Instrument(z_obs, z_luders.components, total=Superoperator.zero(2))
-    # trace-decreasing components are refused
+    # trace-decreasing components are refused over their own sum
+    halved = _scaled(z_luders, 0.5)
     with pytest.raises(ValueError):
-        Instrument(z_obs, _scaled(z_luders, 0.5))
+        Instrument(z_obs, halved, sum_of(2, halved.values()))
+
+
+def test_an_instrument_names_its_total_and_passes_one_checked_door(z_obs, z_luders, monkeypatch):
+    # three fields, none with a default: no total is summed from the parts
+    fields = dataclasses.fields(Instrument)
+    assert [f.name for f in fields] == ["observable", "components", "total"]
+    assert all(f.default is f.default_factory is dataclasses.MISSING for f in fields)
+    with pytest.raises(TypeError):
+        Instrument(z_obs, z_luders.components)
+    with pytest.raises(TypeError):
+        Instrument(z_obs, z_luders.components, z_luders.total, validate_invariants=False)
+    # the constructor validates once, ``_unchecked`` never, and an
+    # instrument read off an operation once, at its builder's tolerance
+    calls = []
+    validate = Instrument.validate
+    monkeypatch.setattr(
+        Instrument, "validate", lambda self, *tol: calls.append(tol) or validate(self, *tol)
+    )
+    Instrument(z_obs, z_luders.components, z_luders.total)
+    unchecked = Instrument._unchecked(z_obs, z_luders.components, z_luders.total)
+    assert calls == [()] and unchecked.total is z_luders.total
+    instrument_from_operation(z_luders.total, z_obs)
+    instrument_of(von_neumann_model(z_obs, 2), 1e-6)
+    assert calls == [(), (), (1e-6,)]
+
+
+def test_the_luders_total_is_the_concatenated_projector_stack():
+    obs = observable_from_hermitian(np.diag([1.0, 1.0, -1.0, 0.5]))
+    ins = luders_instrument(obs)
+    stacked = np.concatenate([t.kraus for t in ins.components.values()])
+    assert ins.total.kraus.dtype == stacked.dtype and ins.total.kraus.shape == (3, 4, 4)
+    assert ins.total.kraus.tobytes() == stacked.tobytes()
+    assert ins.total.rep.tobytes() == sum_of(4, ins.components.values()).rep.tobytes()
 
 
 def _loop_samples(seed, d, count):
@@ -374,9 +413,7 @@ def _reference_instruments():
         "degenerate_dilation": instrument_of(
             random_faithful_model(degenerate, 6, seed=2, sigma_rank=2)
         ),
-        "corrupted": Instrument(
-            z, corrupted, total=luders_z.total, validate_invariants=False
-        ),
+        "corrupted": Instrument._unchecked(z, corrupted, luders_z.total),
     }
 
 
@@ -417,7 +454,7 @@ def _corrupted_stack_control(control):
         model = random_biased_model(obs, 2, seed=7)
         stacks = dict(zip(obs.eigenvalues, model.probe_route[0]))
     components = {a: Superoperator.from_kraus(k) for a, k in stacks.items()}
-    broken = Instrument(obs, components, total=operation_of(model), validate_invariants=False)
+    broken = Instrument._unchecked(obs, components, operation_of(model))
     assert all(superop._on_stack(t) for t in (broken.total, *components.values()))
     return broken
 
@@ -548,11 +585,9 @@ def _pinned_instruments(ds, da):
     corrupted[0.0] = _plus_eps_identity(faithful.component(0.0), 1e-3)
     return {
         "faithful": faithful,
-        "biased probe": Instrument(obs, stacks, total=operation_of(biased), validate_invariants=False),
+        "biased probe": Instrument._unchecked(obs, stacks, operation_of(biased)),
         "U not measuring A": operation_instrument(operation_of(haar), obs),
-        "corrupted component": Instrument(
-            obs, corrupted, total=faithful.total, validate_invariants=False
-        ),
+        "corrupted component": Instrument._unchecked(obs, corrupted, faithful.total),
     }
 
 
@@ -590,7 +625,7 @@ def test_a_nan_in_a_component_fails_its_records_only(ds, da):
     components = dict(ins.components)
     # past from_kraus's finite scan, as a computed stack would be
     components[0.0] = Superoperator._from_stack(ks)
-    broken = Instrument(ins.observable, components, total=ins.total, validate_invariants=False)
+    broken = Instrument._unchecked(ins.observable, components, ins.total)
     for verify in (verify_theorem1, verify_dual_lemma):
         records = verify(broken).records
         assert [r.passed for r in records] == [r.outcome != 0.0 for r in records]
@@ -631,9 +666,7 @@ def test_each_form_detects_corruption(z_obs, z_luders, check):
     eps = 1e-3
     corrupted = dict(z_luders.components)
     corrupted[1.0] = _plus_eps_identity(corrupted[1.0], eps)
-    broken = Instrument(
-        z_obs, corrupted, total=z_luders.total, validate_invariants=False
-    )
+    broken = Instrument._unchecked(z_obs, corrupted, z_luders.total)
     verify = verify_theorem1 if check.startswith("uniqueness") else verify_dual_lemma
     by_outcome = {r.outcome: r for r in verify(broken).records if r.check == check}
     # T_a gains eps * X: the corrupted outcome fails, the other still holds
@@ -692,11 +725,10 @@ def test_validate_writes_no_rep():
         s.rep.flags.writeable = False
         return s
 
-    frozen = Instrument(
+    frozen = Instrument._unchecked(
         obs,
         {a: read_only(t) for a, t in ins.components.items()},
-        total=read_only(ins.total),
-        validate_invariants=False,
+        read_only(ins.total),
     )
     for case in (ins, frozen):
         maps = [case.total, *case.components.values()]
@@ -805,7 +837,7 @@ def test_a_non_integer_seed_is_refused_before_the_cache(z_luders, fresh_samples)
 def test_a_warm_sample_cache_still_fails_a_corrupted_instrument(z_obs, z_luders, fresh_samples):
     corrupted = dict(z_luders.components)
     corrupted[1.0] = _plus_eps_identity(corrupted[1.0], 1e-3)
-    broken = Instrument(z_obs, corrupted, total=z_luders.total, validate_invariants=False)
+    broken = Instrument._unchecked(z_obs, corrupted, z_luders.total)
 
     def records():
         return verify_theorem1(broken).records + verify_dual_lemma(broken).records
@@ -870,11 +902,11 @@ def test_validate_refuses_each_corruption_class():
 
     # a component off by a scalar, its loss moved to the other outcome so
     # that the components still sum to a trace-preserving total
-    scaled = Instrument(
+    scaled = Instrument._unchecked(
         obs,
         {1.0: Superoperator.from_kraus(np.sqrt(0.9) * t_up.kraus),
-         -1.0: Superoperator.sum_of(3, [t_down, Superoperator.from_kraus(np.sqrt(0.1) * t_up.kraus)])},
-        total=good.total, validate_invariants=False,
+         -1.0: sum_of(3, [t_down, Superoperator.from_kraus(np.sqrt(0.1) * t_up.kraus)])},
+        good.total,
     )
     with pytest.raises(NotAMeasurementOfAError, match="at outcome 1.0 ") as err:
         scaled.validate()
@@ -884,14 +916,17 @@ def test_validate_refuses_each_corruption_class():
 
     # components that do not sum to the claimed total
     with pytest.raises(
-        NotAMeasurementOfAError, match="components do not sum to the total operation"
+        NotAMeasurementOfAError,
+        match=r"^completeness violated \(residual 1\.000e\+00\): "
+        "components do not sum to the total operation$",
     ) as err:
         Instrument(obs, good.components, total=identity_map(3))
     assert err.value.outcome is None and err.value.residual == 1.0
 
     # a total that is not trace preserving
+    shrunk = _scaled(good, 0.9)
     with pytest.raises(ValueError, match="total operation is not trace preserving"):
-        Instrument(obs, _scaled(good, 0.9))
+        Instrument(obs, shrunk, sum_of(3, shrunk.values()))
 
     # E X^T E on the eigenspace would keep completeness, trace preservation
     # and T_a*(1) = E_a, yet it is not completely positive: no map can be
@@ -981,9 +1016,8 @@ def test_a_non_finite_image_is_still_refused(z_obs, z_luders):
     # refuses the probability, and the public constructor's finite scan
     # the nonselective state, whose trace is not finite
     huge = Superoperator.sandwich(1e200 * np.eye(2))
-    corrupted = Instrument(
-        z_obs, {1.0: huge, -1.0: z_luders.components[-1.0]}, total=huge,
-        validate_invariants=False,
+    corrupted = Instrument._unchecked(
+        z_obs, {1.0: huge, -1.0: z_luders.components[-1.0]}, huge,
     )
     with np.errstate(over="ignore", invalid="ignore"):
         for call in (outcome_probability, reduce):
@@ -998,7 +1032,7 @@ def test_an_overflowing_image_trace_is_refused(z_obs):
     # T(rho) + T(rho)^dag overflows, and T(rho) over it is the zero matrix:
     # the public constructor refuses it by its trace
     big = Superoperator.sandwich(np.sqrt(1e308) * np.eye(2))
-    corrupted = Instrument(z_obs, {1.0: big, -1.0: big}, total=big, validate_invariants=False)
+    corrupted = Instrument._unchecked(z_obs, {1.0: big, -1.0: big}, big)
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match=r"^density operator trace 0j != 1$"):
             nonselective(corrupted, DensityOperator(np.eye(2) / 2))

@@ -30,7 +30,14 @@ from reduction_lab.scenarios import (
 )
 from reduction_lab.superop import Superoperator, apply
 
-from conftest import plus_state, random_density, random_hermitian, route_gap_exhibit, trace_norm
+from conftest import (
+    plus_state,
+    random_density,
+    random_hermitian,
+    route_gap_exhibit,
+    sum_of,
+    trace_norm,
+)
 
 
 @pytest.fixture
@@ -156,12 +163,9 @@ def test_joint_entry_outside_band_raises(z_model, monkeypatch):
     z_obs = z_model.observable
     # T_{-1} doubles its input: on |0> it gives the entry 2 at an outcome of
     # Born probability 0, where no product form is checked
-    broken = Instrument(
-        z_obs,
-        {1.0: Superoperator.sandwich(z_obs.projector(1.0)),
-         -1.0: Superoperator.sandwich(np.sqrt(2.0) * np.eye(2))},
-        validate_invariants=False,
-    )
+    components = {1.0: Superoperator.sandwich(z_obs.projector(1.0)),
+                  -1.0: Superoperator.sandwich(np.sqrt(2.0) * np.eye(2))}
+    broken = Instrument._unchecked(z_obs, components, sum_of(2, components.values()))
     monkeypatch.setattr(scenarios, "instrument_of", lambda *args: broken)
     up = DensityOperator(projector_onto(ket(2, 0)))
     with pytest.raises(NumericalConsistencyError):
