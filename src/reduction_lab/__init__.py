@@ -50,7 +50,6 @@ from .quantum import (
 from .scenarios import (
     DecompositionExhibit,
     JointDistribution,
-    conditional_distribution,
     joint_distribution,
     nonuniqueness_exhibit,
 )

@@ -39,19 +39,18 @@ class NotCompletelyPositiveError(ReductionLabError):
 
 class NotAMeasurementOfAError(ReductionLabError):
     """The map (or model) is not the operation of an apparatus measuring
-    the given observable: the outcome-trace condition fails at an outcome,
-    or, with ``outcome`` None, the components do not sum to the total.
+    the given observable: the named ``invariant`` fails at an outcome, the
+    outcome-trace condition or probe consistency, or, with ``outcome``
+    None, completeness: the components do not sum to the total.
 
     Carries the worst-violating outcome and the residual there.
     """
 
-    def __init__(self, outcome, residual: float, detail: str = ""):
+    def __init__(self, outcome, residual: float, invariant: str, detail: str = ""):
         self.outcome = outcome
         self.residual = residual
-        msg = (
-            "completeness violated" if outcome is None
-            else f"outcome-trace condition violated at outcome {outcome}"
-        ) + f" (residual {residual:.3e})"
+        where = "" if outcome is None else f" at outcome {outcome}"
+        msg = f"{invariant} violated{where} (residual {residual:.3e})"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)

@@ -82,11 +82,12 @@ def _samples(seed: int, dim: int) -> np.ndarray:
     return unit_xs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instrument:
     """Operational distribution {T_a} of an apparatus, with its total T.
     The constructor validates at ``VERIFY_TOL``; ``_unchecked`` skips that
-    for a caller that validates at its own tolerance."""
+    for a caller that validates at its own tolerance.  Equality is
+    identity, as for its maps."""
 
     observable: DiscreteObservable
     components: dict
@@ -147,6 +148,7 @@ class Instrument:
             raise NotAMeasurementOfAError(
                 None,
                 completeness_resid,
+                "completeness",
                 "components do not sum to the total operation",
             )
         unital_resid = float(np.linalg.norm(superop.unit_image(self.total) - np.eye(d)))
@@ -157,7 +159,7 @@ class Instrument:
             # condition on every trace-class input
             resid = float(np.linalg.norm(superop.unit_image(t) - self.observable.projector(a)))
             if not resid <= ROUNDOFF_TOL:
-                raise NotAMeasurementOfAError(a, resid)
+                raise NotAMeasurementOfAError(a, resid, "outcome-trace condition")
         return completeness_resid
 
 

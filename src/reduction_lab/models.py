@@ -19,9 +19,11 @@ sigma = sum_j w_j |v_j><v_j| and an orthonormal apparatus basis |m>,
 
 gives T(rho) = sum K rho K+.  The instrument is read off the operation
 alone by ``instrument.operation_instrument``: T_a is the stack K E_a.  The
-probe route acts with Q_a on the apparatus index alone (Ozawa, J. Math.
-Phys. 25, 79 (1984)): sum_n (Q_a)_{mn} K_{n,j}, one GEMM over all the
-outcomes.
+probe route reads K, Ozawa's measuring process (J. Math. Phys. 25, 79
+(1984)), in the probe's eigenbasis.  With B_a the range isometry of Q_a,
+T'_a depends on the apparatus only through B_a B_a+ = Q_a, so outcome a's
+stack is B_a+ K, rank(Q_a) r operators; the B_a side by side form a
+unitary B, and one GEMM applies B+ to the apparatus index of K.
 
 A model derives each once and keeps it: ``MeasurementModel.kraus`` is the
 stack, built by one contraction of ``U.reshape(d_s, d_a, d_s, d_a)``,
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -100,11 +103,11 @@ class MeasurementModel:
 
     @cached_property
     def probe_route(self) -> tuple:
-        """``(stacks, residuals)``: the read-only (n, d_a * r, d_s, d_s)
-        probe-route Kraus stacks and the (n,) spectral-norm residuals of
-        F_a - E_a, both in the order of ``observable.outcomes``."""
+        """``(stacks, residuals)``: the n read-only probe-route Kraus
+        stacks, outcome a's of rank(Q_a) * r operators, and the (n,)
+        spectral-norm residuals of F_a - E_a, both in the order of
+        ``observable.outcomes``."""
         stacks, residuals = _probe_route(self)
-        stacks.flags.writeable = False
         residuals.flags.writeable = False
         return stacks, residuals
 
@@ -124,10 +127,6 @@ class ConsistencyReport:
     def max_residual(self) -> float:
         return max(self.residuals.values())
 
-    @property
-    def worst_outcome(self):
-        return max(self.residuals, key=self.residuals.get)
-
 
 def _kraus(model: MeasurementModel) -> np.ndarray:
     """The (d_a * r, d_s, d_s) stack of the K_{m,j}, m outermost, over the
@@ -145,20 +144,36 @@ def operation_of(model: MeasurementModel) -> Superoperator:
     return model.operation
 
 
+def _ranges(projectors: np.ndarray) -> tuple:
+    """The ranges of an (n, d, d) stack of orthogonal projectors by one
+    batched ``eigh``: ``(vectors, kept)``, projector k's range spanned by
+    the columns ``vectors[k][:, kept[k]]``, the eigenvectors of its
+    eigenvalues near 1, largest first."""
+    w, v = np.linalg.eigh((projectors + projectors.conj().swapaxes(1, 2)) / 2)
+    return v[..., ::-1], w[:, ::-1] > 0.5
+
+
 def _probe_route(model: MeasurementModel) -> tuple:
-    """Probe-route Kraus stacks of all n outcomes, Q_a applied to the
-    apparatus index of the model's stack by one GEMM, the Q_a stacked as
-    (n d_a x d_a) rows times the stack as d_a rows, and the spectral-norm
-    residuals of F_a = sum K'+ K' against E_a taken from the same stacks."""
+    """Probe-route Kraus stacks of all n outcomes, the slices B_a+ K of one
+    B+ K, and the spectral-norm residuals of F_a = sum K'+ K' against E_a,
+    all n F_a one product over the d_a rows of B+."""
     if model.probe is None:
         raise MissingProbeError("model has no probe observable")
     ds, da = model.dim_s, model.dim_a
     obs = model.observable
-    qs = np.stack([model.probe.projector(a) for a in obs.eigenvalues])
-    kq = (qs.reshape(-1, da) @ model.kraus.reshape(da, -1)).reshape(len(qs), -1, ds, ds)
-    rows = kq.reshape(len(qs), -1, ds)
-    f = rows.conj().swapaxes(1, 2) @ rows
-    return kq, np.linalg.norm(f - obs.projectors, 2, axis=(1, 2))
+    vectors, kept = _ranges(np.stack([model.probe.projector(a) for a in obs.eigenvalues]))
+    b_dagger = vectors.swapaxes(1, 2)[kept].conj()  # B+, the B_a+ stacked as rows
+    k = (b_dagger @ model.kraus.reshape(da, -1)).reshape(-1, ds, ds)
+    k.flags.writeable = False
+    ranks, r = kept.sum(axis=1).tolist(), len(k) // da
+    ends = accumulate(rank * r for rank in ranks)
+    stacks = tuple(k[end - rank * r:end] for rank, end in zip(ranks, ends))
+    # sum_j K'+ K' for each row of B+; row a of ``owner`` sums outcome a's
+    rows = k.reshape(da, -1, ds)
+    owner = np.repeat(np.eye(len(ranks)), ranks, axis=1)
+    f = (owner @ (rows.conj().swapaxes(1, 2) @ rows).reshape(da, -1)).reshape(-1, ds, ds)
+    # the largest singular value is the spectral norm
+    return stacks, np.linalg.svd(f - obs.projectors, compute_uv=False)[:, 0]
 
 
 def probe_consistency(
@@ -178,8 +193,9 @@ def probe_consistency(
 def _require_consistent(report: ConsistencyReport) -> None:
     if not report.passed:
         raise NotAMeasurementOfAError(
-            report.worst_outcome,
+            max(report.residuals, key=report.residuals.get),
             report.max_residual,
+            "probe consistency",
             "probe statistics do not reproduce the Born rule",
         )
 
@@ -235,13 +251,6 @@ def _complete_unitary(in_cols: np.ndarray, out_cols: np.ndarray) -> np.ndarray:
     return out_cols @ dagger(in_cols) + b_perp @ dagger(a_perp)
 
 
-def _projector_range(p: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the range of an orthogonal projector."""
-    w, v = np.linalg.eigh((p + dagger(p)) / 2)
-    rank = int(round(matcore.trace(p).real))
-    return v[:, ::-1][:, :rank]
-
-
 def _model(
     observable: DiscreteObservable,
     sigma: np.ndarray,
@@ -276,8 +285,9 @@ def von_neumann_model(
     outcome.
     """
     n = len(observable.outcomes)
-    for a, p in observable.outcomes:
-        if int(round(matcore.trace(p).real)) != 1:
+    vectors, kept = _ranges(observable.projectors)
+    for a, rank in zip(observable.eigenvalues, kept.sum(axis=1)):
+        if rank != 1:
             raise DegenerateObservableError(
                 f"outcome {a} has a degenerate (rank > 1) eigenspace"
             )
@@ -289,7 +299,7 @@ def von_neumann_model(
     else:
         xi_n = np.eye(dim_a, dtype=complex)[:, :n]
 
-    phis = [_projector_range(p)[:, 0] for _, p in observable.outcomes]
+    phis = list(vectors[:, :, 0])
     xi = ket(dim_a, 0)
     in_cols = np.kron(np.column_stack(phis), xi[:, None])
     out_cols = np.column_stack(
@@ -348,9 +358,9 @@ def random_faithful_model(
     in_blocks = []
     out_blocks = []
     probes = []
-    for k, (_, p) in enumerate(observable.outcomes):
+    for k, (v, keep) in enumerate(zip(*_ranges(observable.projectors))):
         # input branch: eigenspace x sigma support
-        ins = np.kron(_projector_range(p), eye_a[:, :sigma_rank])
+        ins = np.kron(v[:, keep], eye_a[:, :sigma_rank])
         # output space: full object space x this outcome's sector
         sector = slice(offsets[k], offsets[k + 1])
         out_basis = np.kron(np.eye(dim_s, dtype=complex), eye_a[:, sector])

@@ -140,7 +140,7 @@ def maximally_mixed(dim: int) -> DensityOperator:
     return DensityOperator._normalised(np.eye(dim, dtype=complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteObservable:
     """Eigenvalue list with the associated spectral projection family.
 
@@ -152,10 +152,12 @@ class DiscreteObservable:
     ``outcomes``, built once here and read by every caller that needs them
     together.  The n^2 products P_k P_l that the projector and
     orthogonality tests read are the blocks of one (n d x n d) GEMM.
+    Equality is identity, as for ``Superoperator``, so observables hash by
+    identity too.
     """
 
     outcomes: tuple = field()
-    projectors: np.ndarray = field(init=False, repr=False, compare=False)
+    projectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         outs = tuple((float(a), matcore.as_complex_matrix(p)) for a, p in self.outcomes)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import NumericalConsistencyError, ZeroProbabilityOutcomeError
+from .errors import NumericalConsistencyError
 from .instrument import Instrument, _reduce_image, instrument_from_operation, luders_instrument
 from .matcore import PROBABILITY_FLOOR, ROUNDOFF_TOL, VERIFY_TOL
 from .models import MeasurementModel, instrument_of
@@ -34,9 +34,6 @@ class JointDistribution:
 
     def probability(self, a: float, x: float) -> float:
         return self.table.get((a, x), 0.0)
-
-    def marginal_first(self, a: float) -> float:
-        return sum(p for (aa, _), p in self.table.items() if aa == a)
 
 
 def joint_distribution(
@@ -91,17 +88,6 @@ def joint_distribution(
                         f"product form by {abs(p - product):.3e}"
                     )
     return JointDistribution(model.observable, second, table)
-
-
-def conditional_distribution(jd: JointDistribution, a: float) -> dict:
-    """P(x | a) = P(a, x) / P(a), with the marginal P(a) band-checked and
-    clamped like every probability."""
-    p_a = clamp_probability(jd.marginal_first(a))
-    if not p_a > PROBABILITY_FLOOR:
-        raise ZeroProbabilityOutcomeError(a, p_a, PROBABILITY_FLOOR)
-    return {
-        x: jd.probability(a, x) / p_a for x in jd.second_observable.eigenvalues
-    }
 
 
 @dataclass(frozen=True)

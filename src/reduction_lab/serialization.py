@@ -133,7 +133,7 @@ def matrix_from_json(j, where: str = "matrix") -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def vector_from_json(j, where: str = "vector") -> np.ndarray:
+def _vector_from_json(j, where: str = "vector") -> np.ndarray:
     if not isinstance(j, list) or not j:
         raise ParseError(f"{where}: expected a non-empty array")
     v = _complex_array(j, 1)
@@ -209,7 +209,7 @@ def density_from_json(j, where: str = "state") -> DensityOperator:
         raise ParseError(f"{where}: holds both 'vector' and 'density'; give one")
     try:
         if "vector" in j:
-            return PureState(vector_from_json(j["vector"], f"{where}.vector")).to_density()
+            return PureState(_vector_from_json(j["vector"], f"{where}.vector")).to_density()
         if "density" in j:
             return DensityOperator(matrix_from_json(j["density"], f"{where}.density"))
     except ParseError:

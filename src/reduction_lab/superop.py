@@ -100,9 +100,10 @@ class Superoperator:
     @classmethod
     def from_kraus(cls, kraus) -> "Superoperator":
         """The map X -> sum_k K_k X K_k^dagger from a list or an (n, d, d)
-        stack of Kraus operators: rep = sum_k conj(K_k) kron K_k."""
+        stack of Kraus operators: rep = sum_k conj(K_k) kron K_k.  A
+        (0, d, d) stack gives the zero map."""
         ks = np.array(kraus, dtype=complex)
-        if ks.ndim != 3 or ks.shape[1] != ks.shape[2] or 0 in ks.shape:
+        if ks.ndim != 3 or ks.shape[1] != ks.shape[2] or ks.shape[1] == 0:
             raise ValueError(f"expected square Kraus operators, got shape {ks.shape}")
         if not np.all(np.isfinite(ks)):
             raise ValueError("Kraus operators have non-finite entries")

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from reduction_lab import matcore, models, superop
+from reduction_lab.errors import ZeroProbabilityOutcomeError
+from reduction_lab.matcore import PROBABILITY_FLOOR
 from reduction_lab.models import haar_unitary, random_faithful_model
 from reduction_lab.quantum import (
     PAULI_Z,
     DensityOperator,
     DiscreteObservable,
     PureState,
+    clamp_probability,
     ket,
     observable_from_hermitian,
     projector_onto,
@@ -231,3 +234,26 @@ def small_probability_case(p, sigma_rank=1):
     psi = np.sqrt(p) * inside / np.linalg.norm(inside)
     psi += np.sqrt(1 - p) * outside / np.linalg.norm(outside)
     return model, a, PureState(psi)
+
+
+def projector_range(p):
+    """Orthonormal basis (columns) of the range of an orthogonal projector
+    by its own ``eigh``: the eigenvectors of its rank(p) = Tr p largest
+    eigenvalues, largest first."""
+    w, v = np.linalg.eigh((p + p.conj().T) / 2)
+    rank = int(round(matcore.trace(p).real))
+    return v[:, ::-1][:, :rank]
+
+
+def marginal_first(jd, a):
+    """P(a), the sum of a joint table's row a."""
+    return sum(p for (aa, _), p in jd.table.items() if aa == a)
+
+
+def conditional_distribution(jd, a):
+    """P(x | a) = P(a, x) / P(a) off a joint table, with the marginal P(a)
+    band-checked and clamped like every probability."""
+    p_a = clamp_probability(marginal_first(jd, a))
+    if not p_a > PROBABILITY_FLOOR:
+        raise ZeroProbabilityOutcomeError(a, p_a, PROBABILITY_FLOOR)
+    return {x: jd.probability(a, x) / p_a for x in jd.second_observable.eigenvalues}

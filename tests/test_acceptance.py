@@ -46,6 +46,7 @@ from reduction_lab.superop import apply, choi
 
 from conftest import (
     is_psd,
+    marginal_first,
     matrix_unit,
     plus_state,
     random_density,
@@ -301,7 +302,7 @@ def test_criterion_8_joint_statistics():
         jd2 = joint_distribution(model, second, r2)
         for a in obs.eigenvalues:
             p_a = born_probability(obs, a, rho)
-            worst_marginal = max(worst_marginal, abs(jd.marginal_first(a) - p_a))
+            worst_marginal = max(worst_marginal, abs(marginal_first(jd, a) - p_a))
             for x in second.eigenvalues:
                 worst_affinity = max(
                     worst_affinity,

@@ -274,6 +274,22 @@ def test_joint_exits_one_where_the_probe_route_disagrees(tmp_path, capsys):
     assert all(abs(row["probability"] - 0.25) <= 1e-15 for row in out["table"])
 
 
+def test_a_failed_probe_check_names_probe_consistency(tmp_path, z_obs, capsys):
+    # the biased probe swaps the projectors of the two outcomes, so each F_a
+    # is off E_a by 1: the line names the probe's identity, not the
+    # outcome-trace condition that validation checks
+    mpath = write_model(tmp_path, random_biased_model(z_obs, 4, 1))
+    s = 1 / np.sqrt(2)
+    spath = write(tmp_path, "state.json", {"vector": [[s, 0.0], [s, 0.0]]})
+    assert main(["reduce", mpath, "--state", spath, "--outcome", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: probe consistency violated at outcome -1.0 (residual 1.000e+00): "
+        "probe statistics do not reproduce the Born rule\n"
+    )
+
+
 def test_reduce_and_joint_name_both_dimensions_of_a_mismatch(tmp_path, z_obs, capsys):
     mpath = write_model(tmp_path, random_faithful_model(z_obs, 4, seed=1))
     state2 = write(tmp_path, "state2.json", {"vector": [[1.0, 0.0], [0.0, 0.0]]})
@@ -376,7 +392,7 @@ def test_vector_from_json_names_a_non_finite_entry():
         ('[[1, 0], [-Infinity, 0], ["1", 0]]', "v[1]: non-finite entry [-inf, 0]"),
     ):
         with pytest.raises(ser.ParseError) as err:
-            ser.vector_from_json(json.loads(text), "v")
+            ser._vector_from_json(json.loads(text), "v")
         assert str(err.value) == message
 
 
@@ -394,7 +410,7 @@ def test_string_and_bool_entries_are_refused():
         ser.matrix_from_json([[["1.5", "-2"], [1, 0]], [[0, 0], [1, 0]]])
     assert str(err.value) == "matrix[0][0]: non-numeric entry ['1.5', '-2']"
     with pytest.raises(ser.ParseError) as err:
-        ser.vector_from_json([[False, True]])
+        ser._vector_from_json([[False, True]])
     assert str(err.value) == "vector[0]: non-numeric entry [False, True]"
 
 
@@ -403,7 +419,7 @@ def test_round_trip_bit_exact_extremes():
     text = ser.dumps({"m": ser.matrix_to_json(m), "v": ser.matrix_to_json(m)[1]})
     back = json.loads(text)
     assert ser.matrix_from_json(back["m"]).tobytes() == m.tobytes()
-    assert ser.vector_from_json(back["v"]).tobytes() == m[1].tobytes()
+    assert ser._vector_from_json(back["v"]).tobytes() == m[1].tobytes()
     # a non-contiguous or real input writes the same numbers
     assert ser.matrix_to_json(m.T) == [[[-0.0, 5e-324], [-5e-324, -1e308]],
                                        [[1e308, -0.0], [0.1, 0.2]]]

@@ -1,10 +1,11 @@
 """Every name a module imports is used in it: the library (re-exports in
 ``__init__.py`` are its API), the tests, the demos and the benchmark.  Every
 helper and fixture that ``tests/conftest.py`` defines is used by a test
-module.  Every public function of the kernel and state modules,
-``matcore``, ``superop``, ``quantum`` and ``instrument``, and every public
-method of their classes, is named by another library module, a demo or the
-benchmark: an API that only tests call belongs in ``tests/conftest.py``.
+module.  Every public function of ``matcore``, ``superop``, ``quantum``,
+``instrument``, ``models``, ``scenarios`` and ``serialization``, and every
+public method of their classes, is named by another library module, a demo
+or the benchmark: an API that only tests call belongs in
+``tests/conftest.py``.
 The route rule and the kernels it picks between are named only inside
 ``superop``, and ``Instrument._unchecked`` only inside ``instrument``.
 Every trace the library takes is ``matcore.trace``.  Every library name
@@ -77,7 +78,8 @@ def _names(path: Path) -> set:
 
 def test_every_public_kernel_function_has_a_caller_outside_the_tests():
     src = ROOT / "src" / "reduction_lab"
-    modules = ("matcore", "superop", "quantum", "instrument")
+    modules = ("matcore", "superop", "quantum", "instrument", "models", "scenarios",
+               "serialization")
     public = []  # (module, qualified name, name)
     for module in modules:
         for node in ast.parse((src / f"{module}.py").read_text()).body:

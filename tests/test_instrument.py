@@ -1122,3 +1122,13 @@ def test_apply_reads_a_state_with_the_bits_of_its_matrix(z_luders, rng):
     assert by_state.tobytes() == by_rep.tobytes()
     with pytest.raises(ValueError, match="dimension mismatch"):
         apply(identity_map(3), rho)
+
+
+def test_observables_and_instruments_compare_and_hash_by_identity():
+    # equal fields hold arrays, which have no single truth value: equality
+    # is identity, and comparing two objects raises nothing
+    obs = observable_from_hermitian(PAULI_Z)
+    twin = DiscreteObservable(tuple((a, p.copy()) for a, p in obs.outcomes))
+    for x, y in ((obs, twin), (luders_instrument(obs), luders_instrument(twin))):
+        assert x == x and x != y and not x == y
+        assert len({x, y, x}) == 2

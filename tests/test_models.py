@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reduction_lab import cli, matcore, models
 from reduction_lab import serialization as ser
@@ -40,6 +42,7 @@ from conftest import (
     partial_trace_apparatus,
     plus_state,
     probed,
+    projector_range,
     random_density,
     route_gap_exhibit,
     tensor,
@@ -141,7 +144,7 @@ def test_instrument_refuses_biased(z_obs):
     for build in (instrument_of, probe_instrument_of):
         with pytest.raises(NotAMeasurementOfAError) as err:
             build(biased)
-        assert err.value.outcome == report.worst_outcome
+        assert err.value.outcome == max(report.residuals, key=report.residuals.get)
         assert err.value.residual == report.max_residual
 
 
@@ -171,8 +174,8 @@ def test_probe_instrument_builds_each_stack_once(monkeypatch):
 
     monkeypatch.setattr(models, "_kraus", counted)
     probe_instrument_of(model)
-    # one Kraus stack for all outcomes: each probe stack is Q_a applied to
-    # its apparatus index
+    # one Kraus stack for all outcomes: each probe stack is a slice of it
+    # with B^+ applied to its apparatus index
     assert calls == 1
 
 
@@ -203,10 +206,23 @@ def test_a_model_derives_its_stack_and_probe_route_once(monkeypatch):
     assert calls == {"_kraus": 1, "_probe_route": 1}
 
 
+def test_a_value_with_the_zero_projector_has_an_empty_probe_stack(z_obs):
+    # an observable and a probe may both carry a value with the zero
+    # projector: its probe stack holds rank(0) r = 0 operators, whose map is
+    # the zero map, and F_a = 0 = E_a
+    base = random_faithful_model(z_obs, 4, seed=1, sigma_rank=1)
+    obs = DiscreteObservable((*z_obs.outcomes, (5.0, np.zeros((2, 2)))))
+    probe = DiscreteObservable((*base.probe.outcomes, (5.0, np.zeros((4, 4)))))
+    model = MeasurementModel(2, 4, obs, base.apparatus_state, base.unitary, probe)
+    assert [len(ks) for ks in model.probe_route[0]] == [2, 2, 0]
+    assert probe_consistency(model).residuals[5.0] == 0.0
+    assert not probe_instrument_of(model).component(5.0).rep.any()
+
+
 def test_derived_arrays_are_read_only(z_obs):
     model = random_faithful_model(z_obs, 4, seed=2)
     stacks, residuals = model.probe_route
-    for array in (model.kraus, stacks, stacks[0], residuals):
+    for array in (model.kraus, *stacks, residuals):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
     # a map built from a stack owns its own writable copy
@@ -252,7 +268,8 @@ def test_a_biased_model_fails_at_every_consumer(tmp_path, z_obs):
 
 def _uncached(model):
     """The stack and the probe route by the per-outcome loop: one product
-    with Q_a, F_a by ``tensordot`` and one spectral norm per outcome."""
+    with Q_a on the whole apparatus index, F_a by ``tensordot`` and one
+    spectral norm per outcome."""
     ds = model.dim_s
     kraus = models._kraus(model)
     k = kraus.reshape(model.dim_a, -1)
@@ -263,6 +280,22 @@ def _uncached(model):
         stacks.append(kq)
         residuals.append(np.linalg.norm(f - p, 2))
     return kraus, np.stack(stacks), np.array(residuals)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(2, 32), st.integers(0, 2**32 - 1))
+def test_ranges_match_the_per_projector_eigh_bit_for_bit(d, seed):
+    # the columns of a Haar unitary cut into up to five blocks of random
+    # sizes, empty ones included, one projector per block
+    rng = np.random.default_rng(seed)
+    v = haar_unitary(d, rng)
+    cuts = np.sort(rng.integers(0, d + 1, size=rng.integers(0, 5)))
+    projectors = np.stack([b @ dagger(b) for b in np.split(v, cuts, axis=1)])
+    vectors, kept = models._ranges(projectors)
+    assert len(vectors) == len(kept) == len(projectors)
+    for p, v, keep in zip(projectors, vectors, kept):
+        got, want = v[:, keep], projector_range(p)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _haar_von_neumann():
@@ -285,7 +318,13 @@ def _haar_von_neumann():
 def test_derived_values_match_an_uncached_computation(model):
     kraus, stacks, residuals = _uncached(model)
     assert np.array_equal(model.kraus, kraus)
-    assert np.array_equal(model.probe_route[0], stacks)
+    # outcome a's stack is B_a^+ K, rank(Q_a) r operators with the map of
+    # the d_a r operators Q_a K
+    r = len(kraus) // model.dim_a
+    for a, ks, ref in zip(model.observable.eigenvalues, model.probe_route[0], stacks):
+        assert len(ks) == round(matcore.trace(model.probe.projector(a)).real) * r
+        got, want = Superoperator.from_kraus(ks).rep, Superoperator.from_kraus(ref).rep
+        assert matcore.max_abs(got - want) <= 1e-15
     np.testing.assert_allclose(model.probe_route[1], residuals, rtol=0, atol=1e-15)
     assert list(probe_consistency(model).residuals) == list(model.observable.eigenvalues)
 

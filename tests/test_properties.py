@@ -55,7 +55,7 @@ from reduction_lab.quantum import (
     maximally_mixed,
     observable_from_hermitian,
 )
-from reduction_lab.superop import apply
+from reduction_lab.superop import Superoperator, apply
 
 from conftest import computed_state_verdict, is_psd, normalised_reference, small_probability_case
 
@@ -140,6 +140,29 @@ def test_von_neumann_models_satisfy_the_paper_identities(inputs):
         assert matcore.max_abs(t.rep - probe.components[a].rep) <= VERIFY_TOL
     assert verify_theorem1(ins, seed=seed).passed
     assert verify_dual_lemma(ins, seed=seed).passed
+
+
+@profile
+@given(faithful_inputs(), von_neumann_inputs())
+def test_the_range_cut_probe_stack_has_the_map_of_the_full_stack(faithful, pointer):
+    # outcome a's probe stack B_a^+ K holds rank(Q_a) r operators and has
+    # the map of the d_a r operators Q_a K, on faithful, biased and
+    # pointer-basis models alike
+    obs, da, seed, rank = faithful
+    models = [random_faithful_model(obs, da, seed, sigma_rank=rank),
+              von_neumann_model(pointer[0], pointer[1], seed=pointer[2])]
+    if len(obs.outcomes) > 1:
+        models.append(random_biased_model(obs, da, seed))
+    for model in models:
+        k = model.kraus.reshape(model.dim_a, -1)
+        r = len(model.kraus) // model.dim_a
+        for a, ks in zip(model.observable.eigenvalues, model.probe_route[0]):
+            q = model.probe.projector(a)
+            full = (q @ k).reshape(-1, model.dim_s, model.dim_s)
+            assert len(ks) == round(matcore.trace(q).real) * r
+            gap = matcore.max_abs(Superoperator.from_kraus(ks).rep
+                                  - Superoperator.from_kraus(full).rep)
+            assert gap <= 1e-15, gap
 
 
 @st.composite

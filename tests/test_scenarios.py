@@ -23,14 +23,12 @@ from reduction_lab.quantum import (
     observable_from_hermitian,
     projector_onto,
 )
-from reduction_lab.scenarios import (
-    conditional_distribution,
-    joint_distribution,
-    nonuniqueness_exhibit,
-)
+from reduction_lab.scenarios import joint_distribution, nonuniqueness_exhibit
 from reduction_lab.superop import Superoperator, apply
 
 from conftest import (
+    conditional_distribution,
+    marginal_first,
     plus_state,
     random_density,
     random_hermitian,
@@ -68,8 +66,8 @@ def test_joint_eigenstate_row(z_model):
     x_obs = observable_from_hermitian(PAULI_X)
     rho = DensityOperator(projector_onto(ket(2, 0)))
     jd = joint_distribution(z_model, x_obs, rho)
-    assert np.isclose(jd.marginal_first(1.0), 1.0, atol=1e-12)
-    assert jd.marginal_first(-1.0) <= 1e-12
+    assert np.isclose(marginal_first(jd, 1.0), 1.0, atol=1e-12)
+    assert marginal_first(jd, -1.0) <= 1e-12
 
 
 def test_joint_marginals_and_normalization(rng):
@@ -82,7 +80,7 @@ def test_joint_marginals_and_normalization(rng):
         assert np.isclose(sum(jd.table.values()), 1.0, atol=1e-10)
         for a in obs.eigenvalues:
             assert np.isclose(
-                jd.marginal_first(a), born_probability(obs, a, rho), atol=1e-10
+                marginal_first(jd, a), born_probability(obs, a, rho), atol=1e-10
             )
 
 
@@ -157,6 +155,21 @@ def test_joint_distribution_applies_each_component_once(z_model, monkeypatch):
     for s, ks in zip(calls[1::2], z_model.probe_route[0]):
         assert np.array_equal(s.kraus, ks)
     assert jd.table == want
+
+
+def test_joint_reads_no_probe_route_rep(rng, monkeypatch):
+    # at (8,16) with a pure apparatus state each probe stack holds
+    # rank(Q_a) r = 2 operators, 4 * 2 <= 8: every probe-route map is applied
+    # on its stack, and only validation writes reps, of T and its 8 T_a
+    obs = observable_from_hermitian(np.diag(np.arange(8.0)).astype(complex))
+    model = random_faithful_model(obs, 16, seed=1, sigma_rank=1)
+    assert [len(ks) for ks in model.probe_route[0]] == [2] * 8
+    builds = []
+    original = superop._rep_of
+    monkeypatch.setattr(superop, "_rep_of", lambda ks: builds.append(ks) or original(ks))
+    second = observable_from_hermitian(random_hermitian(rng, 8))
+    joint_distribution(model, second, random_density(rng, 8))
+    assert [len(ks) for ks in builds] == [16] * 9
 
 
 def test_joint_entry_outside_band_raises(z_model, monkeypatch):

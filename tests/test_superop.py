@@ -337,13 +337,14 @@ def test_only_a_map_off_the_stack_route_builds_its_rep(rng, monkeypatch, ds, da)
     assert all(("rep" in vars(t)) != on_stack for t in maps)
     assert operation[0].total is operation[1].total
     assert len(builds) == (0 if on_stack else len(set(maps)))
-    # the probe route's total is the operation, and each component holds as
-    # many operators: its maps take the operation's route, and validating
-    # them reads a rep only off the route, one per map
+    # the probe route's total is the operation, and each component holds
+    # rank(Q_a) = d_a / 2 of its d_a operators: 1 on the stack at (12,2), 8
+    # off it at (8,16), so validating them reads a rep only off the route,
+    # one per map
     built = len(builds)
     probe = probe_instrument_of(model)
     probe_maps = [probe.total, *probe.components.values()]
-    assert all(len(t.kraus) == len(maps[0].kraus) for t in probe_maps)
+    assert all(len(t.kraus) == da // 2 for t in probe.components.values())
     assert all(superop._on_stack(t) == on_stack for t in probe_maps)
     assert all(("rep" in vars(t)) != on_stack for t in probe_maps)
     assert probe.total is operation[0].total
