@@ -123,7 +123,8 @@ class Instrument:
 
         ``superop`` decides how each map is read, by its one route rule:
         the completeness residual is ``superop.sum_residual``, which reads
-        no rep when every map is on the stack route, and T*(1) is
+        no rep when no map is applied through its square rep (each is on
+        the stack route or on a range), and T*(1) is
         ``superop.unit_image``, not taken off a dual map.  Both unit-image
         tests take Frobenius norms, ||T*(1) - 1|| and ||T_a*(1) - E_a||,
         which bound the trace error on every unit-trace X at every d."""
@@ -248,16 +249,14 @@ def operation_instrument(t: Superoperator, obs: DiscreteObservable) -> Instrumen
     """The components T_a(X) = T(E^A(a) X E^A(a)) of the operation ``t``,
     as an instrument with total ``t`` that is not yet validated.
 
-    T_a is ``from_kraus`` of the stack K E^A(a), for K the Kraus stack of
-    ``t`` (Ozawa, J. Math. Phys. 25, 79 (1984)), formed in one 2-D GEMM per
-    outcome: K stacked as (N d x d) rows times E^A(a).
-    ``Instrument.validate`` accepts the result only when the components
-    sum to ``t``."""
-    d = t.dim
-    rows = t.kraus.reshape(-1, d)
-    components = {
-        a: Superoperator.from_kraus((rows @ p).reshape(-1, d, d)) for a, p in obs.outcomes
-    }
+    With P_a the range isometry of E^A(a) (``obs.ranges``), E^A(a) =
+    P_a P_a^dagger, so T_a(X) = sum_k (K_k P_a)(P_a^dagger X P_a)(K_k P_a)^dagger
+    for K the Kraus stack of ``t`` (Ozawa, J. Math. Phys. 25, 79 (1984)):
+    T_a is the map of the (N, d, r_a) stack K P_a on the range P_a, or, at
+    small d, of the square stack K E^A(a), as ``superop.outcome_maps``
+    decides.  ``Instrument.validate`` accepts the result only when the
+    components sum to ``t``."""
+    components = dict(zip(obs.eigenvalues, superop.outcome_maps(t, obs)))
     return Instrument._unchecked(obs, components, t)
 
 

@@ -18,12 +18,15 @@ sigma = sum_j w_j |v_j><v_j| and an orthonormal apparatus basis |m>,
     K_{m,j} = sqrt(w_j) (1 x <m|) U (1 x |v_j>)
 
 gives T(rho) = sum K rho K+.  The instrument is read off the operation
-alone by ``instrument.operation_instrument``: T_a is the stack K E_a.  The
-probe route reads K, Ozawa's measuring process (J. Math. Phys. 25, 79
+alone by ``instrument.operation_instrument``: with P_a the range isometry
+of E_a, T_a is the stack K P_a applied to the outcome block P_a+ X P_a.
+The probe route reads K, Ozawa's measuring process (J. Math. Phys. 25, 79
 (1984)), in the probe's eigenbasis.  With B_a the range isometry of Q_a,
 T'_a depends on the apparatus only through B_a B_a+ = Q_a, so outcome a's
 stack is B_a+ K, rank(Q_a) r operators; the B_a side by side form a
-unitary B, and one GEMM applies B+ to the apparatus index of K.
+unitary B, and one GEMM applies B+ to the apparatus index of K.  Every
+range isometry is read off its observable's cached ``ranges`` (one batched
+``eigh`` per observable), here and in the generators below.
 
 A model derives each once and keeps it: ``MeasurementModel.kraus`` is the
 stack, built by one contraction of ``U.reshape(d_s, d_a, d_s, d_a)``,
@@ -144,15 +147,6 @@ def operation_of(model: MeasurementModel) -> Superoperator:
     return model.operation
 
 
-def _ranges(projectors: np.ndarray) -> tuple:
-    """The ranges of an (n, d, d) stack of orthogonal projectors by one
-    batched ``eigh``: ``(vectors, kept)``, projector k's range spanned by
-    the columns ``vectors[k][:, kept[k]]``, the eigenvectors of its
-    eigenvalues near 1, largest first."""
-    w, v = np.linalg.eigh((projectors + projectors.conj().swapaxes(1, 2)) / 2)
-    return v[..., ::-1], w[:, ::-1] > 0.5
-
-
 def _probe_route(model: MeasurementModel) -> tuple:
     """Probe-route Kraus stacks of all n outcomes, the slices B_a+ K of one
     B+ K, and the spectral-norm residuals of F_a = sum K'+ K' against E_a,
@@ -161,11 +155,12 @@ def _probe_route(model: MeasurementModel) -> tuple:
         raise MissingProbeError("model has no probe observable")
     ds, da = model.dim_s, model.dim_a
     obs = model.observable
-    vectors, kept = _ranges(np.stack([model.probe.projector(a) for a in obs.eigenvalues]))
-    b_dagger = vectors.swapaxes(1, 2)[kept].conj()  # B+, the B_a+ stacked as rows
+    values, probe_ranges = model.probe.eigenvalues, model.probe.ranges
+    ranges = [probe_ranges[values.index(a)] for a in obs.eigenvalues]
+    b_dagger = np.concatenate(ranges, axis=1).T.conj()  # B+, the B_a+ stacked as rows
     k = (b_dagger @ model.kraus.reshape(da, -1)).reshape(-1, ds, ds)
     k.flags.writeable = False
-    ranks, r = kept.sum(axis=1).tolist(), len(k) // da
+    ranks, r = [p.shape[1] for p in ranges], len(k) // da
     ends = accumulate(rank * r for rank in ranks)
     stacks = tuple(k[end - rank * r:end] for rank, end in zip(ranks, ends))
     # sum_j K'+ K' for each row of B+; row a of ``owner`` sums outcome a's
@@ -285,9 +280,8 @@ def von_neumann_model(
     outcome.
     """
     n = len(observable.outcomes)
-    vectors, kept = _ranges(observable.projectors)
-    for a, rank in zip(observable.eigenvalues, kept.sum(axis=1)):
-        if rank != 1:
+    for a, p in zip(observable.eigenvalues, observable.ranges):
+        if p.shape[1] != 1:
             raise DegenerateObservableError(
                 f"outcome {a} has a degenerate (rank > 1) eigenspace"
             )
@@ -299,7 +293,7 @@ def von_neumann_model(
     else:
         xi_n = np.eye(dim_a, dtype=complex)[:, :n]
 
-    phis = list(vectors[:, :, 0])
+    phis = [p[:, 0] for p in observable.ranges]
     xi = ket(dim_a, 0)
     in_cols = np.kron(np.column_stack(phis), xi[:, None])
     out_cols = np.column_stack(
@@ -358,9 +352,9 @@ def random_faithful_model(
     in_blocks = []
     out_blocks = []
     probes = []
-    for k, (v, keep) in enumerate(zip(*_ranges(observable.projectors))):
+    for k, p in enumerate(observable.ranges):
         # input branch: eigenspace x sigma support
-        ins = np.kron(v[:, keep], eye_a[:, :sigma_rank])
+        ins = np.kron(p, eye_a[:, :sigma_rank])
         # output space: full object space x this outcome's sector
         sector = slice(offsets[k], offsets[k + 1])
         out_basis = np.kron(np.eye(dim_s, dtype=complex), eye_a[:, sector])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -150,8 +151,9 @@ class DiscreteObservable:
     not in the eigenvalue list carries the zero projector.  ``projectors``
     is the read-only (n, d, d) stack of the projectors in the order of
     ``outcomes``, built once here and read by every caller that needs them
-    together.  The n^2 products P_k P_l that the projector and
-    orthogonality tests read are the blocks of one (n d x n d) GEMM.
+    together, and ``ranges`` their range isometries, computed on first
+    read.  The n^2 products P_k P_l that the projector and orthogonality
+    tests read are the blocks of one (n d x n d) GEMM.
     Equality is identity, as for ``Superoperator``, so observables hash by
     identity too.
     """
@@ -198,12 +200,34 @@ class DiscreteObservable:
     def eigenvalues(self) -> tuple:
         return tuple(a for a, _ in self.outcomes)
 
+    @functools.cached_property
+    def ranges(self) -> tuple:
+        """The read-only (d, r_a) range isometries P_a of the projectors,
+        P_a P_a^dagger = E_a, in the order of ``outcomes``: the
+        eigenvectors of eigenvalue near 1, largest first, of one batched
+        ``eigh`` of ``projectors`` (``_ranges``), taken on first read and
+        kept."""
+        return _ranges(self.projectors)
+
     def projector(self, a: float) -> np.ndarray:
         """Spectral projector for eigenvalue ``a``; zero if ``a`` is not one."""
         for val, p in self.outcomes:
             if val == a:
                 return p
         return np.zeros((self.dim, self.dim), dtype=complex)
+
+
+def _ranges(projectors: np.ndarray) -> tuple:
+    """The range isometries of an (n, d, d) stack of orthogonal projectors
+    by one batched ``eigh``: projector k's range is spanned by the
+    eigenvectors of its eigenvalues above 1/2, largest first, each
+    isometry a read-only (d, r_k) array."""
+    w, v = np.linalg.eigh((projectors + projectors.conj().swapaxes(1, 2)) / 2)
+    ranks = (w > 0.5).sum(axis=1).tolist()
+    out = tuple(v[k, :, ::-1][:, :rank].copy() for k, rank in enumerate(ranks))
+    for p in out:
+        p.flags.writeable = False
+    return out
 
 
 def observable_from_hermitian(

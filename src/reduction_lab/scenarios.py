@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
 from .errors import NumericalConsistencyError
 from .instrument import Instrument, _reduce_image, instrument_from_operation, luders_instrument
 from .matcore import PROBABILITY_FLOOR, ROUNDOFF_TOL, VERIFY_TOL
@@ -54,34 +53,42 @@ def joint_distribution(
     first-outcome probability clears ``PROBABILITY_FLOOR``, the product
     form P(a) * Tr[E_X(x) rho_a] is cross-checked; disagreement beyond
     ``ROUNDOFF_TOL`` raises ``NumericalConsistencyError``.  Each T_a is
-    applied once: rho_a is reduced from the image the table uses.
+    applied once: rho_a is reduced from the image the table uses.  The
+    traces Tr[E_X(x) m] of one image m (T_a(rho), T'_a(rho) or rho_a) for
+    every x come from one product of the (n_x, d^2) flattened
+    ``second.projectors`` with the flattened m^T.
     """
     for name, dim in (("second observable", second.dim), ("state", rho.dim)):
         if dim != model.dim_s:
             raise ValueError(f"dimension mismatch: {name} dim {dim}, model dim_s {model.dim_s}")
     ins = instrument_of(model, tol)
+    flat = second.projectors.reshape(len(second.projectors), -1)
+
+    def traces(m: np.ndarray) -> list:
+        # Tr[E_X(x) m] = sum_ij E_X(x)[i, j] m[j, i] for every x at once
+        return (flat @ m.T.reshape(-1)).real.tolist()
+
     table = {}
     for k, a in enumerate(model.observable.eigenvalues):
         image = apply(ins.component(a), rho)
-        probe_image = None
+        probes = None
         if model.probe is not None:
-            probe_image = apply(Superoperator.from_kraus(model.probe_route[0][k]), rho)
+            probes = traces(apply(Superoperator.from_kraus(model.probe_route[0][k]), rho))
         born = born_probability(model.observable, a, rho)
-        reduced = _reduce_image(a, image) if born > PROBABILITY_FLOOR else None
-        for x in second.eigenvalues:
-            p = float(matcore.trace(second.projector(x) @ image).real)
+        products = None
+        if born > PROBABILITY_FLOOR:
+            products = [born * q for q in traces(_reduce_image(a, image).matrix)]
+        for j, (x, p) in enumerate(zip(second.eigenvalues, traces(image))):
             table[(a, x)] = clamp_probability(p)
-            if probe_image is not None:
-                p_probe = float(matcore.trace(second.projector(x) @ probe_image).real)
+            if probes is not None:
+                p_probe = probes[j]
                 if not abs(p - p_probe) <= tol:
                     raise NumericalConsistencyError(
                         f"joint table entry ({a}, {x}) is {p:.9e} by T_a but "
                         f"{p_probe:.9e} by the probe route, {abs(p - p_probe):.3e} apart"
                     )
-            if reduced is not None:
-                product = born * float(
-                    matcore.trace(second.projector(x) @ reduced.matrix).real
-                )
+            if products is not None:
+                product = products[j]
                 if not abs(p - product) <= ROUNDOFF_TOL:
                     raise NumericalConsistencyError(
                         f"joint table entry ({a}, {x}) disagrees with the "

@@ -94,8 +94,10 @@ def test_check_model_runs_probe_consistency_once(tmp_path, z_obs, monkeypatch):
 
 def test_each_job_runs_once_per_command(tmp_path, monkeypatch):
     # a (4,8) faithful model with sigma of rank 2: 16 Kraus operators, so
-    # every map reads its rep.  Each command builds the operation T and its
-    # four components once, validates once and takes each unit image once;
+    # every map reads its rep.  Each command builds the operation T by
+    # ``from_kraus`` and its four components once, validates once and takes
+    # each unit image once; below d = 12 a component is the map of its
+    # square stack, built with no ``from_kraus``, so it reads its square rep;
     # joint also builds a map of each probe-route stack for its cross-check
     obs = observable_from_hermitian(np.diag([1.0, 2.0, 3.0, 4.0]))
     mpath = write_model(tmp_path, random_faithful_model(obs, 8, seed=4, sigma_rank=2))
@@ -129,7 +131,7 @@ def test_each_job_runs_once_per_command(tmp_path, monkeypatch):
     ]:
         counts.update(dict.fromkeys(counts, 0))
         assert main(argv + ["--out", out]) == 0, argv[0]
-        assert counts == {**once, "from_kraus": maps, "_rep_of": maps}, argv[0]
+        assert counts == {**once, "from_kraus": maps - 4, "_rep_of": maps}, argv[0]
     # the benchmark ladder's two-route check of an (8,16) model with sigma
     # of rank 2 writes one rep per distinct map: T, its eight components
     # and the eight probe-route components

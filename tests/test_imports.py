@@ -7,7 +7,8 @@ public method of their classes, is named by another library module, a demo
 or the benchmark: an API that only tests call belongs in
 ``tests/conftest.py``.
 The route rule and the kernels it picks between are named only inside
-``superop``, and ``Instrument._unchecked`` only inside ``instrument``.
+``superop``, the range-isometry helper only inside ``quantum``, and
+``Instrument._unchecked`` only inside ``instrument``.
 Every trace the library takes is ``matcore.trace``.  Every library name
 that the demos and the benchmark read exists."""
 
@@ -103,13 +104,26 @@ def test_every_public_kernel_function_has_a_caller_outside_the_tests():
 def test_the_route_rule_stays_in_superop():
     # how a map is stored and applied is decided in one module: another
     # library module asks ``superop`` (``apply*``, ``unit_image``,
-    # ``sum_residual``) instead of naming the rule or its kernels
-    private = {"_on_stack", "_rep_of", "_kraus_sum", "_adjoint_rows"}
+    # ``sum_residual``) instead of naming the rule, its floor or its
+    # kernels, square or on a range
+    private = {"_on_stack", "_rep_of", "_kraus_sum", "_adjoint_rows", "_sandwich",
+               "_stack_rep", "_range_rep", "_RANGE_MIN_DIM"}
     src = ROOT / "src" / "reduction_lab"
     assert private <= _names(src / "superop.py")
     named = [f"{p.name}: {', '.join(sorted(private & _names(p)))}"
              for p in sorted(src.glob("*.py")) if p.name != "superop.py" and private & _names(p)]
     assert not named, "route rule named outside superop:\n" + "\n".join(named)
+
+
+def test_the_range_isometries_have_one_home():
+    # every library module reads an observable's range isometries off its
+    # cached ``ranges``; only ``quantum`` names the helper that takes them
+    src = ROOT / "src" / "reduction_lab"
+    assert "_ranges" in _names(src / "quantum.py")
+    assert {"ranges"} <= _names(src / "superop.py") & _names(src / "models.py")
+    named = [p.name for p in sorted(src.glob("*.py"))
+             if p.name != "quantum.py" and "_ranges" in _names(p)]
+    assert not named, "range-isometry helper named outside quantum.py: " + ", ".join(named)
 
 
 def test_only_instrument_builds_an_unchecked_instrument():

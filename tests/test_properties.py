@@ -16,21 +16,25 @@ same examples.
 
 import contextlib
 import functools
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reduction_lab import matcore
+from reduction_lab import matcore, superop
 from reduction_lab.errors import (
     NotAMeasurementOfAError,
     NumericalConsistencyError,
     ZeroProbabilityOutcomeError,
 )
 from reduction_lab.instrument import (
+    Instrument,
     instrument_from_operation,
     nonselective,
+    operation_instrument,
     outcome_probability,
     reduce,
     reduce_or_maximally_mixed,
@@ -55,9 +59,22 @@ from reduction_lab.quantum import (
     maximally_mixed,
     observable_from_hermitian,
 )
-from reduction_lab.superop import Superoperator, apply
+from reduction_lab.superop import (
+    Superoperator,
+    apply,
+    apply_dual_stack,
+    apply_stack,
+    unit_image,
+)
 
-from conftest import computed_state_verdict, is_psd, normalised_reference, small_probability_case
+from conftest import (
+    computed_state_verdict,
+    dual,
+    is_psd,
+    normalised_reference,
+    rep_images,
+    small_probability_case,
+)
 
 profile = settings(max_examples=25, derandomize=True, database=None, deadline=None)
 
@@ -385,3 +402,91 @@ def test_computed_states_have_a_real_unit_trace(case):
     for state in computed:
         tr = np.trace(state.matrix)
         assert tr.imag == 0.0 and abs(tr.real - 1.0) <= bound
+
+
+@st.composite
+def range_cases(draw):
+    """``(kind, model, seed)`` for the component-form parity: a faithful,
+    biased, degenerate-faithful or Haar-pointer von Neumann model at d_s
+    from 2 to 16, on both sides of ``superop._RANGE_MIN_DIM`` = 12, with
+    outcome ranks from 1 to d_s/2: k-fold outcomes and a remainder, k = 1
+    for the von Neumann model and k >= 2 for the degenerate one."""
+    kind = draw(st.sampled_from(["faithful", "biased", "degenerate", "von_neumann"]))
+    ds = draw(st.sampled_from([4, 6, 8, 12, 16] if kind == "degenerate" else [2, 3, 4, 6, 8, 12, 16]))
+    k = 1 if kind == "von_neumann" else draw(st.integers(1, ds // 2))
+    if kind == "degenerate":
+        k = max(k, 2)
+    ranks = [k] * (ds // k) + ([ds % k] if ds % k else [])
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    v = haar_unitary(ds, rng)
+    obs = observable_from_hermitian((v * np.repeat(np.arange(len(ranks)), ranks)) @ v.conj().T)
+    n = len(ranks)
+    if kind == "von_neumann":
+        return kind, von_neumann_model(obs, ds, seed=seed), seed
+    # a small apparatus where the object is large, so the rectangular stack
+    # K P_a of a (12,2) or (16,2) model falls on its stack route
+    da = n * draw(st.integers(1, 2 if ds * n <= 32 else 1))
+    if kind == "biased":
+        return kind, random_biased_model(obs, da, seed), seed
+    return kind, random_faithful_model(obs, da, seed, sigma_rank=1), seed
+
+
+def _half_split_model(ds, seed):
+    """A faithful (d_s, 2) model of two d_s/2-fold outcomes and a pure
+    apparatus state: each component is 2 operators K P_a of shape
+    d_s x d_s/2, on its stack route from d_s = 12."""
+    v = haar_unitary(ds, np.random.default_rng(seed))
+    obs = observable_from_hermitian((v * np.repeat([1.0, -1.0], ds // 2)) @ v.conj().T)
+    return "degenerate", random_faithful_model(obs, 2, seed, sigma_rank=1), seed
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(range_cases())
+@example(_half_split_model(12, 4))
+@example(_half_split_model(16, 5))
+def test_component_images_match_the_square_rep_on_both_sides_of_the_route_rule(case):
+    # every component of operation_instrument, the stack K P_a on the range
+    # P_a from d = 12, the square stack K P_a P_a^dagger below, gives the
+    # images of its square rep through its stack and through its rep,
+    # whichever side of the rule it falls on
+    kind, model, seed = case
+    ds = model.dim_s
+    ins = operation_instrument(model.operation, model.observable)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((7, ds, ds)) + 1j * rng.standard_normal((7, ds, ds))
+    xs = g / np.linalg.norm(g, axis=(1, 2), keepdims=True)
+    eye = np.eye(ds)[None]
+    for t in ins.components.values():
+        assert (t.isometry is not None) == (ds >= 12)
+        want = rep_images(t.rep, xs), rep_images(dual(t), xs), rep_images(dual(t), eye)[0]
+        for stack in (True, False):
+            with mock.patch.object(superop, "_on_stack", lambda s, stack=stack: stack):
+                got = (
+                    np.stack([apply(t, x) for x in xs]), apply_stack(t, xs),
+                    apply_dual_stack(t, xs), unit_image(t),
+                )
+            assert "rep" in vars(t)
+            for x, y in zip(got, (want[0], *want)):
+                assert matcore.max_abs(x - y) <= 1e-14, (kind, ds, stack)
+    # the negative controls fail at their own checks
+    if kind == "biased":
+        with pytest.raises(NotAMeasurementOfAError, match="probe consistency"):
+            instrument_of(model)
+        return
+    assert verify_theorem1(instrument_of(model)).passed
+    a, t = next(iter(ins.components.items()))
+    noise = rng.standard_normal(t.stack.shape) * 1e-3
+    corrupted = dict(ins.components)
+    corrupted[a] = (
+        Superoperator._on_range(t.stack + noise, t.isometry) if t.isometry is not None
+        else Superoperator.from_kraus(t.stack + noise)
+    )
+    broken = Instrument._unchecked(model.observable, corrupted, ins.total)
+    assert not verify_theorem1(broken).passed and not verify_dual_lemma(broken).passed
+    with pytest.raises(NotAMeasurementOfAError, match="completeness"):
+        broken.validate()
+    # no probe, and a Haar U that does not measure the observable
+    u = haar_unitary(ds * model.dim_a, rng)
+    with pytest.raises(NotAMeasurementOfAError):
+        instrument_of(replace(model, unitary=u, probe=None))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from reduction_lab.models import (
     random_faithful_model,
 )
 from reduction_lab.quantum import (
+    DiscreteObservable,
     PureState,
     ket,
     observable_from_hermitian,
@@ -160,7 +163,7 @@ def test_both_routes_give_the_same_images(case, seed):
     rng = np.random.default_rng(seed)
     s = _built_from(rng, d, n)
     stack = 4 * n <= d
-    assert superop._on_stack(s) == stack and set(vars(s)) == {"dim", "kraus"}
+    assert superop._on_stack(s) == stack and set(vars(s)) == {"dim", "stack"}
     ms = np.stack([random_matrix(rng, d) for _ in range(m)])
     got = (apply(s, ms[0]), apply_stack(s, ms), apply_dual_stack(s, ms))
     # the rep route computed the rep on its first apply, the stack route never
@@ -182,7 +185,7 @@ def test_an_empty_stack_and_a_sandwich_take_the_route_rule(rng, rep_route, d):
     zero, sandwich = Superoperator.zero(d), Superoperator.sandwich(a)
     # 4n <= d holds for n = 0 at every d and for n = 1 from d = 4
     assert superop._on_stack(zero) and superop._on_stack(sandwich) == (d >= 4)
-    assert set(vars(zero)) == set(vars(sandwich)) == {"dim", "kraus"}
+    assert set(vars(zero)) == set(vars(sandwich)) == {"dim", "stack"}
     for f in (apply_stack, apply_dual_stack):
         assert np.array_equal(f(zero, ms), np.zeros_like(ms))
     assert np.array_equal(apply(zero, ms[0]), np.zeros((d, d)))
@@ -252,7 +255,7 @@ def test_a_sum_of_maps_holds_their_stacks_and_the_sum_of_their_reps(rng, d):
         # the map of the concatenated stacks, its rep unbuilt until read
         stacks = np.concatenate([np.zeros((0, d, d)), *(t.kraus for t in maps)])
         assert np.array_equal(total.kraus, stacks)
-        assert set(vars(total)) == {"dim", "kraus"}
+        assert set(vars(total)) == {"dim", "stack"}
         assert superop._on_stack(total) == (4 * len(stacks) <= d)
         assert np.array_equal(total.rep, superop._rep_of(stacks))
         assert matcore.max_abs(total.rep - want) <= 1e-14 * max(1.0, matcore.max_abs(want))
@@ -363,12 +366,74 @@ def test_only_a_map_off_the_stack_route_builds_its_rep(rng, monkeypatch, ds, da)
 def test_a_stack_route_instrument_holds_no_rep_until_one_is_read():
     d = 16
     ins = instrument_of(random_faithful_model(half_split(d, 5), 2, seed=5, sigma_rank=1))
-    maps = [ins.total, *ins.components.values()]
-    # two d x d Kraus operators each, no d^4 array
-    assert all(set(vars(t)) == {"dim", "kraus"} and t.kraus.shape == (2, d, d) for t in maps)
+    # T holds two d x d Kraus operators, each T_a the two d x d/2 operators
+    # K P_a on the range P_a, and no map holds a d^4 array
+    assert set(vars(ins.total)) == {"dim", "stack"} and ins.total.stack.shape == (2, d, d)
+    assert all(
+        set(vars(t)) == {"dim", "stack", "isometry", "_coisometry", "_square"}
+        and t.stack.shape == (2, d, d // 2) and t.kraus.shape == (2, d, d)
+        for t in ins.components.values()
+    )
     rep = ins.total.rep
     assert rep.shape == (d * d, d * d) and ins.total.rep is rep
     assert all("rep" not in vars(t) for t in ins.components.values())
+
+
+def test_a_16x4_instrument_of_rank_4_outcomes_builds_no_square_rep(monkeypatch):
+    # (16,4), four 4-fold outcomes, sigma of rank 1: T holds 4 operators,
+    # on its stack route, and each T_a the 4 operators K P_a of shape
+    # 16 x 4, applied through its 256 x 16 range rep.  Building, validating,
+    # reduce, outcome_probability, nonselective and both verifiers write no
+    # rep of a square stack and leave no map holding one.  The one d^2 x d^2
+    # array on this path is validation's completeness product, a temporary;
+    # the read-path calls peak below one such array
+    d = 16
+    v = haar_unitary(d, np.random.default_rng(1))
+    obs = observable_from_hermitian((v * np.repeat(np.arange(4.0), 4)) @ v.conj().T)
+    model = random_faithful_model(obs, 4, seed=1, sigma_rank=1)
+    rho = random_density(np.random.default_rng(2), d)
+    a = obs.eigenvalues[1]
+    shapes = []
+    original = superop._rep_of
+    monkeypatch.setattr(superop, "_rep_of", lambda ks: shapes.append(ks.shape) or original(ks))
+    ins = instrument_of(model)
+
+    def peak(step):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        step()
+        return tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        peaks = [peak(step) for step in (
+            lambda: instrument.outcome_probability(ins, a, rho),
+            lambda: instrument.reduce(ins, a, rho),
+            lambda: instrument.nonselective(ins, rho),
+        )]
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < d**4 * 16
+    assert instrument.verify_theorem1(ins).passed and instrument.verify_dual_lemma(ins).passed
+    maps = [ins.total, *ins.components.values()]
+    assert superop._on_stack(ins.total) and not any("rep" in vars(t) for t in maps)
+    assert all(t.stack.shape == (4, d, 4) and not superop._on_stack(t) for t in maps[1:])
+    assert shapes == [(4, d, 4)] * 4
+
+
+@pytest.mark.parametrize("d", [4, 12])
+def test_an_outcome_of_zero_projector_has_the_zero_component(d):
+    # a range of rank 0: the stack K P_a is (n, d, 0) and every image is 0
+    p = np.diag([1.0] * (d // 2) + [0.0] * (d - d // 2))
+    obs = DiscreteObservable(((1.0, p), (0.0, np.eye(d) - p), (2.0, np.zeros((d, d)))))
+    ins = instrument.operation_instrument(Superoperator.from_kraus(obs.projectors), obs)
+    assert ins.validate() == 0.0
+    t = ins.component(2.0)
+    assert t.kraus.shape == (3, d, d) and (t.isometry is None) == (d < 12)
+    xs = np.ones((2, d, d), dtype=complex)
+    for image in (apply(t, xs[0]), apply_stack(t, xs), apply_dual_stack(t, xs), unit_image(t)):
+        assert not image.any()
+    assert instrument.verify_theorem1(ins).passed and instrument.verify_dual_lemma(ins).passed
 
 
 def test_maps_compare_and_hash_by_identity(rng):
@@ -500,7 +565,7 @@ def test_from_kraus_rep_matches_the_tensordot_form(rng, d, n):
     rep = np.tensordot(ks.conj(), ks, axes=(0, 0)).transpose(0, 2, 1, 3)
     s = Superoperator.from_kraus(ks)
     # on either route the rep is computed when first read, then kept
-    assert set(vars(s)) == {"dim", "kraus"}
+    assert set(vars(s)) == {"dim", "stack"}
     assert np.array_equal(s.rep, rep.reshape(d * d, d * d))
     assert "rep" in vars(s) and s.rep is vars(s)["rep"]
 
@@ -514,7 +579,7 @@ def test_from_kraus_rep_is_the_kron_sum_on_both_sides_of_the_block_floor(rng, d)
         ks = np.stack([random_matrix(rng, d) for _ in range(n)])
         want = sum(np.kron(k.conj(), k) for k in ks)
         s = Superoperator.from_kraus(ks)
-        assert set(vars(s)) == {"dim", "kraus"}, n
+        assert set(vars(s)) == {"dim", "stack"}, n
         rep = s.rep
         assert rep.shape == (d * d, d * d) and rep.dtype == np.complex128
         assert rep.flags.c_contiguous
