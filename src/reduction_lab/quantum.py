@@ -148,17 +148,19 @@ class DiscreteObservable:
     ``outcomes`` is a tuple of ``(eigenvalue, projector)`` pairs.  The
     eigenvalues must be finite and pairwise distinct, the projectors of one
     dimension, mutually orthogonal and sum to the identity; a value that is
-    not in the eigenvalue list carries the zero projector.  ``projectors``
-    is the read-only (n, d, d) stack of the projectors in the order of
-    ``outcomes``, built once here and read by every caller that needs them
-    together, and ``ranges`` their range isometries, computed on first
-    read.  The n^2 products P_k P_l that the projector and orthogonality
-    tests read are the blocks of one (n d x n d) GEMM.
+    not in the eigenvalue list carries the zero projector.  ``eigenvalues``
+    is the tuple of the eigenvalues and ``projectors`` the read-only
+    (n, d, d) stack of the projectors, both in the order of ``outcomes``,
+    built once here and read by every caller that needs them together, and
+    ``ranges`` the projectors' range isometries, computed on first read.
+    The n^2 products P_k P_l that the projector and orthogonality tests
+    read are the blocks of one (n d x n d) GEMM.
     Equality is identity, as for ``Superoperator``, so observables hash by
     identity too.
     """
 
     outcomes: tuple = field()
+    eigenvalues: tuple = field(init=False, repr=False)
     projectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -167,7 +169,7 @@ class DiscreteObservable:
         if not outs:
             raise ValueError("observable needs at least one outcome")
         d = outs[0][1].shape[0]
-        eigvals = [a for a, _ in outs]
+        eigvals = tuple(a for a, _ in outs)
         for a in eigvals:
             if not math.isfinite(a):
                 raise ValueError(f"eigenvalue {a} is not finite")
@@ -177,6 +179,7 @@ class DiscreteObservable:
             raise ValueError("projector dimensions disagree")
         ps, n = np.stack([p for _, p in outs]), len(outs)
         ps.flags.writeable = False
+        object.__setattr__(self, "eigenvalues", eigvals)
         object.__setattr__(self, "projectors", ps)
         # the projectors stacked as (n d x d) rows times the same side by
         # side (d x n d): prods[k, :, l] is p_k p_l
@@ -195,10 +198,6 @@ class DiscreteObservable:
     @property
     def dim(self) -> int:
         return self.outcomes[0][1].shape[0]
-
-    @property
-    def eigenvalues(self) -> tuple:
-        return tuple(a for a, _ in self.outcomes)
 
     @functools.cached_property
     def ranges(self) -> tuple:

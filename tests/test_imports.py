@@ -8,7 +8,8 @@ or the benchmark: an API that only tests call belongs in
 ``tests/conftest.py``.
 The route rule and the kernels it picks between are named only inside
 ``superop``, the range-isometry helper only inside ``quantum``, and
-``Instrument._unchecked`` only inside ``instrument``.
+``Instrument._unchecked`` only inside ``instrument``, and the cyclic garbage
+collector is switched only by the one pause helper of ``serialization``.
 Every trace the library takes is ``matcore.trace``.  Every library name
 that the demos and the benchmark read exists."""
 
@@ -135,6 +136,28 @@ def test_only_instrument_builds_an_unchecked_instrument():
     named = [p.name for p in sorted(src.glob("*.py"))
              if p.name != "instrument.py" and "_unchecked" in _names(p)]
     assert not named, "Instrument._unchecked named outside instrument.py: " + ", ".join(named)
+
+
+def _gc_attributes(node) -> list:
+    return sorted(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                  and isinstance(n.value, ast.Name) and n.value.id == "gc")
+
+
+def test_only_the_serialization_pause_switches_the_collector():
+    # the collector is paused around the JSON trees that ``serialization``
+    # builds, and never forced: ``gc.disable`` and ``gc.enable`` are named
+    # only in its one helper, and no other library module imports gc
+    src = ROOT / "src" / "reduction_lab"
+    importers = [
+        p.name for p in sorted(src.glob("*.py")) for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "gc"
+    ]
+    assert importers == ["serialization.py"], importers
+    tree = ast.parse((src / "serialization.py").read_text())
+    helpers = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and _gc_attributes(f)]
+    assert [f.name for f in helpers] == ["_collector_paused"]
+    assert _gc_attributes(tree) == _gc_attributes(helpers[0]) == ["disable", "enable", "isenabled"]
 
 
 def _foreign_traces(path: Path) -> list:

@@ -159,27 +159,51 @@ def test_von_neumann_models_satisfy_the_paper_identities(inputs):
     assert verify_dual_lemma(ins, seed=seed).passed
 
 
+def _full_probe_stack(model, q):
+    """The d_a^2 operators (1 x Q) K_{m,j}, K_{m,j} = sqrt(w_j) (1 x <m|)
+    U (1 x |v_j>) over every eigenpair (w_j, v_j) of sigma, read off U and
+    sigma here and not off the model's stack."""
+    ds, da = model.dim_s, model.dim_a
+    w, v = np.linalg.eigh(model.apparatus_state.matrix)
+    root = v * np.sqrt(np.clip(w, 0.0, None))
+    u4 = model.unitary.reshape(ds, da, ds, da)
+    k = np.einsum("imkl,lj,nm->njik", u4, root, q)
+    return k.reshape(-1, ds, ds)
+
+
+def _images(stack, xs):
+    """sum_k K_k X K_k^dagger for each X of ``xs``."""
+    return np.einsum("kij,xjl,kml->xim", stack, xs, stack.conj())
+
+
 @profile
 @given(faithful_inputs(), von_neumann_inputs())
 def test_the_range_cut_probe_stack_has_the_map_of_the_full_stack(faithful, pointer):
     # outcome a's probe stack B_a^+ K holds rank(Q_a) r operators and has
     # the map of the d_a r operators Q_a K, on faithful, biased and
-    # pointer-basis models alike
+    # pointer-basis models alike; its images of fixed samples are those of
+    # the d_a^2 operators (1 x Q_a) K that the test builds from U and sigma
     obs, da, seed, rank = faithful
     models = [random_faithful_model(obs, da, seed, sigma_rank=rank),
               von_neumann_model(pointer[0], pointer[1], seed=pointer[2])]
     if len(obs.outcomes) > 1:
         models.append(random_biased_model(obs, da, seed))
     for model in models:
+        ds = model.dim_s
         k = model.kraus.reshape(model.dim_a, -1)
         r = len(model.kraus) // model.dim_a
+        g = np.random.default_rng(seed).standard_normal((2, 4, ds, ds))
+        xs = (g[0] + 1j * g[1]) / np.linalg.norm(g[0] + 1j * g[1], axis=(1, 2), keepdims=True)
+        xs = np.concatenate([xs, np.eye(ds)[None] / ds])
         for a, ks in zip(model.observable.eigenvalues, model.probe_route[0]):
             q = model.probe.projector(a)
-            full = (q @ k).reshape(-1, model.dim_s, model.dim_s)
+            full = (q @ k).reshape(-1, ds, ds)
             assert len(ks) == round(matcore.trace(q).real) * r
             gap = matcore.max_abs(Superoperator.from_kraus(ks).rep
                                   - Superoperator.from_kraus(full).rep)
             assert gap <= 1e-15, gap
+            gap = matcore.max_abs(_images(ks, xs) - _images(_full_probe_stack(model, q), xs))
+            assert gap <= 1e-14, gap
 
 
 @st.composite
